@@ -1,9 +1,9 @@
 """Reverse-mode differentiation over the network DAG.
 
-One tape pass per batch: forward stores every neuron's value (a vector over
-the batch), backward walks neurons in reverse topological order and
-accumulates adjoints into the flat parameter coordinate vector.  Convention
-choices that matter:
+One tape pass per batch on the compiled level schedule (see
+:mod:`pathlift.engine`): forward stores every neuron's value (a vector over
+the batch), backward walks the levels in reverse and accumulates adjoints
+into the flat parameter coordinate vector.  Convention choices that matter:
 
 * relu passes a zero subgradient at exactly 0;
 * kpool routes its adjoint to the selected antecedent only (first one, in
@@ -20,72 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .engine import gradient, run
 from .errors import DimensionMismatch, MissingData, PathliftError
-from .graph import IDENTITY, KPOOL, RELU, Architecture, ParamVector, _check_bound
+from .graph import Architecture, ParamVector
 from .metrics import absolute_surrogate
-
-
-def _as_batch(arch: Architecture, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != arch.d_in:
-        raise DimensionMismatch(f"input batch must have shape (B, {arch.d_in}), got {x.shape}")
-    return x
-
-
-def batch_values(arch: Architecture, theta: ParamVector, x):
-    """Forward tape: per-neuron value arrays [n_neurons, B] plus, for each
-    kpool neuron, the selected antecedent slot per batch element."""
-    _check_bound(arch, theta)
-    x = _as_batch(arch, x)
-    b = x.shape[0]
-    vec = theta.vec
-    vals = np.zeros((arch.n_neurons, b))
-    vals[arch.input_pos] = x.T
-    winners = {}
-    for j in arch.non_input_pos:
-        contrib = vec[arch.in_coords[j]][:, None] * vals[arch.ant[j]]
-        kind = arch.kinds[j]
-        if kind == KPOOL:
-            k = arch.pool_k[j]
-            kth = np.partition(contrib, contrib.shape[0] - k, axis=0)[contrib.shape[0] - k]
-            winners[int(j)] = np.argmax(contrib == kth[None, :], axis=0)
-            vals[j] = kth
-        else:
-            pre = vec[arch.bias_coord[j]] + contrib.sum(axis=0)
-            vals[j] = pre if kind == IDENTITY else np.maximum(pre, 0.0)
-    return vals, winners
-
-
-def backward(arch: Architecture, theta: ParamVector, vals, winners, out_adjoint):
-    """Adjoint sweep; returns the gradient over the parameter coordinates.
-
-    ``out_adjoint`` has shape [d_out, B]: the derivative of the scalar being
-    differentiated with respect to each output neuron, per batch element.
-    """
-    nb = vals.shape[1]
-    vec = theta.vec
-    adj = np.zeros((arch.n_neurons, nb))
-    adj[arch.output_pos] = out_adjoint
-    grad = np.zeros(arch.n_coords)
-    for j in arch.non_input_pos[::-1]:
-        g = adj[j]
-        kind = arch.kinds[j]
-        ant = arch.ant[j]
-        w = vec[arch.in_coords[j]]
-        if kind == KPOOL:
-            sel = winners[int(j)]
-            gm = (sel[None, :] == np.arange(ant.size)[:, None]) * g[None, :]
-            grad[arch.in_coords[j]] += (vals[ant] * gm).sum(axis=1)
-            adj[ant] += w[:, None] * gm
-        else:
-            if kind == RELU:
-                g = g * (vals[j] > 0.0)
-            grad[arch.bias_coord[j]] += g.sum()
-            grad[arch.in_coords[j]] += vals[ant] @ g
-            adj[ant] += w[:, None] * g[None, :]
-    return grad
 
 
 def _aggregate(arch: Architecture, vals, aggregate, target):
@@ -133,7 +71,7 @@ def _aggregate(arch: Architecture, vals, aggregate, target):
 
 
 def scalar_value(arch: Architecture, theta: ParamVector, x, aggregate="sum_outputs", target=None):
-    vals, _ = batch_values(arch, theta, x)
+    vals, _ = run(arch, theta, x)
     value, _ = _aggregate(arch, vals, aggregate, target)
     return value
 
@@ -146,9 +84,9 @@ def grad_scalar(arch: Architecture, theta: ParamVector, x, aggregate="sum_output
     (softmax cross-entropy against class labels; a sigmoid against 0/1
     labels when there is a single output).
     """
-    vals, winners = batch_values(arch, theta, x)
+    vals, win = run(arch, theta, x)
     value, out_adj = _aggregate(arch, vals, aggregate, target)
-    return value, backward(arch, theta, vals, winners, out_adj)
+    return value, gradient(arch, theta, vals, win, out_adj)
 
 
 def grad_path_norm(arch: Architecture, theta: ParamVector) -> np.ndarray:

@@ -1,0 +1,316 @@
+"""Compiled level schedule: the one engine behind every forward and backward pass.
+
+An architecture is compiled on its first pass and the schedule is cached on
+it.  Neurons are grouped by depth (inputs at depth 0, every other neuron one
+deeper than its deepest antecedent), so a level reads only values of earlier
+levels.  Each level is split into blocks of one kind: the affine rows
+(identity and relu), and the pool rows sharing one order k.  A block holds a
+padded slot matrix with one row per neuron and one slot per antecedent, in
+stored antecedent order, giving the antecedent's position and the edge's
+coordinate.  Padding slots point at an appended zero value row and an
+appended 0.0 weight, so they add exactly nothing, even next to an infinite
+value.  The transposed matrix lists, per source neuron, the out-edges into
+the block; the backward pass gathers over it instead of scattering.
+
+Kernels, all in float64:
+
+* a block whose rows all read the same sources is one matrix product
+  (every MLP layer, the dense head of a conv grid);
+* any other block is a batched product over gathered ``(rows, K, B)``
+  blocks of about 1 MB, so memory stays bounded at any batch size; the
+  adjoint is the same product over the transposed matrix;
+* a pool block takes the k-th largest contribution over its gathered block
+  and routes to the first slot attaining it: the forward pass, the
+  gradient and the path activations share this tie-break.
+
+The summation order depends only on the architecture and the batch size,
+never on values, so a power-of-two rescaling moves every result by exactly
+its power of two.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import DimensionMismatch, NonFiniteValue
+from .graph import KPOOL, RELU, Architecture, ParamVector, _check_bound
+
+# doubles in one gathered block (1 MB)
+_BLOCK_ELEMS = 1 << 17
+# the weight that padding slots read, appended after the last coordinate
+_PAD_WEIGHT = np.zeros(1)
+
+
+def _index(ix: np.ndarray):
+    """A slice when the positions are one contiguous run (indexing with it
+    gives a view), the positions themselves otherwise."""
+    if ix.size and ix[-1] - ix[0] + 1 == ix.size and np.all(np.diff(ix) == 1):
+        return slice(int(ix[0]), int(ix[-1]) + 1)
+    return ix
+
+
+class _Block:
+    """Neurons of one level and one kind, with their slot matrices.
+
+    ``src``/``coord``: (rows, K) antecedent positions and edge coordinates,
+    padded with the zero value row ``n`` and the zero weight ``n_coords``.
+    ``shared``: the one source row every row reads, when there is one.
+    ``k``: 0 for affine rows, the pool order otherwise.  ``floor``: what
+    the pre-activation is clipped at (0.0 on relu rows, -inf on identity
+    rows), None when no row is relu.  ``valid``: on a pool block with
+    padding, which slots are real (padding must lose every comparison).
+    ``trow``/``tcoord``/``tslot``: per source in ``tsrc``, the destination
+    neuron, edge coordinate and (pool blocks only) slot of each out-edge
+    into the block, padded like ``src``.
+    """
+
+    __slots__ = ("rows", "at", "src", "coord", "shared", "k", "floor", "bias",
+                 "valid", "tsrc", "trow", "tcoord", "tslot")
+
+    def __init__(self, arch: Architecture, rows: np.ndarray, k: int, fan, src, coord):
+        n, nc = arch.n_neurons, arch.n_coords
+        width = int(fan.max())
+        valid = np.arange(width) < fan[:, None]
+        self.rows = rows
+        self.at = _index(rows)
+        self.k = int(k)
+        # int32 halves the schedule's memory; numpy widens it per gather
+        self.src = np.full((rows.size, width), n, dtype=np.int32)
+        self.coord = np.full((rows.size, width), nc, dtype=np.int32)
+        self.src[valid] = src
+        self.coord[valid] = coord
+        self.valid = None if k == 0 or valid.all() else valid[:, :, None]
+        self.bias = arch.bias_coord[rows] if k == 0 else None
+        relu = arch.kinds[rows] == RELU
+        if k or not relu.any():
+            self.floor = None
+        elif relu.all():
+            self.floor = 0.0
+        else:
+            self.floor = np.where(relu, 0.0, -np.inf)[:, None]
+
+        self.shared = self.tslot = None
+        if k == 0 and np.all(self.src == self.src[0]):
+            self.shared = _index(self.src[0].astype(np.int64))
+            return
+        # out-edges grouped by source, each group in (row, slot) order
+        by_src = np.argsort(src, kind="stable")
+        r_of, s_of = (a[by_src] for a in np.nonzero(valid))
+        src = src[by_src]
+        first = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
+        counts = np.diff(np.r_[first, src.size])
+        m = np.repeat(np.arange(first.size), counts)
+        t = np.arange(src.size) - np.repeat(first, counts)
+        shape = (first.size, int(counts.max()))
+        self.tsrc = _index(src[first])
+        self.trow = np.full(shape, n, dtype=np.int32)
+        self.tcoord = np.full(shape, nc, dtype=np.int32)
+        self.trow[m, t] = rows[r_of]
+        self.tcoord[m, t] = self.coord[r_of, s_of]
+        if k:
+            self.tslot = np.zeros(shape, dtype=np.int32)
+            self.tslot[m, t] = s_of
+
+
+class Schedule:
+    """Blocks of every level, in level order (see the module docstring)."""
+
+    __slots__ = ("levels", "win_dtype")
+
+    def __init__(self, arch: Architecture):
+        n = arch.n_neurons
+        none = np.zeros(0, dtype=np.int64)
+        fan = np.array([a.size for a in arch.ant], dtype=np.int64)
+        src = np.concatenate([none, *arch.ant])
+        coord = np.concatenate([none, *arch.in_coords])
+        # depth = longest path from an input: one relaxation sweep per level
+        has, starts = fan > 0, (np.cumsum(fan) - fan)[fan > 0]
+        depth = np.zeros(n, dtype=np.int64)
+        while src.size:
+            new = np.zeros(n, dtype=np.int64)
+            new[has] = np.maximum.reduceat(depth[src], starts) + 1
+            if np.array_equal(new, depth):
+                break
+            depth = new
+        pool_fan = fan[arch.kinds == KPOOL]
+        self.win_dtype = np.min_scalar_type(-pool_fan.max()) if pool_fan.size else None
+        pool_k = np.where(arch.kinds == KPOOL, arch.pool_k, 0)
+        levels = []
+        for d in range(1, int(depth.max(initial=0)) + 1):
+            blocks = []
+            for k in np.unique(pool_k[depth == d]):
+                member = (depth == d) & (pool_k == k)
+                rows, edges = np.flatnonzero(member), np.repeat(member, fan)
+                blocks.append(_Block(arch, rows, k, fan[rows], src[edges], coord[edges]))
+            levels.append(tuple(blocks))
+        self.levels = tuple(levels)
+
+
+def schedule(arch: Architecture) -> Schedule:
+    """The architecture's compiled schedule, built on first use and cached."""
+    sched = getattr(arch, "_schedule", None)
+    if sched is None:
+        sched = arch._schedule = Schedule(arch)
+    return sched
+
+
+def _chunks(rows: int, width: int, batch: int):
+    step = max(1, _BLOCK_ELEMS // max(width * batch, 1))
+    for lo in range(0, rows, step):
+        yield slice(lo, lo + step)
+
+
+def _gathered_product(w, table, idx):
+    """out[r] = sum over slots s of w[r, s] * table[idx[r, s]]: (rows, B)."""
+    out = np.empty((idx.shape[0], table.shape[1]))
+    for c in _chunks(*idx.shape, table.shape[1]):
+        out[c] = np.matmul(w[c, None, :], table[idx[c]])[:, 0, :]
+    return out
+
+
+def _slot_products(table, idx, g):
+    """out[r, s] = sum over the batch of table[idx[r, s]] * g[r]: (rows, K)."""
+    out = np.empty(idx.shape)
+    for c in _chunks(*idx.shape, table.shape[1]):
+        out[c] = np.matmul(table[idx[c]], g[c, :, None])[:, :, 0]
+    return out
+
+
+def _pool_forward(blk: _Block, w, vals, win):
+    rows, width = blk.src.shape
+    out = np.empty((rows, vals.shape[1]))
+    for c in _chunks(rows, width, vals.shape[1]):
+        contrib = w[c, :, None] * vals[blk.src[c]]
+        if blk.valid is not None:
+            contrib = np.where(blk.valid[c], contrib, -np.inf)
+        if blk.k == 1:
+            kth = contrib.max(axis=1)
+        else:
+            kth = np.partition(contrib, width - blk.k, axis=1)[:, width - blk.k]
+        out[c] = kth
+        win[blk.rows[c]] = np.argmax(contrib == kth[:, None, :], axis=1)
+    vals[blk.at] = out
+
+
+def run(arch: Architecture, theta: ParamVector, x):
+    """Forward tape over a batch ``x`` of shape (B, d_in), or one input (d_in,).
+
+    Returns ``(vals, win)``: ``vals`` (n_neurons + 1, B) holds every
+    neuron's value per batch element, with the zero row last; ``win``
+    (n_neurons + 1, B) holds each pool neuron's selected slot and -1
+    elsewhere, in the narrowest integer type that fits, or is None when the
+    network has no pool neuron.  Rejects non-finite inputs with
+    :class:`NonFiniteValue`.
+    """
+    _check_bound(arch, theta)
+    given = np.asarray(x, dtype=np.float64)
+    x = given[None, :] if given.ndim == 1 else given
+    if x.ndim != 2 or x.shape[1] != arch.d_in:
+        raise DimensionMismatch(
+            f"input must have shape ({arch.d_in},) or (B, {arch.d_in}), got {given.shape}"
+        )
+    if not np.isfinite(x).all():
+        raise NonFiniteValue("input holds NaN or infinite entries")
+    sched = schedule(arch)
+    n, batch = arch.n_neurons, x.shape[0]
+    vals = np.empty((n + 1, batch))
+    vals[arch.input_pos] = x.T
+    vals[n] = 0.0
+    win = None if sched.win_dtype is None else np.full((n + 1, batch), -1, dtype=sched.win_dtype)
+    wpad = np.concatenate((theta.vec, _PAD_WEIGHT))
+    for level in sched.levels:
+        for blk in level:
+            w = wpad[blk.coord]
+            if blk.k:
+                _pool_forward(blk, w, vals, win)
+                continue
+            if blk.shared is not None:
+                pre = w @ vals[blk.shared]
+            else:
+                pre = _gathered_product(w, vals, blk.src)
+            pre += wpad[blk.bias][:, None]
+            if blk.floor is not None:
+                np.maximum(pre, blk.floor, out=pre)
+            vals[blk.at] = pre
+    return vals, win
+
+
+def gradient(arch: Architecture, theta: ParamVector, vals, win, out_adjoint) -> np.ndarray:
+    """Adjoint sweep over the tape of :func:`run`; returns the gradient over
+    the parameter coordinates.
+
+    ``out_adjoint`` (d_out, B) is the derivative of the scalar being
+    differentiated with respect to each output neuron, per batch element.
+    Relu passes a zero subgradient at exactly 0, a pool neuron routes its
+    adjoint to its selected slot only, and pinned pool biases get 0.
+    """
+    sched = schedule(arch)
+    n = arch.n_neurons
+    wpad = np.concatenate((theta.vec, _PAD_WEIGHT))
+    gpad = np.zeros(arch.n_coords + 1)
+    adj = np.zeros((n + 1, vals.shape[1]))
+    adj[arch.output_pos] = out_adjoint
+    for depth in range(len(sched.levels) - 1, -1, -1):
+        # the first level reads only inputs, whose adjoints nothing needs
+        inner = depth > 0
+        for blk in sched.levels[depth]:
+            if blk.k:
+                _pool_backward(blk, wpad, vals, win, adj, gpad, inner)
+                continue
+            g = adj[blk.at]
+            if blk.floor is not None:
+                g = g * (vals[blk.at] > blk.floor)
+                adj[blk.at] = g
+            gpad[blk.bias] = g.sum(axis=1)
+            if blk.shared is not None:
+                gpad[blk.coord] = g @ vals[blk.shared].T
+                if inner:
+                    adj[blk.shared] += wpad[blk.coord].T @ g
+            else:
+                gpad[blk.coord] = _slot_products(vals, blk.src, g)
+                if inner:
+                    adj[blk.tsrc] += _gathered_product(wpad[blk.tcoord], adj, blk.trow)
+    return gpad[:-1]
+
+
+def _pool_backward(blk: _Block, wpad, vals, win, adj, gpad, inner: bool):
+    rows, width = blk.src.shape
+    batch = vals.shape[1]
+    slots = np.arange(width)[None, :, None]
+    grad = np.empty((rows, width))
+    for c in _chunks(rows, width, batch):
+        routed = (win[blk.rows[c], None, :] == slots) * adj[blk.rows[c], None, :]
+        grad[c] = np.einsum("rsb,rsb->rs", vals[blk.src[c]], routed)
+    gpad[blk.coord] = grad
+    if not inner:
+        return
+    # per source, the adjoints of the slots it won, weighted by their edges
+    wt = wpad[blk.tcoord]
+    out = np.empty((blk.trow.shape[0], batch))
+    for c in _chunks(*blk.trow.shape, batch):
+        trow = blk.trow[c]
+        routed = adj[trow] * (win[trow] == blk.tslot[c, :, None])
+        out[c] = np.matmul(wt[c, None, :], routed)[:, 0, :]
+    adj[blk.tsrc] += out
+
+
+def activations(arch: Architecture, theta: ParamVector, x):
+    """0/1 activation per edge coordinate and per neuron as a path start at x.
+
+    Edges into identity neurons are always active; into relu neurons active
+    iff the neuron's value is strictly positive; into pool neurons active
+    only from the selected slot.  A path starting at a relu neuron is
+    active iff that neuron is.
+    """
+    vals, win = run(arch, theta, np.asarray(x, dtype=np.float64).reshape(-1))
+    edge = np.ones(arch.n_coords + 1)
+    start = np.ones(arch.n_neurons)
+    for level in schedule(arch).levels:
+        for blk in level:
+            if blk.k:
+                edge[blk.coord] = np.arange(blk.src.shape[1]) == win[blk.rows]
+            elif blk.floor is not None:
+                on = vals[blk.at] > blk.floor
+                edge[blk.coord] = on
+                start[blk.at] = on[:, 0]
+    return edge[: arch.n_edges], start

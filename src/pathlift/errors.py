@@ -41,6 +41,10 @@ class UnknownNeuron(PathliftError):
     pass
 
 
+class NonFiniteValue(PathliftError):
+    """NaN or infinity in a parameter vector, an input, or a training step."""
+
+
 class PathExplosion(PathliftError):
     """Path count exceeds the enumeration cap.
 

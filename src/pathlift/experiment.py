@@ -22,7 +22,8 @@ import numpy as np
 
 from .autodiff import grad_scalar
 from .builders import mlp_architecture
-from .errors import InfeasibleAmount, PathliftError
+from .engine import run
+from .errors import InfeasibleAmount, NonFiniteValue, PathliftError
 from .graph import Architecture, ParamVector
 from .pruning import Mask, apply_prune, baseline_scores, path_mag_scores
 from .transforms import random_rescaling, rescale
@@ -123,7 +124,8 @@ def sgd_train(
     permutation of epoch e depends only on seeds[e], so training a suffix
     of the epochs from a snapshot replays the exact same batches.  Applies
     the mask after every step when given (pruned coordinates stay zero).
-    Returns (final theta, snapshot theta or None).
+    A step that leaves a non-finite coordinate raises NonFiniteValue
+    naming the epoch.  Returns (final theta, snapshot theta or None).
     """
     n = x.shape[0]
     vec = theta.vec.copy()
@@ -142,6 +144,8 @@ def sgd_train(
             vec = vec - (lr / idx.size) * g
             if keep is not None:
                 vec *= keep
+            if not np.isfinite(vec).all():
+                raise NonFiniteValue(f"training diverged in epoch {epoch}: non-finite parameters")
         if snapshot_epoch is not None and epoch + 1 == snapshot_epoch:
             snapshot = vec.copy()
     final = ParamVector(arch, vec)
@@ -149,9 +153,7 @@ def sgd_train(
 
 
 def accuracy(arch: Architecture, theta: ParamVector, x, y) -> float:
-    from .autodiff import batch_values
-
-    vals, _ = batch_values(arch, theta, x)
+    vals, _ = run(arch, theta, x)
     pred = vals[arch.output_pos].argmax(axis=0)
     return float(np.mean(pred == np.asarray(y)))
 

@@ -30,6 +30,7 @@ from .errors import (
     DanglingEdge,
     DimensionMismatch,
     DuplicateDeclaration,
+    NonFiniteValue,
     NonIdentityOutput,
     UnknownNeuron,
 )
@@ -225,7 +226,8 @@ class ParamVector:
 
     Coordinates follow the architecture's canonical order.  kpool neurons
     have no bias degree of freedom, so their bias coordinates are pinned to
-    zero on construction.
+    zero on construction.  NaN and infinite entries are rejected with
+    :class:`NonFiniteValue`.
     """
 
     __slots__ = ("arch", "vec")
@@ -236,6 +238,11 @@ class ParamVector:
             raise DimensionMismatch(
                 f"parameter vector has shape {v.shape}, expected ({arch.n_coords},)"
             )
+        if not np.isfinite(v).all():
+            bad = np.flatnonzero(~np.isfinite(v))
+            shown = ", ".join(f"{arch.coord_labels[i]}={v[i]!r}" for i in bad[:5])
+            more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
+            raise NonFiniteValue(f"non-finite parameter(s): {shown}{more}")
         pool_bias = arch.bias_coord[arch.kinds == KPOOL]
         if pool_bias.size:
             v[pool_bias] = 0.0
@@ -308,23 +315,10 @@ def _check_bound(arch: Architecture, theta: ParamVector):
 
 def neuron_values(arch: Architecture, theta: ParamVector, x) -> np.ndarray:
     """Values of every neuron at input x, in topological order."""
-    _check_bound(arch, theta)
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != arch.d_in:
-        raise DimensionMismatch(f"input has {x.shape[0]} entries, expected {arch.d_in}")
-    vec = theta.vec
-    vals = np.zeros(arch.n_neurons)
-    vals[arch.input_pos] = x
-    kinds = arch.kinds
-    for j in arch.non_input_pos:
-        contrib = vec[arch.in_coords[j]] * vals[arch.ant[j]]
-        if kinds[j] == KPOOL:
-            k = arch.pool_k[j]
-            vals[j] = np.partition(contrib, contrib.size - k)[contrib.size - k]
-        else:
-            pre = vec[arch.bias_coord[j]] + contrib.sum()
-            vals[j] = pre if (kinds[j] == IDENTITY or pre > 0.0) else 0.0
-    return vals
+    from .engine import run  # the engine compiles the architectures defined here
+
+    vals, _ = run(arch, theta, np.asarray(x, dtype=np.float64).reshape(-1))
+    return vals[:-1, 0]
 
 
 def forward(arch: Architecture, theta: ParamVector, x, trace: bool = False):
@@ -342,16 +336,10 @@ def pool_selections(arch: Architecture, theta: ParamVector, x) -> dict:
     The selected antecedent is the first one, in stored antecedent order,
     whose contribution equals the k-th largest contribution.
     """
-    _check_bound(arch, theta)
-    vals = neuron_values(arch, theta, x)
-    sel = {}
-    for j in np.flatnonzero(arch.kinds == KPOOL):
-        contrib = theta.vec[arch.in_coords[j]] * vals[arch.ant[j]]
-        k = arch.pool_k[j]
-        kth = np.partition(contrib, contrib.size - k)[contrib.size - k]
-        first = int(np.flatnonzero(contrib == kth)[0])
-        sel[int(j)] = int(arch.ant[j][first])
-    return sel
+    from .engine import run
+
+    _, win = run(arch, theta, np.asarray(x, dtype=np.float64).reshape(-1))
+    return {int(j): int(arch.ant[j][win[j, 0]]) for j in np.flatnonzero(arch.kinds == KPOOL)}
 
 
 def subgraph_to(arch: Architecture, nid) -> Architecture:

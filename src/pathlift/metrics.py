@@ -32,7 +32,9 @@ def summation_surrogate(arch: Architecture) -> Architecture:
 
     Shares all index arrays with the original (same ids, edges, coordinate
     order), so parameter vectors keep their meaning coordinate by
-    coordinate.  Cached on the architecture.
+    coordinate.  Cached on the architecture.  Private attributes -- the
+    caches, the compiled schedule among them -- are not copied: the
+    surrogate compiles its own schedule, in which pools are sums.
     """
     cached = getattr(arch, "_surrogate", None)
     if cached is not None:
@@ -41,7 +43,7 @@ def summation_surrogate(arch: Architecture) -> Architecture:
         arch._surrogate = arch
         return arch
     s = Architecture.__new__(Architecture)
-    s.__dict__.update(arch.__dict__)
+    s.__dict__.update((k, v) for k, v in arch.__dict__.items() if not k.startswith("_"))
     s.kinds = arch.kinds.copy()
     s.kinds[s.kinds == KPOOL] = IDENTITY
     s.pool_k = np.zeros_like(arch.pool_k)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import activations
 from .errors import DimensionMismatch, PathExplosion
-from .graph import IDENTITY, INPUT, KPOOL, RELU, Architecture, ParamVector
-from .graph import _check_bound, neuron_values, pool_selections
+from .graph import INPUT, Architecture, ParamVector, _check_bound
 
 DEFAULT_PATH_CAP = 10**6
 
@@ -140,33 +140,9 @@ def path_lifting(arch: Architecture, theta: ParamVector, end=None, cap=None) -> 
     return PathLifting(paths=paths, values=values, input_start=starts_input)
 
 
-def _edge_and_start_activations(arch: Architecture, theta: ParamVector, x):
-    """0/1 activation per edge coordinate and per starting neuron.
-
-    Edges into identity neurons are always active; into relu neurons active
-    iff the neuron value is strictly positive; into kpool neurons active
-    only from the selected antecedent (first one achieving the k-th largest
-    contribution, in stored antecedent order).
-    """
-    vals = neuron_values(arch, theta, x)
-    sel = pool_selections(arch, theta, x)
-    edge_act = np.ones(arch.n_edges)
-    start_act = np.ones(arch.n_neurons)
-    for j in range(arch.n_neurons):
-        kind = arch.kinds[j]
-        if kind == RELU:
-            on = 1.0 if vals[j] > 0.0 else 0.0
-            edge_act[arch.in_coords[j]] = on
-            start_act[j] = on
-        elif kind == KPOOL:
-            winner = sel[j]
-            edge_act[arch.in_coords[j]] = (arch.ant[j] == winner).astype(float)
-    return edge_act, start_act, vals
-
-
 def path_activations(arch: Architecture, theta: ParamVector, x, end=None, cap=None) -> np.ndarray:
     """0/1 activation of each canonical path at input x."""
-    edge_act, start_act, _ = _edge_and_start_activations(arch, theta, x)
+    edge_act, start_act = activations(arch, theta, x)
     pos_paths = _enum_positions(arch, end=end, cap=cap)
     acts = np.empty(len(pos_paths))
     for i, p in enumerate(pos_paths):
@@ -206,7 +182,7 @@ def linearized_output(arch: Architecture, theta: ParamVector, x, cap=None) -> np
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.shape[0] != arch.d_in:
         raise DimensionMismatch(f"input has {x.shape[0]} entries, expected {arch.d_in}")
-    edge_act, start_act, _ = _edge_and_start_activations(arch, theta, x)
+    edge_act, start_act = activations(arch, theta, x)
     xval = {int(j): x[c] for c, j in enumerate(arch.input_pos)}
     out_col = {int(j): c for c, j in enumerate(arch.output_pos)}
     vec = theta.vec

@@ -1,0 +1,133 @@
+"""The compiled level schedule against the per-neuron reference loop, and the
+isolation of its per-architecture cache."""
+
+import numpy as np
+import pytest
+
+from pathlift.builders import (
+    conv_grid_architecture,
+    mlp_architecture,
+    random_dag,
+    random_params,
+)
+from pathlift.engine import gradient, run
+from pathlift.graph import IDENTITY, KPOOL, RELU, ParamVector, forward, neuron_values, pool_selections
+from pathlift.metrics import path_norm_fast
+from pathlift.paths import path_lifting
+
+from conftest import pool_arch, pool_theta
+from reference import reference_gradient, reference_values
+
+RTOL = 1e-12
+
+
+def _depths(arch):
+    depth = np.zeros(arch.n_neurons, dtype=np.int64)
+    for j in arch.non_input_pos:
+        depth[j] = 1 + depth[arch.ant[j]].max()
+    return depth
+
+
+def _integer_params(arch, rng):
+    """Small-integer parameters: every value is an exact integer, so pool
+    contributions tie exactly and often."""
+    v = rng.choice([-2.0, -1.0, 1.0, 2.0], size=arch.n_coords)
+    v[arch.n_edges :] = rng.choice([-1.0, 0.0, 1.0], size=arch.n_coords - arch.n_edges)
+    return ParamVector(arch, v)
+
+
+def _dag_corpus():
+    cases = []
+    for child in np.random.SeedSequence(2024).spawn(40):
+        rng = np.random.default_rng(child)
+        arch = random_dag(rng, max_layers=5, max_width=6, p_skip=0.5, p_identity=0.3, p_kpool=0.4)
+        exact = len(cases) % 2 == 0
+        theta = _integer_params(arch, rng) if exact else random_params(arch, rng)
+        cases.append((arch, theta, exact, rng))
+    return cases
+
+
+def _inputs(arch, exact, rng, batch):
+    if exact:
+        return rng.integers(-2, 3, size=(batch, arch.d_in)).astype(np.float64)
+    return rng.normal(size=(batch, arch.d_in))
+
+
+def _assert_close(got, want):
+    scale = float(np.max(np.abs(want), initial=0.0))
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * scale)
+
+
+def _compare(arch, theta, x, rng):
+    """Engine and reference agree on values, winners and gradients; returns
+    the number of pool decisions that were exact ties."""
+    vals, win = run(arch, theta, x)
+    ref_vals, ref_win = reference_values(arch, theta, x)
+    _assert_close(vals[:-1], ref_vals)
+    assert not np.any(vals[-1]), "the padding row must stay zero"
+    for j, slots in ref_win.items():
+        np.testing.assert_array_equal(win[j], slots)
+    out_adj = rng.normal(size=(arch.d_out, x.shape[0]))
+    _assert_close(
+        gradient(arch, theta, vals, win, out_adj),
+        reference_gradient(arch, theta, ref_vals, ref_win, out_adj),
+    )
+    ties = 0
+    for j in ref_win:
+        contrib = theta.vec[arch.in_coords[j]][:, None] * ref_vals[arch.ant[j]]
+        ties += int(np.sum(np.sum(contrib == ref_vals[j][None, :], axis=0) > 1))
+    return ties
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_engine_matches_reference_on_random_dags(batch):
+    ties = 0
+    seen = {"kpool_k_above_1": False, "mixed_level": False, "skip_edge": False}
+    for arch, theta, exact, rng in _dag_corpus():
+        ties += _compare(arch, theta, _inputs(arch, exact, rng, batch), rng)
+        depth = _depths(arch)
+        seen["kpool_k_above_1"] |= bool(np.any(arch.pool_k > 1))
+        for d in np.unique(depth):
+            kinds = set(arch.kinds[depth == d].tolist())
+            seen["mixed_level"] |= {IDENTITY, RELU, KPOOL} <= kinds
+        for j in arch.non_input_pos:
+            seen["skip_edge"] |= bool(np.any(depth[arch.ant[j]] < depth[j] - 1))
+    assert all(seen.values()), seen
+    assert ties > 0, "the corpus must exercise exact pool ties"
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_engine_matches_reference_on_mlp(batch):
+    rng = np.random.default_rng(99)
+    arch = mlp_architecture((3, 8, 8, 2))
+    _compare(arch, random_params(arch, rng), rng.normal(size=(batch, arch.d_in)), rng)
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_engine_matches_reference_on_conv_grid(batch):
+    rng = np.random.default_rng(6)
+    arch = conv_grid_architecture(side=6, channels=(2, 3), d_out=3)
+    _compare(arch, random_params(arch, rng), rng.normal(size=(batch, arch.d_in)), rng)
+
+
+def test_public_wrappers_match_reference():
+    for arch, theta, exact, rng in _dag_corpus()[:10]:
+        x = _inputs(arch, exact, rng, 1)[0]
+        ref_vals, ref_win = reference_values(arch, theta, x)
+        _assert_close(neuron_values(arch, theta, x), ref_vals[:, 0])
+        assert pool_selections(arch, theta, x) == {
+            j: int(arch.ant[j][slots[0]]) for j, slots in ref_win.items()
+        }
+
+
+def test_schedule_cached_before_path_norm_is_not_inherited_by_surrogate():
+    # forward compiles and caches the max-pool schedule first; the
+    # summation surrogate must still pool by sum
+    arch = pool_arch()
+    theta = pool_theta(arch)
+    forward(arch, theta, [1.0, 1.0])
+    assert path_norm_fast(arch, theta) == pytest.approx(path_lifting(arch, theta).norm(), rel=RTOL)
+    for arch, theta, _, rng in _dag_corpus()[:10]:
+        forward(arch, theta, rng.normal(size=arch.d_in))
+        want = path_lifting(arch, theta).norm()
+        assert path_norm_fast(arch, theta) == pytest.approx(want, rel=1e-9)

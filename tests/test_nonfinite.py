@@ -1,0 +1,68 @@
+"""One policy for NaN and infinity: rejected where they enter, with a typed
+error, never turned into a number."""
+
+import json
+
+import numpy as np
+import pytest
+
+from pathlift.autodiff import grad_scalar
+from pathlift.builders import mlp_architecture, random_params
+from pathlift.cli import main
+from pathlift.errors import NonFiniteValue, PathliftError
+from pathlift.experiment import epoch_seeds, sgd_train
+from pathlift.graph import ParamVector, forward
+from pathlift.netfile import load_network
+
+from conftest import chain2_arch
+
+
+def test_param_vector_rejects_non_finite(chain2):
+    assert issubclass(NonFiniteValue, PathliftError)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteValue, match="in->m"):
+            ParamVector(chain2, [bad, 1.0, 0.0, 0.0])
+    with pytest.raises(NonFiniteValue):
+        ParamVector.from_maps(chain2, {("in", "m"): float("nan")})
+    theta = ParamVector(chain2, [1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(NonFiniteValue):
+        theta.replace({1: float("inf")})
+
+
+def test_load_network_and_cli_reject_nan(tmp_path, capsys):
+    arch = chain2_arch()
+    doc = {
+        "neurons": [{"id": nid, "activation": tag} for nid, tag in arch.neuron_decls()],
+        "edges": [
+            {"src": "in", "dst": "m", "weight": float("nan")},
+            {"src": "m", "dst": "out", "weight": 1.0},
+        ],
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # writes a bare NaN token
+    with pytest.raises(NonFiniteValue):
+        load_network(path)
+    for argv in (["eval", str(path), "--input", "1"], ["pathnorm", str(path)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "in->m" in err
+
+
+def test_engine_rejects_non_finite_inputs(chain2):
+    theta = ParamVector(chain2, [1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(NonFiniteValue):
+        forward(chain2, theta, [float("nan")])
+    with pytest.raises(NonFiniteValue):
+        grad_scalar(chain2, theta, [[1.0], [float("inf")]])
+
+
+def test_sgd_train_names_the_diverging_epoch():
+    arch = mlp_architecture((2, 3, 1), hidden="identity")
+    rng = np.random.default_rng(0)
+    theta = random_params(arch, rng)
+    x = rng.normal(size=(32, 2))
+    y = np.zeros(32, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteValue, match=r"epoch \d+"):
+            sgd_train(arch, theta, x, y, epoch_seeds(0, 50), lr=5.0, batch_size=8,
+                      loss="squared_error")
