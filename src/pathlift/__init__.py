@@ -7,6 +7,8 @@ aware pruning with an output error guarantee, and a small training
 harness that compares pruning criteria under random rescalings.
 """
 
+import types as _types
+
 from .autodiff import grad_check, grad_path_norm, grad_scalar, scalar_value
 from .builders import (
     conv_grid_architecture,
@@ -53,9 +55,6 @@ from .graph import (
     ParamVector,
     forward,
     neuron_values,
-    restrict_params,
-    subgraph_to,
-    validate_architecture,
 )
 from .lipschitz import (
     Breakpoint,
@@ -116,97 +115,8 @@ from .transforms import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Architecture",
-    "ArchitectureError",
-    "BadPoolArity",
-    "BoundReport",
-    "Breakpoint",
-    "CycleDetected",
-    "DanglingEdge",
-    "DimensionMismatch",
-    "DominanceUnverified",
-    "DuplicateDeclaration",
-    "EqualityWitness",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "IneligibleNeuron",
-    "InfeasibleAmount",
-    "Mask",
-    "MissingData",
-    "MixedZeroCoordinate",
-    "NonFiniteValue",
-    "NonIdentityOutput",
-    "NonPositiveFactor",
-    "POW2_FACTORS",
-    "ParamVector",
-    "ParseError",
-    "PathExplosion",
-    "PathLifting",
-    "PathMetricReport",
-    "PathliftError",
-    "PruneBoundReport",
-    "RaggedLayers",
-    "ScoreVector",
-    "SignConditionViolated",
-    "SignCounterexample",
-    "TelescopingReport",
-    "UnknownNeuron",
-    "accuracy",
-    "activation_breakpoints",
-    "apply_prune",
-    "baseline_scores",
-    "bound_rhs",
-    "check_sign_condition",
-    "conv_grid_architecture",
-    "count_paths",
-    "enumerate_paths",
-    "epoch_seeds",
-    "equality_witness",
-    "format_path",
-    "forward",
-    "grad_check",
-    "grad_path_norm",
-    "grad_scalar",
-    "hidden_positions",
-    "incidence_matrix",
-    "linearized_output",
-    "load_network",
-    "magnitude_scores",
-    "make_dataset",
-    "max_path_length",
-    "mlp_architecture",
-    "mlp_bounds",
-    "mlp_matrices",
-    "mlp_params",
-    "neuron_values",
-    "normalize",
-    "obd_fd_scores",
-    "obd_hutchinson_scores",
-    "path_activations",
-    "path_lifting",
-    "path_mag_scores",
-    "path_metric_exact_dominated",
-    "path_metric_lower",
-    "path_metric_oracle",
-    "path_metric_report",
-    "path_metric_upper",
-    "path_norm_fast",
-    "pruning_error_bound",
-    "random_dag",
-    "random_params",
-    "random_rescaling",
-    "rescale",
-    "restrict_params",
-    "run_experiment",
-    "same_sign_partner",
-    "save_network",
-    "save_path_table",
-    "scalar_value",
-    "sgd_train",
-    "sign_counterexample",
-    "subgraph_to",
-    "trajectory_point",
-    "validate_architecture",
-    "verify_bound",
-]
+# the public names are exactly the ones imported above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -69,7 +69,10 @@ def _cmd_pathmetric(args):
 
 
 def _load_batch(path, arch, loss):
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{path}: not a numeric CSV batch ({exc})") from None
     if loss == "logistic":
         if data.shape[1] != arch.d_in + 1:
             raise MissingData(

@@ -100,4 +100,4 @@ class InfeasibleAmount(PathliftError):
 
 
 class ParseError(PathliftError):
-    """Malformed network file."""
+    """Malformed network file or data batch."""

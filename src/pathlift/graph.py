@@ -19,7 +19,7 @@ files refer to.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class Architecture:
     coordinate order all follow it.
     """
 
-    def __init__(self, neurons: Iterable, edges: Iterable, _allow_any_output: bool = False):
+    def __init__(self, neurons: Iterable, edges: Iterable):
         declared = []
         for item in neurons:
             nid, tag = item
@@ -129,8 +129,7 @@ class Architecture:
 
         for j, nid in enumerate(order):
             if not sucs[nid] and self.kinds[j] not in (IDENTITY, INPUT):
-                if not _allow_any_output:
-                    raise NonIdentityOutput(f"output neuron {nid} must have identity activation")
+                raise NonIdentityOutput(f"output neuron {nid} must have identity activation")
 
         for j, nid in enumerate(order):
             if self.kinds[j] == KPOOL:
@@ -303,11 +302,6 @@ class ParamVector:
         return f"ParamVector({self.arch!r})"
 
 
-def validate_architecture(neurons, edges) -> Architecture:
-    """Build and validate an architecture; raises ArchitectureError subclasses."""
-    return Architecture(neurons, edges)
-
-
 def _check_bound(arch: Architecture, theta: ParamVector):
     if theta.arch is not arch and theta.arch != arch:
         raise DimensionMismatch("parameter vector bound to a different architecture")
@@ -340,37 +334,3 @@ def pool_selections(arch: Architecture, theta: ParamVector, x) -> dict:
 
     _, win = run(arch, theta, np.asarray(x, dtype=np.float64).reshape(-1))
     return {int(j): int(arch.ant[j][win[j, 0]]) for j in np.flatnonzero(arch.kinds == KPOOL)}
-
-
-def subgraph_to(arch: Architecture, nid) -> Architecture:
-    """Sub-architecture of everything that can reach ``nid``.
-
-    The result keeps nid's activation tag even when that makes the single
-    output non-identity; downstream path quantities only ever use tags of
-    non-terminal neurons, so this is safe.
-    """
-    target = arch.position(nid)
-    keep = {target}
-    stack = [target]
-    while stack:
-        j = stack.pop()
-        for a in arch.ant[j]:
-            if int(a) not in keep:
-                keep.add(int(a))
-                stack.append(int(a))
-    kept_ids = {arch.ids[j] for j in keep}
-    neurons = [(i, t) for i, t in zip(arch.ids, arch.tags) if i in kept_ids]
-    edges = [(u, v) for u, v in arch.edges if u in kept_ids and v in kept_ids]
-    return Architecture(neurons, edges, _allow_any_output=True)
-
-
-def restrict_params(arch: Architecture, sub: Architecture, theta: ParamVector) -> ParamVector:
-    """Project a parameter vector of ``arch`` onto a sub-architecture."""
-    _check_bound(arch, theta)
-    v = np.zeros(sub.n_coords)
-    for e, i in sub.edge_index.items():
-        v[i] = theta.vec[arch.edge_index[e]]
-    for j, nid in enumerate(sub.ids):
-        if sub.bias_coord[j] >= 0:
-            v[sub.bias_coord[j]] = theta.vec[arch.bias_coord[arch.position(nid)]]
-    return ParamVector(sub, v)

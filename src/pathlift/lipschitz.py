@@ -41,7 +41,8 @@ HOLDS_ATOL = 1e-12
 
 def check_sign_condition(t1: ParamVector, t2: ParamVector) -> None:
     """Raise SignConditionViolated unless theta_i * theta'_i >= 0 everywhere."""
-    bad = np.flatnonzero(t1.vec * t2.vec < 0.0)
+    # signs, not the product, which underflows to -0.0 for tiny coordinates
+    bad = np.flatnonzero(np.sign(t1.vec) * np.sign(t2.vec) < 0.0)
     if bad.size:
         raise SignConditionViolated([t1.arch.coord_labels[i] for i in bad])
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DominanceUnverified, PathExplosion, RaggedLayers
+from .errors import DominanceUnverified, PathExplosion, PathliftError, RaggedLayers
 from .graph import IDENTITY, INPUT, KPOOL, Architecture, ParamVector, forward
 from .paths import max_path_length, path_lifting
 from .transforms import normalize
@@ -58,8 +58,14 @@ def absolute_surrogate(arch: Architecture, theta: ParamVector, q: float = 1.0):
     return s, ParamVector(s, np.abs(theta.vec) ** q)
 
 
+def _check_q(q) -> None:
+    if not (np.isfinite(q) and q > 0):
+        raise PathliftError(f"q must be finite and > 0, got {q!r}")
+
+
 def path_norm_fast(arch: Architecture, theta: ParamVector, q: float = 1.0) -> float:
     """Sum of |phi_p|**q over all paths, in one forward pass."""
+    _check_q(q)
     s, t = absolute_surrogate(arch, theta, q)
     ones = np.ones(arch.d_in)
     return float(forward(s, t, ones).sum())
@@ -69,6 +75,7 @@ def path_metric_oracle(
     arch: Architecture, t1: ParamVector, t2: ParamVector, q: float = 1.0, cap=None
 ) -> float:
     """lq distance between the two path liftings, by enumeration."""
+    _check_q(q)
     p1 = path_lifting(arch, t1, cap=cap).values
     p2 = path_lifting(arch, t2, cap=cap).values
     return float(np.sum(np.abs(p1 - p2) ** q) ** (1.0 / q))
@@ -83,34 +90,41 @@ def path_metric_lower(
     return abs(a - b)
 
 
+def _dominating(t1: ParamVector, t2: ParamVector, v1, v2):
+    """(larger, smaller) of t1 and t2 when |v1| >= |v2| or |v2| >= |v1|
+    coordinatewise with v1_i * v2_i >= 0 everywhere; None otherwise."""
+    if np.any(np.sign(v1) * np.sign(v2) < 0):
+        return None
+    if np.all(np.abs(v1) >= np.abs(v2)):
+        return t1, t2
+    if np.all(np.abs(v2) >= np.abs(v1)):
+        return t2, t1
+    return None
+
+
 def path_metric_exact_dominated(
     arch: Architecture, t1: ParamVector, t2: ParamVector, cap=None
 ) -> float:
     """Exact l1 path metric when one lifting dominates the other.
 
-    Dominance is certified either by |theta| >= |theta'| coordinatewise
-    (which forces it path by path) or, at enumeration scale, by comparing
-    the liftings directly.  Raises DominanceUnverified when neither
-    direction can be certified.
+    When every path keeps its sign and one side's magnitude dominates, each
+    path's gap is the difference of its magnitudes.  That is certified by
+    |theta| >= |theta'| with matching signs coordinatewise (which forces it
+    path by path) or, at enumeration scale, by the same test on the two
+    liftings.  Raises DominanceUnverified when neither direction can be
+    certified.
     """
-    a1 = np.abs(t1.vec)
-    a2 = np.abs(t2.vec)
-    if np.all(a1 >= a2):
-        return path_norm_fast(arch, t1) - path_norm_fast(arch, t2)
-    if np.all(a2 >= a1):
-        return path_norm_fast(arch, t2) - path_norm_fast(arch, t1)
-    try:
-        p1 = np.abs(path_lifting(arch, t1, cap=cap).values)
-        p2 = np.abs(path_lifting(arch, t2, cap=cap).values)
-    except PathExplosion as exc:
-        raise DominanceUnverified(
-            "neither parameter vector dominates and the liftings are too large to compare"
-        ) from exc
-    if np.all(p1 >= p2):
-        return path_norm_fast(arch, t1) - path_norm_fast(arch, t2)
-    if np.all(p2 >= p1):
-        return path_norm_fast(arch, t2) - path_norm_fast(arch, t1)
-    raise DominanceUnverified("neither path lifting dominates the other coordinatewise")
+    pair = _dominating(t1, t2, t1.vec, t2.vec)
+    if pair is None:
+        try:
+            pair = _dominating(t1, t2, path_lifting(arch, t1, cap=cap).values,
+                               path_lifting(arch, t2, cap=cap).values)
+        except PathExplosion as exc:
+            raise DominanceUnverified("neither parameter vector dominates with matching signs "
+                                      "and the liftings are too large to compare") from exc
+    if pair is None:
+        raise DominanceUnverified("neither path lifting dominates the other with matching signs")
+    return path_norm_fast(arch, pair[0]) - path_norm_fast(arch, pair[1])
 
 
 def graph_width(arch: Architecture) -> int:

@@ -77,17 +77,7 @@ def path_mag_scores(
             values[i] = base - path_norm_fast(arch, theta.replace({i: 0.0}))
     elif method == "bruteforce":
         lift = path_lifting(arch, theta, cap=cap)
-        values = np.zeros(arch.n_coords)
-        pos_of = arch.pos
-        for p, phi in zip(lift.paths, lift.values):
-            mag = abs(phi)
-            if mag == 0.0:
-                continue
-            j0 = pos_of[p[0]]
-            if arch.bias_coord[j0] >= 0:
-                values[arch.bias_coord[j0]] += mag
-            for u, v in zip(p[:-1], p[1:]):
-                values[arch.edge_index[(u, v)]] += mag
+        values = lift.coordinate_sums(np.abs(lift.values))
     else:
         raise PathliftError(f"unknown path-magnitude method {method!r}")
     return ScoreVector(criterion="pathmag", method=method, values=values)

@@ -1,13 +1,15 @@
-"""Reference forward and backward passes: one Python step per neuron.
+"""Reference implementations: one Python step per neuron, or per path.
 
-This is the per-neuron loop the package ran before the compiled level
-schedule (``pathlift.engine``) replaced it.  It is kept here, deliberately
-plain, as the oracle that the engine is compared against.
+These are the loops the package ran before the compiled level schedule
+(``pathlift.engine``) and the path table (``pathlift.paths``) replaced
+them.  They are kept here, deliberately plain, as the oracles that the
+engine and the path table are compared against.
 """
 
 import numpy as np
 
-from pathlift.graph import IDENTITY, KPOOL, RELU
+from pathlift.engine import activations
+from pathlift.graph import IDENTITY, INPUT, KPOOL, RELU
 
 
 def reference_values(arch, theta, x):
@@ -57,3 +59,81 @@ def reference_gradient(arch, theta, vals, winners, out_adjoint):
             grad[arch.in_coords[j]] += vals[ant] @ g
             adj[ant] += w[:, None] * g[None, :]
     return grad
+
+
+# ---- paths: one Python step per path ----------------------------------------
+#
+# The recursive enumeration and the per-path loops that ``pathlift.paths`` and
+# the brute-force route of ``path_mag_scores`` ran before the path table.
+
+
+def _ending_at(arch, j):
+    yield (j,)
+    for a in arch.ant[j]:
+        for p in _ending_at(arch, int(a)):
+            yield p + (j,)
+
+
+def reference_positions(arch, end=None):
+    """Paths as tuples of topological positions, in canonical order."""
+    ends = [int(j) for j in arch.output_pos] if end is None else [arch.position(end)]
+    return [p for j in ends for p in sorted(_ending_at(arch, j))]
+
+
+def _edge(arch, u, v):
+    return arch.edge_index[(arch.ids[u], arch.ids[v])]
+
+
+def reference_lifting(arch, theta, end=None):
+    """Per canonical path: the start's bias (1.0 at an input), then times
+    each traversed weight in forward order."""
+    vec = theta.vec
+    values = []
+    for p in reference_positions(arch, end):
+        acc = 1.0 if arch.kinds[p[0]] == INPUT else vec[arch.bias_coord[p[0]]]
+        for u, v in zip(p[:-1], p[1:]):
+            acc *= vec[_edge(arch, u, v)]
+        values.append(acc)
+    return np.asarray(values, dtype=np.float64)
+
+
+def reference_activations(arch, theta, x, end=None):
+    """Per canonical path: its start's activation times each edge's."""
+    edge_act, start_act = activations(arch, theta, x)
+    acts = []
+    for p in reference_positions(arch, end):
+        a = start_act[p[0]]
+        for u, v in zip(p[:-1], p[1:]):
+            if a == 0.0:
+                break
+            a *= edge_act[_edge(arch, u, v)]
+        acts.append(a)
+    return np.asarray(acts, dtype=np.float64)
+
+
+def reference_linearized(arch, theta, x):
+    """Per output neuron, the sum over paths ending there of lifting *
+    activation * (starting input coordinate, or 1)."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    xval = {int(j): x[c] for c, j in enumerate(arch.input_pos)}
+    out_col = {int(j): c for c, j in enumerate(arch.output_pos)}
+    phis = reference_lifting(arch, theta)
+    acts = reference_activations(arch, theta, x)
+    out = np.zeros(arch.d_out)
+    for p, phi, act in zip(reference_positions(arch), phis, acts):
+        out[out_col[p[-1]]] += phi * act * xval.get(p[0], 1.0)
+    return out
+
+
+def reference_bruteforce_scores(arch, theta):
+    """Per coordinate, the sum of |phi_p| over the paths through it."""
+    values = np.zeros(arch.n_coords)
+    for p, phi in zip(reference_positions(arch), reference_lifting(arch, theta)):
+        mag = abs(phi)
+        if mag == 0.0:
+            continue
+        if arch.bias_coord[p[0]] >= 0:
+            values[arch.bias_coord[p[0]]] += mag
+        for u, v in zip(p[:-1], p[1:]):
+            values[_edge(arch, u, v)] += mag
+    return values

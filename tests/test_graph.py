@@ -1,4 +1,4 @@
-"""Architecture validation, forward evaluation, and subgraph extraction."""
+"""Architecture validation and forward evaluation."""
 
 import numpy as np
 import pytest
@@ -15,9 +15,6 @@ from pathlift import (
     UnknownNeuron,
     forward,
     neuron_values,
-    restrict_params,
-    subgraph_to,
-    validate_architecture,
 )
 from conftest import diamond_arch, diamond_theta, pool_arch, pool_theta, random_cases
 
@@ -77,13 +74,6 @@ def test_bad_pool_arity():
 def test_non_identity_output():
     with pytest.raises(NonIdentityOutput):
         Architecture([("in", "input"), ("out", "relu")], [("in", "out")])
-
-
-def test_validate_architecture_helper():
-    arch = validate_architecture(
-        [("in", "input"), ("out", "identity")], [("in", "out")]
-    )
-    assert arch.ids == ("in", "out")
 
 
 def test_forward_diamond(diamond):
@@ -167,33 +157,6 @@ def test_neuron_values_order(diamond):
     arch, theta = diamond
     vals = neuron_values(arch, theta, [1.0])
     np.testing.assert_allclose(vals, [1.0, 1.0, 0.0, 3.0])
-
-
-def test_subgraph_to_hidden(diamond):
-    arch, _ = diamond
-    sub = subgraph_to(arch, "h1")
-    assert sub.ids == ("in", "h1")
-    assert sub.edges == (("in", "h1"),)
-    assert sub.output_ids == ("h1",)
-
-
-def test_subgraph_to_output_is_identity(diamond):
-    arch, _ = diamond
-    assert subgraph_to(arch, "out") == arch
-
-
-def test_subgraph_unknown_neuron(diamond):
-    arch, _ = diamond
-    with pytest.raises(UnknownNeuron):
-        subgraph_to(arch, "z")
-
-
-def test_restrict_params_keeps_forward(diamond):
-    arch, theta = diamond
-    sub = subgraph_to(arch, "h1")
-    sub_theta = restrict_params(arch, sub, theta)
-    out, values = forward(arch, theta, [2.0], trace=True)
-    np.testing.assert_allclose(forward(sub, sub_theta, [2.0]), [values["h1"]])
 
 
 def test_architecture_structural_equality():

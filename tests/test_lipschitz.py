@@ -50,6 +50,15 @@ def test_sign_condition_carries_labels(chain2):
         bound_rhs(arch, t1, t2, [1.0])
 
 
+def test_sign_condition_sees_signs_whose_product_underflows(chain2):
+    # 1e-200 * -1e-200 rounds to -0.0, yet the signs disagree
+    t1 = ParamVector(chain2, [1e-200, 1.0, 0.0, 0.0])
+    t2 = ParamVector(chain2, [-1e-200, 1.0, 0.0, 0.0])
+    with pytest.raises(SignConditionViolated) as err:
+        check_sign_condition(t1, t2)
+    assert err.value.coords == ["in->m"]
+
+
 def test_verify_bound_tight_case(diamond):
     arch, theta = diamond
     theta2 = theta.replace({2: 0.0})

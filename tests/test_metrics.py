@@ -7,6 +7,7 @@ from pathlift import (
     Architecture,
     DominanceUnverified,
     ParamVector,
+    PathliftError,
     RaggedLayers,
     forward,
     max_path_length,
@@ -101,6 +102,42 @@ def test_exact_dominated_rejects_incomparable(diamond):
     other = theta.with_vec([2.0, -1.0, 3.0, 1.0, 0.0, 0.0, 0.0])
     with pytest.raises(DominanceUnverified):
         path_metric_exact_dominated(arch, theta, other)
+
+
+def test_exact_dominated_requires_matching_signs():
+    # one edge: theta = (1, b=0) against (-0.5, 0); |theta| >= |theta'|,
+    # but the single input path flips sign, so the metric is 1.5, not 0.5
+    arch = Architecture([("in", "input"), ("out", "identity")], [("in", "out")])
+    t1 = ParamVector(arch, [1.0, 0.0])
+    t2 = ParamVector(arch, [-0.5, 0.0])
+    assert path_metric_oracle(arch, t1, t2) == 1.5
+    for a, b in ((t1, t2), (t2, t1)):
+        with pytest.raises(DominanceUnverified):
+            path_metric_exact_dominated(arch, a, b)
+    report = path_metric_report(arch, t1, t2)
+    assert report.exact is None
+    assert "(dominance unverified)" in report.render()
+
+
+def test_exact_dominated_lifting_route_requires_matching_signs(chain2):
+    # the parameters disagree in sign, and the liftings match in magnitude
+    # but not in sign: (1, 0, 0) against (-1, 0, 0)
+    t1 = ParamVector(chain2, [1.0, 1.0, 0.0, 0.0])
+    t2 = ParamVector(chain2, [-2.0, 0.5, 0.0, 0.0])
+    assert path_metric_oracle(chain2, t1, t2) == 2.0
+    with pytest.raises(DominanceUnverified):
+        path_metric_exact_dominated(chain2, t1, t2)
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0, np.inf, np.nan])
+def test_q_must_be_finite_and_positive(diamond, q):
+    arch, theta = diamond
+    other = theta.replace({2: 0.0})
+    for fn in (path_metric_lower, path_metric_oracle, path_metric_upper):
+        with pytest.raises(PathliftError, match="q must be"):
+            fn(arch, theta, other, q=q)
+    with pytest.raises(PathliftError, match="q must be"):
+        path_norm_fast(arch, theta, q=q)
 
 
 def test_exact_matches_oracle_on_masked_corpus():

@@ -9,7 +9,7 @@ import pytest
 from pathlift.builders import random_dag, random_params
 from pathlift.cli import main
 from pathlift.errors import ArchitectureError, DanglingEdge, ParseError
-from pathlift.graph import forward
+from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.netfile import load_network, save_network
 
 from conftest import diamond_arch, diamond_theta, pool_arch, pool_theta
@@ -201,6 +201,26 @@ def test_cli_pathmetric(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3.0"
 
 
+def test_cli_pathmetric_exact_needs_matching_signs(tmp_path, capsys):
+    arch = Architecture([("in", "input"), ("out", "identity")], [("in", "out")])
+    path, other = tmp_path / "a.json", tmp_path / "b.json"
+    save_network(path, arch, ParamVector(arch, [1.0, 0.0]))
+    save_network(other, arch, ParamVector(arch, [-0.5, 0.0]))
+    assert main(["pathmetric", str(path), str(other), "--exact"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert main(["pathmetric", str(path), str(other)]) == 0
+    assert "exact          (dominance unverified)" in capsys.readouterr().out
+
+
+def test_cli_pathnorm_rejects_bad_q(tmp_path, capsys):
+    path, _, _ = _write_diamond(tmp_path)
+    for q in ("0", "-1", "inf", "nan"):
+        assert main(["pathnorm", str(path), "--q", q]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: q must be" in captured.err
+
+
 def test_cli_pathmetric_arch_mismatch(tmp_path, capsys):
     path, _, _ = _write_diamond(tmp_path)
     other = tmp_path / "other.json"
@@ -234,6 +254,16 @@ def test_cli_prune_obd_with_data(tmp_path, capsys):
     assert main(["prune", str(path), "--criterion", "obd", "--count", "1",
                  "--data", str(csv)]) == 0
     assert "pruned 1 coordinate(s)" in capsys.readouterr().out
+
+
+def test_cli_prune_csv_with_header_is_a_parse_error(tmp_path, capsys):
+    path, _, _ = _write_diamond(tmp_path)
+    csv = tmp_path / "batch.csv"
+    csv.write_text("x,target\n0.5,0.2\n1.0,-0.4\n")
+    assert main(["prune", str(path), "--criterion", "obd", "--count", "1",
+                 "--data", str(csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "batch.csv" in err
 
 
 def test_cli_rescale_explicit_factor(tmp_path, capsys):
