@@ -86,6 +86,17 @@ def _load_batch(path, arch, loss):
     return data[:, : arch.d_in], data[:, arch.d_in :]
 
 
+def _rows(first, *rest) -> str:
+    """Tab-separated lines, one per entry of the equal-length columns: the
+    cells and separators interleaved in one list, then one join."""
+    step = 2 * (1 + len(rest))
+    cells = ["\t"] * (step * len(first))
+    for i, column in enumerate((first, *rest)):
+        cells[2 * i :: step] = column
+    cells[step - 1 :: step] = ["\n"] * len(first)
+    return "".join(cells)
+
+
 def _cmd_prune(args):
     arch, theta = load_network(args.network)
     method = {"autodiff": "autodiff", "diff": "pathnorm_diff", "brute": "bruteforce"}[args.method]
@@ -110,10 +121,12 @@ def _cmd_prune(args):
         iterative=args.iterative,
         rescore=rescore,
     )
-    print(f"pruned {len(mask.pruned)} coordinate(s)")
-    print("coordinate\tscore\tpruned")
-    for i, lbl in enumerate(arch.coord_labels):
-        print(f"{lbl}\t{float(scores.values[i])!r}\t{'yes' if not mask.keep[i] else ''}")
+    values = np.asarray(scores.values, dtype=np.float64).tolist()
+    flags = ["" if keep else "yes" for keep in mask.keep.tolist()]
+    sys.stdout.write(
+        f"pruned {len(mask.pruned)} coordinate(s)\ncoordinate\tscore\tpruned\n"
+        + _rows(arch.coord_labels, map(float.__repr__, values), flags)
+    )
     if args.out:
         save_network(args.out, arch, pruned)
 
@@ -145,8 +158,7 @@ def _cmd_normalize(args):
     if args.out:
         save_network(args.out, arch, out)
     else:
-        for lbl, v in zip(arch.coord_labels, out.vec):
-            print(f"{lbl}\t{float(v)!r}")
+        sys.stdout.write(_rows(arch.coord_labels, map(float.__repr__, out.vec.tolist())))
 
 
 def _cmd_verify_lipschitz(args):

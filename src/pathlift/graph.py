@@ -14,11 +14,20 @@ All modules index this coordinate set the same way: edges first, sorted by
 (destination, source) in topological position, then biases in topological
 position.  That fixed order is what score tables, masks and serialized
 files refer to.
+
+An architecture is built on integer arrays: each edge endpoint is mapped
+to an integer key once, the checks run on those keys and on fan-in and
+fan-out counts, the canonical edge order is one ``np.lexsort``, and the
+per-neuron index arrays are slices of the sorted edges.  Only the
+topological sort (Kahn's algorithm with a min-heap on ids) and the id
+tuples step through Python one neuron or one edge at a time.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
+from itertools import chain, repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -66,122 +75,119 @@ class Architecture:
     """
 
     def __init__(self, neurons: Iterable, edges: Iterable):
-        declared = []
-        for item in neurons:
-            nid, tag = item
-            declared.append((str(nid), _normalize_tag(tag)))
-        ids = [nid for nid, _ in declared]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise DuplicateDeclaration(f"duplicate neuron ids: {dupes}")
+        declared = [(str(nid), _normalize_tag(tag)) for nid, tag in neurons]
         tag_of = dict(declared)
+        if len(tag_of) != len(declared):
+            counts = Counter(nid for nid, _ in declared)
+            dupes = sorted(nid for nid, c in counts.items() if c > 1)
+            raise DuplicateDeclaration(f"duplicate neuron ids: {dupes}")
+        # integer keys: each neuron's rank among the sorted ids
+        names = sorted(tag_of)
+        n = len(names)
+        rank = dict(zip(names, range(n)))
 
         edge_list = [(str(u), str(v)) for u, v in edges]
-        known = set(ids)
-        for u, v in edge_list:
-            if u not in known or v not in known:
-                raise DanglingEdge(f"edge {u}->{v} references an undeclared neuron")
-        if len(set(edge_list)) != len(edge_list):
-            dupes = sorted({e for e in edge_list if edge_list.count(e) > 1})
+        m = len(edge_list)
+        keys = np.fromiter(
+            map(rank.get, chain.from_iterable(edge_list), repeat(-1)), dtype=np.int64, count=2 * m
+        )
+        su, sv = keys[0::2], keys[1::2]
+        dangling = np.flatnonzero((su < 0) | (sv < 0))
+        if dangling.size:
+            u, v = edge_list[dangling[0]]
+            raise DanglingEdge(f"edge {u}->{v} references an undeclared neuron")
+        key = np.sort(su * n + sv)
+        repeated = key[1:][key[1:] == key[:-1]]
+        if repeated.size:
+            dupes = sorted((names[k // n], names[k % n]) for k in np.unique(repeated).tolist())
             raise DuplicateDeclaration(f"duplicate edges: {dupes}")
 
-        # Kahn with a min-heap on ids gives the canonical topological order.
-        ants = {i: [] for i in ids}
-        sucs = {i: [] for i in ids}
-        for u, v in edge_list:
-            ants[v].append(u)
-            sucs[u].append(v)
-        indeg = {i: len(ants[i]) for i in ids}
-        ready = [i for i in ids if indeg[i] == 0]
-        heapq.heapify(ready)
+        # Kahn with a min-heap on ranks (the id order) gives the canonical
+        # topological order; successors are read from a CSR array.
+        by_src = np.argsort(su, kind="stable")
+        ptr = np.r_[0, np.cumsum(np.bincount(su, minlength=n))].tolist()
+        succ = sv[by_src].tolist()
+        indeg = np.bincount(sv, minlength=n).tolist()
+        ready = [r for r in range(n) if indeg[r] == 0]
         order = []
         while ready:
-            i = heapq.heappop(ready)
-            order.append(i)
-            for s in sucs[i]:
+            r = heapq.heappop(ready)
+            order.append(r)
+            for s in succ[ptr[r] : ptr[r + 1]]:
                 indeg[s] -= 1
                 if indeg[s] == 0:
                     heapq.heappush(ready, s)
-        if len(order) != len(ids):
-            stuck = sorted(i for i in ids if indeg[i] > 0)
+        if len(order) != n:
+            stuck = [names[r] for r in range(n) if indeg[r] > 0]
             raise CycleDetected(f"cycle through: {stuck}")
 
-        self.ids: tuple = tuple(order)
-        self.pos: dict = {nid: j for j, nid in enumerate(order)}
-        self.tags: tuple = tuple(tag_of[nid] for nid in order)
+        self.ids: tuple = tuple(map(names.__getitem__, order))
+        self.pos: dict = dict(zip(self.ids, range(n)))
+        self.tags: tuple = tuple(map(tag_of.__getitem__, self.ids))
+        self.kinds = np.fromiter(map(_TAG_CODES.get, self.tags, repeat(KPOOL)), dtype=np.int8, count=n)
+        self.pool_k = np.array([t[1] if isinstance(t, tuple) else 0 for t in self.tags], dtype=np.int64)
 
-        n = len(order)
-        self.kinds = np.zeros(n, dtype=np.int8)
-        self.pool_k = np.zeros(n, dtype=np.int64)
-        for j, tag in enumerate(self.tags):
-            if isinstance(tag, tuple):
-                self.kinds[j] = KPOOL
-                self.pool_k[j] = tag[1]
-            else:
-                self.kinds[j] = _TAG_CODES[tag]
+        pos_of_rank = np.empty(n, dtype=np.int64)
+        pos_of_rank[order] = np.arange(n)
+        u, v = pos_of_rank[su], pos_of_rank[sv]
+        fan_in = np.bincount(v, minlength=n)
+        fan_out = np.bincount(u, minlength=n)
+        is_input = self.kinds == INPUT
 
-        for j, nid in enumerate(order):
-            has_ant = len(ants[nid]) > 0
-            if self.kinds[j] == INPUT and has_ant:
+        bad = np.flatnonzero(is_input == (fan_in > 0))
+        if bad.size:
+            nid = self.ids[bad[0]]
+            if is_input[bad[0]]:
                 raise ArchitectureError(f"input neuron {nid} has antecedents")
-            if self.kinds[j] != INPUT and not has_ant:
-                raise ArchitectureError(f"neuron {nid} has no antecedents; tag it 'input'")
-
-        for j, nid in enumerate(order):
-            if not sucs[nid] and self.kinds[j] not in (IDENTITY, INPUT):
-                raise NonIdentityOutput(f"output neuron {nid} must have identity activation")
-
-        for j, nid in enumerate(order):
-            if self.kinds[j] == KPOOL:
-                k = self.pool_k[j]
-                if not 1 <= k <= len(ants[nid]):
-                    raise BadPoolArity(f"kpool({k}) at {nid} with {len(ants[nid])} antecedents")
+            raise ArchitectureError(f"neuron {nid} has no antecedents; tag it 'input'")
+        bad = np.flatnonzero((fan_out == 0) & (self.kinds != IDENTITY) & ~is_input)
+        if bad.size:
+            raise NonIdentityOutput(f"output neuron {self.ids[bad[0]]} must have identity activation")
+        pool = self.kinds == KPOOL
+        bad = np.flatnonzero(pool & ((self.pool_k < 1) | (self.pool_k > fan_in)))
+        if bad.size:
+            j = bad[0]
+            raise BadPoolArity(f"kpool({self.pool_k[j]}) at {self.ids[j]} with {fan_in[j]} antecedents")
 
         # Canonical coordinate order: edges grouped by destination (then
         # source), both in topological position, followed by biases.
-        canon_edges = sorted(edge_list, key=lambda e: (self.pos[e[1]], self.pos[e[0]]))
-        self.edges: tuple = tuple(canon_edges)
-        self.n_edges = len(canon_edges)
-        self.edge_index = {e: i for i, e in enumerate(canon_edges)}
+        canon = np.lexsort((u, v))
+        u, v = u[canon], v[canon]
+        self._given_coord = np.empty(m, dtype=np.int64)
+        self._given_coord[canon] = np.arange(m)
+        self.edges: tuple = tuple(map(edge_list.__getitem__, canon.tolist()))
+        self.n_edges = m
+        self.edge_index = dict(zip(self.edges, range(m)))
 
-        self.is_input = self.kinds == INPUT
-        self.input_pos = np.flatnonzero(self.is_input)
-        self.output_pos = np.flatnonzero(
-            np.array([len(sucs[nid]) == 0 for nid in order], dtype=bool)
-        )
+        self.is_input = is_input
+        self.input_pos = np.flatnonzero(is_input)
+        self.output_pos = np.flatnonzero(fan_out == 0)
         self.input_ids = tuple(self.ids[j] for j in self.input_pos)
         self.output_ids = tuple(self.ids[j] for j in self.output_pos)
 
+        self.non_input_pos = np.flatnonzero(~is_input)
         self.bias_coord = np.full(n, -1, dtype=np.int64)
-        next_coord = self.n_edges
-        for j in range(n):
-            if self.kinds[j] != INPUT:
-                self.bias_coord[j] = next_coord
-                next_coord += 1
-        self.n_coords = next_coord
+        self.bias_coord[self.non_input_pos] = m + np.arange(self.non_input_pos.size)
+        self.n_coords = m + self.non_input_pos.size
 
         # Per-neuron index arrays, antecedents in topological position order
-        # (this order also fixes the pool tie-break).
-        self.ant = []
-        self.in_coords = []
-        self.suc = []
-        self.out_coords = []
-        for nid in order:
-            aj = sorted((self.pos[u] for u in ants[nid]))
-            self.ant.append(np.asarray(aj, dtype=np.int64))
-            self.in_coords.append(
-                np.asarray([self.edge_index[(self.ids[a], nid)] for a in aj], dtype=np.int64)
-            )
-            sj = sorted((self.pos[v] for v in sucs[nid]))
-            self.suc.append(np.asarray(sj, dtype=np.int64))
-            self.out_coords.append(
-                np.asarray([self.edge_index[(nid, self.ids[s])] for s in sj], dtype=np.int64)
-            )
+        # (this order also fixes the pool tie-break): slices of the edges
+        # sorted by destination, and of the edges sorted by source.
+        ends = np.cumsum(fan_in).tolist()
+        starts = [0] + ends[:-1]
+        coords = np.arange(m)
+        self.ant = [u[a:b] for a, b in zip(starts, ends)]
+        self.in_coords = [coords[a:b] for a, b in zip(starts, ends)]
+        by_u = np.lexsort((v, u))
+        ends = np.cumsum(fan_out).tolist()
+        starts = [0] + ends[:-1]
+        v = v[by_u]
+        self.suc = [v[a:b] for a, b in zip(starts, ends)]
+        self.out_coords = [by_u[a:b] for a, b in zip(starts, ends)]
 
-        labels = [f"{u}->{v}" for u, v in canon_edges]
-        labels += [f"bias({self.ids[j]})" for j in range(n) if self.bias_coord[j] >= 0]
+        labels = list(map("->".join, self.edges))
+        labels += [f"bias({self.ids[j]})" for j in self.non_input_pos]
         self.coord_labels: tuple = tuple(labels)
-        self.non_input_pos = np.flatnonzero(~self.is_input)
 
     # ---- basic queries -------------------------------------------------
 
@@ -266,6 +272,18 @@ class ParamVector:
             if key not in arch.edge_index:
                 raise UnknownNeuron(f"no edge {key[0]}->{key[1]}")
             v[arch.edge_index[key]] = val
+        return cls._with_biases(arch, v, biases)
+
+    @classmethod
+    def _from_given_order(cls, arch: Architecture, weights, biases: Mapping) -> "ParamVector":
+        """Weights listed in the order the edges were given to the
+        architecture's constructor; biases as in :meth:`from_maps`."""
+        v = np.zeros(arch.n_coords)
+        v[arch._given_coord] = weights
+        return cls._with_biases(arch, v, biases)
+
+    @classmethod
+    def _with_biases(cls, arch: Architecture, v: np.ndarray, biases) -> "ParamVector":
         for nid, val in (biases or {}).items():
             j = arch.position(nid)
             if arch.bias_coord[j] < 0:

@@ -1,15 +1,38 @@
-"""Reference implementations: one Python step per neuron, or per path.
+"""Reference implementations: one Python step per neuron, per edge, or per path.
 
 These are the loops the package ran before the compiled level schedule
-(``pathlift.engine``) and the path table (``pathlift.paths``) replaced
-them.  They are kept here, deliberately plain, as the oracles that the
-engine and the path table are compared against.
+(``pathlift.engine``), the path table (``pathlift.paths``), the array-built
+``Architecture``, the bulk network-file writer and the vectorized refined
+path-metric bound replaced them.  They are kept here, deliberately plain, as
+the oracles that the package is compared against.
 """
+
+import heapq
+import json
+from typing import Iterable
 
 import numpy as np
 
 from pathlift.engine import activations
-from pathlift.graph import IDENTITY, INPUT, KPOOL, RELU
+from pathlift.errors import (
+    ArchitectureError,
+    BadPoolArity,
+    CycleDetected,
+    DanglingEdge,
+    DuplicateDeclaration,
+    NonIdentityOutput,
+)
+from pathlift.graph import (
+    _TAG_CODES,
+    IDENTITY,
+    INPUT,
+    KPOOL,
+    RELU,
+    Architecture,
+    _normalize_tag,
+)
+from pathlift.metrics import path_norm_fast
+from pathlift.transforms import normalize
 
 
 def reference_values(arch, theta, x):
@@ -137,3 +160,185 @@ def reference_bruteforce_scores(arch, theta):
         for u, v in zip(p[:-1], p[1:]):
             values[_edge(arch, u, v)] += mag
     return values
+
+
+# ---- architecture: one Python step per neuron and per edge -------------------
+
+
+class ReferenceArchitecture(Architecture):
+    """The constructor as dicts of neighbour lists, one edge at a time."""
+
+    def __init__(self, neurons: Iterable, edges: Iterable):
+        declared = []
+        for item in neurons:
+            nid, tag = item
+            declared.append((str(nid), _normalize_tag(tag)))
+        ids = [nid for nid, _ in declared]
+        if len(set(ids)) != len(ids):
+            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            raise DuplicateDeclaration(f"duplicate neuron ids: {dupes}")
+        tag_of = dict(declared)
+
+        edge_list = [(str(u), str(v)) for u, v in edges]
+        known = set(ids)
+        for u, v in edge_list:
+            if u not in known or v not in known:
+                raise DanglingEdge(f"edge {u}->{v} references an undeclared neuron")
+        if len(set(edge_list)) != len(edge_list):
+            dupes = sorted({e for e in edge_list if edge_list.count(e) > 1})
+            raise DuplicateDeclaration(f"duplicate edges: {dupes}")
+
+        # Kahn with a min-heap on ids gives the canonical topological order.
+        ants = {i: [] for i in ids}
+        sucs = {i: [] for i in ids}
+        for u, v in edge_list:
+            ants[v].append(u)
+            sucs[u].append(v)
+        indeg = {i: len(ants[i]) for i in ids}
+        ready = [i for i in ids if indeg[i] == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            i = heapq.heappop(ready)
+            order.append(i)
+            for s in sucs[i]:
+                indeg[s] -= 1
+                if indeg[s] == 0:
+                    heapq.heappush(ready, s)
+        if len(order) != len(ids):
+            stuck = sorted(i for i in ids if indeg[i] > 0)
+            raise CycleDetected(f"cycle through: {stuck}")
+
+        self.ids: tuple = tuple(order)
+        self.pos: dict = {nid: j for j, nid in enumerate(order)}
+        self.tags: tuple = tuple(tag_of[nid] for nid in order)
+
+        n = len(order)
+        self.kinds = np.zeros(n, dtype=np.int8)
+        self.pool_k = np.zeros(n, dtype=np.int64)
+        for j, tag in enumerate(self.tags):
+            if isinstance(tag, tuple):
+                self.kinds[j] = KPOOL
+                self.pool_k[j] = tag[1]
+            else:
+                self.kinds[j] = _TAG_CODES[tag]
+
+        for j, nid in enumerate(order):
+            has_ant = len(ants[nid]) > 0
+            if self.kinds[j] == INPUT and has_ant:
+                raise ArchitectureError(f"input neuron {nid} has antecedents")
+            if self.kinds[j] != INPUT and not has_ant:
+                raise ArchitectureError(f"neuron {nid} has no antecedents; tag it 'input'")
+
+        for j, nid in enumerate(order):
+            if not sucs[nid] and self.kinds[j] not in (IDENTITY, INPUT):
+                raise NonIdentityOutput(f"output neuron {nid} must have identity activation")
+
+        for j, nid in enumerate(order):
+            if self.kinds[j] == KPOOL:
+                k = self.pool_k[j]
+                if not 1 <= k <= len(ants[nid]):
+                    raise BadPoolArity(f"kpool({k}) at {nid} with {len(ants[nid])} antecedents")
+
+        # Canonical coordinate order: edges grouped by destination (then
+        # source), both in topological position, followed by biases.
+        canon_edges = sorted(edge_list, key=lambda e: (self.pos[e[1]], self.pos[e[0]]))
+        self.edges: tuple = tuple(canon_edges)
+        self.n_edges = len(canon_edges)
+        self.edge_index = {e: i for i, e in enumerate(canon_edges)}
+
+        self.is_input = self.kinds == INPUT
+        self.input_pos = np.flatnonzero(self.is_input)
+        self.output_pos = np.flatnonzero(
+            np.array([len(sucs[nid]) == 0 for nid in order], dtype=bool)
+        )
+        self.input_ids = tuple(self.ids[j] for j in self.input_pos)
+        self.output_ids = tuple(self.ids[j] for j in self.output_pos)
+
+        self.bias_coord = np.full(n, -1, dtype=np.int64)
+        next_coord = self.n_edges
+        for j in range(n):
+            if self.kinds[j] != INPUT:
+                self.bias_coord[j] = next_coord
+                next_coord += 1
+        self.n_coords = next_coord
+
+        # Per-neuron index arrays, antecedents in topological position order
+        # (this order also fixes the pool tie-break).
+        self.ant = []
+        self.in_coords = []
+        self.suc = []
+        self.out_coords = []
+        for nid in order:
+            aj = sorted((self.pos[u] for u in ants[nid]))
+            self.ant.append(np.asarray(aj, dtype=np.int64))
+            self.in_coords.append(
+                np.asarray([self.edge_index[(self.ids[a], nid)] for a in aj], dtype=np.int64)
+            )
+            sj = sorted((self.pos[v] for v in sucs[nid]))
+            self.suc.append(np.asarray(sj, dtype=np.int64))
+            self.out_coords.append(
+                np.asarray([self.edge_index[(nid, self.ids[s])] for s in sj], dtype=np.int64)
+            )
+
+        labels = [f"{u}->{v}" for u, v in canon_edges]
+        labels += [f"bias({self.ids[j]})" for j in range(n) if self.bias_coord[j] >= 0]
+        self.coord_labels: tuple = tuple(labels)
+        self.non_input_pos = np.flatnonzero(~self.is_input)
+
+
+# ---- network file: the json module's writer ---------------------------------
+
+
+def reference_save(fh, arch, theta):
+    """The network file as ``json.dump`` writes it, plus a final newline."""
+    doc = {
+        "neurons": [
+            {"id": nid, "activation": {"kpool": tag[1]} if isinstance(tag, tuple) else tag}
+            for nid, tag in zip(arch.ids, arch.tags)
+        ],
+        "edges": [
+            {"src": u, "dst": v, "weight": float(theta.vec[i])}
+            for i, (u, v) in enumerate(arch.edges)
+        ],
+        "biases": {
+            arch.ids[j]: float(theta.vec[arch.bias_coord[j]])
+            for j in range(arch.n_neurons)
+            if arch.bias_coord[j] >= 0
+        },
+    }
+    json.dump(doc, fh, indent=1)
+    fh.write("\n")
+
+
+# ---- refined path-metric bound: one Python step per neuron -------------------
+
+
+def reference_refined_parts(arch, d):
+    """Per-coordinate discrepancies ``d`` -> (sum of the output neurons'
+    discrepancies, largest interior discrepancy sum over any path)."""
+    delta = np.zeros(arch.n_neurons)
+    for j in arch.non_input_pos:
+        delta[j] = d[arch.bias_coord[j]] + d[arch.in_coords[j]].sum()
+    best = np.zeros(arch.n_neurons)
+    for j in range(arch.n_neurons):
+        if arch.ant[j].size:
+            best[j] = delta[j] + max(best[int(a)] for a in arch.ant[j])
+    interior_max = 0.0
+    out_sum = 0.0
+    for j in arch.output_pos:
+        if arch.kinds[j] == INPUT:
+            continue
+        out_sum += delta[j]
+        for a in arch.ant[j]:
+            interior_max = max(interior_max, best[int(a)])
+    return out_sum, interior_max
+
+
+def reference_upper_refined(arch, t1, t2, q=1.0):
+    """``path_metric_upper(..., refined=True)`` with the per-neuron loops."""
+    n1 = normalize(arch, t1, include_kpool=True)
+    n2 = normalize(arch, t2, include_kpool=True)
+    minq = min(path_norm_fast(arch, t1, q), path_norm_fast(arch, t2, q))
+    out_sum, interior_max = reference_refined_parts(arch, np.abs(n1.vec - n2.vec) ** q)
+    return float((out_sum + minq * interior_max) ** (1.0 / q))

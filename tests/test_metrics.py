@@ -9,6 +9,7 @@ from pathlift import (
     ParamVector,
     PathliftError,
     RaggedLayers,
+    conv_grid_architecture,
     forward,
     max_path_length,
     mlp_bounds,
@@ -19,9 +20,13 @@ from pathlift import (
     path_metric_report,
     path_metric_upper,
     path_norm_fast,
+    random_params,
     rescale,
+    same_sign_partner,
 )
+from pathlift.metrics import _discrepancy_sums
 from conftest import pool_arch, pool_theta, random_cases
+from reference import reference_refined_parts, reference_upper_refined
 
 
 def pruned_pair(diamond):
@@ -242,3 +247,22 @@ def test_mlp_bounds_ragged_input():
         mlp_bounds(la, [np.ones((2, 1))], [1.0])
     with pytest.raises(RaggedLayers):
         mlp_bounds(la, la, [1.0, 1.0])
+
+
+def _refined_corpus():
+    cases = [(arch, t1, t1.with_vec(t1.vec * rng.uniform(-1.5, 1.5, size=arch.n_coords)), rng)
+             for arch, t1, rng in random_cases(60, seed=405, p_kpool=0.4, p_skip=0.5)]
+    arch = conv_grid_architecture(side=6, channels=(2, 3), d_out=3)
+    rng = np.random.default_rng(406)
+    t1 = random_params(arch, rng)
+    return cases + [(arch, t1, same_sign_partner(t1, rng), rng)]
+
+
+def test_refined_bound_matches_reference_loops():
+    for arch, t1, t2, rng in _refined_corpus():
+        # integer discrepancies make every sum exact: both parts agree exactly
+        d = rng.integers(0, 4, size=arch.n_coords).astype(np.float64)
+        assert _discrepancy_sums(arch, d) == reference_refined_parts(arch, d)
+        refined = path_metric_upper(arch, t1, t2, refined=True)
+        assert refined == pytest.approx(reference_upper_refined(arch, t1, t2), rel=1e-12, abs=0)
+        assert refined >= path_metric_lower(arch, t1, t2)

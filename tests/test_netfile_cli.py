@@ -159,6 +159,52 @@ def test_kpool_bias_pinned_on_load(tmp_path):
     assert theta.bias("out") == 0.25
 
 
+def _huge_integer_doc(tmp_path, where):
+    big = "1" + "0" * 400
+    weight, bias = (big, "0.5") if where == "weight" else ("2.5", big)
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"neurons": [{"id": "a", "activation": "input"}, {"id": "b", "activation": "identity"}],'
+        f' "edges": [{{"src": "a", "dst": "b", "weight": {weight}}}], "biases": {{"b": {bias}}}}}'
+    )
+    return path
+
+
+@pytest.mark.parametrize("where", ["weight", "bias"])
+def test_huge_integer_is_a_parse_error(tmp_path, capsys, where):
+    path = _huge_integer_doc(tmp_path, where)
+    with pytest.raises(ParseError, match="too large for a float"):
+        load_network(path)
+    assert main(["eval", str(path), "--input", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "too large for a float" in captured.err
+
+
+def test_first_bad_entry_is_named(tmp_path):
+    doc = {
+        "neurons": [{"id": "a", "activation": "input"}, {"id": "b", "activation": "identity"}],
+        "edges": [
+            {"src": "a", "dst": "b", "weight": 1.0},
+            {"src": "a", "dst": "b", "weight": "heavy"},
+            {"src": "a", "dst": "b", "weight": 1.0, "label": "skip"},
+        ],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="edge weight must be a number.*heavy"):
+        load_network(path)
+    doc["edges"][1]["weight"] = 10**400
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="too large for a float"):
+        load_network(path)
+    doc["edges"][1]["weight"] = 2.0
+    doc["neurons"].append("c")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="malformed neuron entry 'c'"):
+        load_network(path)
+
+
 # ---- command line ----------------------------------------------------------
 
 
@@ -339,3 +385,18 @@ def test_cli_experiment_tiny(capsys):
     out = capsys.readouterr().out
     assert "dense" in out
     assert "pathmag" in out
+
+
+def test_cli_tables_are_byte_exact(tmp_path, capsys):
+    path, _, _ = _write_diamond(tmp_path)
+    assert main(["prune", str(path), "--count", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "pruned 2 coordinate(s)\ncoordinate\tscore\tpruned\n"
+        "in->h1\t3.0\t\nin->h2\t2.0\tyes\nh1->out\t3.0\t\nh2->out\t2.0\tyes\n"
+        "bias(h1)\t0.0\t\nbias(h2)\t0.0\t\nbias(out)\t0.0\t\n"
+    )
+    assert main(["normalize", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "in->h1\t1.0\nin->h2\t-1.0\nh1->out\t3.0\nh2->out\t2.0\n"
+        "bias(h1)\t0.0\nbias(h2)\t0.0\nbias(out)\t0.0\n"
+    )
