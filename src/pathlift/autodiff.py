@@ -12,8 +12,9 @@ into the flat parameter coordinate vector.  Convention choices that matter:
 * kpool bias coordinates are pinned to zero, so their gradient is reported
   as 0.
 
-The path norm gradient applies the chain rule through the absolute-value
-surrogate with sign(0) taken to be 0.
+The path norm gradient differentiates the path norm's one sum-pool pass
+(see :mod:`pathlift.metrics`) on the same compiled schedule, then applies
+the chain rule through the absolute value with sign(0) taken to be 0.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import gradient, run
-from .errors import DimensionMismatch, MissingData, PathliftError
+from .errors import DimensionMismatch, MissingData, NonFiniteValue, PathliftError
 from .graph import Architecture, ParamVector
-from .metrics import absolute_surrogate
+from .metrics import _sum_pool_tape
 
 
 def _aggregate(arch: Architecture, vals, aggregate, target):
@@ -92,13 +93,17 @@ def grad_scalar(arch: Architecture, theta: ParamVector, x, aggregate="sum_output
 def grad_path_norm(arch: Architecture, theta: ParamVector) -> np.ndarray:
     """Gradient of the l1 path norm at theta.
 
-    One forward/backward pass through the absolute-value surrogate followed
+    One forward/backward pass of |theta| with every pool summing, followed
     by the sign chain rule, with sign(0) = 0.  Multiplying coordinatewise by
-    theta itself yields each coordinate's total path weight.
+    theta itself yields each coordinate's total path weight.  Raises
+    NonFiniteValue when the norm or a gradient entry overflows float64.
     """
-    s, t = absolute_surrogate(arch, theta, q=1.0)
-    _, g = grad_scalar(s, t, np.ones(arch.d_in), aggregate="sum_outputs")
-    return np.sign(theta.vec) * g
+    t, vals = _sum_pool_tape(arch, theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.sign(theta.vec) * gradient(arch, t, vals, None, np.ones((arch.d_out, 1)))
+    if not np.isfinite(g).all():
+        raise NonFiniteValue("the path norm gradient overflows float64")
+    return g
 
 
 def grad_check(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .engine import schedule
 from .errors import RaggedLayers
 from .graph import Architecture, ParamVector
 
@@ -34,48 +35,47 @@ def mlp_params(arch: Architecture, matrices, biases=None) -> ParamVector:
 
     matrices[l][i, j] is the weight from neuron j of layer l to neuron i of
     layer l+1; biases, when given, is one vector per non-input layer.
+    Neurons of a layer are indexed in canonical order, so the parameter
+    vector is the matrices raveled row-major, then the bias vectors.
     """
-    layers = _mlp_layers(arch)
+    widths = _mlp_layers(arch)
     mats = [np.asarray(m, dtype=np.float64) for m in matrices]
-    if len(mats) != len(layers) - 1:
-        raise RaggedLayers(f"expected {len(layers) - 1} matrices, got {len(mats)}")
-    v = np.zeros(arch.n_coords)
+    if len(mats) != len(widths) - 1:
+        raise RaggedLayers(f"expected {len(widths) - 1} matrices, got {len(mats)}")
     for l, m in enumerate(mats):
-        if m.shape != (len(layers[l + 1]), len(layers[l])):
-            raise RaggedLayers(
-                f"matrix {l} has shape {m.shape}, expected {(len(layers[l + 1]), len(layers[l]))}"
-            )
-        for i, dst in enumerate(layers[l + 1]):
-            for j, src in enumerate(layers[l]):
-                v[arch.edge_index[(src, dst)]] = m[i, j]
-    if biases is not None:
-        for l, bl in enumerate(biases):
-            bl = np.asarray(bl, dtype=np.float64)
-            for i, dst in enumerate(layers[l + 1]):
-                v[arch.bias_coord[arch.position(dst)]] = bl[i]
-    return ParamVector(arch, v)
+        if m.shape != (widths[l + 1], widths[l]):
+            raise RaggedLayers(f"matrix {l} has shape {m.shape}, expected {(widths[l + 1], widths[l])}")
+    if biases is None:
+        bs = [np.zeros(w) for w in widths[1:]]
+    else:
+        bs = [np.asarray(b, dtype=np.float64) for b in biases]
+        if [b.shape for b in bs] != [(w,) for w in widths[1:]]:
+            raise RaggedLayers(f"bias shapes {[b.shape for b in bs]} do not fit layer widths {widths[1:]}")
+    return ParamVector(arch, np.concatenate([m.ravel() for m in mats] + bs))
 
 
 def mlp_matrices(arch: Architecture, theta: ParamVector):
     """Inverse of mlp_params: recover the per-layer weight matrices."""
-    layers = _mlp_layers(arch)
-    mats = []
-    for l in range(len(layers) - 1):
-        m = np.zeros((len(layers[l + 1]), len(layers[l])))
-        for i, dst in enumerate(layers[l + 1]):
-            for j, src in enumerate(layers[l]):
-                m[i, j] = theta.vec[arch.edge_index[(src, dst)]]
-        mats.append(m)
-    return mats
+    widths = _mlp_layers(arch)
+    sizes = [a * b for a, b in zip(widths[1:], widths[:-1])]
+    blocks = np.split(theta.vec[: arch.n_edges], np.cumsum(sizes)[:-1])
+    return [b.reshape(rows, cols) for b, rows, cols in zip(blocks, widths[1:], widths[:-1])]
 
 
-def _mlp_layers(arch: Architecture):
-    by_layer = {}
-    for nid in arch.ids:
-        if not (nid.startswith("L") and "n" in nid):
-            raise RaggedLayers(f"{nid!r} is not an mlp_architecture neuron id")
-        by_layer.setdefault(int(nid[1 : nid.index("n")]), []).append(nid)
-    return [sorted(by_layer[l]) for l in sorted(by_layer)]
+def _mlp_layers(arch: Architecture) -> list:
+    """Layer widths, inputs first.  Raises RaggedLayers unless each non-input
+    neuron reads exactly the neurons one level shallower; then the neurons of
+    a level are ready together in the topological sort, so each level is one
+    run of positions, in id order."""
+    depth = schedule(arch).depth
+    widths = np.bincount(depth)
+    fan = np.array([a.size for a in arch.ant])
+    src = np.concatenate([np.zeros(0, dtype=np.int64), *arch.ant])
+    if widths.size < 2 or arch.n_edges != widths[1:] @ widths[:-1] or np.any(
+        depth[src] != np.repeat(depth, fan) - 1
+    ):
+        raise RaggedLayers("not a layered MLP: some neuron does not read exactly the previous layer")
+    return widths.tolist()
 
 
 def conv_grid_architecture(

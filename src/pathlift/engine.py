@@ -21,7 +21,11 @@ Kernels, all in float64:
   adjoint is the same product over the transposed matrix;
 * a pool block takes the k-th largest contribution over its gathered block
   and routes to the first slot attaining it: the forward pass, the
-  gradient and the path activations share this tie-break.
+  gradient and the path activations share this tie-break;
+* with ``sum_pools`` a pool block sums its contributions instead, by the
+  affine kernel over its own slot matrices with no bias and no floor.
+  Fed |theta|**q and the all-ones input, this pass gives the path norm
+  (every pool counting all its paths), on the same compiled schedule.
 
 The summation order depends only on the architecture and the batch size,
 never on values, so a power-of-two rescaling moves every result by exactly
@@ -80,7 +84,8 @@ class _Block:
         self.src[valid] = src
         self.coord[valid] = coord
         self.valid = None if k == 0 or valid.all() else valid[:, :, None]
-        self.bias = arch.bias_coord[rows] if k == 0 else None
+        # pool rows read the padding weight as their (pinned) bias
+        self.bias = arch.bias_coord[rows] if k == 0 else np.full(rows.size, nc)
         relu = arch.kinds[rows] == RELU
         if k or not relu.any():
             self.floor = None
@@ -113,9 +118,11 @@ class _Block:
 
 
 class Schedule:
-    """Blocks of every level, in level order (see the module docstring)."""
+    """Blocks of every level, in level order (see the module docstring), and
+    each neuron's ``depth``: the number of edges on the longest path ending
+    at it, so ``len(levels)`` is the longest path of the network."""
 
-    __slots__ = ("levels", "win_dtype")
+    __slots__ = ("levels", "win_dtype", "depth")
 
     def __init__(self, arch: Architecture):
         n = arch.n_neurons
@@ -144,6 +151,7 @@ class Schedule:
                 blocks.append(_Block(arch, rows, k, fan[rows], src[edges], coord[edges]))
             levels.append(tuple(blocks))
         self.levels = tuple(levels)
+        self.depth = depth
 
 
 def schedule(arch: Architecture) -> Schedule:
@@ -192,14 +200,15 @@ def _pool_forward(blk: _Block, w, vals, win):
     vals[blk.at] = out
 
 
-def run(arch: Architecture, theta: ParamVector, x):
+def run(arch: Architecture, theta: ParamVector, x, sum_pools: bool = False):
     """Forward tape over a batch ``x`` of shape (B, d_in), or one input (d_in,).
 
     Returns ``(vals, win)``: ``vals`` (n_neurons + 1, B) holds every
     neuron's value per batch element, with the zero row last; ``win``
     (n_neurons + 1, B) holds each pool neuron's selected slot and -1
     elsewhere, in the narrowest integer type that fits, or is None when the
-    network has no pool neuron.  Rejects non-finite inputs with
+    network has no pool neuron or ``sum_pools`` makes every pool neuron
+    the sum of its weighted antecedents.  Rejects non-finite inputs with
     :class:`NonFiniteValue`.
     """
     _check_bound(arch, theta)
@@ -216,12 +225,12 @@ def run(arch: Architecture, theta: ParamVector, x):
     vals = np.empty((n + 1, batch))
     vals[arch.input_pos] = x.T
     vals[n] = 0.0
-    win = None if sched.win_dtype is None else np.full((n + 1, batch), -1, dtype=sched.win_dtype)
+    win = None if sum_pools or sched.win_dtype is None else np.full((n + 1, batch), -1, sched.win_dtype)
     wpad = np.concatenate((theta.vec, _PAD_WEIGHT))
     for level in sched.levels:
         for blk in level:
             w = wpad[blk.coord]
-            if blk.k:
+            if blk.k and win is not None:
                 _pool_forward(blk, w, vals, win)
                 continue
             if blk.shared is not None:
@@ -242,7 +251,9 @@ def gradient(arch: Architecture, theta: ParamVector, vals, win, out_adjoint) -> 
     ``out_adjoint`` (d_out, B) is the derivative of the scalar being
     differentiated with respect to each output neuron, per batch element.
     Relu passes a zero subgradient at exactly 0, a pool neuron routes its
-    adjoint to its selected slot only, and pinned pool biases get 0.
+    adjoint to its selected slot only (to every slot on the tape of a
+    ``sum_pools`` pass, whose ``win`` is None), and pinned pool biases
+    get 0.
     """
     sched = schedule(arch)
     n = arch.n_neurons
@@ -254,7 +265,7 @@ def gradient(arch: Architecture, theta: ParamVector, vals, win, out_adjoint) -> 
         # the first level reads only inputs, whose adjoints nothing needs
         inner = depth > 0
         for blk in sched.levels[depth]:
-            if blk.k:
+            if blk.k and win is not None:
                 _pool_backward(blk, wpad, vals, win, adj, gpad, inner)
                 continue
             g = adj[blk.at]

@@ -82,14 +82,12 @@ def make_dataset(cfg: ExperimentConfig, rng):
     )
 
 
-def _init_params(arch: Architecture, widths, rng) -> ParamVector:
+def _init_params(arch: Architecture, rng) -> ParamVector:
+    """He initialization: each weight normal with variance 2 / (fan-in of
+    its destination), drawn in canonical edge order; zero biases."""
+    fan = np.array([a.size for a in arch.ant])
     v = np.zeros(arch.n_coords)
-    fan_in = {}
-    for l, w in enumerate(widths[:-1]):
-        fan_in[l + 1] = w
-    for i, (u, dst) in enumerate(arch.edges):
-        layer = int(dst[1 : dst.index("n")])
-        v[i] = rng.normal() * np.sqrt(2.0 / fan_in[layer])
+    v[: arch.n_edges] = rng.normal(size=arch.n_edges) * np.sqrt(2.0 / np.repeat(fan, fan))
     return ParamVector(arch, v)
 
 
@@ -208,7 +206,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     xtr, ytr, xte, yte = make_dataset(cfg, data_rng)
     arch = mlp_architecture(cfg.widths)
-    theta0 = _init_params(arch, cfg.widths, init_rng)
+    theta0 = _init_params(arch, init_rng)
     theta_T, theta_rw = sgd_train(
         arch, theta0, xtr, ytr, seeds, cfg.lr, cfg.batch_size,
         loss=cfg.loss, snapshot_epoch=cfg.rewind_epoch,

@@ -181,8 +181,6 @@ class Architecture:
         by_u = np.lexsort((v, u))
         ends = np.cumsum(fan_out).tolist()
         starts = [0] + ends[:-1]
-        v = v[by_u]
-        self.suc = [v[a:b] for a, b in zip(starts, ends)]
         self.out_coords = [by_u[a:b] for a, b in zip(starts, ends)]
 
         labels = list(map("->".join, self.edges))

@@ -1,10 +1,10 @@
 """Path norms and path metrics without enumeration.
 
 The q-th power of the lq path norm is computed by a single forward pass
-through a surrogate network: every kpool neuron becomes a summation, every
-weight and bias is replaced by its absolute value raised to q, and the
-all-ones input is fed through.  The same surrogate drives the path metric
-estimates:
+on the architecture's own compiled schedule with every kpool neuron summing
+its antecedents (``engine.run(..., sum_pools=True)``), every weight and
+bias replaced by its absolute value raised to q, and the all-ones input fed
+through.  The same pass drives the path metric estimates:
 
 * lower bound   -- |difference of the two path norms|, always valid;
 * exact value   -- when one lifting dominates the other coordinatewise
@@ -21,41 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DominanceUnverified, PathExplosion, PathliftError, RaggedLayers
-from .graph import IDENTITY, KPOOL, Architecture, ParamVector, forward
+from .engine import run
+from .errors import DominanceUnverified, NonFiniteValue, PathExplosion, PathliftError, RaggedLayers
+from .graph import Architecture, ParamVector, _check_bound
 from .paths import max_path_length, path_lifting
 from .transforms import normalize
-
-
-def summation_surrogate(arch: Architecture) -> Architecture:
-    """Copy of the architecture with every kpool neuron turned into a sum.
-
-    Shares all index arrays with the original (same ids, edges, coordinate
-    order), so parameter vectors keep their meaning coordinate by
-    coordinate.  Cached on the architecture.  Private attributes -- the
-    caches, the compiled schedule among them -- are not copied: the
-    surrogate compiles its own schedule, in which pools are sums.
-    """
-    cached = getattr(arch, "_surrogate", None)
-    if cached is not None:
-        return cached
-    if not np.any(arch.kinds == KPOOL):
-        arch._surrogate = arch
-        return arch
-    s = Architecture.__new__(Architecture)
-    s.__dict__.update((k, v) for k, v in arch.__dict__.items() if not k.startswith("_"))
-    s.kinds = arch.kinds.copy()
-    s.kinds[s.kinds == KPOOL] = IDENTITY
-    s.pool_k = np.zeros_like(arch.pool_k)
-    s.tags = tuple("identity" if isinstance(t, tuple) else t for t in arch.tags)
-    arch._surrogate = s
-    return s
-
-
-def absolute_surrogate(arch: Architecture, theta: ParamVector, q: float = 1.0):
-    """(surrogate architecture, |theta|**q) pair used by the fast path norm."""
-    s = summation_surrogate(arch)
-    return s, ParamVector(s, np.abs(theta.vec) ** q)
 
 
 def _check_q(q) -> None:
@@ -63,12 +33,26 @@ def _check_q(q) -> None:
         raise PathliftError(f"q must be finite and > 0, got {q!r}")
 
 
+def _sum_pool_tape(arch: Architecture, theta: ParamVector, q: float = 1.0):
+    """(|theta|**q, ``vals`` of its ``run(..., sum_pools=True)`` on the
+    all-ones input), whose output rows sum to the q-th power of the lq path
+    norm.  Raises :class:`NonFiniteValue` naming ``q`` when that overflows."""
+    _check_q(q)
+    _check_bound(arch, theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.abs(theta.vec) ** q
+        if np.isfinite(w).all():
+            t = ParamVector(arch, w)
+            vals, _ = run(arch, t, np.ones(arch.d_in), sum_pools=True)
+            if np.isfinite(vals[arch.output_pos].sum()):
+                return t, vals
+    raise NonFiniteValue(f"the path norm at q={q!r} overflows float64")
+
+
 def path_norm_fast(arch: Architecture, theta: ParamVector, q: float = 1.0) -> float:
     """Sum of |phi_p|**q over all paths, in one forward pass."""
-    _check_q(q)
-    s, t = absolute_surrogate(arch, theta, q)
-    ones = np.ones(arch.d_in)
-    return float(forward(s, t, ones).sum())
+    _, vals = _sum_pool_tape(arch, theta, q)
+    return float(vals[arch.output_pos].sum())
 
 
 def path_metric_oracle(

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import activations
+from .engine import activations, schedule
 from .errors import DimensionMismatch, PathExplosion
 from .graph import Architecture, ParamVector, _check_bound
 
@@ -53,21 +53,18 @@ def count_paths(arch: Architecture, end=None) -> int:
 
     Linear-time dynamic program: c(v) = 1 + sum of c(u) over antecedents.
     """
-    counts = [0] * arch.n_neurons
-    for j in range(arch.n_neurons):
-        counts[j] = 1 + sum(counts[int(a)] for a in arch.ant[j])
+    counts = []
+    for ant in arch.ant:
+        counts.append(1 + sum(map(counts.__getitem__, ant.tolist())))
     if end is not None:
         return counts[arch.position(end)]
-    return sum(counts[int(j)] for j in arch.output_pos)
+    return sum(map(counts.__getitem__, arch.output_pos.tolist()))
 
 
 def max_path_length(arch: Architecture) -> int:
-    """Maximum number of edges over all paths ending at an output neuron."""
-    lp = [0] * arch.n_neurons
-    for j in range(arch.n_neurons):
-        if arch.ant[j].size:
-            lp[j] = 1 + max(lp[int(a)] for a in arch.ant[j])
-    return max((lp[int(j)] for j in arch.output_pos), default=0)
+    """Maximum number of edges over all paths ending at an output neuron: the
+    schedule's level count, since a longest path extends to an output."""
+    return len(schedule(arch).levels)
 
 
 class _PathTable(NamedTuple):

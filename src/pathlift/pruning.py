@@ -61,7 +61,7 @@ def path_mag_scores(
 ) -> ScoreVector:
     """Per-coordinate l1 path norm drop from zeroing that coordinate.
 
-    methods: "autodiff" (one surrogate forward/backward), "pathnorm_diff"
+    methods: "autodiff" (one sum-pool forward/backward), "pathnorm_diff"
     (two forwards per coordinate), "bruteforce" (sum |phi_p| over enumerated
     paths through the coordinate).  All three agree to rounding.
     """

@@ -35,9 +35,10 @@ from pathlift.metrics import path_norm_fast
 from pathlift.transforms import normalize
 
 
-def reference_values(arch, theta, x):
+def reference_values(arch, theta, x, sum_pools=False):
     """Per-neuron values [n_neurons, B] and, per kpool neuron position, the
-    selected antecedent slot per batch element."""
+    selected antecedent slot per batch element.  With ``sum_pools`` every
+    kpool neuron is the sum of its contributions and the winners are None."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     vec = theta.vec
     vals = np.zeros((arch.n_neurons, x.shape[0]))
@@ -46,7 +47,9 @@ def reference_values(arch, theta, x):
     for j in arch.non_input_pos:
         contrib = vec[arch.in_coords[j]][:, None] * vals[arch.ant[j]]
         kind = arch.kinds[j]
-        if kind == KPOOL:
+        if kind == KPOOL and sum_pools:
+            vals[j] = contrib.sum(axis=0)
+        elif kind == KPOOL:
             k = arch.pool_k[j]
             kth = np.partition(contrib, contrib.shape[0] - k, axis=0)[contrib.shape[0] - k]
             winners[int(j)] = np.argmax(contrib == kth[None, :], axis=0)
@@ -54,12 +57,13 @@ def reference_values(arch, theta, x):
         else:
             pre = vec[arch.bias_coord[j]] + contrib.sum(axis=0)
             vals[j] = pre if kind == IDENTITY else np.maximum(pre, 0.0)
-    return vals, winners
+    return vals, None if sum_pools else winners
 
 
 def reference_gradient(arch, theta, vals, winners, out_adjoint):
     """Adjoint sweep in reverse topological order; ``out_adjoint`` is
-    [d_out, B].  Returns the gradient over the parameter coordinates."""
+    [d_out, B].  Returns the gradient over the parameter coordinates.
+    ``winners`` None means the pools were summed."""
     nb = vals.shape[1]
     vec = theta.vec
     adj = np.zeros((arch.n_neurons, nb))
@@ -70,7 +74,10 @@ def reference_gradient(arch, theta, vals, winners, out_adjoint):
         kind = arch.kinds[j]
         ant = arch.ant[j]
         w = vec[arch.in_coords[j]]
-        if kind == KPOOL:
+        if kind == KPOOL and winners is None:
+            grad[arch.in_coords[j]] += vals[ant] @ g
+            adj[ant] += w[:, None] * g[None, :]
+        elif kind == KPOOL:
             sel = winners[int(j)]
             gm = (sel[None, :] == np.arange(ant.size)[:, None]) * g[None, :]
             grad[arch.in_coords[j]] += (vals[ant] * gm).sum(axis=1)
@@ -88,6 +95,15 @@ def reference_gradient(arch, theta, vals, winners, out_adjoint):
 #
 # The recursive enumeration and the per-path loops that ``pathlift.paths`` and
 # the brute-force route of ``path_mag_scores`` ran before the path table.
+
+
+def reference_count_paths(arch):
+    """Paths ending at output neurons: c(v) = 1 + sum of c(u) over
+    antecedents, one generator step per edge."""
+    counts = [0] * arch.n_neurons
+    for j in range(arch.n_neurons):
+        counts[j] = 1 + sum(counts[int(a)] for a in arch.ant[j])
+    return sum(counts[int(j)] for j in arch.output_pos)
 
 
 def _ending_at(arch, j):
@@ -267,7 +283,6 @@ class ReferenceArchitecture(Architecture):
         # (this order also fixes the pool tie-break).
         self.ant = []
         self.in_coords = []
-        self.suc = []
         self.out_coords = []
         for nid in order:
             aj = sorted((self.pos[u] for u in ants[nid]))
@@ -276,7 +291,6 @@ class ReferenceArchitecture(Architecture):
                 np.asarray([self.edge_index[(self.ids[a], nid)] for a in aj], dtype=np.int64)
             )
             sj = sorted((self.pos[v] for v in sucs[nid]))
-            self.suc.append(np.asarray(sj, dtype=np.int64))
             self.out_coords.append(
                 np.asarray([self.edge_index[(nid, self.ids[s])] for s in sj], dtype=np.int64)
             )

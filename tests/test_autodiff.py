@@ -11,9 +11,10 @@ from pathlift.autodiff import (
     scalar_value,
 )
 from pathlift.builders import random_dag, random_params
+from pathlift.engine import gradient, run
 from pathlift.errors import DimensionMismatch, MissingData, PathliftError
 from pathlift.graph import RELU, Architecture, ParamVector, neuron_values
-from pathlift.metrics import absolute_surrogate, path_norm_fast
+from pathlift.metrics import path_norm_fast
 from pathlift.transforms import random_rescaling, rescale
 
 from conftest import pool_arch, pool_theta, random_cases
@@ -65,12 +66,33 @@ def test_grad_check_random_corpus():
     assert kept >= 15
 
 
+def _sum_pool_pass(arch, theta):
+    """Summed outputs and their gradient, at |theta| on the all-ones input
+    with every pool summing."""
+    abs_theta = ParamVector(arch, np.abs(theta.vec))
+    vals, win = run(arch, abs_theta, np.ones(arch.d_in), sum_pools=True)
+    assert win is None
+    g = gradient(arch, abs_theta, vals, win, np.ones((arch.d_out, 1)))
+    return float(vals[arch.output_pos].sum()), g
+
+
 def test_surrogate_gradient_diamond(diamond):
     arch, theta = diamond
-    sur, abs_theta = absolute_surrogate(arch, theta, q=1.0)
-    value, g = grad_scalar(sur, abs_theta, np.ones(arch.d_in), aggregate="sum_outputs")
+    value, g = _sum_pool_pass(arch, theta)
     assert value == 5.0
     np.testing.assert_array_equal(g, [3.0, 1.0, 1.0, 2.0, 3.0, 1.0, 1.0])
+
+
+def test_sum_pool_gradient_pool_net(pool_net):
+    arch, theta = pool_net
+    # in1->m, in2->m, m->out, b(m), b(out); summed, both pool inputs count
+    value, g = _sum_pool_pass(arch, theta)
+    assert value == 5.0
+    np.testing.assert_array_equal(g, [1.0, 1.0, 5.0, 0.0, 1.0])
+    # the max pass at |theta| routes through in2 alone (3 > 2)
+    _, g_max = grad_scalar(arch, ParamVector(arch, np.abs(theta.vec)), np.ones(arch.d_in))
+    np.testing.assert_array_equal(g_max, [0.0, 1.0, 3.0, 0.0, 1.0])
+    np.testing.assert_array_equal(grad_path_norm(arch, theta), [1.0, -1.0, 5.0, 0.0, 0.0])
 
 
 def test_grad_path_norm_diamond(diamond):

@@ -1,19 +1,22 @@
-"""The compiled level schedule against the per-neuron reference loop, and the
-isolation of its per-architecture cache."""
+"""The compiled level schedule against the per-neuron reference loop, with
+pools taking the k-th largest contribution or summing, and its
+per-architecture cache."""
 
 import numpy as np
 import pytest
 
+from pathlift import engine
 from pathlift.builders import (
     conv_grid_architecture,
     mlp_architecture,
     random_dag,
     random_params,
 )
+from pathlift.autodiff import grad_path_norm
 from pathlift.engine import gradient, run
 from pathlift.graph import IDENTITY, KPOOL, RELU, ParamVector, forward, neuron_values, pool_selections
 from pathlift.metrics import path_norm_fast
-from pathlift.paths import path_lifting
+from pathlift.paths import enumerate_paths, max_path_length, path_lifting
 
 from conftest import pool_arch, pool_theta
 from reference import reference_gradient, reference_values
@@ -58,14 +61,15 @@ def _assert_close(got, want):
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * scale)
 
 
-def _compare(arch, theta, x, rng):
+def _compare(arch, theta, x, rng, sum_pools=False):
     """Engine and reference agree on values, winners and gradients; returns
     the number of pool decisions that were exact ties."""
-    vals, win = run(arch, theta, x)
-    ref_vals, ref_win = reference_values(arch, theta, x)
+    vals, win = run(arch, theta, x, sum_pools=sum_pools)
+    ref_vals, ref_win = reference_values(arch, theta, x, sum_pools=sum_pools)
     _assert_close(vals[:-1], ref_vals)
     assert not np.any(vals[-1]), "the padding row must stay zero"
-    for j, slots in ref_win.items():
+    assert win is None or not sum_pools
+    for j, slots in (ref_win or {}).items():
         np.testing.assert_array_equal(win[j], slots)
     out_adj = rng.normal(size=(arch.d_out, x.shape[0]))
     _assert_close(
@@ -73,7 +77,7 @@ def _compare(arch, theta, x, rng):
         reference_gradient(arch, theta, ref_vals, ref_win, out_adj),
     )
     ties = 0
-    for j in ref_win:
+    for j in ref_win or {}:
         contrib = theta.vec[arch.in_coords[j]][:, None] * ref_vals[arch.ant[j]]
         ties += int(np.sum(np.sum(contrib == ref_vals[j][None, :], axis=0) > 1))
     return ties
@@ -110,6 +114,31 @@ def test_engine_matches_reference_on_conv_grid(batch):
     _compare(arch, random_params(arch, rng), rng.normal(size=(batch, arch.d_in)), rng)
 
 
+@pytest.mark.parametrize("batch", [1, 7])
+def test_sum_pools_matches_reference_on_random_dags(batch):
+    pooled = 0
+    for arch, theta, exact, rng in _dag_corpus():
+        _compare(arch, theta, _inputs(arch, exact, rng, batch), rng, sum_pools=True)
+        pooled += bool(np.any(arch.kinds == KPOOL))
+    assert pooled >= 20
+    rng = np.random.default_rng(7)
+    arch = conv_grid_architecture(side=6, channels=(2, 3), d_out=3)
+    _compare(arch, random_params(arch, rng), rng.normal(size=(batch, arch.d_in)), rng, sum_pools=True)
+
+
+def test_one_schedule_serves_forward_path_norm_and_its_gradient(monkeypatch):
+    built = []
+    compile_ = engine.Schedule
+    monkeypatch.setattr(engine, "Schedule", lambda arch: built.append(arch) or compile_(arch))
+    for arch, theta, _, rng in _dag_corpus()[:10]:
+        built.clear()
+        forward(arch, theta, rng.normal(size=arch.d_in))
+        path_norm_fast(arch, theta)
+        grad_path_norm(arch, theta)
+        assert max_path_length(arch) == max(len(p) - 1 for p in enumerate_paths(arch))
+        assert built == [arch]
+
+
 def test_public_wrappers_match_reference():
     for arch, theta, exact, rng in _dag_corpus()[:10]:
         x = _inputs(arch, exact, rng, 1)[0]
@@ -121,8 +150,8 @@ def test_public_wrappers_match_reference():
 
 
 def test_schedule_cached_before_path_norm_is_not_inherited_by_surrogate():
-    # forward compiles and caches the max-pool schedule first; the
-    # summation surrogate must still pool by sum
+    # forward compiles and caches the schedule first; the path norm's pass
+    # on that same schedule must still pool by sum
     arch = pool_arch()
     theta = pool_theta(arch)
     forward(arch, theta, [1.0, 1.0])

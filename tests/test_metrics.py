@@ -12,7 +12,10 @@ from pathlift import (
     conv_grid_architecture,
     forward,
     max_path_length,
+    mlp_architecture,
     mlp_bounds,
+    mlp_matrices,
+    mlp_params,
     path_lifting,
     path_metric_exact_dominated,
     path_metric_lower,
@@ -247,6 +250,38 @@ def test_mlp_bounds_ragged_input():
         mlp_bounds(la, [np.ones((2, 1))], [1.0])
     with pytest.raises(RaggedLayers):
         mlp_bounds(la, la, [1.0, 1.0])
+
+
+def test_mlp_params_follow_edge_index_and_round_trip():
+    rng = np.random.default_rng(12)
+    arch = mlp_architecture((2, 3, 2))
+    mats = [rng.normal(size=(3, 2)), rng.normal(size=(2, 3))]
+    biases = [rng.normal(size=3), rng.normal(size=2)]
+    theta = mlp_params(arch, mats, biases)
+    for l, m in enumerate(mats):
+        for i in range(m.shape[0]):
+            assert theta.bias(f"L{l + 1}n{i:03d}") == biases[l][i]
+            for j in range(m.shape[1]):
+                assert theta.weight(f"L{l}n{j:03d}", f"L{l + 1}n{i:03d}") == m[i, j]
+    for got, want in zip(mlp_matrices(arch, theta), mats):
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(RaggedLayers):
+        mlp_params(arch, mats, biases[:1])
+
+
+def test_mlp_params_reject_incomplete_layers():
+    full = mlp_architecture((2, 3, 2))
+    missing = [e for e in full.edges if e != ("L0n000", "L1n000")]
+    arch = Architecture(full.neuron_decls(), missing)
+    mats = [np.ones((3, 2)), np.ones((2, 3))]
+    with pytest.raises(RaggedLayers):
+        mlp_params(arch, mats)
+    with pytest.raises(RaggedLayers):
+        mlp_matrices(arch, ParamVector.zeros(arch))
+    # a skip edge breaks the layering too
+    skip = Architecture(full.neuron_decls(), list(full.edges) + [("L0n000", "L2n000")])
+    with pytest.raises(RaggedLayers):
+        mlp_matrices(skip, ParamVector.zeros(skip))
 
 
 def _refined_corpus():

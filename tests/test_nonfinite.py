@@ -2,17 +2,19 @@
 error, never turned into a number."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from pathlift.autodiff import grad_scalar
+from pathlift.autodiff import grad_path_norm, grad_scalar
 from pathlift.builders import mlp_architecture, random_params
 from pathlift.cli import main
 from pathlift.errors import NonFiniteValue, PathliftError
 from pathlift.experiment import epoch_seeds, sgd_train
-from pathlift.graph import ParamVector, forward
-from pathlift.netfile import load_network
+from pathlift.graph import Architecture, ParamVector, forward
+from pathlift.metrics import path_norm_fast
+from pathlift.netfile import load_network, save_network
 
 from conftest import chain2_arch
 
@@ -66,3 +68,39 @@ def test_sgd_train_names_the_diverging_epoch():
         with pytest.raises(NonFiniteValue, match=r"epoch \d+"):
             sgd_train(arch, theta, x, y, epoch_seeds(0, 50), lr=5.0, batch_size=8,
                       loss="squared_error")
+
+
+def _relu_chain(depth, weight):
+    names = ["in"] + [f"m{k:03d}" for k in range(1, depth)] + ["out"]
+    arch = Architecture(
+        [("in", "input")] + [(n, "relu") for n in names[1:-1]] + [("out", "identity")],
+        list(zip(names[:-1], names[1:])),
+    )
+    return arch, ParamVector(arch, np.r_[np.full(depth, float(weight)), np.zeros(depth)])
+
+
+def test_path_norm_overflow_is_a_typed_error():
+    # the input path of a 400-edge chain of weight 10 weighs 10**400
+    arch, theta = _relu_chain(400, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match=r"q=1\.0"):
+            path_norm_fast(arch, theta)
+        with pytest.raises(NonFiniteValue, match=r"q=2"):
+            path_norm_fast(*_relu_chain(2, 1e200), q=2)
+        with pytest.raises(NonFiniteValue):
+            grad_path_norm(arch, theta)
+        # the norm is 1e200, the gradient at the first edge 1e400
+        arch3 = _relu_chain(3, 1.0)[0]
+        with pytest.raises(NonFiniteValue, match="gradient"):
+            grad_path_norm(arch3, ParamVector(arch3, [1e-200, 1e200, 1e200, 0.0, 0.0, 0.0]))
+    assert path_norm_fast(*_relu_chain(300, 10.0)) == pytest.approx(1e300)
+
+
+def test_cli_path_norm_overflow_exits_1(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    save_network(path, *_relu_chain(400, 10.0))
+    assert main(["pathnorm", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "overflows" in captured.err

@@ -7,6 +7,7 @@ from pathlift import (
     Architecture,
     ParamVector,
     PathExplosion,
+    conv_grid_architecture,
     count_paths,
     enumerate_paths,
     format_path,
@@ -28,6 +29,7 @@ from conftest import (
     pool_theta,
     random_cases,
 )
+from reference import reference_count_paths
 
 
 def test_diamond_paths(diamond):
@@ -49,6 +51,13 @@ def test_single_edge_paths():
 def test_count_matches_enumeration_on_corpus():
     for arch, _, _ in random_cases(30, seed=202):
         assert count_paths(arch) == len(enumerate_paths(arch))
+
+
+def test_count_matches_reference_loop():
+    cases = [arch for arch, _, _ in random_cases(60, seed=208, max_layers=6, p_kpool=0.4)]
+    cases += [conv_grid_architecture(), mlp_architecture([10] * 8)]
+    for arch in cases:
+        assert count_paths(arch) == reference_count_paths(arch)
 
 
 def test_canonical_order_matches_oracle_on_corpus():
