@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import schedule
 from .errors import RaggedLayers
 from .graph import Architecture, ParamVector
 
@@ -67,12 +66,10 @@ def _mlp_layers(arch: Architecture) -> list:
     neuron reads exactly the neurons one level shallower; then the neurons of
     a level are ready together in the topological sort, so each level is one
     run of positions, in id order."""
-    depth = schedule(arch).depth
+    depth = arch.depth
     widths = np.bincount(depth)
-    fan = np.array([a.size for a in arch.ant])
-    src = np.concatenate([np.zeros(0, dtype=np.int64), *arch.ant])
     if widths.size < 2 or arch.n_edges != widths[1:] @ widths[:-1] or np.any(
-        depth[src] != np.repeat(depth, fan) - 1
+        depth[arch.src] != depth[arch.dst] - 1
     ):
         raise RaggedLayers("not a layered MLP: some neuron does not read exactly the previous layer")
     return widths.tolist()

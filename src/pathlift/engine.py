@@ -71,8 +71,11 @@ class _Block:
     __slots__ = ("rows", "at", "src", "coord", "shared", "k", "floor", "bias",
                  "valid", "tsrc", "trow", "tcoord", "tslot")
 
-    def __init__(self, arch: Architecture, rows: np.ndarray, k: int, fan, src, coord):
+    def __init__(self, arch: Architecture, member: np.ndarray, k: int):
         n, nc = arch.n_neurons, arch.n_coords
+        rows = np.flatnonzero(member)
+        coord = np.flatnonzero(member[arch.dst])  # the rows' incoming edges, row by row
+        fan = arch.in_ptr[rows + 1] - arch.in_ptr[rows]
         width = int(fan.max())
         valid = np.arange(width) < fan[:, None]
         self.rows = rows
@@ -81,7 +84,7 @@ class _Block:
         # int32 halves the schedule's memory; numpy widens it per gather
         self.src = np.full((rows.size, width), n, dtype=np.int32)
         self.coord = np.full((rows.size, width), nc, dtype=np.int32)
-        self.src[valid] = src
+        self.src[valid] = arch.src[coord]
         self.coord[valid] = coord
         self.valid = None if k == 0 or valid.all() else valid[:, :, None]
         # pool rows read the padding weight as their (pinned) bias
@@ -98,10 +101,9 @@ class _Block:
         if k == 0 and np.all(self.src == self.src[0]):
             self.shared = _index(self.src[0].astype(np.int64))
             return
-        # out-edges grouped by source, each group in (row, slot) order
-        by_src = np.argsort(src, kind="stable")
-        r_of, s_of = (a[by_src] for a in np.nonzero(valid))
-        src = src[by_src]
+        # the same edges in source order, each source's in row order
+        e = arch.out_perm[member[arch.dst[arch.out_perm]]]
+        src, dst = arch.src[e], arch.dst[e]
         first = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
         counts = np.diff(np.r_[first, src.size])
         m = np.repeat(np.arange(first.size), counts)
@@ -110,48 +112,29 @@ class _Block:
         self.tsrc = _index(src[first])
         self.trow = np.full(shape, n, dtype=np.int32)
         self.tcoord = np.full(shape, nc, dtype=np.int32)
-        self.trow[m, t] = rows[r_of]
-        self.tcoord[m, t] = self.coord[r_of, s_of]
+        self.trow[m, t] = dst
+        self.tcoord[m, t] = e
         if k:
             self.tslot = np.zeros(shape, dtype=np.int32)
-            self.tslot[m, t] = s_of
+            self.tslot[m, t] = e - arch.in_ptr[dst]
 
 
 class Schedule:
-    """Blocks of every level, in level order (see the module docstring), and
-    each neuron's ``depth``: the number of edges on the longest path ending
-    at it, so ``len(levels)`` is the longest path of the network."""
+    """Blocks of every level, in level order (see the module docstring).
+    Level d holds the neurons of ``arch.depth`` d, so ``len(levels)`` is the
+    longest path of the network."""
 
-    __slots__ = ("levels", "win_dtype", "depth")
+    __slots__ = ("levels", "win_dtype")
 
     def __init__(self, arch: Architecture):
-        n = arch.n_neurons
-        none = np.zeros(0, dtype=np.int64)
-        fan = np.array([a.size for a in arch.ant], dtype=np.int64)
-        src = np.concatenate([none, *arch.ant])
-        coord = np.concatenate([none, *arch.in_coords])
-        # depth = longest path from an input: one relaxation sweep per level
-        has, starts = fan > 0, (np.cumsum(fan) - fan)[fan > 0]
-        depth = np.zeros(n, dtype=np.int64)
-        while src.size:
-            new = np.zeros(n, dtype=np.int64)
-            new[has] = np.maximum.reduceat(depth[src], starts) + 1
-            if np.array_equal(new, depth):
-                break
-            depth = new
-        pool_fan = fan[arch.kinds == KPOOL]
+        depth, pool = arch.depth, arch.kinds == KPOOL
+        pool_fan = np.diff(arch.in_ptr)[pool]
         self.win_dtype = np.min_scalar_type(-pool_fan.max()) if pool_fan.size else None
-        pool_k = np.where(arch.kinds == KPOOL, arch.pool_k, 0)
-        levels = []
-        for d in range(1, int(depth.max(initial=0)) + 1):
-            blocks = []
-            for k in np.unique(pool_k[depth == d]):
-                member = (depth == d) & (pool_k == k)
-                rows, edges = np.flatnonzero(member), np.repeat(member, fan)
-                blocks.append(_Block(arch, rows, k, fan[rows], src[edges], coord[edges]))
-            levels.append(tuple(blocks))
-        self.levels = tuple(levels)
-        self.depth = depth
+        pool_k = np.where(pool, arch.pool_k, 0)
+        self.levels = tuple(
+            tuple(_Block(arch, (depth == d) & (pool_k == k), k) for k in np.unique(pool_k[depth == d]))
+            for d in range(1, int(depth.max(initial=0)) + 1)
+        )
 
 
 def schedule(arch: Architecture) -> Schedule:

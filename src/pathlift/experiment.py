@@ -85,9 +85,9 @@ def make_dataset(cfg: ExperimentConfig, rng):
 def _init_params(arch: Architecture, rng) -> ParamVector:
     """He initialization: each weight normal with variance 2 / (fan-in of
     its destination), drawn in canonical edge order; zero biases."""
-    fan = np.array([a.size for a in arch.ant])
+    fan = np.diff(arch.in_ptr)
     v = np.zeros(arch.n_coords)
-    v[: arch.n_edges] = rng.normal(size=arch.n_edges) * np.sqrt(2.0 / np.repeat(fan, fan))
+    v[: arch.n_edges] = rng.normal(size=arch.n_edges) * np.sqrt(2.0 / fan[arch.dst])
     return ParamVector(arch, v)
 
 

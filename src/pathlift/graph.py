@@ -17,16 +17,20 @@ files refer to.
 
 An architecture is built on integer arrays: each edge endpoint is mapped
 to an integer key once, the checks run on those keys and on fan-in and
-fan-out counts, the canonical edge order is one ``np.lexsort``, and the
-per-neuron index arrays are slices of the sorted edges.  Only the
-topological sort (Kahn's algorithm with a min-heap on ids) and the id
-tuples step through Python one neuron or one edge at a time.
+fan-out counts, and the canonical edge order is one argsort.  The edges
+are kept as one CSR layout: ``src``/``dst`` (each canonical edge's end
+positions), ``in_ptr`` (neuron j's incoming edges are the coordinates
+``in_ptr[j]:in_ptr[j + 1]``) and ``out_perm`` (the edges in source order).
+``out_perm``, ``depth`` and the id views (``edges``, ``edge_index``,
+``coord_labels``, ``input_ids``, ``output_ids``) are built on first access;
+the passes, the path norm and the path-metric bounds read no id view.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Mapping
 
@@ -65,17 +69,27 @@ def _normalize_tag(tag):
     raise ArchitectureError(f"unknown activation {tag!r}")
 
 
+def _pairs(entries: Iterable, what: str) -> list:
+    """The entries as a list; raises naming the first one that is not a pair."""
+    items = list(entries)
+    if not (set(map(type, items)) <= {tuple, list} and set(map(len, items)) <= {2}):
+        bad = next(e for e in items if not isinstance(e, (tuple, list)) or len(e) != 2)
+        raise ArchitectureError(f"malformed {what} {bad!r}: expected a pair")
+    return items
+
+
 class Architecture:
     """Validated DAG architecture with a fixed canonical topological order.
 
     The canonical order is obtained by Kahn's algorithm, always picking the
     smallest ready neuron id, so it depends only on the graph and not on
     declaration order.  Input vectors, output vectors, and the parameter
-    coordinate order all follow it.
+    coordinate order all follow it.  Each neuron is an (id, activation)
+    pair and each edge a (source id, destination id) pair, as a tuple or list.
     """
 
     def __init__(self, neurons: Iterable, edges: Iterable):
-        declared = [(str(nid), _normalize_tag(tag)) for nid, tag in neurons]
+        declared = [(str(nid), _normalize_tag(tag)) for nid, tag in _pairs(neurons, "neuron entry")]
         tag_of = dict(declared)
         if len(tag_of) != len(declared):
             counts = Counter(nid for nid, _ in declared)
@@ -86,15 +100,17 @@ class Architecture:
         n = len(names)
         rank = dict(zip(names, range(n)))
 
-        edge_list = [(str(u), str(v)) for u, v in edges]
-        m = len(edge_list)
-        keys = np.fromiter(
-            map(rank.get, chain.from_iterable(edge_list), repeat(-1)), dtype=np.int64, count=2 * m
-        )
+        given = _pairs(edges, "edge entry")
+        m = len(given)
+        try:  # ids as given, sparing a str() per endpoint; as strings otherwise
+            keys = np.fromiter(map(rank.__getitem__, chain.from_iterable(given)), dtype=np.int64, count=2 * m)
+        except (KeyError, TypeError):
+            flat = map(str, chain.from_iterable(given))
+            keys = np.fromiter(map(rank.get, flat, repeat(-1)), dtype=np.int64, count=2 * m)
         su, sv = keys[0::2], keys[1::2]
         dangling = np.flatnonzero((su < 0) | (sv < 0))
         if dangling.size:
-            u, v = edge_list[dangling[0]]
+            u, v = given[dangling[0]]
             raise DanglingEdge(f"edge {u}->{v} references an undeclared neuron")
         key = np.sort(su * n + sv)
         repeated = key[1:][key[1:] == key[:-1]]
@@ -103,23 +119,25 @@ class Architecture:
             raise DuplicateDeclaration(f"duplicate edges: {dupes}")
 
         # Kahn with a min-heap on ranks (the id order) gives the canonical
-        # topological order; successors are read from a CSR array.
-        by_src = np.argsort(su, kind="stable")
-        ptr = np.r_[0, np.cumsum(np.bincount(su, minlength=n))].tolist()
-        succ = sv[by_src].tolist()
-        indeg = np.bincount(sv, minlength=n).tolist()
-        ready = [r for r in range(n) if indeg[r] == 0]
-        order = []
-        while ready:
-            r = heapq.heappop(ready)
-            order.append(r)
-            for s in succ[ptr[r] : ptr[r + 1]]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    heapq.heappush(ready, s)
-        if len(order) != n:
-            stuck = [names[r] for r in range(n) if indeg[r] > 0]
-            raise CycleDetected(f"cycle through: {stuck}")
+        # topological order; successors are read from a CSR array.  When
+        # every edge runs up the id order, the heap pops the ids in order.
+        order = range(n)
+        if not np.all(su < sv):
+            ptr = np.r_[0, np.cumsum(np.bincount(su, minlength=n))].tolist()
+            succ = sv[np.argsort(su, kind="stable")].tolist()
+            indeg = np.bincount(sv, minlength=n).tolist()
+            ready = [r for r in range(n) if indeg[r] == 0]
+            order = []
+            while ready:
+                r = heapq.heappop(ready)
+                order.append(r)
+                for s in succ[ptr[r] : ptr[r + 1]]:
+                    indeg[s] -= 1
+                    if indeg[s] == 0:
+                        heapq.heappush(ready, s)
+            if len(order) != n:
+                stuck = [names[r] for r in range(n) if indeg[r] > 0]
+                raise CycleDetected(f"cycle through: {stuck}")
 
         self.ids: tuple = tuple(map(names.__getitem__, order))
         self.pos: dict = dict(zip(self.ids, range(n)))
@@ -150,42 +168,66 @@ class Architecture:
             raise BadPoolArity(f"kpool({self.pool_k[j]}) at {self.ids[j]} with {fan_in[j]} antecedents")
 
         # Canonical coordinate order: edges grouped by destination (then
-        # source), both in topological position, followed by biases.
-        canon = np.lexsort((u, v))
-        u, v = u[canon], v[canon]
+        # source), both in topological position, followed by biases.  The
+        # (source, destination) pairs are unique, so a plain argsort of a
+        # combined key gives it (and ``out_perm``).
+        canon = np.argsort(v * n + u)
+        self.src, self.dst = u[canon], v[canon]
+        self.in_ptr = np.r_[0, np.cumsum(fan_in)]
         self._given_coord = np.empty(m, dtype=np.int64)
         self._given_coord[canon] = np.arange(m)
-        self.edges: tuple = tuple(map(edge_list.__getitem__, canon.tolist()))
         self.n_edges = m
-        self.edge_index = dict(zip(self.edges, range(m)))
 
         self.is_input = is_input
         self.input_pos = np.flatnonzero(is_input)
         self.output_pos = np.flatnonzero(fan_out == 0)
-        self.input_ids = tuple(self.ids[j] for j in self.input_pos)
-        self.output_ids = tuple(self.ids[j] for j in self.output_pos)
-
         self.non_input_pos = np.flatnonzero(~is_input)
         self.bias_coord = np.full(n, -1, dtype=np.int64)
         self.bias_coord[self.non_input_pos] = m + np.arange(self.non_input_pos.size)
         self.n_coords = m + self.non_input_pos.size
 
-        # Per-neuron index arrays, antecedents in topological position order
-        # (this order also fixes the pool tie-break): slices of the edges
-        # sorted by destination, and of the edges sorted by source.
-        ends = np.cumsum(fan_in).tolist()
-        starts = [0] + ends[:-1]
-        coords = np.arange(m)
-        self.ant = [u[a:b] for a, b in zip(starts, ends)]
-        self.in_coords = [coords[a:b] for a, b in zip(starts, ends)]
-        by_u = np.lexsort((v, u))
-        ends = np.cumsum(fan_out).tolist()
-        starts = [0] + ends[:-1]
-        self.out_coords = [by_u[a:b] for a, b in zip(starts, ends)]
+    # ---- views built on first access -----------------------------------
 
-        labels = list(map("->".join, self.edges))
-        labels += [f"bias({self.ids[j]})" for j in self.non_input_pos]
-        self.coord_labels: tuple = tuple(labels)
+    def _id_pairs(self):
+        """(source id, destination id) per edge, in canonical order."""
+        return zip(*(map(self.ids.__getitem__, a.tolist()) for a in (self.src, self.dst)))
+
+    @cached_property
+    def edges(self) -> tuple:
+        return tuple(self._id_pairs())
+
+    @cached_property
+    def edge_index(self) -> dict:
+        return dict(zip(self.edges, range(self.n_edges)))
+
+    @cached_property
+    def coord_labels(self) -> tuple:
+        biases = (f"bias({self.ids[j]})" for j in self.non_input_pos.tolist())
+        return (*map("->".join, self._id_pairs()), *biases)
+
+    @cached_property
+    def input_ids(self) -> tuple:
+        return tuple(map(self.ids.__getitem__, self.input_pos.tolist()))
+
+    @cached_property
+    def output_ids(self) -> tuple:
+        return tuple(map(self.ids.__getitem__, self.output_pos.tolist()))
+
+    @cached_property
+    def out_perm(self) -> np.ndarray:
+        return np.argsort(self.src * self.n_neurons + self.dst)
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        """Edges on the longest path ending at each neuron: one sweep per level."""
+        has, depth = ~self.is_input, np.zeros(self.n_neurons, dtype=np.int64)
+        while self.n_edges:
+            new = np.zeros_like(depth)
+            new[has] = np.maximum.reduceat(depth[self.src], self.in_ptr[:-1][has]) + 1
+            if np.array_equal(new, depth):
+                break
+            depth = new
+        return depth
 
     # ---- basic queries -------------------------------------------------
 
@@ -213,7 +255,8 @@ class Architecture:
     def __eq__(self, other):
         if not isinstance(other, Architecture):
             return NotImplemented
-        return self.ids == other.ids and self.tags == other.tags and self.edges == other.edges
+        same = self.ids == other.ids and self.tags == other.tags
+        return same and np.array_equal(self.src, other.src) and np.array_equal(self.dst, other.dst)
 
     __hash__ = None
 
@@ -339,14 +382,3 @@ def forward(arch: Architecture, theta: ParamVector, x, trace: bool = False):
         return out, {nid: float(vals[arch.pos[nid]]) for nid in arch.ids}
     return out
 
-
-def pool_selections(arch: Architecture, theta: ParamVector, x) -> dict:
-    """For each kpool neuron: topological position of the selected antecedent.
-
-    The selected antecedent is the first one, in stored antecedent order,
-    whose contribution equals the k-th largest contribution.
-    """
-    from .engine import run
-
-    _, win = run(arch, theta, np.asarray(x, dtype=np.float64).reshape(-1))
-    return {int(j): int(arch.ant[j][win[j, 0]]) for j in np.flatnonzero(arch.kinds == KPOOL)}

@@ -7,9 +7,11 @@ bias replaced by its absolute value raised to q, and the all-ones input fed
 through.  The same pass drives the path metric estimates:
 
 * lower bound   -- |difference of the two path norms|, always valid;
-* exact value   -- when one lifting dominates the other coordinatewise
-  (e.g. for a parameter vector and its pruned copy), the l1 metric is
-  exactly the difference of the two path norms;
+* exact value   -- when one parameter vector dominates the other
+  coordinatewise with matching signs (e.g. a parameter vector and its
+  pruned copy), the l1 metric is a sum of nonnegative terms: the
+  coordinate gaps weighted by one adjoint sweep on the tape of the larger
+  vector, so no two path norms are subtracted;
 * upper bounds  -- closed-form bounds on normalized parameters, either the
   coarse width/depth formula or a refined per-neuron version whose path
   maximum is computed by a longest-path dynamic program (no enumeration).
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import run
+from .engine import gradient, run
 from .errors import DominanceUnverified, NonFiniteValue, PathExplosion, PathliftError, RaggedLayers
 from .graph import Architecture, ParamVector, _check_bound
 from .paths import max_path_length, path_lifting
@@ -96,25 +98,37 @@ def path_metric_exact_dominated(
     |theta| >= |theta'| with matching signs coordinatewise (which forces it
     path by path) or, at enumeration scale, by the same test on the two
     liftings.  Raises DominanceUnverified when neither direction can be
-    certified.
+    certified.  Only the lifting route subtracts the two path norms.
     """
     pair = _dominating(t1, t2, t1.vec, t2.vec)
-    if pair is None:
-        try:
-            pair = _dominating(t1, t2, path_lifting(arch, t1, cap=cap).values,
-                               path_lifting(arch, t2, cap=cap).values)
-        except PathExplosion as exc:
-            raise DominanceUnverified("neither parameter vector dominates with matching signs "
-                                      "and the liftings are too large to compare") from exc
+    if pair is not None:
+        return _dominated_gap(arch, *pair)
+    try:
+        pair = _dominating(t1, t2, path_lifting(arch, t1, cap=cap).values,
+                           path_lifting(arch, t2, cap=cap).values)
+    except PathExplosion as exc:
+        raise DominanceUnverified("neither parameter vector dominates with matching signs "
+                                  "and the liftings are too large to compare") from exc
     if pair is None:
         raise DominanceUnverified("neither path lifting dominates the other with matching signs")
     return path_norm_fast(arch, pair[0]) - path_norm_fast(arch, pair[1])
 
 
+def _dominated_gap(arch: Architecture, big: ParamVector, small: ParamVector) -> float:
+    """Sum over paths of |phi_p(big)| - |phi_p(small)|, telescoped into
+    sum_i (|big_i| - |small_i|) * G_i >= 0: G is the gradient of the sum-pool
+    pass of |small| on the tape of |big| (the |big| products before i times
+    the |small| ones after).  The tape is 0 at a relu neuron only where every
+    |big| product reaching it is, so its masks drop no nonzero term."""
+    t, vals = _sum_pool_tape(arch, big)
+    b = np.abs(small.vec)
+    g = gradient(arch, ParamVector(arch, b), vals, None, np.ones((arch.d_out, 1)))
+    return float((t.vec - b) @ g)
+
+
 def graph_width(arch: Architecture) -> int:
     """max(number of outputs, largest antecedent count)."""
-    fan_in = max((arch.ant[j].size for j in range(arch.n_neurons)), default=0)
-    return max(arch.d_out, fan_in)
+    return max(arch.d_out, int(np.diff(arch.in_ptr).max(initial=0)))
 
 
 def path_metric_upper(
@@ -164,22 +178,17 @@ def _discrepancy_sums(arch: Architecture, d: np.ndarray):
     edge, and no step per depth level (a 3,000-deep chain stays cheap).
     """
     n = arch.n_neurons
-    fan = np.fromiter(map(len, arch.ant), dtype=np.int64, count=n)
-    has = fan > 0  # the non-input neurons
-    ends = np.cumsum(fan)
+    has = ~arch.is_input  # the neurons with antecedents
     delta = np.zeros(n)
     if arch.n_edges:
-        delta[has] = d[arch.bias_coord[has]] + np.add.reduceat(d[: arch.n_edges], (ends - fan)[has])
-    src = np.concatenate([np.zeros(0, dtype=np.int64), *arch.ant]).tolist()
+        delta[has] = d[arch.bias_coord[has]] + np.add.reduceat(d[: arch.n_edges], arch.in_ptr[:-1][has])
+    src, ptr = arch.src.tolist(), arch.in_ptr.tolist()
     disc = delta.tolist()
     best = [0.0] * n  # largest discrepancy sum over a path ending at each neuron
     ant_best = [0.0] * n  # largest best over each neuron's antecedents
-    lo = 0
-    for j, hi in enumerate(ends.tolist()):
-        if hi > lo:
-            ant_best[j] = top = max(map(best.__getitem__, src[lo:hi]))
-            best[j] = disc[j] + top
-        lo = hi
+    for j in arch.non_input_pos.tolist():
+        ant_best[j] = top = max(map(best.__getitem__, src[ptr[j] : ptr[j + 1]]))
+        best[j] = disc[j] + top
     out = arch.output_pos[has[arch.output_pos]]
     return float(np.sum(delta[out])), max(map(ant_best.__getitem__, out.tolist()), default=0.0)
 

@@ -58,15 +58,14 @@ def _list(keys: tuple, columns: list) -> str:
 
 def save_network(fp, arch: Architecture, theta: ParamVector) -> None:
     enc = list(map(_encode, arch.ids))
-    enc_of = dict(zip(arch.ids, enc))
     acts = [
         _KPOOL(int.__repr__(tag[1])) if isinstance(tag, tuple) else _encode(tag)
         for tag in arch.tags
     ]
     vec = theta.vec.tolist()
     edges = [
-        list(map(enc_of.__getitem__, map(itemgetter(0), arch.edges))),
-        list(map(enc_of.__getitem__, map(itemgetter(1), arch.edges))),
+        list(map(enc.__getitem__, arch.src.tolist())),
+        list(map(enc.__getitem__, arch.dst.tolist())),
         list(map(float.__repr__, vec[: arch.n_edges])),
     ]
     biases = [f"{enc[j]}: {float.__repr__(vec[arch.bias_coord[j]])}" for j in arch.non_input_pos]

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import activations, schedule
+from .engine import activations
 from .errors import DimensionMismatch, PathExplosion
 from .graph import Architecture, ParamVector, _check_bound
 
@@ -53,9 +53,10 @@ def count_paths(arch: Architecture, end=None) -> int:
 
     Linear-time dynamic program: c(v) = 1 + sum of c(u) over antecedents.
     """
+    src, ptr = arch.src.tolist(), arch.in_ptr.tolist()
     counts = []
-    for ant in arch.ant:
-        counts.append(1 + sum(map(counts.__getitem__, ant.tolist())))
+    for lo, hi in zip(ptr, ptr[1:]):
+        counts.append(1 + sum(map(counts.__getitem__, src[lo:hi])))
     if end is not None:
         return counts[arch.position(end)]
     return sum(map(counts.__getitem__, arch.output_pos.tolist()))
@@ -63,8 +64,8 @@ def count_paths(arch: Architecture, end=None) -> int:
 
 def max_path_length(arch: Architecture) -> int:
     """Maximum number of edges over all paths ending at an output neuron: the
-    schedule's level count, since a longest path extends to an output."""
-    return len(schedule(arch).levels)
+    largest depth, since a longest path extends to an output."""
+    return int(arch.depth.max(initial=0))
 
 
 class _PathTable(NamedTuple):
@@ -78,12 +79,8 @@ class _PathTable(NamedTuple):
 def _build_table(arch: Architecture, ends: np.ndarray) -> _PathTable:
     """Every path ending at one of ``ends``, in canonical order."""
     sentinel = arch.n_coords
-    fan = np.array([a.size for a in arch.ant], dtype=np.int64)
-    first = np.cumsum(fan) - fan
-    src = np.concatenate([np.zeros(0, dtype=np.int64), *arch.ant])
-    coord = np.concatenate([np.zeros(0, dtype=np.int64), *arch.in_coords])
-    dst = np.full(sentinel + 1, -1, dtype=np.int32)  # -1 at the sentinel
-    dst[coord] = np.repeat(np.arange(arch.n_neurons), fan)
+    fan, first, src = np.diff(arch.in_ptr), arch.in_ptr[:-1], arch.src
+    dst = np.r_[arch.dst, np.full(sentinel + 1 - arch.n_edges, -1)]  # -1 at the sentinel
 
     # step s prepends an edge to each path of step s - 1, once per antecedent
     # of its start; ``steps`` keeps the parent and the new edge of each path
@@ -94,7 +91,7 @@ def _build_table(arch: Architecture, ends: np.ndarray) -> _PathTable:
         slot = np.arange(parent.size) + np.repeat(first[heads[-1]] - np.cumsum(n_new) + n_new, n_new)
         heads.append(src[slot])
         tails.append(tails[-1][parent])
-        steps.append((parent, coord[slot]))
+        steps.append((parent, slot))
 
     offsets = np.cumsum([0] + [h.size for h in heads])
     rows = np.full((offsets[-1], len(heads)), sentinel, dtype=np.int32)
@@ -141,9 +138,9 @@ def _row_products(arch: Architecture, vec: np.ndarray, rows: np.ndarray) -> np.n
 
 def _id_tuples(arch: Architecture, table: _PathTable) -> list:
     """The table's paths as tuples of neuron ids."""
-    heads = np.array(arch.ids, dtype=object)[table.start, None]
-    dst = np.array([v for _, v in arch.edges] + [None] * (arch.n_coords + 1 - arch.n_edges), dtype=object)
-    nodes = np.concatenate([heads, dst[table.rows[:, 1:]]], axis=1).tolist()
+    ids = np.array(arch.ids + (None,), dtype=object)  # None past the last edge
+    dst = np.r_[arch.dst, np.full(arch.n_coords + 1 - arch.n_edges, arch.n_neurons)]
+    nodes = np.concatenate([ids[table.start, None], ids[dst[table.rows[:, 1:]]]], axis=1).tolist()
     lengths = 1 + (table.rows[:, 1:] != arch.n_coords).sum(axis=1)
     return [tuple(r[:k]) for r, k in zip(nodes, lengths.tolist())]
 

@@ -15,20 +15,14 @@ from typing import Mapping
 import numpy as np
 
 from .errors import IneligibleNeuron, NonPositiveFactor, ParseError
-from .graph import INPUT, KPOOL, Architecture, ParamVector, _check_bound
+from .graph import KPOOL, Architecture, ParamVector, _check_bound
 
 
-def hidden_positions(arch: Architecture, include_kpool: bool = True):
+def hidden_positions(arch: Architecture, include_kpool: bool = True) -> np.ndarray:
     """Topological positions of rescalable neurons (non-input, non-output)."""
-    out = set(int(j) for j in arch.output_pos)
-    pos = []
-    for j in range(arch.n_neurons):
-        if arch.kinds[j] == INPUT or j in out:
-            continue
-        if arch.kinds[j] == KPOOL and not include_kpool:
-            continue
-        pos.append(j)
-    return pos
+    keep = ~arch.is_input & (include_kpool | (arch.kinds != KPOOL))
+    keep[arch.output_pos] = False
+    return np.flatnonzero(keep)
 
 
 def rescale(arch: Architecture, theta: ParamVector, factors: Mapping) -> ParamVector:
@@ -38,22 +32,20 @@ def rescale(arch: Architecture, theta: ParamVector, factors: Mapping) -> ParamVe
     not mentioned keep factor 1.  Inputs and outputs cannot be rescaled.
     """
     _check_bound(arch, theta)
-    out = set(int(j) for j in arch.output_pos)
+    out = set(arch.output_pos.tolist())
     lam = np.ones(arch.n_neurons)
     for nid, f in factors.items():
         j = arch.position(nid)
-        if arch.kinds[j] == INPUT or j in out:
+        if arch.is_input[j] or j in out:
             raise IneligibleNeuron(f"{nid} is an input or output neuron")
         f = float(f)
         if not (f > 0.0) or not math.isfinite(f):
             raise NonPositiveFactor(f"factor for {nid} must be finite and > 0, got {f}")
         lam[j] = f
     v = theta.vec.copy()
-    for i, (u, w) in enumerate(arch.edges):
-        v[i] *= lam[arch.pos[w]] / lam[arch.pos[u]]
-    for j in range(arch.n_neurons):
-        if arch.bias_coord[j] >= 0:
-            v[arch.bias_coord[j]] *= lam[j]
+    m = arch.n_edges
+    v[:m] *= lam[arch.dst] / lam[arch.src]
+    v[m:] *= lam[arch.non_input_pos]
     return ParamVector(arch, v)
 
 
@@ -89,11 +81,13 @@ def random_rescaling(arch: Architecture, seed, preset: str = "pow2_factors") -> 
 def normalize(arch: Architecture, theta: ParamVector, include_kpool: bool = False) -> ParamVector:
     """Pick the canonical representative of theta's rescaling orbit.
 
-    Sweeps hidden neurons in topological order; at each one divides the
-    incoming weights and bias by their l1 norm (when nonzero) and multiplies
-    the outgoing weights by it.  Afterwards every visited neuron has
-    incoming l1 norm 0 or 1, the path lifting is unchanged, and running the
-    map again is a no-op.
+    Sweeps hidden neurons in topological order, dividing each one's incoming
+    weights and bias by their l1 norm lambda (when nonzero) and multiplying
+    its outgoing weights by it.  Neurons of one depth level never feed each
+    other, so each level's lambdas are one segment sum; every weight is then
+    multiplied by its source's lambda and divided by its destination's.
+    Afterwards every visited neuron has incoming l1 norm 0 or 1, the path
+    lifting is unchanged, and running the map again is a no-op.
 
     kpool neurons are skipped by default so that pooling windows keep their
     native scale; pass include_kpool=True to normalize them as well (pooling
@@ -101,12 +95,18 @@ def normalize(arch: Architecture, theta: ParamVector, include_kpool: bool = Fals
     """
     _check_bound(arch, theta)
     v = theta.vec.copy()
-    for j in hidden_positions(arch, include_kpool=include_kpool):
-        cin = arch.in_coords[j]
-        b = arch.bias_coord[j]
-        lam = np.abs(v[cin]).sum() + abs(v[b])
-        if lam > 0.0:
-            v[cin] /= lam
-            v[b] /= lam
-            v[arch.out_coords[j]] *= lam
+    src, lam = arch.src, np.ones(arch.n_neurons)
+    rows = hidden_positions(arch, include_kpool=include_kpool)
+    rows = rows[np.argsort(arch.depth[rows], kind="stable")]  # level by level
+    fan = arch.in_ptr[rows + 1] - arch.in_ptr[rows]
+    seg = np.r_[0, np.cumsum(fan)]  # rows[r]'s incoming edges: edges[seg[r]:seg[r + 1]]
+    edges = np.arange(seg[-1]) + np.repeat(arch.in_ptr[rows] - seg[:-1], fan)
+    cuts = np.flatnonzero(np.diff(arch.depth[rows], prepend=-1, append=-1)).tolist()
+    for a, b in zip(cuts, cuts[1:]):  # one depth level: rows[a:b]
+        e, r = edges[seg[a] : seg[b]], rows[a:b]
+        norm = np.add.reduceat(np.abs(v[e] * lam[src[e]]), seg[a:b] - seg[a])
+        norm += np.abs(v[arch.bias_coord[r]])
+        lam[r] = np.where(norm > 0.0, norm, 1.0)
+    v[: arch.n_edges] = v[: arch.n_edges] * lam[src] / lam[arch.dst]
+    v[arch.bias_coord[rows]] /= lam[rows]
     return ParamVector(arch, v)

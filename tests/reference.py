@@ -2,9 +2,10 @@
 
 These are the loops the package ran before the compiled level schedule
 (``pathlift.engine``), the path table (``pathlift.paths``), the array-built
-``Architecture``, the bulk network-file writer and the vectorized refined
-path-metric bound replaced them.  They are kept here, deliberately plain, as
-the oracles that the package is compared against.
+``Architecture``, the bulk network-file writer, the vectorized refined
+path-metric bound and the level-wise ``normalize``/``rescale`` replaced
+them.  They are kept here, deliberately plain, as the oracles that the
+package is compared against.
 """
 
 import heapq
@@ -29,10 +30,24 @@ from pathlift.graph import (
     KPOOL,
     RELU,
     Architecture,
+    ParamVector,
     _normalize_tag,
 )
 from pathlift.metrics import path_norm_fast
 from pathlift.transforms import normalize
+
+
+def neuron_lists(arch):
+    """Per neuron position, sliced from the architecture's CSR layout: the
+    antecedent positions (runs of ``src`` between ``in_ptr`` entries), the
+    incoming edge coordinates (the same runs of coordinates) and the
+    outgoing edge coordinates (runs of ``out_perm``, one per source)."""
+    ptr = arch.in_ptr.tolist()
+    out_ptr = np.r_[0, np.cumsum(np.bincount(arch.src, minlength=arch.n_neurons))].tolist()
+    ant = [arch.src[a:b] for a, b in zip(ptr, ptr[1:])]
+    in_coords = [np.arange(a, b) for a, b in zip(ptr, ptr[1:])]
+    out_coords = [arch.out_perm[a:b] for a, b in zip(out_ptr, out_ptr[1:])]
+    return ant, in_coords, out_coords
 
 
 def reference_values(arch, theta, x, sum_pools=False):
@@ -41,11 +56,12 @@ def reference_values(arch, theta, x, sum_pools=False):
     kpool neuron is the sum of its contributions and the winners are None."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     vec = theta.vec
+    ant, in_coords, _ = neuron_lists(arch)
     vals = np.zeros((arch.n_neurons, x.shape[0]))
     vals[arch.input_pos] = x.T
     winners = {}
     for j in arch.non_input_pos:
-        contrib = vec[arch.in_coords[j]][:, None] * vals[arch.ant[j]]
+        contrib = vec[in_coords[j]][:, None] * vals[ant[j]]
         kind = arch.kinds[j]
         if kind == KPOOL and sum_pools:
             vals[j] = contrib.sum(axis=0)
@@ -69,24 +85,25 @@ def reference_gradient(arch, theta, vals, winners, out_adjoint):
     adj = np.zeros((arch.n_neurons, nb))
     adj[arch.output_pos] = out_adjoint
     grad = np.zeros(arch.n_coords)
+    ants, in_coords, _ = neuron_lists(arch)
     for j in arch.non_input_pos[::-1]:
         g = adj[j]
         kind = arch.kinds[j]
-        ant = arch.ant[j]
-        w = vec[arch.in_coords[j]]
+        ant, cin = ants[j], in_coords[j]
+        w = vec[cin]
         if kind == KPOOL and winners is None:
-            grad[arch.in_coords[j]] += vals[ant] @ g
+            grad[cin] += vals[ant] @ g
             adj[ant] += w[:, None] * g[None, :]
         elif kind == KPOOL:
             sel = winners[int(j)]
             gm = (sel[None, :] == np.arange(ant.size)[:, None]) * g[None, :]
-            grad[arch.in_coords[j]] += (vals[ant] * gm).sum(axis=1)
+            grad[cin] += (vals[ant] * gm).sum(axis=1)
             adj[ant] += w[:, None] * gm
         else:
             if kind == RELU:
                 g = g * (vals[j] > 0.0)
             grad[arch.bias_coord[j]] += g.sum()
-            grad[arch.in_coords[j]] += vals[ant] @ g
+            grad[cin] += vals[ant] @ g
             adj[ant] += w[:, None] * g[None, :]
     return grad
 
@@ -100,23 +117,25 @@ def reference_gradient(arch, theta, vals, winners, out_adjoint):
 def reference_count_paths(arch):
     """Paths ending at output neurons: c(v) = 1 + sum of c(u) over
     antecedents, one generator step per edge."""
+    ant = neuron_lists(arch)[0]
     counts = [0] * arch.n_neurons
     for j in range(arch.n_neurons):
-        counts[j] = 1 + sum(counts[int(a)] for a in arch.ant[j])
+        counts[j] = 1 + sum(counts[int(a)] for a in ant[j])
     return sum(counts[int(j)] for j in arch.output_pos)
 
 
-def _ending_at(arch, j):
+def _ending_at(ant, j):
     yield (j,)
-    for a in arch.ant[j]:
-        for p in _ending_at(arch, int(a)):
+    for a in ant[j]:
+        for p in _ending_at(ant, int(a)):
             yield p + (j,)
 
 
 def reference_positions(arch, end=None):
     """Paths as tuples of topological positions, in canonical order."""
+    ant = neuron_lists(arch)[0]
     ends = [int(j) for j in arch.output_pos] if end is None else [arch.position(end)]
-    return [p for j in ends for p in sorted(_ending_at(arch, j))]
+    return [p for j in ends for p in sorted(_ending_at(ant, j))]
 
 
 def _edge(arch, u, v):
@@ -295,6 +314,18 @@ class ReferenceArchitecture(Architecture):
                 np.asarray([self.edge_index[(nid, self.ids[s])] for s in sj], dtype=np.int64)
             )
 
+        # the CSR layout, one edge at a time
+        self.src = np.array([self.pos[u] for u, _ in canon_edges], dtype=np.int64)
+        self.dst = np.array([self.pos[v] for _, v in canon_edges], dtype=np.int64)
+        self.in_ptr = np.cumsum([0] + [len(ants[nid]) for nid in order], dtype=np.int64)
+        self.out_perm = np.array(
+            sorted(range(self.n_edges), key=lambda i: (self.src[i], self.dst[i])), dtype=np.int64
+        )
+        self.depth = np.zeros(n, dtype=np.int64)
+        for j, nid in enumerate(order):
+            if ants[nid]:
+                self.depth[j] = 1 + max(self.depth[self.pos[u]] for u in ants[nid])
+
         labels = [f"{u}->{v}" for u, v in canon_edges]
         labels += [f"bias({self.ids[j]})" for j in range(n) if self.bias_coord[j] >= 0]
         self.coord_labels: tuple = tuple(labels)
@@ -331,20 +362,21 @@ def reference_save(fh, arch, theta):
 def reference_refined_parts(arch, d):
     """Per-coordinate discrepancies ``d`` -> (sum of the output neurons'
     discrepancies, largest interior discrepancy sum over any path)."""
+    ant, in_coords, _ = neuron_lists(arch)
     delta = np.zeros(arch.n_neurons)
     for j in arch.non_input_pos:
-        delta[j] = d[arch.bias_coord[j]] + d[arch.in_coords[j]].sum()
+        delta[j] = d[arch.bias_coord[j]] + d[in_coords[j]].sum()
     best = np.zeros(arch.n_neurons)
     for j in range(arch.n_neurons):
-        if arch.ant[j].size:
-            best[j] = delta[j] + max(best[int(a)] for a in arch.ant[j])
+        if ant[j].size:
+            best[j] = delta[j] + max(best[int(a)] for a in ant[j])
     interior_max = 0.0
     out_sum = 0.0
     for j in arch.output_pos:
         if arch.kinds[j] == INPUT:
             continue
         out_sum += delta[j]
-        for a in arch.ant[j]:
+        for a in ant[j]:
             interior_max = max(interior_max, best[int(a)])
     return out_sum, interior_max
 
@@ -356,3 +388,40 @@ def reference_upper_refined(arch, t1, t2, q=1.0):
     minq = min(path_norm_fast(arch, t1, q), path_norm_fast(arch, t2, q))
     out_sum, interior_max = reference_refined_parts(arch, np.abs(n1.vec - n2.vec) ** q)
     return float((out_sum + minq * interior_max) ** (1.0 / q))
+
+
+# ---- rescaling and normalization: one Python step per edge or per neuron -----
+
+
+def reference_rescale(arch, theta, factors):
+    """``rescale`` edge by edge, then bias by bias (no eligibility checks)."""
+    lam = np.ones(arch.n_neurons)
+    for nid, f in factors.items():
+        lam[arch.position(nid)] = float(f)
+    v = theta.vec.copy()
+    for i, (u, w) in enumerate(arch.edges):
+        v[i] *= lam[arch.pos[w]] / lam[arch.pos[u]]
+    for j in range(arch.n_neurons):
+        if arch.bias_coord[j] >= 0:
+            v[arch.bias_coord[j]] *= lam[j]
+    return ParamVector(arch, v)
+
+
+def reference_normalize(arch, theta, include_kpool=False):
+    """``normalize`` neuron by neuron in topological order: divide the
+    incoming weights and bias by their l1 norm (when nonzero) and multiply
+    the outgoing weights by it."""
+    _, in_coords, out_coords = neuron_lists(arch)
+    outputs = set(arch.output_pos.tolist())
+    v = theta.vec.copy()
+    for j in range(arch.n_neurons):
+        if arch.kinds[j] == INPUT or j in outputs or (arch.kinds[j] == KPOOL and not include_kpool):
+            continue
+        cin = in_coords[j]
+        b = arch.bias_coord[j]
+        lam = np.abs(v[cin]).sum() + abs(v[b])
+        if lam > 0.0:
+            v[cin] /= lam
+            v[b] /= lam
+            v[out_coords[j]] *= lam
+    return ParamVector(arch, v)

@@ -18,6 +18,7 @@ from pathlift.metrics import path_norm_fast
 from pathlift.transforms import random_rescaling, rescale
 
 from conftest import pool_arch, pool_theta, random_cases
+from reference import neuron_lists
 
 
 def _relu_margin(arch, theta, x):
@@ -25,11 +26,12 @@ def _relu_margin(arch, theta, x):
     only trustworthy when every kink is at least eps away."""
     post = neuron_values(arch, theta, x)
     vec = theta.vec
+    ant, in_coords, _ = neuron_lists(arch)
     margin = np.inf
     for j in arch.non_input_pos:
         if arch.kinds[j] != RELU:
             continue
-        pre = vec[arch.bias_coord[j]] + float(vec[arch.in_coords[j]] @ post[arch.ant[j]])
+        pre = vec[arch.bias_coord[j]] + float(vec[in_coords[j]] @ post[ant[j]])
         margin = min(margin, abs(pre))
     return margin
 

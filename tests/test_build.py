@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pathlift import Architecture, ArchitectureError, conv_grid_architecture, mlp_architecture, random_dag
-from reference import ReferenceArchitecture
+from reference import ReferenceArchitecture, neuron_lists
 
 
 def _assert_same(got, want, name):
@@ -28,11 +28,21 @@ def _public(arch):
     return {k: v for k, v in vars(arch).items() if not k.startswith("_")}
 
 
+def _assert_all_alike(got, want):
+    """Every attribute the reference builds, read from ``got`` by getattr,
+    so views built on first access are compared too; the per-neuron lists
+    the reference keeps are compared with those sliced from ``got``'s CSR
+    arrays."""
+    lists = dict(zip(("ant", "in_coords", "out_coords"), neuron_lists(got)))
+    for name, value in _public(want).items():
+        _assert_same(lists[name] if name in lists else getattr(got, name), value, name)
+
+
 def _assert_builds_alike(neurons, edges):
-    got, want = _public(Architecture(neurons, edges)), _public(ReferenceArchitecture(neurons, edges))
-    assert got.keys() == want.keys()
-    for name in want:
-        _assert_same(got[name], want[name], name)
+    got, want = Architecture(neurons, edges), ReferenceArchitecture(neurons, edges)
+    # whatever the constructor sets is among what the comparison checks
+    assert _public(got).keys() <= _public(want).keys()
+    _assert_all_alike(got, want)
 
 
 def _shuffled(arch, rng):
@@ -168,9 +178,23 @@ def test_build_errors_match_reference_on_mutated_corpus():
             assert str(got.value) == str(exc)
             seen.add(type(exc).__name__)
         else:
-            for name, value in _public(want).items():
-                _assert_same(getattr(Architecture(neurons, edges), name), value, name)
+            _assert_all_alike(Architecture(neurons, edges), want)
     assert seen >= {
         "ArchitectureError", "BadPoolArity", "CycleDetected", "DanglingEdge",
         "DuplicateDeclaration", "NonIdentityOutput",
     }
+
+
+def test_build_matches_reference_with_ids_against_the_topological_order():
+    # random ids make edges run down the id order too, so Kahn's heap runs
+    # instead of the shortcut taken when every edge runs up the id order
+    against = 0
+    for child in np.random.SeedSequence(31).spawn(60):
+        rng = np.random.default_rng(child)
+        arch = random_dag(rng, max_layers=5, max_width=6, p_skip=0.5, p_kpool=0.4)
+        name = dict(zip(arch.ids, (f"v{i:03d}" for i in rng.permutation(arch.n_neurons))))
+        neurons = [(name[nid], tag) for nid, tag in arch.neuron_decls()]
+        edges = [(name[u], name[v]) for u, v in arch.edges]
+        against += any(u > v for u, v in edges)
+        _assert_builds_alike(*_shuffled(Architecture(neurons, edges), rng))
+    assert against >= 50

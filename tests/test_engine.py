@@ -14,20 +14,21 @@ from pathlift.builders import (
 )
 from pathlift.autodiff import grad_path_norm
 from pathlift.engine import gradient, run
-from pathlift.graph import IDENTITY, KPOOL, RELU, ParamVector, forward, neuron_values, pool_selections
+from pathlift.graph import IDENTITY, KPOOL, RELU, ParamVector, forward, neuron_values
 from pathlift.metrics import path_norm_fast
 from pathlift.paths import enumerate_paths, max_path_length, path_lifting
 
 from conftest import pool_arch, pool_theta
-from reference import reference_gradient, reference_values
+from reference import neuron_lists, reference_gradient, reference_values
 
 RTOL = 1e-12
 
 
 def _depths(arch):
+    ant = neuron_lists(arch)[0]
     depth = np.zeros(arch.n_neurons, dtype=np.int64)
     for j in arch.non_input_pos:
-        depth[j] = 1 + depth[arch.ant[j]].max()
+        depth[j] = 1 + depth[ant[j]].max()
     return depth
 
 
@@ -77,8 +78,9 @@ def _compare(arch, theta, x, rng, sum_pools=False):
         reference_gradient(arch, theta, ref_vals, ref_win, out_adj),
     )
     ties = 0
+    ant, in_coords, _ = neuron_lists(arch)
     for j in ref_win or {}:
-        contrib = theta.vec[arch.in_coords[j]][:, None] * ref_vals[arch.ant[j]]
+        contrib = theta.vec[in_coords[j]][:, None] * ref_vals[ant[j]]
         ties += int(np.sum(np.sum(contrib == ref_vals[j][None, :], axis=0) > 1))
     return ties
 
@@ -94,8 +96,9 @@ def test_engine_matches_reference_on_random_dags(batch):
         for d in np.unique(depth):
             kinds = set(arch.kinds[depth == d].tolist())
             seen["mixed_level"] |= {IDENTITY, RELU, KPOOL} <= kinds
+        ant = neuron_lists(arch)[0]
         for j in arch.non_input_pos:
-            seen["skip_edge"] |= bool(np.any(depth[arch.ant[j]] < depth[j] - 1))
+            seen["skip_edge"] |= bool(np.any(depth[ant[j]] < depth[j] - 1))
     assert all(seen.values()), seen
     assert ties > 0, "the corpus must exercise exact pool ties"
 
@@ -144,8 +147,9 @@ def test_public_wrappers_match_reference():
         x = _inputs(arch, exact, rng, 1)[0]
         ref_vals, ref_win = reference_values(arch, theta, x)
         _assert_close(neuron_values(arch, theta, x), ref_vals[:, 0])
-        assert pool_selections(arch, theta, x) == {
-            j: int(arch.ant[j][slots[0]]) for j, slots in ref_win.items()
+        _, win = run(arch, theta, x)
+        assert {int(j): int(win[j, 0]) for j in np.flatnonzero(arch.kinds == KPOOL)} == {
+            j: int(slots[0]) for j, slots in ref_win.items()
         }
 
 

@@ -1,10 +1,13 @@
 """Architecture validation and forward evaluation."""
 
+import re
+
 import numpy as np
 import pytest
 
 from pathlift import (
     Architecture,
+    ArchitectureError,
     BadPoolArity,
     CycleDetected,
     DanglingEdge,
@@ -13,8 +16,15 @@ from pathlift import (
     NonIdentityOutput,
     ParamVector,
     UnknownNeuron,
+    conv_grid_architecture,
     forward,
+    load_network,
     neuron_values,
+    path_metric_upper,
+    path_norm_fast,
+    random_params,
+    same_sign_partner,
+    save_network,
 )
 from conftest import diamond_arch, diamond_theta, pool_arch, pool_theta, random_cases
 
@@ -176,3 +186,46 @@ def test_forward_matches_trace_on_corpus():
         out, values = forward(arch, theta, x, trace=True)
         assert len(values) == arch.n_neurons
         np.testing.assert_allclose(out, [values[v] for v in arch.output_ids])
+
+
+@pytest.mark.parametrize(
+    "neurons, edges, entry",
+    [
+        ([("a", "input"), ("b", "identity")], [("a", "b", "c")], "edge entry ('a', 'b', 'c')"),
+        ([("a", "input"), ("b", "identity")], [("a",)], "edge entry ('a',)"),
+        ([("a", "input"), ("b", "identity")], [1], "edge entry 1:"),
+        ([("a", "input"), ("b", "identity")], ["ab"], "edge entry 'ab'"),
+        ([("a", "input", "x"), ("b", "identity")], [("a", "b")], "neuron entry ('a', 'input', 'x')"),
+    ],
+    ids=["edge triple", "edge single", "edge int", "edge string", "neuron triple"],
+)
+def test_malformed_declarations_are_architecture_errors(neurons, edges, entry):
+    with pytest.raises(ArchitectureError, match=re.escape(entry)):
+        Architecture(neurons, edges)
+
+
+def test_equality_compares_edges():
+    neurons = [("a", "input"), ("b", "input"), ("h", "relu"), ("out", "identity")]
+    edges = [("a", "h"), ("b", "h"), ("h", "out"), ("a", "out")]
+    one = Architecture(neurons, edges)
+    assert one == Architecture(neurons[::-1], edges[::-1])
+    assert one != Architecture(neurons, edges[:3] + [("b", "out")])
+
+
+def test_id_views_are_built_on_first_access(tmp_path):
+    # loading a network file and running the forward pass, the path norm and
+    # the refined bound reads no id view of the architecture
+    arch = conv_grid_architecture(side=6, channels=(2, 3), d_out=3)
+    rng = np.random.default_rng(3)
+    theta = random_params(arch, rng)
+    save_network(tmp_path / "net.json", arch, theta)
+    save_network(tmp_path / "other.json", arch, same_sign_partner(theta, rng))
+    loaded, t1 = load_network(tmp_path / "net.json")
+    other, t2 = load_network(tmp_path / "other.json")
+    assert other == loaded
+    forward(loaded, t1, rng.normal(size=loaded.d_in))
+    path_norm_fast(loaded, t1)
+    path_metric_upper(loaded, t1, t2, refined=True)
+    assert not {"edges", "edge_index", "coord_labels"} & vars(loaded).keys()
+    assert loaded.edges == arch.edges and loaded.coord_labels == arch.coord_labels
+    assert {"edges", "coord_labels"} <= vars(loaded).keys()

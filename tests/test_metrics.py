@@ -148,6 +148,43 @@ def test_q_must_be_finite_and_positive(diamond, q):
         path_norm_fast(arch, theta, q=q)
 
 
+def test_exact_dominated_has_no_cancellation():
+    # path norm about 8e8: subtracting the two path norms lost about 5e-4
+    # of this metric, which is one bias path's gap
+    arch = mlp_architecture((2, 8, 8, 8, 2))
+    theta = ParamVector(arch, 30 * np.random.default_rng(0).normal(size=arch.n_coords))
+    v = theta.vec.copy()
+    v[arch.bias_coord[arch.output_pos[0]]] *= 0.999999
+    other = ParamVector(arch, v)
+    want = path_metric_oracle(arch, theta, other)
+    assert path_metric_exact_dominated(arch, theta, other) == want
+    assert path_metric_exact_dominated(arch, other, theta) == want
+
+
+def test_exact_dominated_counts_paths_through_neurons_pruning_kills():
+    # pruning in->h leaves h at 0 on the smaller side; the path in->h->out
+    # still has gap 1, and h's outgoing edge must carry it
+    arch = Architecture(
+        [("in", "input"), ("h", "relu"), ("out", "identity")], [("in", "h"), ("h", "out")]
+    )
+    theta = ParamVector(arch, [1.0, 1.0, 0.0, 0.0])
+    pruned = theta.replace({0: 0.0})
+    assert path_metric_oracle(arch, theta, pruned) == 1.0
+    assert path_metric_exact_dominated(arch, theta, pruned) == 1.0
+
+
+def test_exact_matches_oracle_on_shrunk_corpus():
+    # partners theta * U(0, 1) with a third of the coordinates zeroed
+    for arch, theta, rng in random_cases(100, seed=403, max_layers=5, max_width=6, p_kpool=0.4):
+        u = rng.uniform(size=arch.n_coords) * (rng.random(arch.n_coords) > 0.3)
+        other = theta.with_vec(theta.vec * u)
+        np.testing.assert_allclose(
+            path_metric_exact_dominated(arch, theta, other),
+            path_metric_oracle(arch, theta, other),
+            rtol=1e-12,
+        )
+
+
 def test_exact_matches_oracle_on_masked_corpus():
     for arch, theta, rng in random_cases(30, seed=402):
         keep = rng.random(arch.n_coords) > 0.3

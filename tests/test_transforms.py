@@ -9,15 +9,18 @@ from pathlift import (
     POW2_FACTORS,
     ParamVector,
     ParseError,
+    conv_grid_architecture,
     forward,
     hidden_positions,
     normalize,
     path_lifting,
     path_norm_fast,
+    random_params,
     random_rescaling,
     rescale,
 )
 from conftest import pool_arch, pool_theta, random_cases
+from reference import neuron_lists, reference_normalize, reference_rescale
 
 
 def test_rescale_diamond_values(diamond):
@@ -130,8 +133,9 @@ def test_normalize_idempotent_on_corpus():
 def test_normalize_unit_incoming_norms():
     for arch, theta, _ in random_cases(20, seed=304):
         out = normalize(arch, theta, include_kpool=True)
+        in_coords = neuron_lists(arch)[1]
         for j in hidden_positions(arch):
-            incoming = np.abs(out.vec[arch.in_coords[j]]).sum()
+            incoming = np.abs(out.vec[in_coords[j]]).sum()
             if arch.bias_coord[j] >= 0:
                 incoming += abs(out.vec[arch.bias_coord[j]])
             assert incoming == pytest.approx(1.0) or incoming == 0.0
@@ -174,3 +178,41 @@ def test_hidden_positions(diamond, pool_net):
     parch, _ = pool_net
     assert [parch.ids[j] for j in hidden_positions(parch)] == ["m"]
     assert list(hidden_positions(parch, include_kpool=False)) == []
+
+
+def _level_corpus():
+    """Random DAGs with pools and skip edges; half of them with 40% of the
+    coordinates zeroed, which leaves some neurons with no incoming mass."""
+    kw = dict(max_layers=5, max_width=6, p_skip=0.5, p_kpool=0.4)
+    return random_cases(40, seed=306, **kw) + random_cases(40, seed=307, zero_frac=0.4, **kw)
+
+
+def test_normalize_matches_reference_loop():
+    seen = {"pool": False, "skip": False, "dead": False}
+    for arch, theta, _ in _level_corpus():
+        ant, in_coords, _ = neuron_lists(arch)
+        seen["pool"] |= bool(np.any(arch.pool_k > 0))
+        seen["skip"] |= bool(np.any(arch.depth[arch.src] < arch.depth[arch.dst] - 1))
+        seen["dead"] |= any(
+            not np.any(theta.vec[in_coords[j]]) and theta.vec[arch.bias_coord[j]] == 0.0
+            for j in hidden_positions(arch)
+        )
+        for include_kpool in (False, True):
+            np.testing.assert_allclose(
+                normalize(arch, theta, include_kpool=include_kpool).vec,
+                reference_normalize(arch, theta, include_kpool=include_kpool).vec,
+                rtol=1e-13,
+                atol=0,
+            )
+    assert all(seen.values()), seen
+
+
+def test_rescale_matches_reference_loop_bit_for_bit():
+    cases = _level_corpus()
+    arch = conv_grid_architecture(side=6, channels=(2, 3), d_out=3)
+    cases.append((arch, random_params(arch, 8), np.random.default_rng(8)))
+    for arch, theta, rng in cases:
+        factors = random_rescaling(arch, rng, preset="log_uniform:1e3")
+        np.testing.assert_array_equal(
+            rescale(arch, theta, factors).vec, reference_rescale(arch, theta, factors).vec
+        )
