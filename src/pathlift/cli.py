@@ -8,6 +8,7 @@ numbers require an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -102,16 +103,12 @@ def _cmd_prune(args):
     method = {"autodiff": "autodiff", "diff": "pathnorm_diff", "brute": "bruteforce"}[args.method]
     data = _load_batch(args.data, arch, args.loss) if args.data else None
     if args.criterion == "pathmag":
-        scores = path_mag_scores(arch, theta, method=method)
+        score = lambda th: path_mag_scores(arch, th, method=method)
     elif args.criterion == "magnitude":
-        scores = baseline_scores(arch, theta, "magnitude")
+        score = lambda th: baseline_scores(arch, th, "magnitude")
     else:
-        scores = baseline_scores(
-            arch, theta, "obd_fd", data=data, loss=args.loss
-        )
-    rescore = None
-    if args.iterative and args.criterion == "pathmag":
-        rescore = lambda th: path_mag_scores(arch, th, method=method)
+        score = lambda th: baseline_scores(arch, th, "obd_fd", data=data, loss=args.loss)
+    scores = score(theta)
     pruned, mask = apply_prune(
         theta,
         scores,
@@ -119,7 +116,7 @@ def _cmd_prune(args):
         count=args.count,
         edges_only=not args.include_biases,
         iterative=args.iterative,
-        rescore=rescore,
+        rescore=score,
     )
     values = np.asarray(scores.values, dtype=np.float64).tolist()
     flags = ["" if keep else "yes" for keep in mask.keep.tolist()]
@@ -298,6 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n-test", type=int, default=500)
     q.add_argument("--prune-biases", action="store_true")
     q.set_defaults(fn=_cmd_experiment)
+    for parser in (p, *sub.choices.values()):  # argparse's own pattern reads "-5e-05" as an option
+        parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return p
 
 

@@ -45,7 +45,6 @@ class ExperimentConfig:
     criteria: tuple = ("pathmag", "magnitude")
     loss: str = "logistic"
     prune_biases: bool = False
-    obd_probes: int = 32
 
     def validated(self) -> "ExperimentConfig":
         if self.dataset not in ("two_gaussians", "xor"):
@@ -56,6 +55,9 @@ class ExperimentConfig:
             raise PathliftError(
                 f"rewind epoch {self.rewind_epoch} must lie in [0, {self.epochs})"
             )
+        for name in ("n_train", "n_test", "batch_size"):
+            if getattr(self, name) < 1:
+                raise PathliftError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0.0 <= self.prune_fraction < 1.0:
             raise InfeasibleAmount(f"prune fraction {self.prune_fraction} outside [0, 1)")
         bad = [c for c in self.criteria if c not in ("pathmag", "magnitude", "obd")]

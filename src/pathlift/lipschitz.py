@@ -25,8 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     DominanceUnverified,
     MixedZeroCoordinate,
+    NonFiniteValue,
     PathExplosion,
     PathliftError,
     SignConditionViolated,
@@ -45,18 +47,6 @@ def check_sign_condition(t1: ParamVector, t2: ParamVector) -> None:
     bad = np.flatnonzero(np.sign(t1.vec) * np.sign(t2.vec) < 0.0)
     if bad.size:
         raise SignConditionViolated([t1.arch.coord_labels[i] for i in bad])
-
-
-def _metric_l1(arch, t1, t2, cap):
-    """Best available l1 path metric: oracle, else dominance, else lower bound."""
-    try:
-        return path_metric_oracle(arch, t1, t2, cap=cap), "oracle", True
-    except PathExplosion:
-        pass
-    try:
-        return path_metric_exact_dominated(arch, t1, t2, cap=cap), "dominated", True
-    except DominanceUnverified:
-        return path_metric_lower(arch, t1, t2), "lower", False
 
 
 @dataclass(frozen=True)
@@ -78,53 +68,57 @@ class BoundReport:
         )
 
 
-def bound_rhs(
-    arch: Architecture,
-    t1: ParamVector,
-    t2: ParamVector,
-    x,
-    variant: str = "main",
-    cap=None,
-) -> float:
-    """Right-hand side of the chosen bound variant at input x.
+def _rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x, variant: str, cap):
+    """(right-hand side at x, metric route, whether the metric is certified).
 
-    Checks the sign condition first.  The split variant needs the lifting
-    blocks, hence path enumeration.
+    The main variant takes the best available l1 path metric: the oracle,
+    else the dominated value, else the norm-gap lower bound (uncertified).
+    The split variant needs the lifting blocks, hence path enumeration.
     """
     _check_bound(arch, t1)
     _check_bound(arch, t2)
     check_sign_condition(t1, t2)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if x.shape[0] != arch.d_in:
+        raise DimensionMismatch(f"input has {x.shape[0]} entries, the network has {arch.d_in} inputs")
+    if not np.isfinite(x).all():
+        raise NonFiniteValue("input holds NaN or infinite entries")
     xinf = float(np.abs(x).max())
     if variant == "main":
-        metric, _, _ = _metric_l1(arch, t1, t2, cap)
-        return max(xinf, 1.0) * metric
+        scale = max(xinf, 1.0)
+        try:
+            return scale * path_metric_oracle(arch, t1, t2, cap=cap), "oracle", True
+        except PathExplosion:
+            pass
+        try:
+            return scale * path_metric_exact_dominated(arch, t1, t2, cap=cap), "dominated", True
+        except DominanceUnverified:
+            return scale * path_metric_lower(arch, t1, t2), "lower", False
     if variant == "split":
         l1 = path_lifting(arch, t1, cap=cap)
         l2 = path_lifting(arch, t2, cap=cap)
         gap = np.abs(l1.values - l2.values)
-        return float(xinf * gap[l1.input_start].sum() + gap[~l1.input_start].sum())
+        return float(xinf * gap[l1.input_start].sum() + gap[~l1.input_start].sum()), "oracle", True
     raise PathliftError(f"unknown variant {variant!r}")
 
 
+def bound_rhs(
+    arch: Architecture, t1: ParamVector, t2: ParamVector, x, variant: str = "main", cap=None
+) -> float:
+    """Right-hand side of the chosen bound variant at input x.
+
+    Checks the sign condition and the length and finiteness of x first.
+    The split variant needs the lifting blocks, hence path enumeration.
+    """
+    return _rhs(arch, t1, t2, x, variant, cap)[0]
+
+
 def verify_bound(
-    arch: Architecture,
-    t1: ParamVector,
-    t2: ParamVector,
-    x,
-    variant: str = "main",
-    cap=None,
+    arch: Architecture, t1: ParamVector, t2: ParamVector, x, variant: str = "main", cap=None
 ) -> BoundReport:
     """Evaluate both sides of the bound on one (theta, theta', x) triple."""
-    check_sign_condition(t1, t2)
+    rhs, method, certified = _rhs(arch, t1, t2, x, variant, cap)
     lhs = float(np.abs(forward(arch, t1, x) - forward(arch, t2, x)).sum())
-    method, certified = "oracle", True
-    if variant == "main":
-        x_arr = np.asarray(x, dtype=np.float64).reshape(-1)
-        metric, method, certified = _metric_l1(arch, t1, t2, cap)
-        rhs = max(float(np.abs(x_arr).max()), 1.0) * metric
-    else:
-        rhs = bound_rhs(arch, t1, t2, x, variant=variant, cap=cap)
     holds = lhs <= rhs * (1.0 + HOLDS_RTOL) + HOLDS_ATOL
     return BoundReport(
         variant=variant,

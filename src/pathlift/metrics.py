@@ -1,17 +1,21 @@
-"""Path norms and path metrics without enumeration.
+"""Path norms and the l1 path metric without enumeration.
 
 The q-th power of the lq path norm is computed by a single forward pass
 on the architecture's own compiled schedule with every kpool neuron summing
 its antecedents (``engine.run(..., sum_pools=True)``), every weight and
 bias replaced by its absolute value raised to q, and the all-ones input fed
-through.  The same pass drives the path metric estimates:
+through.  The path metric is the l1 distance between two path liftings,
+the metric in which the Lipschitz bound and the pruning guarantee are
+stated; ``q`` applies to the path norm only.  The same pass drives its
+estimates:
 
-* lower bound   -- |difference of the two path norms|, always valid;
+* lower bound   -- |difference of the two l1 path norms|, always valid;
 * exact value   -- when one parameter vector dominates the other
   coordinatewise with matching signs (e.g. a parameter vector and its
-  pruned copy), the l1 metric is a sum of nonnegative terms: the
-  coordinate gaps weighted by one adjoint sweep on the tape of the larger
-  vector, so no two path norms are subtracted;
+  pruned copy), the metric is a sum of nonnegative terms: the coordinate
+  gaps weighted by one adjoint sweep on the tape of the larger vector, so
+  no two path norms are subtracted (when only the liftings dominate, their
+  gaps are summed);
 * upper bounds  -- closed-form bounds on normalized parameters, either the
   coarse width/depth formula or a refined per-neuron version whose path
   maximum is computed by a longest-path dynamic program (no enumeration).
@@ -30,16 +34,12 @@ from .paths import max_path_length, path_lifting
 from .transforms import normalize
 
 
-def _check_q(q) -> None:
-    if not (np.isfinite(q) and q > 0):
-        raise PathliftError(f"q must be finite and > 0, got {q!r}")
-
-
 def _sum_pool_tape(arch: Architecture, theta: ParamVector, q: float = 1.0):
     """(|theta|**q, ``vals`` of its ``run(..., sum_pools=True)`` on the
     all-ones input), whose output rows sum to the q-th power of the lq path
     norm.  Raises :class:`NonFiniteValue` naming ``q`` when that overflows."""
-    _check_q(q)
+    if not (np.isfinite(q) and q > 0):
+        raise PathliftError(f"q must be finite and > 0, got {q!r}")
     _check_bound(arch, theta)
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.abs(theta.vec) ** q
@@ -57,23 +57,16 @@ def path_norm_fast(arch: Architecture, theta: ParamVector, q: float = 1.0) -> fl
     return float(vals[arch.output_pos].sum())
 
 
-def path_metric_oracle(
-    arch: Architecture, t1: ParamVector, t2: ParamVector, q: float = 1.0, cap=None
-) -> float:
-    """lq distance between the two path liftings, by enumeration."""
-    _check_q(q)
+def path_metric_oracle(arch: Architecture, t1: ParamVector, t2: ParamVector, cap=None) -> float:
+    """l1 distance between the two path liftings, by enumeration."""
     p1 = path_lifting(arch, t1, cap=cap).values
     p2 = path_lifting(arch, t2, cap=cap).values
-    return float(np.sum(np.abs(p1 - p2) ** q) ** (1.0 / q))
+    return float(np.sum(np.abs(p1 - p2)))
 
 
-def path_metric_lower(
-    arch: Architecture, t1: ParamVector, t2: ParamVector, q: float = 1.0
-) -> float:
+def path_metric_lower(arch: Architecture, t1: ParamVector, t2: ParamVector) -> float:
     """|norm difference| lower bound on the path metric; two forward passes."""
-    a = path_norm_fast(arch, t1, q) ** (1.0 / q)
-    b = path_norm_fast(arch, t2, q) ** (1.0 / q)
-    return abs(a - b)
+    return abs(path_norm_fast(arch, t1) - path_norm_fast(arch, t2))
 
 
 def _dominating(t1: ParamVector, t2: ParamVector, v1, v2):
@@ -96,22 +89,24 @@ def path_metric_exact_dominated(
     When every path keeps its sign and one side's magnitude dominates, each
     path's gap is the difference of its magnitudes.  That is certified by
     |theta| >= |theta'| with matching signs coordinatewise (which forces it
-    path by path) or, at enumeration scale, by the same test on the two
-    liftings.  Raises DominanceUnverified when neither direction can be
-    certified.  Only the lifting route subtracts the two path norms.
+    path by path), and the gaps are then summed without enumeration; or, at
+    enumeration scale, by the same test on the two liftings, whose gaps are
+    then summed directly (the value equals ``path_metric_oracle``).  Raises
+    DominanceUnverified when neither direction can be certified.  No route
+    subtracts two path norms.
     """
     pair = _dominating(t1, t2, t1.vec, t2.vec)
     if pair is not None:
         return _dominated_gap(arch, *pair)
     try:
-        pair = _dominating(t1, t2, path_lifting(arch, t1, cap=cap).values,
-                           path_lifting(arch, t2, cap=cap).values)
+        p1 = path_lifting(arch, t1, cap=cap).values
+        p2 = path_lifting(arch, t2, cap=cap).values
     except PathExplosion as exc:
         raise DominanceUnverified("neither parameter vector dominates with matching signs "
                                   "and the liftings are too large to compare") from exc
-    if pair is None:
+    if _dominating(t1, t2, p1, p2) is None:
         raise DominanceUnverified("neither path lifting dominates the other with matching signs")
-    return path_norm_fast(arch, pair[0]) - path_norm_fast(arch, pair[1])
+    return float(np.sum(np.abs(p1 - p2)))
 
 
 def _dominated_gap(arch: Architecture, big: ParamVector, small: ParamVector) -> float:
@@ -132,38 +127,39 @@ def graph_width(arch: Architecture) -> int:
 
 
 def path_metric_upper(
-    arch: Architecture,
-    t1: ParamVector,
-    t2: ParamVector,
-    q: float = 1.0,
-    refined: bool = False,
+    arch: Architecture, t1: ParamVector, t2: ParamVector, refined: bool = False
 ) -> float:
-    """Closed-form upper bound on the lq path metric.
+    """Closed-form upper bound on the l1 path metric.
 
     Both parameter vectors are first normalized (kpool neurons included, so
     every hidden neuron ends with incoming l1 norm at most 1; that is the
     regime in which the bounds hold).  The coarse bound is
 
-        [(W**2 + min_path_norm * L * W) * sup_distance**q] ** (1/q)
+        (W**2 + min_path_norm * L * W) * sup_distance
 
-    with W the graph width, L one less than the maximum path length, and
-    sup_distance the max coordinate gap between the normalized vectors.
+    with W the graph width, L one less than the maximum path length,
+    min_path_norm the smaller of the two l1 path norms, and sup_distance
+    the max coordinate gap between the normalized vectors.  It bounds the
+    refined one, hence the metric, only where W counts every neuron's
+    coordinates: W >= antecedents + 1 at each hidden neuron, and W**2 >= the
+    incoming edges plus biases of all output neurons together.  Elsewhere
+    it can fall below the metric.
     The refined bound replaces the sup by per-neuron discrepancies: the sum
     over output neurons of their own discrepancy plus min_path_norm times
     the largest discrepancy sum over the interior of any path, found by a
-    longest-path sweep over the DAG.
+    longest-path sweep over the DAG.  It holds on every architecture.
     """
     n1 = normalize(arch, t1, include_kpool=True)
     n2 = normalize(arch, t2, include_kpool=True)
-    minq = min(path_norm_fast(arch, t1, q), path_norm_fast(arch, t2, q))
+    min_norm = min(path_norm_fast(arch, t1), path_norm_fast(arch, t2))
     if not refined:
         w = graph_width(arch)
         ell = max(max_path_length(arch) - 1, 0)
         dsup = float(np.max(np.abs(n1.vec - n2.vec))) if arch.n_coords else 0.0
-        return float(((w * w + minq * ell * w) * dsup**q) ** (1.0 / q))
+        return float((w * w + min_norm * ell * w) * dsup)
 
-    out_sum, interior_max = _discrepancy_sums(arch, np.abs(n1.vec - n2.vec) ** q)
-    return float((out_sum + minq * interior_max) ** (1.0 / q))
+    out_sum, interior_max = _discrepancy_sums(arch, np.abs(n1.vec - n2.vec))
+    return float(out_sum + min_norm * interior_max)
 
 
 def _discrepancy_sums(arch: Architecture, d: np.ndarray):

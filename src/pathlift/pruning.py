@@ -33,10 +33,6 @@ class ScoreVector:
     method: str
     values: np.ndarray
 
-    def table(self, arch: Architecture) -> str:
-        rows = [f"{lbl}\t{float(v)!r}" for lbl, v in zip(arch.coord_labels, self.values)]
-        return "coordinate\tscore\n" + "\n".join(rows)
-
 
 @dataclass(frozen=True)
 class Mask:
@@ -164,16 +160,18 @@ def baseline_scores(
     raise PathliftError(f"unknown baseline criterion {criterion!r}")
 
 
-def _eligible_coords(arch: Architecture, edges_only: bool) -> np.ndarray:
-    """Coordinates a mask may remove.
+def _eligible(arch: Architecture, edges_only: bool) -> np.ndarray:
+    """Boolean mask of the coordinates a mask may remove.
 
     kpool bias coordinates are pinned to zero and are never real degrees of
     freedom, so they are excluded from ranking and from the budget.
     """
+    ok = np.ones(arch.n_coords, dtype=bool)
     if edges_only:
-        return np.arange(arch.n_edges)
-    pinned = set(int(arch.bias_coord[j]) for j in np.flatnonzero(arch.kinds == KPOOL))
-    return np.asarray([i for i in range(arch.n_coords) if i not in pinned], dtype=np.int64)
+        ok[arch.n_edges :] = False
+    else:
+        ok[arch.bias_coord[arch.kinds == KPOOL]] = False
+    return ok
 
 
 def _resolve_count(n_eligible: int, fraction, count) -> int:
@@ -204,32 +202,27 @@ def apply_prune(
     Reverse hard thresholding: the requested number of eligible coordinates
     with the smallest scores is removed, ties resolved toward the earlier
     coordinate in canonical order (stable).  With iterative=True the scores
-    are recomputed by ``rescore(theta)`` after every single removal.
+    are recomputed by ``rescore(theta)`` before every single removal
+    (``scores`` is then unused); ``rescore`` defaults to autodiff
+    path-magnitude scores.
     """
     arch = theta.arch
-    eligible = _eligible_coords(arch, edges_only)
-    n_prune = _resolve_count(eligible.size, fraction, count)
+    ok = _eligible(arch, edges_only)
+    n_prune = _resolve_count(int(ok.sum()), fraction, count)
     keep = np.ones(arch.n_coords, dtype=bool)
-    pruned = []
     if iterative:
         if rescore is None:
             rescore = lambda th: path_mag_scores(arch, th, method="autodiff")
         cur = theta
-        alive = list(eligible)
         for _ in range(n_prune):
-            sc = rescore(cur).values
-            pick = min(alive, key=lambda i: (sc[i], i))
-            alive.remove(pick)
-            pruned.append(int(pick))
+            alive = np.flatnonzero(ok & keep)
+            pick = int(alive[np.argmin(rescore(cur).values[alive])])  # first minimum: earliest
             keep[pick] = False
-            cur = cur.replace({int(pick): 0.0})
+            cur = cur.replace({pick: 0.0})
     else:
-        vals = scores.values[eligible]
-        order = np.argsort(vals, kind="stable")
-        chosen = eligible[order[:n_prune]]
-        pruned = [int(i) for i in chosen]
-        keep[chosen] = False
-    mask = Mask(keep=keep, pruned=tuple(sorted(pruned)))
+        eligible = np.flatnonzero(ok)
+        keep[eligible[np.argsort(scores.values[eligible], kind="stable")[:n_prune]]] = False
+    mask = Mask(keep=keep, pruned=tuple(np.flatnonzero(~keep).tolist()))
     return mask.apply(theta), mask
 
 

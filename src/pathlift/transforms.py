@@ -70,8 +70,8 @@ def random_rescaling(arch: Architecture, seed, preset: str = "pow2_factors") -> 
             lmax = float(preset.split(":", 1)[1])
         except ValueError:
             raise ParseError(f"bad preset {preset!r}") from None
-        if not lmax > 1.0:
-            raise NonPositiveFactor(f"log_uniform bound must exceed 1, got {lmax}")
+        if not 1.0 < lmax < math.inf:
+            raise NonPositiveFactor(f"log_uniform bound must be finite and exceed 1, got {lmax}")
         draws = np.exp(rng.uniform(-math.log(lmax), math.log(lmax), size=len(pos)))
     else:
         raise ParseError(f"unknown rescaling preset {preset!r}")
@@ -87,7 +87,10 @@ def normalize(arch: Architecture, theta: ParamVector, include_kpool: bool = Fals
     other, so each level's lambdas are one segment sum; every weight is then
     multiplied by its source's lambda and divided by its destination's.
     Afterwards every visited neuron has incoming l1 norm 0 or 1, the path
-    lifting is unchanged, and running the map again is a no-op.
+    lifting is unchanged, and running the map again is a no-op.  Rescaled
+    copies of theta map to the same vector unless some visited neuron has
+    incoming norm 0: such a neuron keeps its factor, and its outgoing
+    weights carry it into the norms downstream.
 
     kpool neurons are skipped by default so that pooling windows keep their
     native scale; pass include_kpool=True to normalize them as well (pooling

@@ -381,13 +381,13 @@ def reference_refined_parts(arch, d):
     return out_sum, interior_max
 
 
-def reference_upper_refined(arch, t1, t2, q=1.0):
+def reference_upper_refined(arch, t1, t2):
     """``path_metric_upper(..., refined=True)`` with the per-neuron loops."""
     n1 = normalize(arch, t1, include_kpool=True)
     n2 = normalize(arch, t2, include_kpool=True)
-    minq = min(path_norm_fast(arch, t1, q), path_norm_fast(arch, t2, q))
-    out_sum, interior_max = reference_refined_parts(arch, np.abs(n1.vec - n2.vec) ** q)
-    return float((out_sum + minq * interior_max) ** (1.0 / q))
+    min_norm = min(path_norm_fast(arch, t1), path_norm_fast(arch, t2))
+    out_sum, interior_max = reference_refined_parts(arch, np.abs(n1.vec - n2.vec))
+    return float(out_sum + min_norm * interior_max)
 
 
 # ---- rescaling and normalization: one Python step per edge or per neuron -----

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from pathlift.builders import random_dag, random_params, same_sign_partner
-from pathlift.errors import MixedZeroCoordinate, PathliftError, SignConditionViolated
+from pathlift.builders import mlp_architecture, random_dag, random_params, same_sign_partner
+from pathlift.errors import (
+    DimensionMismatch,
+    MixedZeroCoordinate,
+    NonFiniteValue,
+    PathliftError,
+    SignConditionViolated,
+)
 from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.lipschitz import (
     activation_breakpoints,
@@ -37,6 +43,21 @@ def test_bound_rhs_diamond_pruned_pair(diamond):
 def test_bound_rhs_equal_params_is_zero(diamond):
     arch, theta = diamond
     assert bound_rhs(arch, theta, theta, [3.0]) == 0.0
+
+
+@pytest.mark.parametrize("variant", ["main", "split"])
+def test_bound_rhs_checks_the_input(variant):
+    # the entry 50 is not an input of the network, so it must not set |x|_inf
+    arch = mlp_architecture((2, 3, 1))
+    theta = random_params(arch, np.random.default_rng(0))
+    other = theta.replace({0: 0.0})
+    for x in ([3.0, 1.0, 50.0], []):
+        with pytest.raises(DimensionMismatch):
+            bound_rhs(arch, theta, other, x, variant=variant)
+        with pytest.raises(DimensionMismatch):
+            verify_bound(arch, theta, other, x, variant=variant)
+    with pytest.raises(NonFiniteValue):
+        bound_rhs(arch, theta, other, [1.0, np.inf], variant=variant)
 
 
 def test_sign_condition_carries_labels(chain2):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from pathlift.builders import random_dag, random_params
+from pathlift.builders import mlp_architecture, random_dag, random_params
 from pathlift.cli import main
 from pathlift.errors import ArchitectureError, DanglingEdge, ParseError
 from pathlift.graph import Architecture, ParamVector, forward
@@ -400,3 +400,45 @@ def test_cli_tables_are_byte_exact(tmp_path, capsys):
         "in->h1\t1.0\nin->h2\t-1.0\nh1->out\t3.0\nh2->out\t2.0\n"
         "bias(h1)\t0.0\nbias(h2)\t0.0\nbias(out)\t0.0\n"
     )
+
+
+def test_cli_eval_reads_negative_numbers_in_scientific_notation(tmp_path, capsys):
+    arch = mlp_architecture((5, 3, 2))
+    theta = random_params(arch, np.random.default_rng(6))
+    path = tmp_path / "net.json"
+    save_network(path, arch, theta)
+    assert main(["eval", str(path), "--input", "1.0", "-5e-05", "-3", "-.5", "-1E+3"]) == 0
+    want = forward(arch, theta, [1.0, -5e-05, -3.0, -0.5, -1e3])
+    assert capsys.readouterr().out == " ".join(repr(float(v)) for v in want) + "\n"
+
+
+def test_cli_iterative_magnitude_prune_matches_one_shot(tmp_path, capsys):
+    # zeroing one coordinate never changes another's magnitude, so re-scoring
+    # after each removal must pick the one-shot set
+    arch = mlp_architecture((2, 4, 2))
+    path = tmp_path / "net.json"
+    save_network(path, arch, random_params(arch, np.random.default_rng(0)))
+    base = ["prune", str(path), "--criterion", "magnitude", "--count", "3", "--include-biases"]
+    assert main(base) == 0
+    one_shot = capsys.readouterr().out
+    assert main(base + ["--iterative"]) == 0
+    assert capsys.readouterr().out == one_shot
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "--seed", "0", "--batch-size", "0"],
+        ["experiment", "--seed", "0", "--batch-size", "-1"],
+        ["experiment", "--seed", "0", "--n-train", "0"],
+        ["experiment", "--seed", "0", "--n-test", "0"],
+        ["rescale", "NET", "--seed", "0", "--preset", "log_uniform:inf"],
+        ["rescale", "NET", "--seed", "0", "--preset", "log_uniform:1e309"],
+    ],
+)
+def test_cli_rejects_out_of_range_values(tmp_path, capsys, argv):
+    path, _, _ = _write_diamond(tmp_path)
+    assert main([str(path) if a == "NET" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err

@@ -79,15 +79,6 @@ def test_magnitude_scores(diamond):
     np.testing.assert_array_equal(sv.values, [1.0, 2.0, 3.0, 1.0, 0.0, 0.0, 0.0])
 
 
-def test_score_table_renders(diamond):
-    arch, theta = diamond
-    table = path_mag_scores(arch, theta).table(arch)
-    lines = table.splitlines()
-    assert lines[0] == "coordinate\tscore"
-    assert lines[1] == "in->h1\t3.0"
-    assert len(lines) == 1 + arch.n_coords
-
-
 def test_obd_fd_single_weight_analytic():
     arch = Architecture([("in", "input"), ("out", "identity")], [("in", "out")])
     theta = ParamVector(arch, [2.0, 0.0])
