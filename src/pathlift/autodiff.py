@@ -23,7 +23,7 @@ import numpy as np
 
 from .engine import gradient, run
 from .errors import DimensionMismatch, MissingData, NonFiniteValue, PathliftError
-from .graph import Architecture, ParamVector
+from .graph import Architecture, ParamVector, _check_bound
 from .metrics import _sum_pool_tape
 
 
@@ -72,7 +72,8 @@ def _aggregate(arch: Architecture, vals, aggregate, target):
 
 
 def scalar_value(arch: Architecture, theta: ParamVector, x, aggregate="sum_outputs", target=None):
-    vals, _ = run(arch, theta, x)
+    _check_bound(arch, theta)
+    vals, _ = run(arch, theta.vec, x)
     value, _ = _aggregate(arch, vals, aggregate, target)
     return value
 
@@ -85,9 +86,10 @@ def grad_scalar(arch: Architecture, theta: ParamVector, x, aggregate="sum_output
     (softmax cross-entropy against class labels; a sigmoid against 0/1
     labels when there is a single output).
     """
-    vals, win = run(arch, theta, x)
+    _check_bound(arch, theta)
+    vals, win = run(arch, theta.vec, x)
     value, out_adj = _aggregate(arch, vals, aggregate, target)
-    return value, gradient(arch, theta, vals, win, out_adj)
+    return value, gradient(arch, theta.vec, vals, win, out_adj)
 
 
 def grad_path_norm(arch: Architecture, theta: ParamVector) -> np.ndarray:
@@ -98,9 +100,9 @@ def grad_path_norm(arch: Architecture, theta: ParamVector) -> np.ndarray:
     theta itself yields each coordinate's total path weight.  Raises
     NonFiniteValue when the norm or a gradient entry overflows float64.
     """
-    t, vals = _sum_pool_tape(arch, theta)
+    w, vals = _sum_pool_tape(arch, theta)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.sign(theta.vec) * gradient(arch, t, vals, None, np.ones((arch.d_out, 1)))
+        g = np.sign(theta.vec) * gradient(arch, w, vals, None, np.ones((arch.d_out, 1)))
     if not np.isfinite(g).all():
         raise NonFiniteValue("the path norm gradient overflows float64")
     return g

@@ -30,6 +30,19 @@ Kernels, all in float64:
 The summation order depends only on the architecture and the batch size,
 never on values, so a power-of-two rescaling moves every result by exactly
 its power of two.
+
+Stacks.  :func:`run` and :func:`activations` take the raw parameter array,
+one vector (n_coords,) or a stack (P, n_coords), and give a stack a leading
+axis P on every result: values (P, n_neurons + 1, B).  A stack runs the same
+kernels through flattened tables, the values as (P * (n_neurons + 1), B)
+and the weights as (P * (n_coords + 1),), read through the block's index
+arrays offset by each item's first row.
+Every gathered operand is then item-major and contiguous, so each item's
+product is the BLAS call of a single pass: a gather along an inner axis
+such as ``W[:, coord]`` would put P innermost in memory, and ``np.matmul``
+would leave BLAS and round differently.  Every item of a stack is bit
+for bit its own single pass.  The ParamVector checks belong to the public
+wrappers (``forward``, ``path_activations``, ``grad_scalar``, ...).
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
-from .graph import KPOOL, RELU, Architecture, ParamVector, _check_bound
+from .graph import KPOOL, RELU, Architecture
 
 # doubles in one gathered block (1 MB)
 _BLOCK_ELEMS = 1 << 17
@@ -152,11 +165,14 @@ def _chunks(rows: int, width: int, batch: int):
 
 
 def _gathered_product(w, table, idx):
-    """out[r] = sum over slots s of w[r, s] * table[idx[r, s]]: (rows, B)."""
+    """out[..., r, :] = sum over slots s of w[..., r, s] * table[idx[..., r, s]]:
+    (..., rows, B).  Leading axes run as more rows, each its own product."""
+    lead, width = idx.shape[:-1], idx.shape[-1]
+    w, idx = w.reshape(-1, width), idx.reshape(-1, width)
     out = np.empty((idx.shape[0], table.shape[1]))
     for c in _chunks(*idx.shape, table.shape[1]):
         out[c] = np.matmul(w[c, None, :], table[idx[c]])[:, 0, :]
-    return out
+    return out.reshape(lead + table.shape[1:])
 
 
 def _slot_products(table, idx, g):
@@ -167,34 +183,40 @@ def _slot_products(table, idx, g):
     return out
 
 
-def _pool_forward(blk: _Block, w, vals, win):
-    rows, width = blk.src.shape
-    out = np.empty((rows, vals.shape[1]))
-    for c in _chunks(rows, width, vals.shape[1]):
-        contrib = w[c, :, None] * vals[blk.src[c]]
+def _pool_forward(blk: _Block, w, table, src, rows, win):
+    """Pool rows ``rows`` of ``table`` and their winners in ``win`` (the
+    same layout) from the slot weights ``w`` over the sources ``src``."""
+    width = blk.src.shape[1]
+    for c in _chunks(blk.rows.size, src.size // blk.rows.size, table.shape[1]):
+        contrib = w[..., c, :, None] * table[src[..., c, :]]
         if blk.valid is not None:
             contrib = np.where(blk.valid[c], contrib, -np.inf)
         if blk.k == 1:
-            kth = contrib.max(axis=1)
+            kth = contrib.max(axis=-2)
         else:
-            kth = np.partition(contrib, width - blk.k, axis=1)[:, width - blk.k]
-        out[c] = kth
-        win[blk.rows[c]] = np.argmax(contrib == kth[:, None, :], axis=1)
-    vals[blk.at] = out
+            kth = np.partition(contrib, width - blk.k, axis=-2)[..., width - blk.k, :]
+        table[rows[..., c]] = kth
+        win[rows[..., c]] = np.argmax(contrib == kth[..., None, :], axis=-2)
 
 
-def run(arch: Architecture, theta: ParamVector, x, sum_pools: bool = False):
-    """Forward tape over a batch ``x`` of shape (B, d_in), or one input (d_in,).
+def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False):
+    """Forward tape of the parameter array ``theta``, one vector (n_coords,)
+    or a stack (P, n_coords), over a batch ``x`` of shape (B, d_in), or one
+    input (d_in,).
 
     Returns ``(vals, win)``: ``vals`` (n_neurons + 1, B) holds every
     neuron's value per batch element, with the zero row last; ``win``
     (n_neurons + 1, B) holds each pool neuron's selected slot and -1
     elsewhere, in the narrowest integer type that fits, or is None when the
     network has no pool neuron or ``sum_pools`` makes every pool neuron
-    the sum of its weighted antecedents.  Rejects non-finite inputs with
-    :class:`NonFiniteValue`.
+    the sum of its weighted antecedents.  A stack gives both a leading
+    axis P, and item i equals the pass of ``theta[i]`` bit for bit.
+    Rejects non-finite inputs with :class:`NonFiniteValue`.
     """
-    _check_bound(arch, theta)
+    if theta.ndim not in (1, 2) or theta.shape[-1] != arch.n_coords:
+        raise DimensionMismatch(
+            f"parameters must have shape ({arch.n_coords},) or (P, {arch.n_coords}), got {theta.shape}"
+        )
     given = np.asarray(x, dtype=np.float64)
     x = given[None, :] if given.ndim == 1 else given
     if x.ndim != 2 or x.shape[1] != arch.d_in:
@@ -204,32 +226,47 @@ def run(arch: Architecture, theta: ParamVector, x, sum_pools: bool = False):
     if not np.isfinite(x).all():
         raise NonFiniteValue("input holds NaN or infinite entries")
     sched = schedule(arch)
-    n, batch = arch.n_neurons, x.shape[0]
-    vals = np.empty((n + 1, batch))
-    vals[arch.input_pos] = x.T
-    vals[n] = 0.0
-    win = None if sum_pools or sched.win_dtype is None else np.full((n + 1, batch), -1, sched.win_dtype)
-    wpad = np.concatenate((theta.vec, _PAD_WEIGHT))
+    n, nc, batch = arch.n_neurons, arch.n_coords, x.shape[0]
+    lead = theta.shape[:-1]
+    vals = np.empty(lead + (n + 1, batch))
+    vals[..., arch.input_pos, :] = x.T
+    vals[..., n, :] = 0.0
+    win = None if sum_pools or sched.win_dtype is None else np.full(vals.shape, -1, sched.win_dtype)
+    if lead:  # item i reads and writes value rows from (n + 1) i on, weights from (nc + 1) i on
+        wflat = np.concatenate((theta, np.zeros(lead + (1,))), axis=-1).reshape(-1)
+        table = vals.reshape(-1, batch)
+        wins = None if win is None else win.reshape(-1, batch)
+        off_v = (n + 1) * np.arange(lead[0])[:, None]
+        off_w = (nc + 1) * np.arange(lead[0])[:, None]
+    else:
+        wflat, table, wins = np.concatenate((theta, _PAD_WEIGHT)), vals, win
     for level in sched.levels:
         for blk in level:
-            w = wpad[blk.coord]
+            src, coord, bias, shared = blk.src, blk.coord, blk.bias, blk.shared
+            rows, at = blk.rows, blk.at
+            if lead:
+                src, coord = src + off_v[:, :, None], coord + off_w[:, :, None]
+                bias, rows = bias + off_w, rows + off_v
+                at, shared = rows, None if shared is None else src[:, 0]
+            w = wflat[coord]
             if blk.k and win is not None:
-                _pool_forward(blk, w, vals, win)
+                _pool_forward(blk, w, table, src, rows, wins)
                 continue
-            if blk.shared is not None:
-                pre = w @ vals[blk.shared]
+            if shared is not None:
+                pre = w @ table[shared]
             else:
-                pre = _gathered_product(w, vals, blk.src)
-            pre += wpad[blk.bias][:, None]
+                pre = _gathered_product(w, table, src)
+            pre += wflat[bias][..., None]
             if blk.floor is not None:
                 np.maximum(pre, blk.floor, out=pre)
-            vals[blk.at] = pre
+            table[at] = pre
     return vals, win
 
 
-def gradient(arch: Architecture, theta: ParamVector, vals, win, out_adjoint) -> np.ndarray:
-    """Adjoint sweep over the tape of :func:`run`; returns the gradient over
-    the parameter coordinates.
+def gradient(arch: Architecture, theta: np.ndarray, vals, win, out_adjoint) -> np.ndarray:
+    """Adjoint sweep over the tape of :func:`run` of one parameter vector
+    ``theta`` (n_coords,); returns the gradient over the parameter
+    coordinates.
 
     ``out_adjoint`` (d_out, B) is the derivative of the scalar being
     differentiated with respect to each output neuron, per batch element.
@@ -240,7 +277,7 @@ def gradient(arch: Architecture, theta: ParamVector, vals, win, out_adjoint) -> 
     """
     sched = schedule(arch)
     n = arch.n_neurons
-    wpad = np.concatenate((theta.vec, _PAD_WEIGHT))
+    wpad = np.concatenate((theta, _PAD_WEIGHT))
     gpad = np.zeros(arch.n_coords + 1)
     adj = np.zeros((n + 1, vals.shape[1]))
     adj[arch.output_pos] = out_adjoint
@@ -288,8 +325,10 @@ def _pool_backward(blk: _Block, wpad, vals, win, adj, gpad, inner: bool):
     adj[blk.tsrc] += out
 
 
-def activations(arch: Architecture, theta: ParamVector, x):
-    """0/1 activation per edge coordinate and per neuron as a path start at x.
+def activations(arch: Architecture, theta: np.ndarray, x):
+    """Boolean activation per edge coordinate and per neuron as a path start
+    at x, for the parameter array ``theta`` (a stack gives both a leading
+    axis).
 
     Edges into identity neurons are always active; into relu neurons active
     iff the neuron's value is strictly positive; into pool neurons active
@@ -297,14 +336,15 @@ def activations(arch: Architecture, theta: ParamVector, x):
     active iff that neuron is.
     """
     vals, win = run(arch, theta, np.asarray(x, dtype=np.float64).reshape(-1))
-    edge = np.ones(arch.n_coords + 1)
-    start = np.ones(arch.n_neurons)
+    lead = theta.shape[:-1]
+    edge = np.ones(lead + (arch.n_coords + 1,), dtype=bool)
+    start = np.ones(lead + (arch.n_neurons,), dtype=bool)
     for level in schedule(arch).levels:
         for blk in level:
             if blk.k:
-                edge[blk.coord] = np.arange(blk.src.shape[1]) == win[blk.rows]
+                edge[..., blk.coord] = np.arange(blk.src.shape[1]) == win[..., blk.rows, :]
             elif blk.floor is not None:
-                on = vals[blk.at] > blk.floor
-                edge[blk.coord] = on
-                start[blk.at] = on[:, 0]
-    return edge[: arch.n_edges], start
+                on = vals[..., blk.at, :] > blk.floor
+                edge[..., blk.coord] = on
+                start[..., blk.at] = on[..., 0]
+    return edge[..., : arch.n_edges], start

@@ -24,7 +24,7 @@ from .autodiff import grad_scalar
 from .builders import mlp_architecture
 from .engine import run
 from .errors import InfeasibleAmount, NonFiniteValue, PathliftError
-from .graph import Architecture, ParamVector
+from .graph import Architecture, ParamVector, _check_bound
 from .pruning import Mask, apply_prune, baseline_scores, path_mag_scores
 from .transforms import random_rescaling, rescale
 
@@ -153,7 +153,8 @@ def sgd_train(
 
 
 def accuracy(arch: Architecture, theta: ParamVector, x, y) -> float:
-    vals, _ = run(arch, theta, x)
+    _check_bound(arch, theta)
+    vals, _ = run(arch, theta.vec, x)
     pred = vals[arch.output_pos].argmax(axis=0)
     return float(np.mean(pred == np.asarray(y)))
 

@@ -370,7 +370,8 @@ def neuron_values(arch: Architecture, theta: ParamVector, x) -> np.ndarray:
     """Values of every neuron at input x, in topological order."""
     from .engine import run  # the engine compiles the architectures defined here
 
-    vals, _ = run(arch, theta, np.asarray(x, dtype=np.float64).reshape(-1))
+    _check_bound(arch, theta)
+    vals, _ = run(arch, theta.vec, np.asarray(x, dtype=np.float64).reshape(-1))
     return vals[:-1, 0]
 
 

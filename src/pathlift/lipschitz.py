@@ -33,7 +33,7 @@ from .errors import (
     PathliftError,
     SignConditionViolated,
 )
-from .graph import Architecture, ParamVector, forward, _check_bound
+from .graph import KPOOL, Architecture, ParamVector, forward, _check_bound
 from .metrics import path_metric_exact_dominated, path_metric_lower, path_metric_oracle
 from .paths import path_activations, path_lifting
 
@@ -134,6 +134,35 @@ def verify_bound(
 # ---- proof trajectory ----------------------------------------------------
 
 
+def _check_trajectory(arch: Architecture, t1: ParamVector, t2: ParamVector) -> None:
+    """The conditions of the trajectory, none of which depends on t."""
+    _check_bound(arch, t1)
+    _check_bound(arch, t2)
+    check_sign_condition(t1, t2)
+    mixed = np.flatnonzero((t1.vec == 0.0) != (t2.vec == 0.0))
+    if mixed.size:
+        raise MixedZeroCoordinate(
+            f"zero on one side only at: {[arch.coord_labels[i] for i in mixed[:5]]}"
+        )
+
+
+def _trajectory_points(arch: Architecture, t1: ParamVector, t2: ParamVector, ts) -> np.ndarray:
+    """(len(ts), n_coords) stack of the trajectory points at the float times
+    ``ts``, for a pair that passed :func:`_check_trajectory`.  Each row has
+    its own scalar exponents, as a single point does: numpy's power takes
+    fast paths for some scalar exponents, so one power broadcast over all
+    times would be a different computation.  kpool biases are pinned to 0;
+    raises NonFiniteValue when a point overflows."""
+    s, a1, a2 = np.sign(t1.vec), np.abs(t1.vec), np.abs(t2.vec)
+    with np.errstate(over="ignore"):
+        stack = np.stack([s * a1 ** (1.0 - t) * a2 ** t for t in ts])
+    bad = ~np.isfinite(stack).all(axis=1)
+    if bad.any():
+        raise NonFiniteValue(f"the trajectory point at t={ts[int(np.argmax(bad))]!r} overflows float64")
+    stack[:, arch.bias_coord[arch.kinds == KPOOL]] = 0.0
+    return stack
+
+
 def trajectory_point(t1: ParamVector, t2: ParamVector, t: float) -> ParamVector:
     """Geometric interpolation sign(theta) |theta|^(1-t) |theta'|^t.
 
@@ -142,16 +171,8 @@ def trajectory_point(t1: ParamVector, t2: ParamVector, t: float) -> ParamVector:
     on both sides stay zero.  Endpoints reproduce theta and theta' exactly.
     """
     arch = t1.arch
-    _check_bound(arch, t2)
-    check_sign_condition(t1, t2)
-    mixed = np.flatnonzero((t1.vec == 0.0) != (t2.vec == 0.0))
-    if mixed.size:
-        raise MixedZeroCoordinate(
-            f"zero on one side only at: {[arch.coord_labels[i] for i in mixed[:5]]}"
-        )
-    t = float(t)
-    v = np.sign(t1.vec) * np.abs(t1.vec) ** (1.0 - t) * np.abs(t2.vec) ** t
-    return ParamVector(arch, v)
+    _check_trajectory(arch, t1, t2)
+    return ParamVector(arch, _trajectory_points(arch, t1, t2, [float(t)])[0])
 
 
 @dataclass(frozen=True)
@@ -187,37 +208,45 @@ def activation_breakpoints(
     [0, 1], bisects every interval whose endpoints disagree down to the
     requested width, and reports each located change with the indices of
     the canonical paths whose activation flips there.  Two changes closer
-    than 1/samples collapse into one located point.
+    than 1/samples collapse into one located point.  The samples take one
+    engine pass over the stack of their trajectory points, and each round
+    of halvings one pass over the midpoints of the intervals still open,
+    so a call costs 1 + (number of halvings) passes; every interval keeps
+    its own bounds, as if it were bisected alone.
 
     The telescoping report sums the l1 lifting distances over the segments
     cut by the located breakpoints and compares against the endpoint l1
     metric; per-coordinate monotonicity of the lifting along the trajectory
     makes the two agree for any segmentation.
     """
-
-    def acts(t):
-        return path_activations(arch, trajectory_point(t1, t2, t), x, cap=cap)
-
     ts = np.linspace(0.0, 1.0, samples + 1)
-    sampled = [acts(t) for t in ts]
-    found = []
-    for i in range(samples):
-        if np.array_equal(sampled[i], sampled[i + 1]):
-            continue
-        lo, hi = float(ts[i]), float(ts[i + 1])
-        a_lo, a_hi = sampled[i], sampled[i + 1]
-        while hi - lo > width:
-            mid = 0.5 * (lo + hi)
-            am = acts(mid)
-            if np.array_equal(am, a_lo):
-                lo = mid
-            else:
-                hi, a_hi = mid, am
-        changed = tuple(int(k) for k in np.flatnonzero(a_lo != a_hi))
-        found.append(Breakpoint(t=0.5 * (lo + hi), changed_paths=changed))
+    _check_trajectory(arch, t1, t2)
+
+    def acts(times):
+        return path_activations(arch, _trajectory_points(arch, t1, t2, times.tolist()), x, cap=cap)
+
+    sampled = acts(ts)
+    # a_lo stays the sample at lo: lo moves only onto points that match it
+    first = np.flatnonzero(np.any(sampled[:-1] != sampled[1:], axis=1))
+    lo, hi = ts[first], ts[first + 1]
+    a_lo, a_hi = sampled[first], sampled[first + 1]
+    live = np.flatnonzero(hi - lo > width)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        am = acts(mid)
+        same = np.all(am == a_lo[live], axis=1)
+        lo[live[same]] = mid[same]
+        hi[live[~same]] = mid[~same]
+        a_hi[live[~same]] = am[~same]
+        live = live[hi[live] - lo[live] > width]
+    found = [
+        Breakpoint(t=float(0.5 * (left + right)), changed_paths=tuple(np.flatnonzero(a != b).tolist()))
+        for left, right, a, b in zip(lo, hi, a_lo, a_hi)
+    ]
 
     boundaries = (0.0,) + tuple(bp.t for bp in found) + (1.0,)
-    liftings = [path_lifting(arch, trajectory_point(t1, t2, t), cap=cap).values for t in boundaries]
+    points = _trajectory_points(arch, t1, t2, boundaries)
+    liftings = [path_lifting(arch, ParamVector(arch, p), cap=cap).values for p in points]
     seg = sum(
         float(np.abs(b - a).sum()) for a, b in zip(liftings[:-1], liftings[1:])
     )

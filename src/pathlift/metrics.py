@@ -23,6 +23,7 @@ estimates:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .engine import gradient, run
 from .errors import DominanceUnverified, NonFiniteValue, PathExplosion, PathliftError, RaggedLayers
 from .graph import Architecture, ParamVector, _check_bound
 from .paths import max_path_length, path_lifting
-from .transforms import normalize
+from .transforms import hidden_positions, normalize
 
 
 def _sum_pool_tape(arch: Architecture, theta: ParamVector, q: float = 1.0):
@@ -44,10 +45,9 @@ def _sum_pool_tape(arch: Architecture, theta: ParamVector, q: float = 1.0):
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.abs(theta.vec) ** q
         if np.isfinite(w).all():
-            t = ParamVector(arch, w)
-            vals, _ = run(arch, t, np.ones(arch.d_in), sum_pools=True)
+            vals, _ = run(arch, w, np.ones(arch.d_in), sum_pools=True)
             if np.isfinite(vals[arch.output_pos].sum()):
-                return t, vals
+                return w, vals
     raise NonFiniteValue(f"the path norm at q={q!r} overflows float64")
 
 
@@ -115,15 +115,22 @@ def _dominated_gap(arch: Architecture, big: ParamVector, small: ParamVector) -> 
     pass of |small| on the tape of |big| (the |big| products before i times
     the |small| ones after).  The tape is 0 at a relu neuron only where every
     |big| product reaching it is, so its masks drop no nonzero term."""
-    t, vals = _sum_pool_tape(arch, big)
+    w, vals = _sum_pool_tape(arch, big)
     b = np.abs(small.vec)
-    g = gradient(arch, ParamVector(arch, b), vals, None, np.ones((arch.d_out, 1)))
-    return float((t.vec - b) @ g)
+    g = gradient(arch, b, vals, None, np.ones((arch.d_out, 1)))
+    return float((w - b) @ g)
 
 
-def graph_width(arch: Architecture) -> int:
-    """max(number of outputs, largest antecedent count)."""
-    return max(arch.d_out, int(np.diff(arch.in_ptr).max(initial=0)))
+def _coarse_width(arch: Architecture) -> int:
+    """The width W of the coarse bound: the number of outputs and the largest
+    fan-in, raised until W counts every neuron's coordinates (incoming edges
+    plus bias): W >= those of each hidden neuron, and W**2 >= those of all
+    output neurons together."""
+    fan = np.diff(arch.in_ptr)
+    coords = fan + 1  # read only at non-input neurons, which all have a bias
+    out = int(coords[arch.output_pos].sum())
+    hidden = int(coords[hidden_positions(arch)].max(initial=0))
+    return max(arch.d_out, int(fan.max(initial=0)), hidden, math.isqrt(out - 1) + 1 if out else 0)
 
 
 def path_metric_upper(
@@ -137,13 +144,12 @@ def path_metric_upper(
 
         (W**2 + min_path_norm * L * W) * sup_distance
 
-    with W the graph width, L one less than the maximum path length,
-    min_path_norm the smaller of the two l1 path norms, and sup_distance
-    the max coordinate gap between the normalized vectors.  It bounds the
-    refined one, hence the metric, only where W counts every neuron's
+    with L one less than the maximum path length, min_path_norm the smaller
+    of the two l1 path norms, sup_distance the max coordinate gap between
+    the normalized vectors, and W the graph width (the number of outputs
+    and the largest fan-in) raised until it counts every neuron's
     coordinates: W >= antecedents + 1 at each hidden neuron, and W**2 >= the
-    incoming edges plus biases of all output neurons together.  Elsewhere
-    it can fall below the metric.
+    incoming edges plus biases of all output neurons together.
     The refined bound replaces the sup by per-neuron discrepancies: the sum
     over output neurons of their own discrepancy plus min_path_norm times
     the largest discrepancy sum over the interior of any path, found by a
@@ -153,7 +159,7 @@ def path_metric_upper(
     n2 = normalize(arch, t2, include_kpool=True)
     min_norm = min(path_norm_fast(arch, t1), path_norm_fast(arch, t2))
     if not refined:
-        w = graph_width(arch)
+        w = _coarse_width(arch)
         ell = max(max_path_length(arch) - 1, 0)
         dsup = float(np.max(np.abs(n1.vec - n2.vec))) if arch.n_coords else 0.0
         return float((w * w + min_norm * ell * w) * dsup)

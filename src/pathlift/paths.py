@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import activations
-from .errors import DimensionMismatch, PathExplosion
+from .errors import DimensionMismatch, NonFiniteValue, PathExplosion
 from .graph import Architecture, ParamVector, _check_bound
 
 DEFAULT_PATH_CAP = 10**6
@@ -210,11 +210,37 @@ def path_lifting(arch: Architecture, theta: ParamVector, end=None, cap=None) -> 
     return PathLifting(arch=arch, table=table, values=_row_products(arch, theta.vec, table.rows))
 
 
-def path_activations(arch: Architecture, theta: ParamVector, x, end=None, cap=None) -> np.ndarray:
-    """0/1 activation of each canonical path at input x."""
-    edge_act, start_act = activations(arch, theta, x)
+def _param_rows(arch: Architecture, theta) -> np.ndarray:
+    """The coordinates of a ParamVector bound to ``arch``, or a checked
+    (P, n_coords) stack of parameter rows."""
+    if isinstance(theta, ParamVector):
+        _check_bound(arch, theta)
+        return theta.vec
+    rows = np.asarray(theta, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != arch.n_coords:
+        raise DimensionMismatch(f"parameter stack has shape {rows.shape}, expected (P, {arch.n_coords})")
+    if not np.isfinite(rows).all():
+        raise NonFiniteValue("parameter stack holds NaN or infinite entries")
+    return rows
+
+
+def path_activations(arch: Architecture, theta, x, end=None, cap=None) -> np.ndarray:
+    """0/1 activation of each canonical path at input x.
+
+    ``theta`` is a ParamVector, or a (P, n_coords) array stacking P
+    parameter vectors in canonical coordinate order (their kpool bias
+    entries are never read); a stack gives (P, n_paths) from one engine
+    pass, row i equal to the activations of ``theta[i]``.  Paths are
+    ANDed one edge column at a time, so no gather holds an entry per edge
+    of every path: the transients stay at one boolean per path and row."""
+    edge_act, start_act = activations(arch, _param_rows(arch, theta), x)
     table = _table(arch, end=end, cap=cap)
-    return start_act[table.start] * _row_products(arch, edge_act, table.rows[:, 1:])
+    on = np.ones(edge_act.shape[:-1] + (arch.n_coords + 1,), dtype=bool)  # the sentinel is on
+    on[..., : arch.n_edges] = edge_act
+    act = np.take(start_act, table.start, axis=-1)
+    for col in table.rows.T[1:]:
+        act &= np.take(on, col, axis=-1)
+    return act.astype(np.float64)
 
 
 def _input_column(arch: Architecture) -> np.ndarray:

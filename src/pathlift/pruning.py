@@ -7,11 +7,11 @@ scores, and the masks chosen from them; magnitude pruning and estimated
 second-order criteria do not share that property.
 
 Three interchangeable routes compute the scores: the autodiff identity
-theta * grad(l1 path norm), per-coordinate path-norm differences (two
-forward passes per coordinate), and brute-force accumulation over
-enumerated paths.  Zeroing a coordinate set I anywhere changes the network
-output at x by at most the sum of the coordinates' scores times
-max(1, |x|_inf).
+theta * grad(l1 path norm), per-coordinate path-norm differences (one
+stacked sum-pool pass per chunk of coordinates), and brute-force
+accumulation over enumerated paths.  Zeroing a coordinate set I anywhere
+changes the network output at x by at most the sum of the coordinates'
+scores times max(1, |x|_inf).
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import grad_path_norm, grad_scalar, scalar_value
+from .engine import _BLOCK_ELEMS, run
 from .errors import InfeasibleAmount, MissingData, PathliftError
 from .graph import KPOOL, Architecture, ParamVector, forward, _check_bound
-from .metrics import path_norm_fast
+from .metrics import _sum_pool_tape
 from .paths import path_lifting
 
 
@@ -58,25 +59,40 @@ def path_mag_scores(
     """Per-coordinate l1 path norm drop from zeroing that coordinate.
 
     methods: "autodiff" (one sum-pool forward/backward), "pathnorm_diff"
-    (two forwards per coordinate), "bruteforce" (sum |phi_p| over enumerated
-    paths through the coordinate).  All three agree to rounding.
+    (the norm minus the norm with the coordinate zeroed, stacked passes),
+    "bruteforce" (sum |phi_p| over enumerated paths through the
+    coordinate).  All three agree to rounding.
     """
     _check_bound(arch, theta)
     if method == "autodiff":
         values = theta.vec * grad_path_norm(arch, theta)
     elif method == "pathnorm_diff":
-        base = path_norm_fast(arch, theta)
-        values = np.zeros(arch.n_coords)
-        for i in range(arch.n_coords):
-            if theta.vec[i] == 0.0:
-                continue
-            values[i] = base - path_norm_fast(arch, theta.replace({i: 0.0}))
+        values = _pathnorm_diffs(arch, theta)
     elif method == "bruteforce":
         lift = path_lifting(arch, theta, cap=cap)
         values = lift.coordinate_sums(np.abs(lift.values))
     else:
         raise PathliftError(f"unknown path-magnitude method {method!r}")
     return ScoreVector(criterion="pathmag", method=method, values=values)
+
+
+def _pathnorm_diffs(arch: Architecture, theta: ParamVector) -> np.ndarray:
+    """Per nonzero coordinate i, the path norm minus the path norm with i
+    zeroed: one stacked sum-pool pass per chunk of coordinates, each row
+    |theta| with one coordinate zeroed (bit for bit its own pass), a chunk
+    holding about as many entries as one gathered block of the engine."""
+    w, vals = _sum_pool_tape(arch, theta)
+    base = float(vals[arch.output_pos].sum())
+    values = np.zeros(arch.n_coords)
+    nonzero = np.flatnonzero(theta.vec)
+    step = max(1, _BLOCK_ELEMS // max(arch.n_coords, 1))
+    for lo in range(0, nonzero.size, step):
+        coords = nonzero[lo : lo + step]
+        stack = np.repeat(w[None, :], coords.size, axis=0)
+        stack[np.arange(coords.size), coords] = 0.0
+        vals, _ = run(arch, stack, np.ones(arch.d_in), sum_pools=True)
+        values[coords] = base - vals[:, arch.output_pos].sum(axis=(1, 2))
+    return values
 
 
 def magnitude_scores(arch: Architecture, theta: ParamVector) -> ScoreVector:

@@ -3,8 +3,8 @@
 These are the loops the package ran before the compiled level schedule
 (``pathlift.engine``), the path table (``pathlift.paths``), the array-built
 ``Architecture``, the bulk network-file writer, the vectorized refined
-path-metric bound and the level-wise ``normalize``/``rescale`` replaced
-them.  They are kept here, deliberately plain, as the oracles that the
+path-metric bound, the level-wise ``normalize``/``rescale`` and the stacked
+activation breakpoints replaced them.  They are kept here, deliberately plain, as the oracles that the
 package is compared against.
 """
 
@@ -33,7 +33,9 @@ from pathlift.graph import (
     ParamVector,
     _normalize_tag,
 )
-from pathlift.metrics import path_norm_fast
+from pathlift.lipschitz import Breakpoint, TelescopingReport, trajectory_point
+from pathlift.metrics import path_metric_oracle, path_norm_fast
+from pathlift.paths import path_activations, path_lifting
 from pathlift.transforms import normalize
 
 
@@ -157,7 +159,7 @@ def reference_lifting(arch, theta, end=None):
 
 def reference_activations(arch, theta, x, end=None):
     """Per canonical path: its start's activation times each edge's."""
-    edge_act, start_act = activations(arch, theta, x)
+    edge_act, start_act = activations(arch, theta.vec, x)
     acts = []
     for p in reference_positions(arch, end):
         a = start_act[p[0]]
@@ -425,3 +427,59 @@ def reference_normalize(arch, theta, include_kpool=False):
             v[b] /= lam
             v[out_coords[j]] *= lam
     return ParamVector(arch, v)
+
+
+# ---- the proof trajectory: one engine pass per t ----------------------------
+
+
+def reference_activation_breakpoints(arch, t1, t2, x, samples=100, width=1e-10, cap=None):
+    """``activation_breakpoints`` one trajectory point at a time: every
+    sample, then each disagreeing interval bisected alone."""
+
+    def acts(t):
+        return path_activations(arch, trajectory_point(t1, t2, t), x, cap=cap)
+
+    ts = np.linspace(0.0, 1.0, samples + 1)
+    sampled = [acts(t) for t in ts]
+    found = []
+    for i in range(samples):
+        if np.array_equal(sampled[i], sampled[i + 1]):
+            continue
+        lo, hi = float(ts[i]), float(ts[i + 1])
+        a_lo, a_hi = sampled[i], sampled[i + 1]
+        while hi - lo > width:
+            mid = 0.5 * (lo + hi)
+            am = acts(mid)
+            if np.array_equal(am, a_lo):
+                lo = mid
+            else:
+                hi, a_hi = mid, am
+        changed = tuple(int(k) for k in np.flatnonzero(a_lo != a_hi))
+        found.append(Breakpoint(t=0.5 * (lo + hi), changed_paths=changed))
+
+    boundaries = (0.0,) + tuple(bp.t for bp in found) + (1.0,)
+    liftings = [path_lifting(arch, trajectory_point(t1, t2, t), cap=cap).values for t in boundaries]
+    seg = sum(float(np.abs(b - a).sum()) for a, b in zip(liftings[:-1], liftings[1:]))
+    endpoint = path_metric_oracle(arch, t1, t2, cap=cap)
+    denom = max(abs(seg), abs(endpoint), 1e-300)
+    report = TelescopingReport(
+        boundaries=boundaries,
+        segment_sum=seg,
+        endpoint_metric=endpoint,
+        rel_err=abs(seg - endpoint) / denom,
+    )
+    return found, report
+
+
+# ---- pruning scores: one path norm per coordinate ----------------------------
+
+
+def reference_pathnorm_diff_scores(arch, theta):
+    """Per coordinate, the l1 path norm lost by zeroing it: one path norm
+    per nonzero coordinate."""
+    base = path_norm_fast(arch, theta)
+    values = np.zeros(arch.n_coords)
+    for i in range(arch.n_coords):
+        if theta.vec[i] != 0.0:
+            values[i] = base - path_norm_fast(arch, theta.replace({i: 0.0}))
+    return values

@@ -72,9 +72,9 @@ def _sum_pool_pass(arch, theta):
     """Summed outputs and their gradient, at |theta| on the all-ones input
     with every pool summing."""
     abs_theta = ParamVector(arch, np.abs(theta.vec))
-    vals, win = run(arch, abs_theta, np.ones(arch.d_in), sum_pools=True)
+    vals, win = run(arch, abs_theta.vec, np.ones(arch.d_in), sum_pools=True)
     assert win is None
-    g = gradient(arch, abs_theta, vals, win, np.ones((arch.d_out, 1)))
+    g = gradient(arch, abs_theta.vec, vals, win, np.ones((arch.d_out, 1)))
     return float(vals[arch.output_pos].sum()), g
 
 

@@ -14,6 +14,7 @@ from pathlift.builders import (
 )
 from pathlift.autodiff import grad_path_norm
 from pathlift.engine import gradient, run
+from pathlift.errors import DimensionMismatch
 from pathlift.graph import IDENTITY, KPOOL, RELU, ParamVector, forward, neuron_values
 from pathlift.metrics import path_norm_fast
 from pathlift.paths import enumerate_paths, max_path_length, path_lifting
@@ -65,7 +66,7 @@ def _assert_close(got, want):
 def _compare(arch, theta, x, rng, sum_pools=False):
     """Engine and reference agree on values, winners and gradients; returns
     the number of pool decisions that were exact ties."""
-    vals, win = run(arch, theta, x, sum_pools=sum_pools)
+    vals, win = run(arch, theta.vec, x, sum_pools=sum_pools)
     ref_vals, ref_win = reference_values(arch, theta, x, sum_pools=sum_pools)
     _assert_close(vals[:-1], ref_vals)
     assert not np.any(vals[-1]), "the padding row must stay zero"
@@ -74,7 +75,7 @@ def _compare(arch, theta, x, rng, sum_pools=False):
         np.testing.assert_array_equal(win[j], slots)
     out_adj = rng.normal(size=(arch.d_out, x.shape[0]))
     _assert_close(
-        gradient(arch, theta, vals, win, out_adj),
+        gradient(arch, theta.vec, vals, win, out_adj),
         reference_gradient(arch, theta, ref_vals, ref_win, out_adj),
     )
     ties = 0
@@ -147,7 +148,7 @@ def test_public_wrappers_match_reference():
         x = _inputs(arch, exact, rng, 1)[0]
         ref_vals, ref_win = reference_values(arch, theta, x)
         _assert_close(neuron_values(arch, theta, x), ref_vals[:, 0])
-        _, win = run(arch, theta, x)
+        _, win = run(arch, theta.vec, x)
         assert {int(j): int(win[j, 0]) for j in np.flatnonzero(arch.kinds == KPOOL)} == {
             j: int(slots[0]) for j, slots in ref_win.items()
         }
@@ -164,3 +165,47 @@ def test_schedule_cached_before_path_norm_is_not_inherited_by_surrogate():
         forward(arch, theta, rng.normal(size=arch.d_in))
         want = path_lifting(arch, theta).norm()
         assert path_norm_fast(arch, theta) == pytest.approx(want, rel=1e-9)
+
+
+def _stacks():
+    """Networks that run every kernel (shared rows, gathered rows, pools
+    with k >= 1 and padded slots), each with a stack of parameter vectors:
+    integers that tie in pools, random ones, random ones with zeroed
+    coordinates, and all zeros."""
+    nets = [(arch, exact, rng) for arch, _, exact, rng in _dag_corpus()[:20]]
+    rng = np.random.default_rng(31)
+    nets.append((mlp_architecture((3, 8, 8, 2)), False, rng))
+    nets.append((conv_grid_architecture(side=6, channels=(2, 3), d_out=3), False, rng))
+    for arch, exact, rng in nets:
+        stack = np.stack([
+            _integer_params(arch, rng).vec,
+            random_params(arch, rng).vec,
+            random_params(arch, rng, zero_frac=0.3).vec,
+            np.zeros(arch.n_coords),
+        ])
+        yield arch, stack, exact, rng
+
+
+@pytest.mark.parametrize("batch", [1, 256])
+def test_stacked_items_are_their_single_passes_bit_for_bit(batch):
+    for arch, stack, exact, rng in _stacks():
+        x = _inputs(arch, exact, rng, batch)
+        for sum_pools in (False, True):
+            vals, win = run(arch, stack, x, sum_pools=sum_pools)
+            assert vals.shape == (len(stack), arch.n_neurons + 1, batch)
+            for i, vec in enumerate(stack):
+                one_vals, one_win = run(arch, vec, x, sum_pools=sum_pools)
+                assert vals[i].tobytes() == one_vals.tobytes()
+                assert (win is None) == (one_win is None)
+                assert win is None or np.array_equal(win[i], one_win)
+        edge, start = engine.activations(arch, stack, x[0])
+        for i, vec in enumerate(stack):
+            one_edge, one_start = engine.activations(arch, vec, x[0])
+            assert np.array_equal(edge[i], one_edge) and np.array_equal(start[i], one_start)
+
+
+def test_run_rejects_parameters_of_the_wrong_shape():
+    arch = pool_arch()
+    for bad in (np.zeros(4), np.zeros((2, 6)), np.zeros((2, 2, 5))):
+        with pytest.raises(DimensionMismatch):
+            run(arch, bad, [1.0, 1.0])

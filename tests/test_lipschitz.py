@@ -1,13 +1,17 @@
 """Output-gap bound, proof trajectory, telescoping, and the two witnesses."""
 
+import math
+
 import numpy as np
 import pytest
 
+from pathlift import engine
 from pathlift.builders import mlp_architecture, random_dag, random_params, same_sign_partner
 from pathlift.errors import (
     DimensionMismatch,
     MixedZeroCoordinate,
     NonFiniteValue,
+    PathExplosion,
     PathliftError,
     SignConditionViolated,
 )
@@ -25,6 +29,7 @@ from pathlift.paths import path_lifting
 from pathlift.transforms import random_rescaling, rescale
 
 from conftest import random_cases
+from reference import reference_activation_breakpoints
 
 
 def _single_edge(w1, w2):
@@ -205,6 +210,100 @@ def test_telescoping_random_corpus():
         x = rng.normal(size=arch.d_in)
         _, report = activation_breakpoints(arch, theta, other, x, samples=32)
         assert report.rel_err <= 1e-9
+
+
+def _breakpoint_corpus():
+    """The benchmark's corpus: 100 random DAGs with same-sign partners and
+    inputs, 32 of which have activation changes along the trajectory."""
+    corpus = []
+    for child in np.random.SeedSequence(4).spawn(100):
+        r = np.random.default_rng(child)
+        arch = random_dag(r, max_layers=5, max_width=6)
+        t1 = random_params(arch, r)
+        t2 = same_sign_partner(t1, r)
+        corpus.append((arch, t1, t2, r.normal(scale=1.5, size=arch.d_in)))
+    return corpus
+
+
+def test_breakpoints_equal_the_reference_loop_on_the_benchmark_corpus():
+    found = 0
+    for arch, t1, t2, x in _breakpoint_corpus():
+        got = activation_breakpoints(arch, t1, t2, x, samples=32)
+        assert got == reference_activation_breakpoints(arch, t1, t2, x, samples=32)
+        found += len(got[0])
+    assert found == 50
+
+
+def test_breakpoints_equal_the_reference_loop_on_criterion_11_nets():
+    for arch, theta, rng in random_cases(100, seed=1111):
+        partner = same_sign_partner(theta, rng)
+        x = rng.normal(size=arch.d_in)
+        got = activation_breakpoints(arch, theta, partner, x, samples=32)
+        assert got == reference_activation_breakpoints(arch, theta, partner, x, samples=32)
+    arch = Architecture(
+        [("in1", "input"), ("in2", "input"), ("h", "relu"), ("out", "identity")],
+        [("in1", "h"), ("in2", "h"), ("h", "out")],
+    )
+    t1 = ParamVector(arch, [1.0, 2.0, 1.0, 0.0, 0.0])
+    t2 = ParamVector(arch, [1.0, 0.25, 1.0, 0.0, 0.0])
+    got = activation_breakpoints(arch, t1, t2, [1.0, -1.0])
+    assert got == reference_activation_breakpoints(arch, t1, t2, [1.0, -1.0])
+
+
+def test_breakpoints_equal_the_reference_loop_on_a_large_table():
+    arch = mlp_architecture([4, 16, 16, 16, 2])  # 41,506 paths
+    rng = np.random.default_rng(1)
+    t1 = random_params(arch, rng)
+    t2 = same_sign_partner(t1, rng)
+    x = rng.normal(size=arch.d_in)
+    got = activation_breakpoints(arch, t1, t2, x, samples=8)
+    assert len(got[0]) == 7
+    assert got == reference_activation_breakpoints(arch, t1, t2, x, samples=8)
+
+
+def test_breakpoints_take_one_pass_plus_one_per_halving(monkeypatch):
+    passes = []
+    run = engine.run
+    monkeypatch.setattr(engine, "run", lambda *a, **k: passes.append(a[1].shape) or run(*a, **k))
+    samples, width = 32, 1e-10
+    # every interval starts 1/samples wide, so all take the same halvings
+    halvings = math.ceil(math.log2(1.0 / samples / width))
+    for arch, t1, t2, x in _breakpoint_corpus()[:40]:
+        passes.clear()
+        found, _ = activation_breakpoints(arch, t1, t2, x, samples=samples, width=width)
+        assert len(passes) == 1 + (halvings if found else 0)
+        assert passes[0] == (samples + 1, arch.n_coords)
+
+
+def _single_edge_pair(w1, w2):
+    arch, t1, t2 = _single_edge(w1, w2)
+    return arch, t1, t2, [1.0]
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        (lambda: _single_edge_pair(1.0, -1.0), SignConditionViolated),
+        (lambda: _single_edge_pair(1.0, 0.0), MixedZeroCoordinate),
+        # the point at t = 1/3 of max * max rounds past the largest double
+        (lambda: _single_edge_pair(np.finfo(float).max, np.finfo(float).max), NonFiniteValue),
+        (lambda: _single_edge_pair(1.0, 2.0)[:3] + ([1.0, 2.0],), DimensionMismatch),
+        (lambda: _single_edge_pair(1.0, 2.0)[:3] + ([np.nan],), NonFiniteValue),
+    ],
+    ids=["sign", "mixed-zero", "overflow", "input-length", "input-nan"],
+)
+def test_breakpoint_checks_raise_like_the_reference_loop(case, error):
+    arch, t1, t2, x = case()
+    for breakpoints in (activation_breakpoints, reference_activation_breakpoints):
+        with pytest.raises(error):
+            breakpoints(arch, t1, t2, x, samples=3)
+
+
+def test_breakpoints_refuse_over_the_path_cap():
+    arch, t1, t2, x = _breakpoint_corpus()[0]
+    for breakpoints in (activation_breakpoints, reference_activation_breakpoints):
+        with pytest.raises(PathExplosion):
+            breakpoints(arch, t1, t2, x, samples=3, cap=1)
 
 
 def test_equality_witness_chain():

@@ -11,7 +11,6 @@ from pathlift import (
     RaggedLayers,
     conv_grid_architecture,
     forward,
-    max_path_length,
     mlp_architecture,
     mlp_bounds,
     mlp_matrices,
@@ -220,17 +219,23 @@ def test_upper_refined_diamond(diamond):
 
 
 def test_upper_bounds_dominate_oracle_on_corpus():
-    # the coarse relaxation needs at least one hidden neuron; without any,
-    # normalization is vacuous and the width term undercounts the output
-    # bias gap, while the refined sum stays exact
     for arch, t1, rng in random_cases(60, seed=403):
         t2 = t1.with_vec(t1.vec * rng.uniform(-1.5, 1.5, size=arch.n_coords))
         oracle = path_metric_oracle(arch, t1, t2)
         refined = path_metric_upper(arch, t1, t2, refined=True)
         assert oracle <= refined * (1 + 1e-9) + 1e-12
-        if max_path_length(arch) >= 2:
-            coarse = path_metric_upper(arch, t1, t2)
-            assert oracle <= coarse * (1 + 1e-9) + 1e-12
+        coarse = path_metric_upper(arch, t1, t2)
+        assert oracle <= coarse * (1 + 1e-9) + 1e-12
+
+
+def test_coarse_upper_bound_counts_the_hidden_bias(chain2):
+    # the graph width (1) left out the bias of the hidden neuron: the bound
+    # was 0.2174 against the oracle's 0.3742
+    t1 = ParamVector(chain2, [-0.6007, -0.4442, 0.0, -0.1945])
+    t2 = ParamVector(chain2, [-0.1312, -0.5095, 0.0, -0.0203])
+    oracle = path_metric_oracle(chain2, t1, t2)
+    assert oracle == pytest.approx(0.37418454, rel=1e-12)
+    assert oracle <= path_metric_upper(chain2, t1, t2)
 
 
 def test_refined_bound_exact_without_hidden_neurons():

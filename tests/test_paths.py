@@ -1,10 +1,14 @@
 """Path enumeration, liftings, activations, and the inner-product identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pathlift import (
     Architecture,
+    DimensionMismatch,
+    NonFiniteValue,
     ParamVector,
     PathExplosion,
     conv_grid_architecture,
@@ -17,6 +21,7 @@ from pathlift import (
     mlp_architecture,
     path_activations,
     path_lifting,
+    random_params,
     save_path_table,
     forward,
 )
@@ -134,6 +139,40 @@ def test_lifting_matches_oracle_on_corpus():
 def test_diamond_activations(diamond):
     arch, theta = diamond
     np.testing.assert_array_equal(path_activations(arch, theta, [1.0]), [1, 0, 1, 0, 1])
+
+
+def test_stacked_path_activations_are_the_per_vector_ones():
+    for arch, theta, rng in random_cases(20, seed=2100, zero_frac=0.2, p_kpool=0.4):
+        stack = np.stack([theta.vec, random_params(arch, rng).vec, -theta.vec])
+        x = rng.normal(size=arch.d_in)
+        acts = path_activations(arch, stack, x)
+        assert acts.shape == (3, count_paths(arch))
+        for row, vec in zip(acts, stack):
+            assert np.array_equal(row, path_activations(arch, ParamVector(arch, vec), x))
+    for bad in (stack[:, 1:], stack[0]):
+        with pytest.raises(DimensionMismatch):
+            path_activations(arch, bad, x)
+    stack[1, 0] = np.nan
+    with pytest.raises(NonFiniteValue):
+        path_activations(arch, stack, x)
+
+
+def test_stacked_path_activations_hold_one_boolean_per_path_and_row():
+    # 16 edges deep: a gather of every path's edges would hold 16 booleans
+    # per path and row, twice the float64 result
+    arch = mlp_architecture([1] + [2] * 15 + [1])
+    rng = np.random.default_rng(7)
+    stack = np.stack([random_params(arch, rng).vec for _ in range(33)])
+    x = [1.0]
+    path_activations(arch, ParamVector(arch, stack[0]), x)  # caches the path table untraced
+    tracemalloc.start()
+    try:
+        acts = path_activations(arch, stack, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert acts.shape == (33, count_paths(arch)) and max_path_length(arch) == 16
+    assert peak <= acts.nbytes + 2 * acts.size + (1 << 16)
 
 
 def test_activation_closed_at_exact_zero():

@@ -24,7 +24,7 @@ from pathlift import (
     same_sign_partner,
     verify_bound,
 )
-from pathlift.metrics import _dominating, graph_width
+from pathlift.metrics import _dominating
 
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -56,16 +56,6 @@ def _has_dead_hidden_neuron(arch, theta):
     v = np.abs(theta.vec)
     inflow = np.bincount(arch.dst, weights=v[: arch.n_edges], minlength=arch.n_neurons)
     return bool(np.any(inflow[rows] + v[arch.bias_coord[rows]] == 0.0))
-
-
-def _coarse_counting_holds(arch):
-    """Whether the coarse bound's width W covers every neuron's coordinates:
-    W >= antecedents + 1 at each hidden neuron, and W**2 >= the incoming
-    edges and biases of all the output neurons together."""
-    w = graph_width(arch)
-    coords = np.diff(arch.in_ptr) + 1
-    hidden = hidden_positions(arch)
-    return coords[arch.output_pos].sum() <= w * w and coords[hidden].max(initial=0) <= w
 
 
 @PROPERTY
@@ -130,5 +120,4 @@ def test_lower_and_upper_bounds_enclose_the_oracle(net, independent):
     oracle = path_metric_oracle(arch, t1, t2)
     assert _le(path_metric_lower(arch, t1, t2), oracle)
     assert _le(oracle, path_metric_upper(arch, t1, t2, refined=True))
-    if _coarse_counting_holds(arch):
-        assert _le(oracle, path_metric_upper(arch, t1, t2))
+    assert _le(oracle, path_metric_upper(arch, t1, t2))

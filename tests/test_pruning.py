@@ -4,7 +4,7 @@ the output-change guarantee."""
 import numpy as np
 import pytest
 
-from pathlift.builders import random_dag, random_params
+from pathlift.builders import conv_grid_architecture, random_dag, random_params
 from pathlift.errors import InfeasibleAmount, MissingData, PathliftError
 from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.metrics import path_metric_oracle
@@ -20,6 +20,7 @@ from pathlift.pruning import (
 from pathlift.transforms import random_rescaling, rescale
 
 from conftest import random_cases
+from reference import reference_pathnorm_diff_scores
 
 METHODS = ("autodiff", "pathnorm_diff", "bruteforce")
 
@@ -60,6 +61,16 @@ def test_path_mag_three_routes_agree_on_corpus():
         brute = path_mag_scores(arch, theta, method="bruteforce").values
         np.testing.assert_allclose(diff, ad, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(brute, ad, rtol=1e-9, atol=1e-12)
+
+
+def test_pathnorm_diff_is_the_per_coordinate_loop():
+    # criterion 8's corpus, and a net whose coordinates take several stacks
+    cases = [(arch, theta) for arch, theta, _ in random_cases(100, seed=808)]
+    arch = conv_grid_architecture(side=6, channels=(2, 3), d_out=3)
+    cases.append((arch, random_params(arch, np.random.default_rng(8), zero_frac=0.2)))
+    for arch, theta in cases:
+        got = path_mag_scores(arch, theta, method="pathnorm_diff").values
+        assert np.array_equal(got, reference_pathnorm_diff_scores(arch, theta))
 
 
 def test_path_mag_bit_exact_under_rescaling():
