@@ -128,7 +128,13 @@ def _cmd_prune(args):
         save_network(args.out, arch, pruned)
 
 
+def _check_min(flag: str, value, low: int):
+    if value is not None and value < low:
+        raise PathliftError(f"{flag} must be at least {low}, got {value}")
+
+
 def _cmd_rescale(args):
+    _check_min("--seed", args.seed, 0)
     arch, theta = load_network(args.network)
     if args.factor:
         factors = {}
@@ -159,6 +165,8 @@ def _cmd_normalize(args):
 
 
 def _cmd_verify_lipschitz(args):
+    _check_min("--seed", args.seed, 0)
+    _check_min("--cases", args.cases, 1)
     root = np.random.SeedSequence(args.seed)
     held = 0
     worst = None

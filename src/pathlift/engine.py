@@ -1,9 +1,9 @@
 """Compiled level schedule: the one engine behind every forward and backward pass.
 
 An architecture is compiled on its first pass and the schedule is cached on
-it.  Neurons are grouped by depth (inputs at depth 0, every other neuron one
-deeper than its deepest antecedent), so a level reads only values of earlier
-levels.  Each level is split into blocks of one kind: the affine rows
+it.  Its levels are ``arch.levels`` (inputs at depth 0, every other neuron
+one deeper than its deepest antecedent), so a level reads only values of
+earlier levels.  Each level is split into blocks of one kind: the affine rows
 (identity and relu), and the pool rows sharing one order k.  A block holds a
 padded slot matrix with one row per neuron and one slot per antecedent, in
 stored antecedent order, giving the antecedent's position and the edge's
@@ -67,7 +67,7 @@ def _index(ix: np.ndarray):
 
 
 class _Block:
-    """Neurons of one level and one kind, with their slot matrices.
+    """The rows ``sel`` of a level, all of one kind, with their slot matrices.
 
     ``src``/``coord``: (rows, K) antecedent positions and edge coordinates,
     padded with the zero value row ``n`` and the zero weight ``n_coords``.
@@ -84,11 +84,11 @@ class _Block:
     __slots__ = ("rows", "at", "src", "coord", "shared", "k", "floor", "bias",
                  "valid", "tsrc", "trow", "tcoord", "tslot")
 
-    def __init__(self, arch: Architecture, member: np.ndarray, k: int):
+    def __init__(self, arch: Architecture, level: tuple, sel: np.ndarray, k: int):
         n, nc = arch.n_neurons, arch.n_coords
-        rows = np.flatnonzero(member)
-        coord = np.flatnonzero(member[arch.dst])  # the rows' incoming edges, row by row
-        fan = arch.in_ptr[rows + 1] - arch.in_ptr[rows]
+        rows, edges, starts = level
+        fan = np.diff(starts, append=edges.size)
+        rows, coord, fan = rows[sel], edges[np.repeat(sel, fan)], fan[sel]  # coord: row by row
         width = int(fan.max())
         valid = np.arange(width) < fan[:, None]
         self.rows = rows
@@ -115,6 +115,7 @@ class _Block:
             self.shared = _index(self.src[0].astype(np.int64))
             return
         # the same edges in source order, each source's in row order
+        member = np.bincount(rows, minlength=n) > 0
         e = arch.out_perm[member[arch.dst[arch.out_perm]]]
         src, dst = arch.src[e], arch.dst[e]
         first = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
@@ -133,20 +134,20 @@ class _Block:
 
 
 class Schedule:
-    """Blocks of every level, in level order (see the module docstring).
-    Level d holds the neurons of ``arch.depth`` d, so ``len(levels)`` is the
+    """Blocks of every level, in level order (see the module docstring):
+    one tuple per entry of ``arch.levels``, so ``len(levels)`` is the
     longest path of the network."""
 
     __slots__ = ("levels", "win_dtype")
 
     def __init__(self, arch: Architecture):
-        depth, pool = arch.depth, arch.kinds == KPOOL
+        pool = arch.kinds == KPOOL
         pool_fan = np.diff(arch.in_ptr)[pool]
         self.win_dtype = np.min_scalar_type(-pool_fan.max()) if pool_fan.size else None
         pool_k = np.where(pool, arch.pool_k, 0)
         self.levels = tuple(
-            tuple(_Block(arch, (depth == d) & (pool_k == k), k) for k in np.unique(pool_k[depth == d]))
-            for d in range(1, int(depth.max(initial=0)) + 1)
+            tuple(_Block(arch, level, pool_k[level[0]] == k, k) for k in np.unique(pool_k[level[0]]))
+            for level in arch.levels
         )
 
 

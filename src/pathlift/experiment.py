@@ -47,6 +47,8 @@ class ExperimentConfig:
     prune_biases: bool = False
 
     def validated(self) -> "ExperimentConfig":
+        if self.seed < 0:
+            raise PathliftError(f"seed must be at least 0, got {self.seed}")
         if self.dataset not in ("two_gaussians", "xor"):
             raise PathliftError(f"unknown dataset {self.dataset!r}")
         if self.loss not in ("logistic", "squared_error"):

@@ -21,7 +21,7 @@ fan-out counts, and the canonical edge order is one argsort.  The edges
 are kept as one CSR layout: ``src``/``dst`` (each canonical edge's end
 positions), ``in_ptr`` (neuron j's incoming edges are the coordinates
 ``in_ptr[j]:in_ptr[j + 1]``) and ``out_perm`` (the edges in source order).
-``out_perm``, ``depth`` and the id views (``edges``, ``edge_index``,
+``out_perm``, ``depth``, ``levels`` and the id views (``edges``, ``edge_index``,
 ``coord_labels``, ``input_ids``, ``output_ids``) are built on first access;
 the passes, the path norm and the path-metric bounds read no id view.
 """
@@ -229,6 +229,23 @@ class Architecture:
             depth = new
         return depth
 
+    @cached_property
+    def levels(self) -> tuple:
+        """Per depth d = 1, 2, ...: (rows, edges, starts), the level's positions in
+        ascending order, their incoming edge coordinates row by row, and each row's
+        first index into edges; intp, as numpy converts an int32 index per gather."""
+        rows = self.non_input_pos[np.argsort(self.depth[self.non_input_pos], kind="stable")]
+        fan = self.in_ptr[rows + 1] - self.in_ptr[rows]
+        seg = np.r_[0, np.cumsum(fan)]  # rows[r]'s edges: edges[seg[r]:seg[r + 1]]
+        edges = np.arange(seg[-1]) + np.repeat(self.in_ptr[rows] - seg[:-1], fan)
+        cuts = np.r_[0, np.cumsum(np.bincount(self.depth[rows])[1:])].tolist()
+        return tuple((rows[a:b], edges[seg[a] : seg[b]], seg[a:b] - seg[a]) for a, b in zip(cuts, cuts[1:]))
+
+    @cached_property
+    def _pool_bias(self) -> np.ndarray:
+        """The bias coordinates of the kpool neurons, which stay pinned to 0."""
+        return self.bias_coord[self.kinds == KPOOL]
+
     # ---- basic queries -------------------------------------------------
 
     @property
@@ -289,9 +306,8 @@ class ParamVector:
             shown = ", ".join(f"{arch.coord_labels[i]}={v[i]!r}" for i in bad[:5])
             more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
             raise NonFiniteValue(f"non-finite parameter(s): {shown}{more}")
-        pool_bias = arch.bias_coord[arch.kinds == KPOOL]
-        if pool_bias.size:
-            v[pool_bias] = 0.0
+        if arch._pool_bias.size:
+            v[arch._pool_bias] = 0.0
         v.setflags(write=False)
         self.arch = arch
         self.vec = v
@@ -364,6 +380,17 @@ class ParamVector:
 def _check_bound(arch: Architecture, theta: ParamVector):
     if theta.arch is not arch and theta.arch != arch:
         raise DimensionMismatch("parameter vector bound to a different architecture")
+
+
+def _check_input(arch: Architecture, x) -> np.ndarray:
+    """One input ``x`` as a flat float vector; raises unless it has one
+    finite entry per input neuron."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if x.shape[0] != arch.d_in:
+        raise DimensionMismatch(f"input has {x.shape[0]} entries, the network has {arch.d_in} inputs")
+    if not np.isfinite(x).all():
+        raise NonFiniteValue("input holds NaN or infinite entries")
+    return x
 
 
 def neuron_values(arch: Architecture, theta: ParamVector, x) -> np.ndarray:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     DominanceUnverified,
     MixedZeroCoordinate,
     NonFiniteValue,
@@ -33,7 +32,7 @@ from .errors import (
     PathliftError,
     SignConditionViolated,
 )
-from .graph import KPOOL, Architecture, ParamVector, forward, _check_bound
+from .graph import Architecture, ParamVector, forward, _check_bound, _check_input
 from .metrics import path_metric_exact_dominated, path_metric_lower, path_metric_oracle
 from .paths import path_activations, path_lifting
 
@@ -78,11 +77,7 @@ def _rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x, variant: str, 
     _check_bound(arch, t1)
     _check_bound(arch, t2)
     check_sign_condition(t1, t2)
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != arch.d_in:
-        raise DimensionMismatch(f"input has {x.shape[0]} entries, the network has {arch.d_in} inputs")
-    if not np.isfinite(x).all():
-        raise NonFiniteValue("input holds NaN or infinite entries")
+    x = _check_input(arch, x)
     xinf = float(np.abs(x).max())
     if variant == "main":
         scale = max(xinf, 1.0)
@@ -159,7 +154,7 @@ def _trajectory_points(arch: Architecture, t1: ParamVector, t2: ParamVector, ts)
     bad = ~np.isfinite(stack).all(axis=1)
     if bad.any():
         raise NonFiniteValue(f"the trajectory point at t={ts[int(np.argmax(bad))]!r} overflows float64")
-    stack[:, arch.bias_coord[arch.kinds == KPOOL]] = 0.0
+    stack[:, arch._pool_bias] = 0.0
     return stack
 
 
@@ -218,7 +213,16 @@ def activation_breakpoints(
     cut by the located breakpoints and compares against the endpoint l1
     metric; per-coordinate monotonicity of the lifting along the trajectory
     makes the two agree for any segmentation.
+
+    ``samples`` must be at least 1 and ``width`` at least 0.  An interval
+    whose midpoint rounds onto one of its ends cannot shrink further and
+    stops there, so a width at or below the float spacing ends at adjacent
+    doubles.
     """
+    if samples < 1:
+        raise PathliftError(f"samples must be at least 1, got {samples!r}")
+    if not width >= 0.0:
+        raise PathliftError(f"width must be a number >= 0, got {width!r}")
     ts = np.linspace(0.0, 1.0, samples + 1)
     _check_trajectory(arch, t1, t2)
 
@@ -235,10 +239,11 @@ def activation_breakpoints(
         mid = 0.5 * (lo[live] + hi[live])
         am = acts(mid)
         same = np.all(am == a_lo[live], axis=1)
+        split = (mid != lo[live]) & (mid != hi[live])  # else the midpoint rounded onto an end
         lo[live[same]] = mid[same]
         hi[live[~same]] = mid[~same]
         a_hi[live[~same]] = am[~same]
-        live = live[hi[live] - lo[live] > width]
+        live = live[split & (hi[live] - lo[live] > width)]
     found = [
         Breakpoint(t=float(0.5 * (left + right)), changed_paths=tuple(np.flatnonzero(a != b).tolist()))
         for left, right, a, b in zip(lo, hi, a_lo, a_hi)

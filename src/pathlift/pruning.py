@@ -23,7 +23,7 @@ import numpy as np
 from .autodiff import grad_path_norm, grad_scalar, scalar_value
 from .engine import _BLOCK_ELEMS, run
 from .errors import InfeasibleAmount, MissingData, PathliftError
-from .graph import KPOOL, Architecture, ParamVector, forward, _check_bound
+from .graph import Architecture, ParamVector, forward, _check_bound, _check_input
 from .metrics import _sum_pool_tape
 from .paths import path_lifting
 
@@ -186,7 +186,7 @@ def _eligible(arch: Architecture, edges_only: bool) -> np.ndarray:
     if edges_only:
         ok[arch.n_edges :] = False
     else:
-        ok[arch.bias_coord[arch.kinds == KPOOL]] = False
+        ok[arch._pool_bias] = False
     return ok
 
 
@@ -262,12 +262,12 @@ def pruning_error_bound(
     compared against the realized l1 output change.  Scores are taken at the
     unpruned theta; any computation route works, autodiff by default.
     """
+    x = _check_input(arch, x)
     if scores is None:
         scores = path_mag_scores(arch, theta, method="autodiff")
     idx = np.asarray(sorted(int(i) for i in pruned_coords), dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= arch.n_coords):
         raise InfeasibleAmount("pruned coordinate index out of range")
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
     bound = float(scores.values[idx].sum()) * max(1.0, float(np.abs(x).max()))
     keep = np.ones(arch.n_coords, dtype=bool)
     keep[idx] = False

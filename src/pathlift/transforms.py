@@ -83,9 +83,9 @@ def normalize(arch: Architecture, theta: ParamVector, include_kpool: bool = Fals
 
     Sweeps hidden neurons in topological order, dividing each one's incoming
     weights and bias by their l1 norm lambda (when nonzero) and multiplying
-    its outgoing weights by it.  Neurons of one depth level never feed each
-    other, so each level's lambdas are one segment sum; every weight is then
-    multiplied by its source's lambda and divided by its destination's.
+    its outgoing weights by it.  Neurons of one level of ``arch.levels`` never
+    feed each other, so each level's lambdas are one segment sum; every weight
+    is then multiplied by its source's lambda and divided by its destination's.
     Afterwards every visited neuron has incoming l1 norm 0 or 1, the path
     lifting is unchanged, and running the map again is a no-op.  Rescaled
     copies of theta map to the same vector unless some visited neuron has
@@ -99,17 +99,12 @@ def normalize(arch: Architecture, theta: ParamVector, include_kpool: bool = Fals
     _check_bound(arch, theta)
     v = theta.vec.copy()
     src, lam = arch.src, np.ones(arch.n_neurons)
-    rows = hidden_positions(arch, include_kpool=include_kpool)
-    rows = rows[np.argsort(arch.depth[rows], kind="stable")]  # level by level
-    fan = arch.in_ptr[rows + 1] - arch.in_ptr[rows]
-    seg = np.r_[0, np.cumsum(fan)]  # rows[r]'s incoming edges: edges[seg[r]:seg[r + 1]]
-    edges = np.arange(seg[-1]) + np.repeat(arch.in_ptr[rows] - seg[:-1], fan)
-    cuts = np.flatnonzero(np.diff(arch.depth[rows], prepend=-1, append=-1)).tolist()
-    for a, b in zip(cuts, cuts[1:]):  # one depth level: rows[a:b]
-        e, r = edges[seg[a] : seg[b]], rows[a:b]
-        norm = np.add.reduceat(np.abs(v[e] * lam[src[e]]), seg[a:b] - seg[a])
-        norm += np.abs(v[arch.bias_coord[r]])
-        lam[r] = np.where(norm > 0.0, norm, 1.0)
+    visit = np.isin(np.arange(arch.n_neurons), hidden_positions(arch, include_kpool=include_kpool))
+    bias = np.abs(np.r_[v, 0.0][arch.bias_coord])  # inputs read the appended 0.0
+    for r, e, starts in arch.levels:  # unvisited neurons keep lambda 1
+        norm = np.add.reduceat(np.abs(v[e] * lam[src[e]]), starts)
+        norm += bias[r]
+        lam[r] = np.where(visit[r] & (norm > 0.0), norm, 1.0)
     v[: arch.n_edges] = v[: arch.n_edges] * lam[src] / lam[arch.dst]
-    v[arch.bias_coord[rows]] /= lam[rows]
+    v[arch.n_edges :] /= lam[arch.non_input_pos]
     return ParamVector(arch, v)

@@ -204,6 +204,20 @@ def test_stacked_items_are_their_single_passes_bit_for_bit(batch):
             assert np.array_equal(edge[i], one_edge) and np.array_equal(start[i], one_start)
 
 
+def test_schedule_blocks_are_the_depth_and_pool_order_groups():
+    cases = [case[0] for case in _dag_corpus()]
+    cases += [mlp_architecture((3, 8, 8, 2)), conv_grid_architecture(side=6, channels=(2, 3), d_out=3)]
+    for arch in cases:
+        depth, pool_k = _depths(arch), np.where(arch.kinds == KPOOL, arch.pool_k, 0)
+        levels = engine.Schedule(arch).levels
+        assert len(levels) == depth.max()
+        for d, level in enumerate(levels, start=1):
+            assert [blk.k for blk in level] == np.unique(pool_k[depth == d]).tolist()
+            for blk in level:
+                assert blk.rows.dtype == np.int64
+                assert np.array_equal(blk.rows, np.flatnonzero((depth == d) & (pool_k == blk.k)))
+
+
 def test_run_rejects_parameters_of_the_wrong_shape():
     arch = pool_arch()
     for bad in (np.zeros(4), np.zeros((2, 6)), np.zeros((2, 2, 5))):

@@ -47,6 +47,11 @@ def test_xor_dataset_labels():
     np.testing.assert_array_equal(ytr, (xtr[:, 0] * xtr[:, 1] > 0).astype(np.int64))
 
 
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(PathliftError):
+        _tiny(seed=-1).validated()
+
+
 def test_config_validation():
     with pytest.raises(PathliftError):
         _tiny(rewind_epoch=12).validated()  # must be < epochs

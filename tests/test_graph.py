@@ -26,6 +26,8 @@ from pathlift import (
     same_sign_partner,
     save_network,
 )
+from pathlift.graph import KPOOL
+
 from conftest import diamond_arch, diamond_theta, pool_arch, pool_theta, random_cases
 
 
@@ -229,3 +231,46 @@ def test_id_views_are_built_on_first_access(tmp_path):
     assert not {"edges", "edge_index", "coord_labels"} & vars(loaded).keys()
     assert loaded.edges == arch.edges and loaded.coord_labels == arch.coord_labels
     assert {"edges", "coord_labels"} <= vars(loaded).keys()
+
+
+def _assert_levels(arch):
+    """The levels partition the non-input positions by depth, in ascending
+    rows, each with exactly its rows' incoming edges, row by row."""
+    fan = np.diff(arch.in_ptr)
+    assert len(arch.levels) == arch.depth.max(initial=0)
+    seen = [rows for rows, _, _ in arch.levels]
+    assert np.array_equal(np.sort(np.concatenate(seen)) if seen else [], arch.non_input_pos)
+    for d, (rows, edges, starts) in enumerate(arch.levels, start=1):
+        assert rows.dtype == edges.dtype == starts.dtype == np.intp
+        assert np.all(arch.depth[rows] == d) and np.all(np.diff(rows) > 0)
+        assert np.array_equal(edges, np.flatnonzero(np.isin(arch.dst, rows)))
+        assert np.array_equal(arch.dst[edges], np.repeat(rows, fan[rows]))
+        assert np.array_equal(starts, np.cumsum(fan[rows]) - fan[rows])
+
+
+def test_levels_group_the_neurons_by_depth():
+    cases = [arch for arch, _, _ in random_cases(40, seed=1313, p_kpool=0.4, p_skip=0.5)]
+    assert any(np.any(arch.kinds == KPOOL) for arch in cases)
+    assert any(np.any(arch.depth[arch.src] < arch.depth[arch.dst] - 1) for arch in cases)  # skip edges
+    names = ["in"] + [f"m{k:02d}" for k in range(1, 40)] + ["out"]
+    chain = Architecture(
+        [("in", "input")] + [(n, "relu") for n in names[1:-1]] + [("out", "identity")],
+        list(zip(names[:-1], names[1:])),
+    )
+    # ids that run against the topological order: z, y, x, a
+    backwards = Architecture(
+        [("a", "identity"), ("x", "relu"), ("y", "relu"), ("z", "input")],
+        [("z", "y"), ("y", "x"), ("z", "x"), ("x", "a"), ("z", "a")],
+    )
+    assert backwards.ids == ("z", "y", "x", "a")
+    cases += [conv_grid_architecture(side=6, channels=(2, 3), d_out=3), chain, backwards]
+    for arch in cases:
+        _assert_levels(arch)
+    assert len(chain.levels) == 40
+    assert [rows.tolist() for rows, _, _ in backwards.levels] == [[1], [2], [3]]
+
+
+def test_a_network_of_inputs_has_no_levels():
+    arch = Architecture([("a", "input"), ("b", "input")], [])
+    assert arch.levels == ()
+    _assert_levels(arch)

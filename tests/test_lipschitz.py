@@ -186,6 +186,50 @@ def test_breakpoint_micro_case():
     assert report.boundaries[0] == 0.0 and report.boundaries[-1] == 1.0
 
 
+def _micro_pair():
+    """The micro case's net: its one breakpoint sits at t = 1/3."""
+    arch = Architecture(
+        [("in1", "input"), ("in2", "input"), ("h", "relu"), ("out", "identity")],
+        [("in1", "h"), ("in2", "h"), ("h", "out")],
+    )
+    t1 = ParamVector(arch, [1.0, 2.0, 1.0, 0.0, 0.0])
+    t2 = ParamVector(arch, [1.0, 0.25, 1.0, 0.0, 0.0])
+    return arch, t1, t2, [1.0, -1.0]
+
+
+def _limit_passes(monkeypatch, limit=200):
+    """Fail, rather than hang, once more than ``limit`` engine passes ran."""
+    passes = []
+    run = engine.run
+
+    def counted(*a, **k):
+        passes.append(1)
+        assert len(passes) <= limit, "bisection did not terminate"
+        return run(*a, **k)
+
+    monkeypatch.setattr(engine, "run", counted)
+
+
+@pytest.mark.parametrize("width", [0.0, 1e-17])
+def test_breakpoints_stop_at_the_float_spacing(monkeypatch, width):
+    _limit_passes(monkeypatch)
+    found, report = activation_breakpoints(*_micro_pair(), width=width)
+    assert len(found) == 1 and abs(found[0].t - 1.0 / 3.0) <= 1e-15
+    assert found[0].changed_paths == (0, 1, 2)
+    assert report.rel_err == 0.0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"samples": 0}, {"samples": -1}, {"width": math.nan}, {"width": -1.0}],
+    ids=["samples-0", "samples-negative", "width-nan", "width-negative"],
+)
+def test_breakpoints_reject_out_of_range_arguments(monkeypatch, kwargs):
+    _limit_passes(monkeypatch)
+    with pytest.raises(PathliftError):
+        activation_breakpoints(*_micro_pair(), **kwargs)
+
+
 def test_breakpoints_identical_params(diamond):
     arch, theta = diamond
     found, report = activation_breakpoints(arch, theta, theta, [1.0], samples=16)

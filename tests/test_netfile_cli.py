@@ -434,6 +434,11 @@ def test_cli_iterative_magnitude_prune_matches_one_shot(tmp_path, capsys):
         ["experiment", "--seed", "0", "--n-test", "0"],
         ["rescale", "NET", "--seed", "0", "--preset", "log_uniform:inf"],
         ["rescale", "NET", "--seed", "0", "--preset", "log_uniform:1e309"],
+        ["experiment", "--seed", "-1"],
+        ["rescale", "NET", "--seed", "-1"],
+        ["verify-lipschitz", "--seed", "-1"],
+        ["verify-lipschitz", "--seed", "0", "--cases", "-1"],
+        ["verify-lipschitz", "--seed", "0", "--cases", "0"],
     ],
 )
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, argv):

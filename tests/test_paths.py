@@ -65,6 +65,16 @@ def test_count_matches_reference_loop():
         assert count_paths(arch) == reference_count_paths(arch)
 
 
+def test_count_is_an_exact_int_on_a_deep_mlp():
+    # c = 1 + 8 c per layer; 8 outputs of the 40th layer
+    c = 1
+    for _ in range(39):
+        c = 1 + 8 * c
+    count = count_paths(mlp_architecture([8] * 40))
+    assert type(count) is int and count == 8 * c
+    assert count > 2**53  # past float64's exact integers
+
+
 def test_canonical_order_matches_oracle_on_corpus():
     for arch, _, _ in random_cases(30, seed=203):
         assert list(enumerate_paths(arch)) == oracle_paths(arch)

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from pathlift.builders import conv_grid_architecture, random_dag, random_params
-from pathlift.errors import InfeasibleAmount, MissingData, PathliftError
+from pathlift.errors import (
+    DimensionMismatch,
+    InfeasibleAmount,
+    MissingData,
+    NonFiniteValue,
+    PathliftError,
+)
 from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.metrics import path_metric_oracle
 from pathlift.pruning import (
@@ -215,6 +221,13 @@ def test_pruning_error_bound_index_range(diamond):
     arch, theta = diamond
     with pytest.raises(InfeasibleAmount):
         pruning_error_bound(arch, theta, [99], [1.0])
+
+
+def test_pruning_error_bound_checks_the_input(diamond):
+    arch, theta = diamond
+    for x, error in (([], DimensionMismatch), ([1.0, 2.0], DimensionMismatch), ([np.nan], NonFiniteValue)):
+        with pytest.raises(error):
+            pruning_error_bound(arch, theta, [0], x)
 
 
 def test_pruning_error_bound_random_trials():
