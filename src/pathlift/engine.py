@@ -114,10 +114,11 @@ class _Block:
         if k == 0 and np.all(self.src == self.src[0]):
             self.shared = _index(self.src[0].astype(np.int64))
             return
-        # the same edges in source order, each source's in row order
-        member = np.bincount(rows, minlength=n) > 0
-        e = arch.out_perm[member[arch.dst[arch.out_perm]]]
-        src, dst = arch.src[e], arch.dst[e]
+        # the block's slots in source order, each source's in row order
+        r, slot = np.nonzero(valid)  # row by row, as ``coord``
+        order = np.argsort(arch.src[coord], kind="stable")
+        r, slot, e = r[order], slot[order], coord[order]
+        src = arch.src[e]
         first = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
         counts = np.diff(np.r_[first, src.size])
         m = np.repeat(np.arange(first.size), counts)
@@ -126,11 +127,11 @@ class _Block:
         self.tsrc = _index(src[first])
         self.trow = np.full(shape, n, dtype=np.int32)
         self.tcoord = np.full(shape, nc, dtype=np.int32)
-        self.trow[m, t] = dst
+        self.trow[m, t] = rows[r]
         self.tcoord[m, t] = e
         if k:
             self.tslot = np.zeros(shape, dtype=np.int32)
-            self.tslot[m, t] = e - arch.in_ptr[dst]
+            self.tslot[m, t] = slot
 
 
 class Schedule:
@@ -329,23 +330,17 @@ def _pool_backward(blk: _Block, wpad, vals, win, adj, gpad, inner: bool):
 def activations(arch: Architecture, theta: np.ndarray, x):
     """Boolean activation per edge coordinate and per neuron as a path start
     at x, for the parameter array ``theta`` (a stack gives both a leading
-    axis).
+    axis), read off the forward tape.
 
-    Edges into identity neurons are always active; into relu neurons active
-    iff the neuron's value is strictly positive; into pool neurons active
-    only from the selected slot.  A path starting at a relu neuron is
-    active iff that neuron is.
+    A start is active unless it is a relu neuron whose value is not strictly
+    positive.  An edge into a relu or identity neuron takes that neuron's
+    start activation (identity neurons are always active); an edge into a
+    pool neuron is active only from the selected slot.
     """
     vals, win = run(arch, theta, np.asarray(x, dtype=np.float64).reshape(-1))
-    lead = theta.shape[:-1]
-    edge = np.ones(lead + (arch.n_coords + 1,), dtype=bool)
-    start = np.ones(lead + (arch.n_neurons,), dtype=bool)
-    for level in schedule(arch).levels:
-        for blk in level:
-            if blk.k:
-                edge[..., blk.coord] = np.arange(blk.src.shape[1]) == win[..., blk.rows, :]
-            elif blk.floor is not None:
-                on = vals[..., blk.at, :] > blk.floor
-                edge[..., blk.coord] = on
-                start[..., blk.at] = on[..., 0]
-    return edge[..., : arch.n_edges], start
+    start = (arch.kinds != RELU) | (vals[..., :-1, 0] > 0.0)
+    edge = start[..., arch.dst]
+    if win is not None:
+        e = np.flatnonzero(arch.kinds[arch.dst] == KPOOL)
+        edge[..., e] = win[..., arch.dst[e], 0] == e - arch.in_ptr[arch.dst[e]]
+    return edge, start

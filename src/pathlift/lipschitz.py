@@ -20,6 +20,7 @@ segmentation of [0, 1] telescope exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .graph import Architecture, ParamVector, forward, _check_bound, _check_input
 from .metrics import path_metric_exact_dominated, path_metric_lower, path_metric_oracle
-from .paths import path_activations, path_lifting
+from .paths import _row_products, _table, path_activations, path_lifting
 
 HOLDS_RTOL = 1e-9
 HOLDS_ATOL = 1e-12
@@ -212,15 +213,16 @@ def activation_breakpoints(
     The telescoping report sums the l1 lifting distances over the segments
     cut by the located breakpoints and compares against the endpoint l1
     metric; per-coordinate monotonicity of the lifting along the trajectory
-    makes the two agree for any segmentation.
+    makes the two agree for any segmentation.  All boundary liftings are one
+    row product, whose first and last rows (theta, theta') give the endpoint.
 
-    ``samples`` must be at least 1 and ``width`` at least 0.  An interval
-    whose midpoint rounds onto one of its ends cannot shrink further and
-    stops there, so a width at or below the float spacing ends at adjacent
-    doubles.
+    ``samples`` must be an integer of at least 1 and ``width`` at least 0.
+    An interval whose midpoint rounds onto one of its ends cannot shrink
+    further and stops there, so a width at or below the float spacing ends
+    at adjacent doubles.
     """
-    if samples < 1:
-        raise PathliftError(f"samples must be at least 1, got {samples!r}")
+    if not (isinstance(samples, numbers.Integral) and samples >= 1):
+        raise PathliftError(f"samples must be an integer >= 1, got {samples!r}")
     if not width >= 0.0:
         raise PathliftError(f"width must be a number >= 0, got {width!r}")
     ts = np.linspace(0.0, 1.0, samples + 1)
@@ -251,11 +253,9 @@ def activation_breakpoints(
 
     boundaries = (0.0,) + tuple(bp.t for bp in found) + (1.0,)
     points = _trajectory_points(arch, t1, t2, boundaries)
-    liftings = [path_lifting(arch, ParamVector(arch, p), cap=cap).values for p in points]
-    seg = sum(
-        float(np.abs(b - a).sum()) for a, b in zip(liftings[:-1], liftings[1:])
-    )
-    endpoint = path_metric_oracle(arch, t1, t2, cap=cap)
+    liftings = _row_products(np.c_[points, np.ones(len(boundaries))], _table(arch, cap=cap).rows)
+    seg = sum(float(np.abs(b - a).sum()) for a, b in zip(liftings[:-1], liftings[1:]))
+    endpoint = float(np.sum(np.abs(liftings[0] - liftings[-1])))
     denom = max(abs(seg), abs(endpoint), 1e-300)
     report = TelescopingReport(
         boundaries=boundaries,

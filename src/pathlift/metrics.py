@@ -24,6 +24,7 @@ estimates:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ def _sum_pool_tape(arch: Architecture, theta: ParamVector, q: float = 1.0):
     """(|theta|**q, ``vals`` of its ``run(..., sum_pools=True)`` on the
     all-ones input), whose output rows sum to the q-th power of the lq path
     norm.  Raises :class:`NonFiniteValue` naming ``q`` when that overflows."""
-    if not (np.isfinite(q) and q > 0):
+    if not (isinstance(q, numbers.Real) and np.isfinite(q) and q > 0):
         raise PathliftError(f"q must be finite and > 0, got {q!r}")
     _check_bound(arch, theta)
     with np.errstate(over="ignore", invalid="ignore"):

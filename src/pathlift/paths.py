@@ -19,8 +19,9 @@ backwards from its end one edge per step, then all are sorted into the
 canonical order.  Path i has an int32 start position and an int32 row:
 column 0 is the start's bias coordinate (the sentinel ``n_coords`` for an
 input start), the rest are its edge coordinates in forward order, padded
-with the sentinel.  The sentinel reads an appended 1.0, so every per-path
-quantity is one gather through the rows and a product or a bincount.  The
+with the sentinel, which reads an appended 1.0 (on, for activations).  A
+per-path product, the lifting or the 0/1 activations, is reduced column by
+column, one entry per path; a per-coordinate sum is one bincount.  The
 table is cached on the architecture per end and the cap is checked on
 every call.  It holds paths x (longest path + 1) int32 entries: about
 36 MB for a 3,000-edge chain, 1.6 MB for a (4, 20, 20, 20, 2) MLP.
@@ -28,6 +29,7 @@ every call.  It holds paths x (longest path + 1) int32 entries: about
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import activations
-from .errors import DimensionMismatch, NonFiniteValue, PathExplosion
+from .errors import DimensionMismatch, NonFiniteValue, PathExplosion, PathliftError
 from .graph import Architecture, ParamVector, _check_bound, _check_input
 
 DEFAULT_PATH_CAP = 10**6
@@ -44,8 +46,14 @@ DEFAULT_PATH_CAP = 10**6
 
 def _resolve_cap(cap) -> int:
     if cap is not None:
+        if not isinstance(cap, numbers.Integral):
+            raise PathliftError(f"cap must be an integer, got {cap!r}")
         return int(cap)
-    return int(os.environ.get("PATHLIFT_PATH_CAP", DEFAULT_PATH_CAP))
+    value = os.environ.get("PATHLIFT_PATH_CAP", DEFAULT_PATH_CAP)
+    try:
+        return int(value)
+    except ValueError:
+        raise PathliftError(f"PATHLIFT_PATH_CAP must be an integer, got {value!r}") from None
 
 
 def count_paths(arch: Architecture, end=None) -> int:
@@ -128,12 +136,14 @@ def _table(arch: Architecture, end=None, cap=None) -> _PathTable:
     return table
 
 
-def _row_products(arch: Architecture, vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Product over each row of the entries of ``vec`` it selects, left to
-    right; the sentinel, and any coordinate past the end of ``vec``, reads 1.0."""
-    padded = np.ones(arch.n_coords + 1)
-    padded[: vec.size] = vec
-    return np.prod(padded[rows], axis=1)
+def _row_products(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Product over each row of the entries it selects from ``vec``, one
+    column at a time (left to right, as ``np.prod``): a per-coordinate vector
+    with the sentinel's 1.0 (or True) appended, or a stack of them."""
+    out = np.take(vec, rows[:, 0], axis=-1)
+    for col in rows.T[1:]:
+        out *= np.take(vec, col, axis=-1)
+    return out
 
 
 def _id_tuples(arch: Architecture, table: _PathTable) -> list:
@@ -207,7 +217,7 @@ def path_lifting(arch: Architecture, theta: ParamVector, end=None, cap=None) -> 
     empty product is 1, so a single-neuron path at v has value b_v)."""
     _check_bound(arch, theta)
     table = _table(arch, end=end, cap=cap)
-    return PathLifting(arch=arch, table=table, values=_row_products(arch, theta.vec, table.rows))
+    return PathLifting(arch=arch, table=table, values=_row_products(np.append(theta.vec, 1.0), table.rows))
 
 
 def _param_rows(arch: Architecture, theta) -> np.ndarray:
@@ -230,17 +240,14 @@ def path_activations(arch: Architecture, theta, x, end=None, cap=None) -> np.nda
     ``theta`` is a ParamVector, or a (P, n_coords) array stacking P
     parameter vectors in canonical coordinate order (their kpool bias
     entries are never read); a stack gives (P, n_paths) from one engine
-    pass, row i equal to the activations of ``theta[i]``.  Paths are
-    ANDed one edge column at a time, so no gather holds an entry per edge
-    of every path: the transients stay at one boolean per path and row."""
+    pass, row i equal to the activations of ``theta[i]``.  A start's
+    activation sits in its bias slot, column 0 of every path starting there."""
     edge_act, start_act = activations(arch, _param_rows(arch, theta), x)
     table = _table(arch, end=end, cap=cap)
     on = np.ones(edge_act.shape[:-1] + (arch.n_coords + 1,), dtype=bool)  # the sentinel is on
     on[..., : arch.n_edges] = edge_act
-    act = np.take(start_act, table.start, axis=-1)
-    for col in table.rows.T[1:]:
-        act &= np.take(on, col, axis=-1)
-    return act.astype(np.float64)
+    on[..., arch.n_edges : arch.n_coords] = start_act[..., arch.non_input_pos]
+    return _row_products(on, table.rows).astype(np.float64)
 
 
 def _input_column(arch: Architecture) -> np.ndarray:
@@ -274,7 +281,7 @@ def linearized_output(arch: Architecture, theta: ParamVector, x, cap=None) -> np
     x = _check_input(arch, x)
     acts = path_activations(arch, theta, x, cap=cap)
     table = _table(arch, cap=cap)
-    phi = _row_products(arch, theta.vec, table.rows)
+    phi = _row_products(np.append(theta.vec, 1.0), table.rows)
     lead = np.append(x, 1.0)[_input_column(arch)[table.start]]
     out_col = np.searchsorted(arch.output_pos, table.end)
     return np.bincount(out_col, weights=phi * acts * lead, minlength=arch.d_out)

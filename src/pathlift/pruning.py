@@ -16,6 +16,7 @@ scores times max(1, |x|_inf).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +199,8 @@ def _resolve_count(n_eligible: int, fraction, count) -> int:
         if not 0.0 <= f <= 1.0:
             raise InfeasibleAmount(f"fraction must lie in [0, 1], got {f}")
         return int(np.floor(f * n_eligible))
+    if not isinstance(count, numbers.Integral):
+        raise InfeasibleAmount(f"count must be an integer, got {count!r}")
     k = int(count)
     if not 0 <= k <= n_eligible:
         raise InfeasibleAmount(f"count must lie in [0, {n_eligible}], got {k}")
@@ -256,7 +259,8 @@ def pruning_error_bound(
     x,
     scores: ScoreVector | None = None,
 ) -> PruneBoundReport:
-    """Output-change guarantee for zeroing the given coordinate set at x.
+    """Output-change guarantee for zeroing the given coordinate set at x (a
+    coordinate listed twice counts once).
 
     bound = (sum of the coordinates' path-magnitude scores) * max(1, |x|_inf),
     compared against the realized l1 output change.  Scores are taken at the
@@ -265,7 +269,7 @@ def pruning_error_bound(
     x = _check_input(arch, x)
     if scores is None:
         scores = path_mag_scores(arch, theta, method="autodiff")
-    idx = np.asarray(sorted(int(i) for i in pruned_coords), dtype=np.int64)
+    idx = np.unique(np.asarray([int(i) for i in pruned_coords], dtype=np.int64))
     if idx.size and (idx.min() < 0 or idx.max() >= arch.n_coords):
         raise InfeasibleAmount("pruned coordinate index out of range")
     bound = float(scores.values[idx].sum()) * max(1.0, float(np.abs(x).max()))

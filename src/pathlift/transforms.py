@@ -10,6 +10,7 @@ raw parameter norms.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Mapping
 
 import numpy as np
@@ -38,9 +39,8 @@ def rescale(arch: Architecture, theta: ParamVector, factors: Mapping) -> ParamVe
         j = arch.position(nid)
         if arch.is_input[j] or j in out:
             raise IneligibleNeuron(f"{nid} is an input or output neuron")
-        f = float(f)
-        if not (f > 0.0) or not math.isfinite(f):
-            raise NonPositiveFactor(f"factor for {nid} must be finite and > 0, got {f}")
+        if not (isinstance(f, numbers.Real) and f > 0.0 and math.isfinite(f)):
+            raise NonPositiveFactor(f"factor for {nid} must be finite and > 0, got {f!r}")
         lam[j] = f
     v = theta.vec.copy()
     m = arch.n_edges

@@ -14,7 +14,6 @@ from typing import Iterable
 
 import numpy as np
 
-from pathlift.engine import activations
 from pathlift.errors import (
     ArchitectureError,
     BadPoolArity,
@@ -157,9 +156,26 @@ def reference_lifting(arch, theta, end=None):
     return np.asarray(values, dtype=np.float64)
 
 
+def reference_unit_activations(arch, theta, x):
+    """(edge, start) activations at one input x, from the per-neuron values
+    and pool winners: a relu neuron is active as a start, and its in-edges
+    are, iff its value is > 0; a pool neuron's in-edge iff it is the winner;
+    every other edge and start is active."""
+    vals, winners = reference_values(arch, theta, x)
+    _, in_coords, _ = neuron_lists(arch)
+    edge = np.ones(arch.n_edges, dtype=bool)
+    start = np.ones(arch.n_neurons, dtype=bool)
+    for j in arch.non_input_pos:
+        if arch.kinds[j] == RELU:
+            start[j] = edge[in_coords[j]] = vals[j, 0] > 0.0
+        elif arch.kinds[j] == KPOOL:
+            edge[in_coords[j]] = np.arange(in_coords[j].size) == winners[int(j)][0]
+    return edge, start
+
+
 def reference_activations(arch, theta, x, end=None):
     """Per canonical path: its start's activation times each edge's."""
-    edge_act, start_act = activations(arch, theta.vec, x)
+    edge_act, start_act = reference_unit_activations(arch, theta, x)
     acts = []
     for p in reference_positions(arch, end):
         a = start_act[p[0]]

@@ -20,7 +20,7 @@ from pathlift.metrics import path_norm_fast
 from pathlift.paths import enumerate_paths, max_path_length, path_lifting
 
 from conftest import pool_arch, pool_theta
-from reference import neuron_lists, reference_gradient, reference_values
+from reference import neuron_lists, reference_gradient, reference_unit_activations, reference_values
 
 RTOL = 1e-12
 
@@ -202,6 +202,22 @@ def test_stacked_items_are_their_single_passes_bit_for_bit(batch):
         for i, vec in enumerate(stack):
             one_edge, one_start = engine.activations(arch, vec, x[0])
             assert np.array_equal(edge[i], one_edge) and np.array_equal(start[i], one_start)
+
+
+def test_activations_match_the_reference_values_and_winners():
+    nets = [(arch, exact, rng) for arch, _, exact, rng in _dag_corpus()]
+    rng = np.random.default_rng(8)
+    nets.append((conv_grid_architecture(side=6, channels=(2, 3), d_out=3), False, rng))
+    for arch, exact, rng in nets:
+        thetas = [_integer_params(arch, rng), random_params(arch, rng), random_params(arch, rng, zero_frac=0.3)]
+        x = _inputs(arch, exact, rng, 1)[0]
+        edge, start = engine.activations(arch, np.stack([t.vec for t in thetas]), x)
+        assert edge.shape == (3, arch.n_edges) and start.shape == (3, arch.n_neurons)
+        for i, theta in enumerate(thetas):
+            want_edge, want_start = reference_unit_activations(arch, theta, x)
+            one_edge, one_start = engine.activations(arch, theta.vec, x)
+            for got_edge, got_start in ((one_edge, one_start), (edge[i], start[i])):
+                assert np.array_equal(got_edge, want_edge) and np.array_equal(got_start, want_start)
 
 
 def test_schedule_blocks_are_the_depth_and_pool_order_groups():

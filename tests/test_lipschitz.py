@@ -221,8 +221,8 @@ def test_breakpoints_stop_at_the_float_spacing(monkeypatch, width):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"samples": 0}, {"samples": -1}, {"width": math.nan}, {"width": -1.0}],
-    ids=["samples-0", "samples-negative", "width-nan", "width-negative"],
+    [{"samples": 0}, {"samples": -1}, {"width": math.nan}, {"width": -1.0}, {"samples": 2.5}, {"samples": "3"}],
+    ids=["samples-0", "samples-negative", "width-nan", "width-negative", "samples-float", "samples-str"],
 )
 def test_breakpoints_reject_out_of_range_arguments(monkeypatch, kwargs):
     _limit_passes(monkeypatch)

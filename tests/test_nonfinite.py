@@ -1,5 +1,5 @@
-"""One policy for NaN and infinity: rejected where they enter, with a typed
-error, never turned into a number."""
+"""One policy for NaN and infinity, and for arguments of the wrong type:
+rejected where they enter, with a typed error, never turned into a number."""
 
 import json
 import warnings
@@ -10,11 +10,14 @@ import pytest
 from pathlift.autodiff import grad_path_norm, grad_scalar
 from pathlift.builders import mlp_architecture, random_params
 from pathlift.cli import main
-from pathlift.errors import NonFiniteValue, PathliftError
+from pathlift.errors import InfeasibleAmount, NonFiniteValue, NonPositiveFactor, PathliftError
 from pathlift.experiment import epoch_seeds, sgd_train
 from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.metrics import path_norm_fast
 from pathlift.netfile import load_network, save_network
+from pathlift.paths import enumerate_paths
+from pathlift.pruning import apply_prune, magnitude_scores
+from pathlift.transforms import rescale
 
 from conftest import chain2_arch
 
@@ -104,3 +107,20 @@ def test_cli_path_norm_overflow_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "overflows" in captured.err
+
+
+def test_arguments_of_the_wrong_type_raise_typed_errors(diamond, monkeypatch):
+    arch, theta = diamond
+    with pytest.raises(InfeasibleAmount):
+        apply_prune(theta, magnitude_scores(arch, theta), count=1.5)
+    for bad in ("x", None):
+        with pytest.raises(NonPositiveFactor):
+            rescale(arch, theta, {"h1": bad})
+    with pytest.raises(PathliftError):
+        path_norm_fast(arch, theta, q="a")
+    for cap in ("x", 2.5):
+        with pytest.raises(PathliftError):
+            enumerate_paths(arch, cap=cap)
+    monkeypatch.setenv("PATHLIFT_PATH_CAP", "x")
+    with pytest.raises(PathliftError):
+        enumerate_paths(arch)

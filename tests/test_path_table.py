@@ -1,6 +1,8 @@
 """The path table against the per-path reference loops, its cache, and a
 chain too deep for recursive enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,18 @@ def test_chain_of_3000_edges():
     assert lift.paths[1] == tuple(arch.ids[1:])
     x = [0.5]
     assert np.array_equal(linearized_output(arch, theta, x), forward(arch, theta, x))
+
+
+def test_chain_lifting_holds_about_one_double_per_path():
+    arch = _chain(3000)
+    theta = ParamVector(arch, np.full(arch.n_coords, 0.5))
+    path_lifting(arch, theta)  # caches the path table untraced
+    tracemalloc.start()
+    try:
+        lift = path_lifting(arch, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the padded vector, the result and one gathered column with its index;
+    # a gather of the whole table would hold 3,001 x 3,001 doubles (72 MB)
+    assert peak <= 8 * (arch.n_coords + 1) + 3 * lift.values.nbytes + (1 << 14)

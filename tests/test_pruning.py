@@ -217,6 +217,13 @@ def test_pruning_error_bound_tight(diamond):
     assert report.holds
 
 
+def test_pruning_error_bound_counts_a_repeated_coordinate_once(diamond):
+    arch, theta = diamond
+    once = pruning_error_bound(arch, theta, [0], [1.0])
+    assert once.bound == 3.0
+    assert pruning_error_bound(arch, theta, [0, 0], [1.0]) == once
+
+
 def test_pruning_error_bound_index_range(diamond):
     arch, theta = diamond
     with pytest.raises(InfeasibleAmount):
