@@ -23,16 +23,27 @@ import numpy as np
 
 from .engine import gradient, run
 from .errors import DimensionMismatch, MissingData, NonFiniteValue, PathliftError
-from .graph import Architecture, ParamVector, _check_bound
+from .graph import Architecture, ParamVector, _param_rows
 from .metrics import _sum_pool_tape
 
 
 def _aggregate(arch: Architecture, vals, aggregate, target):
-    """Scalar value and output adjoint [d_out, B] for the chosen aggregate."""
-    out = vals[arch.output_pos]  # [d_out, B]
-    nb = out.shape[1]
+    """Scalar value and output adjoint (d_out, B) for the chosen aggregate.
+
+    The tape of a stack gives one value per item, (P,), and adjoints
+    (P, d_out, B), item i bit for bit that of its own tape: every sum runs
+    along one item's own axes, in the order a single tape sums them.
+    """
+    out = vals.take(arch.output_pos, axis=-2)  # [..., d_out, B], contiguous
+    lead, nb = out.shape[:-2], out.shape[-1]
+
+    def total(a):
+        """Sum over one item's outputs and batch, as ``np.sum`` of its block."""
+        s = a.reshape(lead + (-1,)).sum(axis=-1)
+        return s if lead else float(s)
+
     if aggregate == "sum_outputs":
-        return float(out.sum()), np.ones_like(out)
+        return total(out), np.ones_like(out)
     if target is None:
         raise MissingData(f"aggregate {aggregate!r} needs a target")
     if aggregate == "squared_error":
@@ -50,46 +61,56 @@ def _aggregate(arch: Architecture, vals, aggregate, target):
                 f"target shape {y.shape} does not fit batch {nb} x {arch.d_out} outputs"
             )
         diff = out - y
-        return float(0.5 * np.sum(diff * diff)), diff
+        return 0.5 * total(diff * diff), diff
     if aggregate == "logistic":
         y = np.asarray(target).reshape(-1)
         if y.shape[0] != nb:
             raise DimensionMismatch(f"need one class label per batch element, got {y.shape}")
         if arch.d_out == 1:
-            z = out[0]
-            value = float(np.sum(np.logaddexp(0.0, z) - y * z))
-            return value, (1.0 / (1.0 + np.exp(-z)) - y)[None, :]
+            z = out[..., 0, :]
+            return total(np.logaddexp(0.0, z) - y * z), (1.0 / (1.0 + np.exp(-z)) - y)[..., None, :]
         yi = y.astype(np.int64)
         if yi.min() < 0 or yi.max() >= arch.d_out:
             raise DimensionMismatch(f"class labels must lie in [0, {arch.d_out})")
-        zmax = out.max(axis=0)
-        lse = zmax + np.log(np.exp(out - zmax).sum(axis=0))
-        value = float(np.sum(lse - out[yi, np.arange(nb)]))
+        picked = (..., yi, np.arange(nb))
+        zmax = out.max(axis=-2)[..., None, :]
+        lse = zmax + np.log(np.exp(out - zmax).sum(axis=-2, keepdims=True))
+        value = total(lse[..., 0, :] - out[picked])
         p = np.exp(out - lse)
-        p[yi, np.arange(nb)] -= 1.0
+        p[picked] -= 1.0
         return value, p
     raise PathliftError(f"unknown aggregate {aggregate!r}")
 
 
-def scalar_value(arch: Architecture, theta: ParamVector, x, aggregate="sum_outputs", target=None):
-    _check_bound(arch, theta)
-    vals, _ = run(arch, theta.vec, x)
+def scalar_value(arch: Architecture, theta, x, aggregate="sum_outputs", target=None):
+    """The scalar of :func:`grad_scalar` alone: a float, or one per item
+    (P,) of a (P, n_coords) stack, item i bit for bit its own value."""
+    rows = _param_rows(arch, theta)
+    vals, _ = run(arch, rows, x)
     value, _ = _aggregate(arch, vals, aggregate, target)
     return value
 
 
-def grad_scalar(arch: Architecture, theta: ParamVector, x, aggregate="sum_outputs", target=None):
+def grad_scalar(arch: Architecture, theta, x, aggregate="sum_outputs", target=None, *, tape=None):
     """(scalar, gradient over parameter coordinates).
 
     The scalar is summed over the batch: the sum of all outputs, the summed
     squared-error loss 0.5*|out - y|^2, or the summed logistic loss
     (softmax cross-entropy against class labels; a sigmoid against 0/1
     labels when there is a single output).
+
+    ``theta`` is a ParamVector, or a (P, n_coords) stack of parameter rows
+    (a wrong shape raises DimensionMismatch, a NaN or infinite entry
+    NonFiniteValue): one engine pass and one adjoint sweep give a value per
+    item (P,) and gradients (P, n_coords), item i bit for bit the call on
+    ``theta[i]`` alone.  ``tape``, an :class:`pathlift.engine.Tape` of the
+    pass's shape, holds the pass's arrays instead of fresh ones; the
+    gradient returned then lives in it until its next pass.
     """
-    _check_bound(arch, theta)
-    vals, win = run(arch, theta.vec, x)
+    rows = _param_rows(arch, theta)
+    vals, win = run(arch, rows, x, tape=tape)
     value, out_adj = _aggregate(arch, vals, aggregate, target)
-    return value, gradient(arch, theta.vec, vals, win, out_adj)
+    return value, gradient(arch, rows, vals, win, out_adj, tape=tape)
 
 
 def grad_path_norm(arch: Architecture, theta: ParamVector) -> np.ndarray:

@@ -31,18 +31,28 @@ The summation order depends only on the architecture and the batch size,
 never on values, so a power-of-two rescaling moves every result by exactly
 its power of two.
 
-Stacks.  :func:`run` and :func:`activations` take the raw parameter array,
-one vector (n_coords,) or a stack (P, n_coords), and give a stack a leading
-axis P on every result: values (P, n_neurons + 1, B).  A stack runs the same
-kernels through flattened tables, the values as (P * (n_neurons + 1), B)
-and the weights as (P * (n_coords + 1),), read through the block's index
-arrays offset by each item's first row.
-Every gathered operand is then item-major and contiguous, so each item's
-product is the BLAS call of a single pass: a gather along an inner axis
-such as ``W[:, coord]`` would put P innermost in memory, and ``np.matmul``
-would leave BLAS and round differently.  Every item of a stack is bit
-for bit its own single pass.  The ParamVector checks belong to the public
-wrappers (``forward``, ``path_activations``, ``grad_scalar``, ...).
+Stacks.  :func:`run`, :func:`gradient` and :func:`activations` take the
+raw parameter array, one vector (n_coords,) or a stack (P, n_coords), and
+give a stack a leading axis P on every result: values and adjoints
+(P, n_neurons + 1, B), gradients (P, n_coords).  A shared-source block
+indexes the (P, n_neurons + 1, B) table directly, one 3-D matrix product
+over the stack.  The forward pass runs any other block through flattened
+tables, the values as (P * (n_neurons + 1), B) and the weights as
+(P * (n_coords + 1),), read through the block's index arrays offset by each
+item's first row; the adjoint sweep runs such blocks (and pools) item by
+item.  Every operand is item-major and contiguous (``np.take``, never a
+fancy index between two slices, which would put P innermost in memory and
+make ``np.matmul`` leave BLAS and round differently), so each item's
+product is the BLAS call of a single pass, and every item of a stack is
+bit for bit its own single pass.  The ParamVector checks belong to the
+public wrappers (``forward``, ``path_activations``, ``grad_scalar``, ...).
+
+Tapes.  A caller that repeats passes of one shape (a training loop) may
+own a :class:`Tape` and hand it to :func:`run` and :func:`gradient`: the
+value, winner and adjoint tables and the padded weight and gradient rows
+then live in it rather than in fresh arrays each pass (an array of
+128 KiB or more is mapped, and page-faulted, anew on every allocation).
+Without a tape every pass allocates its own arrays.
 """
 
 from __future__ import annotations
@@ -54,8 +64,6 @@ from .graph import KPOOL, RELU, Architecture
 
 # doubles in one gathered block (1 MB)
 _BLOCK_ELEMS = 1 << 17
-# the weight that padding slots read, appended after the last coordinate
-_PAD_WEIGHT = np.zeros(1)
 
 
 def _index(ix: np.ndarray):
@@ -166,6 +174,13 @@ def _chunks(rows: int, width: int, batch: int):
         yield slice(lo, lo + step)
 
 
+def _rows(table, ix):
+    """Rows ``ix`` (a slice or positions) of ``table`` (..., rows, B), each
+    item contiguous: a fancy index between two slices would put the
+    leading axis innermost, and ``np.matmul`` would leave BLAS."""
+    return table[..., ix, :] if isinstance(ix, slice) else table.take(ix, axis=-2)
+
+
 def _gathered_product(w, table, idx):
     """out[..., r, :] = sum over slots s of w[..., r, s] * table[idx[..., r, s]]:
     (..., rows, B).  Leading axes run as more rows, each its own product."""
@@ -201,7 +216,32 @@ def _pool_forward(blk: _Block, w, table, src, rows, win):
         win[rows[..., c]] = np.argmax(contrib == kth[..., None, :], axis=-2)
 
 
-def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False):
+class Tape:
+    """Caller-owned buffers for passes of one shape: the value table (and
+    pool winners), the adjoint table, and the padded weight and gradient
+    rows of a parameter vector, or of a stack of ``stack`` of them, over a
+    batch of ``batch`` inputs.
+
+    Handed to :func:`run` and :func:`gradient` as ``tape=``, it replaces the
+    arrays each pass would allocate; a loop of same-shape passes (a
+    training loop) then maps no fresh memory per step.  Each pass rewrites
+    every entry it reads, so nothing of an earlier pass survives.  What a
+    pass returns lives in the tape and is overwritten by its next pass.
+    """
+
+    __slots__ = ("vals", "win", "adj", "wpad", "gpad")
+
+    def __init__(self, arch: Architecture, batch: int, stack: int | None = None):
+        lead = () if stack is None else (int(stack),)
+        self.vals = np.empty(lead + (arch.n_neurons + 1, int(batch)))
+        win_dtype = schedule(arch).win_dtype
+        self.win = None if win_dtype is None else np.full(self.vals.shape, -1, win_dtype)
+        self.adj = np.empty(self.vals.shape)
+        self.wpad = np.zeros(lead + (arch.n_coords + 1,))
+        self.gpad = np.zeros(self.wpad.shape)
+
+
+def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False, *, tape: Tape | None = None):
     """Forward tape of the parameter array ``theta``, one vector (n_coords,)
     or a stack (P, n_coords), over a batch ``x`` of shape (B, d_in), or one
     input (d_in,).
@@ -213,7 +253,8 @@ def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False):
     network has no pool neuron or ``sum_pools`` makes every pool neuron
     the sum of its weighted antecedents.  A stack gives both a leading
     axis P, and item i equals the pass of ``theta[i]`` bit for bit.
-    Rejects non-finite inputs with :class:`NonFiniteValue`.
+    With a :class:`Tape` of the same shape, the pass writes into it and
+    returns its arrays.  Rejects non-finite inputs with :class:`NonFiniteValue`.
     """
     if theta.ndim not in (1, 2) or theta.shape[-1] != arch.n_coords:
         raise DimensionMismatch(
@@ -230,80 +271,104 @@ def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False):
     sched = schedule(arch)
     n, nc, batch = arch.n_neurons, arch.n_coords, x.shape[0]
     lead = theta.shape[:-1]
-    vals = np.empty(lead + (n + 1, batch))
+    if tape is None:
+        vals = np.empty(lead + (n + 1, batch))
+        win = None if sum_pools or sched.win_dtype is None else np.full(vals.shape, -1, sched.win_dtype)
+        wpad = np.concatenate((theta, np.zeros(lead + (1,))), axis=-1)
+    else:
+        _check_tape(tape, lead + (n + 1, batch), lead + (nc + 1,))
+        vals, wpad = tape.vals, tape.wpad
+        win = None if sum_pools else tape.win
+        wpad[..., :-1] = theta
     vals[..., arch.input_pos, :] = x.T
     vals[..., n, :] = 0.0
-    win = None if sum_pools or sched.win_dtype is None else np.full(vals.shape, -1, sched.win_dtype)
-    if lead:  # item i reads and writes value rows from (n + 1) i on, weights from (nc + 1) i on
-        wflat = np.concatenate((theta, np.zeros(lead + (1,))), axis=-1).reshape(-1)
-        table = vals.reshape(-1, batch)
+    wflat, table, wins = wpad, vals, win
+    if lead:  # gathering blocks: item i's value rows start at (n + 1) i, its weights at (nc + 1) i
+        wflat, table = wpad.reshape(-1), vals.reshape(-1, batch)
         wins = None if win is None else win.reshape(-1, batch)
         off_v = (n + 1) * np.arange(lead[0])[:, None]
         off_w = (nc + 1) * np.arange(lead[0])[:, None]
-    else:
-        wflat, table, wins = np.concatenate((theta, _PAD_WEIGHT)), vals, win
     for level in sched.levels:
         for blk in level:
-            src, coord, bias, shared = blk.src, blk.coord, blk.bias, blk.shared
-            rows, at = blk.rows, blk.at
-            if lead:
-                src, coord = src + off_v[:, :, None], coord + off_w[:, :, None]
-                bias, rows = bias + off_w, rows + off_v
-                at, shared = rows, None if shared is None else src[:, 0]
-            w = wflat[coord]
-            if blk.k and win is not None:
-                _pool_forward(blk, w, table, src, rows, wins)
-                continue
-            if shared is not None:
-                pre = w @ table[shared]
+            if blk.shared is not None:
+                pre = wpad.take(blk.coord, axis=-1) @ _rows(vals, blk.shared)
             else:
-                pre = _gathered_product(w, table, src)
-            pre += wflat[bias][..., None]
+                src, coord, rows = blk.src, blk.coord, blk.rows
+                if lead:
+                    src, coord, rows = src + off_v[:, :, None], coord + off_w[:, :, None], rows + off_v
+                if blk.k and win is not None:
+                    _pool_forward(blk, wflat[coord], table, src, rows, wins)
+                    continue
+                pre = _gathered_product(wflat[coord], table, src)
+            pre += wpad.take(blk.bias, axis=-1)[..., None]
             if blk.floor is not None:
                 np.maximum(pre, blk.floor, out=pre)
-            table[at] = pre
+            vals[..., blk.at, :] = pre
     return vals, win
 
 
-def gradient(arch: Architecture, theta: np.ndarray, vals, win, out_adjoint) -> np.ndarray:
-    """Adjoint sweep over the tape of :func:`run` of one parameter vector
-    ``theta`` (n_coords,); returns the gradient over the parameter
-    coordinates.
+def _check_tape(tape: Tape, vals_shape: tuple, wpad_shape: tuple):
+    if tape.vals.shape != vals_shape or tape.wpad.shape != wpad_shape:
+        raise DimensionMismatch(
+            f"tape holds values {tape.vals.shape} and weights {tape.wpad.shape}, "
+            f"the pass needs {vals_shape} and {wpad_shape}"
+        )
 
-    ``out_adjoint`` (d_out, B) is the derivative of the scalar being
-    differentiated with respect to each output neuron, per batch element.
+
+def gradient(
+    arch: Architecture, theta: np.ndarray, vals, win, out_adjoint, *, tape: Tape | None = None
+) -> np.ndarray:
+    """Adjoint sweep over the tape of :func:`run` of the parameter array
+    ``theta``, one vector (n_coords,) or a stack (P, n_coords); returns the
+    gradient over the parameter coordinates, with a leading axis P for a
+    stack, item i bit for bit the sweep of ``theta[i]`` alone.
+
+    ``out_adjoint`` (d_out, B), or (P, d_out, B) for a stack, is the
+    derivative of the scalar being differentiated with respect to each
+    output neuron, per batch element.
     Relu passes a zero subgradient at exactly 0, a pool neuron routes its
     adjoint to its selected slot only (to every slot on the tape of a
     ``sum_pools`` pass, whose ``win`` is None), and pinned pool biases
-    get 0.
+    get 0.  With the :class:`Tape` that ``run`` filled, the sweep reuses
+    its adjoint and gradient rows.
     """
     sched = schedule(arch)
-    n = arch.n_neurons
-    wpad = np.concatenate((theta, _PAD_WEIGHT))
-    gpad = np.zeros(arch.n_coords + 1)
-    adj = np.zeros((n + 1, vals.shape[1]))
-    adj[arch.output_pos] = out_adjoint
+    lead = theta.shape[:-1]
+    if tape is None:
+        wpad = np.concatenate((theta, np.zeros(lead + (1,))), axis=-1)
+        gpad = np.zeros(wpad.shape)
+        adj = np.zeros(vals.shape)
+    else:
+        _check_tape(tape, vals.shape, lead + (arch.n_coords + 1,))
+        wpad, gpad, adj = tape.wpad, tape.gpad, tape.adj
+        wpad[..., :-1] = theta
+        gpad.fill(0.0)
+        adj.fill(0.0)
+    adj[..., arch.output_pos, :] = out_adjoint
+    items = range(lead[0]) if lead else [()]  # () indexes one vector's whole table
     for depth in range(len(sched.levels) - 1, -1, -1):
         # the first level reads only inputs, whose adjoints nothing needs
         inner = depth > 0
         for blk in sched.levels[depth]:
             if blk.k and win is not None:
-                _pool_backward(blk, wpad, vals, win, adj, gpad, inner)
+                for i in items:
+                    _pool_backward(blk, wpad[i], vals[i], win[i], adj[i], gpad[i], inner)
                 continue
-            g = adj[blk.at]
+            g = _rows(adj, blk.at)
             if blk.floor is not None:
-                g = g * (vals[blk.at] > blk.floor)
-                adj[blk.at] = g
-            gpad[blk.bias] = g.sum(axis=1)
+                g = g * (vals[..., blk.at, :] > blk.floor)
+                adj[..., blk.at, :] = g
+            gpad[..., blk.bias] = g.sum(axis=-1)
             if blk.shared is not None:
-                gpad[blk.coord] = g @ vals[blk.shared].T
+                gpad[..., blk.coord] = g @ _rows(vals, blk.shared).swapaxes(-1, -2)
                 if inner:
-                    adj[blk.shared] += wpad[blk.coord].T @ g
-            else:
-                gpad[blk.coord] = _slot_products(vals, blk.src, g)
+                    adj[..., blk.shared, :] += wpad.take(blk.coord, axis=-1).swapaxes(-1, -2) @ g
+                continue
+            for i in items:
+                gpad[i][blk.coord] = _slot_products(vals[i], blk.src, g[i])
                 if inner:
-                    adj[blk.tsrc] += _gathered_product(wpad[blk.tcoord], adj, blk.trow)
-    return gpad[:-1]
+                    adj[i][blk.tsrc] += _gathered_product(wpad[i][blk.tcoord], adj[i], blk.trow)
+    return gpad[..., :-1]
 
 
 def _pool_backward(blk: _Block, wpad, vals, win, adj, gpad, inner: bool):

@@ -22,8 +22,8 @@ import numpy as np
 
 from .autodiff import grad_scalar
 from .builders import mlp_architecture
-from .engine import run
-from .errors import InfeasibleAmount, NonFiniteValue, PathliftError
+from .engine import Tape, run
+from .errors import DimensionMismatch, InfeasibleAmount, NonFiniteValue, PathliftError
 from .graph import Architecture, ParamVector, _check_bound
 from .pruning import Mask, apply_prune, baseline_scores, path_mag_scores
 from .transforms import random_rescaling, rescale
@@ -110,7 +110,7 @@ def epoch_seeds(seed, epochs: int):
 
 def sgd_train(
     arch: Architecture,
-    theta: ParamVector,
+    theta,
     x,
     y,
     seeds,
@@ -118,7 +118,7 @@ def sgd_train(
     batch_size: int,
     loss: str = "logistic",
     snapshot_epoch=None,
-    mask: Mask | None = None,
+    mask=None,
 ):
     """Plain mini-batch gradient descent on the summed batch loss / batch size.
 
@@ -126,32 +126,66 @@ def sgd_train(
     permutation of epoch e depends only on seeds[e], so training a suffix
     of the epochs from a snapshot replays the exact same batches.  Applies
     the mask after every step when given (pruned coordinates stay zero).
-    A step that leaves a non-finite coordinate raises NonFiniteValue
-    naming the epoch.  Returns (final theta, snapshot theta or None).
+    Returns (final theta, snapshot theta or None).
+
+    `theta` and `mask` may each be one value or a sequence (a mask entry
+    may be None); sequences, one arm per entry, train in lockstep as one
+    stack of parameter rows: every step is one gradient call over the
+    stack on the shared batch, and every arm ends bit for bit as if trained
+    alone.  Both results are then tuples, one entry per arm.
+
+    A step that leaves a non-finite coordinate raises NonFiniteValue naming
+    the epoch, and in lockstep the arm.  In lockstep the first arm to
+    diverge is named, so when several arms diverge the epoch can be earlier
+    than the one a run of the arms one after another would name (that run
+    reports the first arm's divergence, however late).
     """
+    lockstep = not isinstance(theta, ParamVector) or not (mask is None or isinstance(mask, Mask))
+    thetas = [theta] if isinstance(theta, ParamVector) else list(theta)
+    masks = [mask] if mask is None or isinstance(mask, Mask) else list(mask)
+    if len(thetas) == 1:
+        thetas *= len(masks)
+    elif len(masks) == 1:
+        masks *= len(thetas)
+    if len(thetas) != len(masks) or not thetas:
+        raise DimensionMismatch(f"{len(thetas)} parameter vectors for {len(masks)} masks")
+    for t in thetas:
+        if not isinstance(t, ParamVector):
+            raise DimensionMismatch(f"expected ParamVectors, got {type(t).__name__}")
+        _check_bound(arch, t)
     n = x.shape[0]
-    vec = theta.vec.copy()
-    keep = None if mask is None else mask.s
-    if keep is not None:
+    vec = np.stack([t.vec for t in thetas])
+    keep = None
+    if any(m is not None for m in masks):
+        keep = np.stack([np.ones(arch.n_coords) if m is None else m.s for m in masks])
         vec *= keep
     snapshot = None
     if snapshot_epoch == 0:
         snapshot = vec.copy()
+    tapes = {}  # one per batch size: the full batches and the last, short one
     for epoch, eseed in enumerate(seeds):
         perm = np.random.default_rng(eseed).permutation(n)
         for lo in range(0, n, batch_size):
             idx = perm[lo : lo + batch_size]
+            tape = tapes.get(idx.size)
+            if tape is None:
+                tape = tapes[idx.size] = Tape(arch, idx.size, len(vec))
             tgt = _loss_target(y[idx], loss, arch.d_out)
-            _, g = grad_scalar(arch, ParamVector(arch, vec), x[idx], aggregate=loss, target=tgt)
+            _, g = grad_scalar(arch, vec, x[idx], aggregate=loss, target=tgt, tape=tape)
             vec = vec - (lr / idx.size) * g
             if keep is not None:
                 vec *= keep
-            if not np.isfinite(vec).all():
-                raise NonFiniteValue(f"training diverged in epoch {epoch}: non-finite parameters")
+            finite = np.isfinite(vec).all(axis=1)
+            if not finite.all():
+                arm = f" in arm {int(np.argmin(finite))}" if lockstep else ""
+                raise NonFiniteValue(f"training diverged in epoch {epoch}{arm}: non-finite parameters")
         if snapshot_epoch is not None and epoch + 1 == snapshot_epoch:
             snapshot = vec.copy()
-    final = ParamVector(arch, vec)
-    return final, (None if snapshot is None else ParamVector(arch, snapshot))
+    finals = tuple(ParamVector(arch, v) for v in vec)
+    snaps = None if snapshot is None else tuple(ParamVector(arch, v) for v in snapshot)
+    if lockstep:
+        return finals, snaps
+    return finals[0], None if snaps is None else snaps[0]
 
 
 def accuracy(arch: Architecture, theta: ParamVector, x, y) -> float:
@@ -237,10 +271,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             arch, theta_base, "obd_fd", data=obd_batch, loss=cfg.loss
         )
 
-    arms = []
-    hamming = {}
+    arms = []  # (criterion, rescaled, mask) in report order
     for crit in cfg.criteria:
-        per_crit = {}
         for rescaled in (False, True):
             theta_base = rescale(arch, theta_T, factors) if rescaled else theta_T
             _, mask = apply_prune(
@@ -249,26 +281,28 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 fraction=cfg.prune_fraction,
                 edges_only=not cfg.prune_biases,
             )
-            start = mask.apply(theta_rw)
-            theta_ft, _ = sgd_train(
-                arch, start, xtr, ytr, seeds[cfg.rewind_epoch :], cfg.lr,
-                cfg.batch_size, loss=cfg.loss, mask=mask,
-            )
-            arms.append(
-                ArmResult(
-                    criterion=crit,
-                    rescaled=rescaled,
-                    test_accuracy=accuracy(arch, theta_ft, xte, yte),
-                    mask=mask,
-                    n_pruned=len(mask.pruned),
-                )
-            )
-            per_crit[rescaled] = mask
-        hamming[crit] = per_crit[False].hamming(per_crit[True])
+            arms.append((crit, rescaled, mask))
+    masks = [mask for _, _, mask in arms]
+    finetuned = ()
+    if masks:
+        finetuned, _ = sgd_train(
+            arch, [mask.apply(theta_rw) for mask in masks], xtr, ytr, seeds[cfg.rewind_epoch :],
+            cfg.lr, cfg.batch_size, loss=cfg.loss, mask=masks,
+        )
+    hamming = {crit: masks[2 * k].hamming(masks[2 * k + 1]) for k, crit in enumerate(cfg.criteria)}
 
     return ExperimentReport(
         config=cfg,
-        arms=tuple(arms),
+        arms=tuple(
+            ArmResult(
+                criterion=crit,
+                rescaled=rescaled,
+                test_accuracy=accuracy(arch, theta_ft, xte, yte),
+                mask=mask,
+                n_pruned=len(mask.pruned),
+            )
+            for (crit, rescaled, mask), theta_ft in zip(arms, finetuned)
+        ),
         mask_hamming=hamming,
         factors=factors,
         dense_accuracy=dense_acc,

@@ -382,6 +382,23 @@ def _check_bound(arch: Architecture, theta: ParamVector):
         raise DimensionMismatch("parameter vector bound to a different architecture")
 
 
+def _param_rows(arch: Architecture, theta) -> np.ndarray:
+    """The coordinates of a ParamVector bound to ``arch``, or a checked
+    (P, n_coords) stack of parameter rows."""
+    if isinstance(theta, ParamVector):
+        _check_bound(arch, theta)
+        return theta.vec
+    try:
+        rows = np.asarray(theta, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DimensionMismatch("parameters must be a ParamVector or a (P, n_coords) stack") from None
+    if rows.ndim != 2 or rows.shape[1] != arch.n_coords:
+        raise DimensionMismatch(f"parameter stack has shape {rows.shape}, expected (P, {arch.n_coords})")
+    if not np.isfinite(rows).all():
+        raise NonFiniteValue("parameter stack holds NaN or infinite entries")
+    return rows
+
+
 def _check_input(arch: Architecture, x) -> np.ndarray:
     """One input ``x`` as a flat float vector; raises unless it has one
     finite entry per input neuron."""

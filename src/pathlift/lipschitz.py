@@ -39,6 +39,8 @@ from .paths import _row_products, _table, path_activations, path_lifting
 
 HOLDS_RTOL = 1e-9
 HOLDS_ATOL = 1e-12
+# the sampled tables activation_breakpoints may hold: 1 GiB of float64
+MAX_SAMPLED_ENTRIES = 1 << 27
 
 
 def check_sign_condition(t1: ParamVector, t2: ParamVector) -> None:
@@ -217,6 +219,10 @@ def activation_breakpoints(
     row product, whose first and last rows (theta, theta') give the endpoint.
 
     ``samples`` must be an integer of at least 1 and ``width`` at least 0.
+    Every sample holds about n_paths + n_coords + n_neurons entries, so
+    ``(samples + 1)`` times that may be at most ``MAX_SAMPLED_ENTRIES``
+    (2**27, 1 GiB of float64); a larger count raises PathliftError before
+    anything is sampled.
     An interval whose midpoint rounds onto one of its ends cannot shrink
     further and stops there, so a width at or below the float spacing ends
     at adjacent doubles.
@@ -225,8 +231,14 @@ def activation_breakpoints(
         raise PathliftError(f"samples must be an integer >= 1, got {samples!r}")
     if not width >= 0.0:
         raise PathliftError(f"width must be a number >= 0, got {width!r}")
-    ts = np.linspace(0.0, 1.0, samples + 1)
     _check_trajectory(arch, t1, t2)
+    per_sample = _table(arch, cap=cap).start.size + arch.n_coords + arch.n_neurons
+    if (samples + 1) * per_sample > MAX_SAMPLED_ENTRIES:
+        raise PathliftError(
+            f"{samples} samples of {per_sample} entries each exceed the "
+            f"{MAX_SAMPLED_ENTRIES} sampled entries a call may hold"
+        )
+    ts = np.linspace(0.0, 1.0, samples + 1)
 
     def acts(times):
         return path_activations(arch, _trajectory_points(arch, t1, t2, times.tolist()), x, cap=cap)

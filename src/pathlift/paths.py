@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import activations
-from .errors import DimensionMismatch, NonFiniteValue, PathExplosion, PathliftError
-from .graph import Architecture, ParamVector, _check_bound, _check_input
+from .errors import PathExplosion, PathliftError
+from .graph import Architecture, ParamVector, _check_bound, _check_input, _param_rows
 
 DEFAULT_PATH_CAP = 10**6
 
@@ -218,20 +218,6 @@ def path_lifting(arch: Architecture, theta: ParamVector, end=None, cap=None) -> 
     _check_bound(arch, theta)
     table = _table(arch, end=end, cap=cap)
     return PathLifting(arch=arch, table=table, values=_row_products(np.append(theta.vec, 1.0), table.rows))
-
-
-def _param_rows(arch: Architecture, theta) -> np.ndarray:
-    """The coordinates of a ParamVector bound to ``arch``, or a checked
-    (P, n_coords) stack of parameter rows."""
-    if isinstance(theta, ParamVector):
-        _check_bound(arch, theta)
-        return theta.vec
-    rows = np.asarray(theta, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != arch.n_coords:
-        raise DimensionMismatch(f"parameter stack has shape {rows.shape}, expected (P, {arch.n_coords})")
-    if not np.isfinite(rows).all():
-        raise NonFiniteValue("parameter stack holds NaN or infinite entries")
-    return rows
 
 
 def path_activations(arch: Architecture, theta, x, end=None, cap=None) -> np.ndarray:

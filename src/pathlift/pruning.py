@@ -115,18 +115,26 @@ def obd_fd_scores(
     eps: float = 1e-4,
 ) -> ScoreVector:
     """Second-order saliency 0.5 * h_ii * theta_i^2 with the loss Hessian
-    diagonal taken by exact per-coordinate central second differences."""
+    diagonal taken by exact per-coordinate central second differences.
+
+    The 2 * n_coords perturbed losses run as stacks of parameter rows, each
+    stack's tape about one gathered block of the engine (1 MB); every row
+    is bit for bit its own pass, so the scores are those of one loss
+    evaluation per perturbed vector."""
     x, y = _require_data(data)
     base = scalar_value(arch, theta, x, aggregate=loss, target=y)
+    batch = 1 if x.ndim == 1 else x.shape[0]
     values = np.zeros(arch.n_coords)
     vec = theta.vec
-    for i in range(arch.n_coords):
-        step = np.zeros_like(vec)
-        step[i] = eps
-        up = scalar_value(arch, ParamVector(arch, vec + step), x, aggregate=loss, target=y)
-        dn = scalar_value(arch, ParamVector(arch, vec - step), x, aggregate=loss, target=y)
+    step = max(1, _BLOCK_ELEMS // (2 * (arch.n_neurons + 1) * batch))
+    for lo in range(0, arch.n_coords, step):
+        coords = np.arange(lo, min(lo + step, arch.n_coords))
+        steps = np.zeros((coords.size, arch.n_coords))
+        steps[np.arange(coords.size), coords] = eps
+        both = scalar_value(arch, np.concatenate((vec + steps, vec - steps)), x, aggregate=loss, target=y)
+        up, dn = both[: coords.size], both[coords.size :]
         h = (up - 2.0 * base + dn) / (eps * eps)
-        values[i] = 0.5 * h * vec[i] * vec[i]
+        values[coords] = 0.5 * h * vec[coords] * vec[coords]
     return ScoreVector(criterion="obd", method="fd", values=values)
 
 
@@ -195,6 +203,8 @@ def _resolve_count(n_eligible: int, fraction, count) -> int:
     if (fraction is None) == (count is None):
         raise InfeasibleAmount("specify exactly one of fraction or count")
     if fraction is not None:
+        if not isinstance(fraction, numbers.Real) or isinstance(fraction, bool):
+            raise InfeasibleAmount(f"fraction must be a number, got {fraction!r}")
         f = float(fraction)
         if not 0.0 <= f <= 1.0:
             raise InfeasibleAmount(f"fraction must lie in [0, 1], got {f}")
@@ -260,7 +270,7 @@ def pruning_error_bound(
     scores: ScoreVector | None = None,
 ) -> PruneBoundReport:
     """Output-change guarantee for zeroing the given coordinate set at x (a
-    coordinate listed twice counts once).
+    coordinate listed twice counts once; entries must be integers).
 
     bound = (sum of the coordinates' path-magnitude scores) * max(1, |x|_inf),
     compared against the realized l1 output change.  Scores are taken at the
@@ -269,7 +279,13 @@ def pruning_error_bound(
     x = _check_input(arch, x)
     if scores is None:
         scores = path_mag_scores(arch, theta, method="autodiff")
-    idx = np.unique(np.asarray([int(i) for i in pruned_coords], dtype=np.int64))
+    try:
+        idx = np.asarray(list(pruned_coords))
+    except (TypeError, ValueError, OverflowError):
+        idx = None
+    if idx is None or idx.size and (idx.ndim != 1 or idx.dtype.kind not in "iu"):
+        raise InfeasibleAmount("pruned coordinates must be a flat sequence of integers")
+    idx = np.unique(idx.astype(np.int64))
     if idx.size and (idx.min() < 0 or idx.max() >= arch.n_coords):
         raise InfeasibleAmount("pruned coordinate index out of range")
     bound = float(scores.values[idx].sum()) * max(1.0, float(np.abs(x).max()))

@@ -3,8 +3,9 @@
 These are the loops the package ran before the compiled level schedule
 (``pathlift.engine``), the path table (``pathlift.paths``), the array-built
 ``Architecture``, the bulk network-file writer, the vectorized refined
-path-metric bound, the level-wise ``normalize``/``rescale`` and the stacked
-activation breakpoints replaced them.  They are kept here, deliberately plain, as the oracles that the
+path-metric bound, the level-wise ``normalize``/``rescale``, the stacked
+activation breakpoints and the stacked second-difference scores replaced
+them.  They are kept here, deliberately plain, as the oracles that the
 package is compared against.
 """
 
@@ -14,6 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
+from pathlift.autodiff import scalar_value
 from pathlift.errors import (
     ArchitectureError,
     BadPoolArity,
@@ -498,4 +500,22 @@ def reference_pathnorm_diff_scores(arch, theta):
     for i in range(arch.n_coords):
         if theta.vec[i] != 0.0:
             values[i] = base - path_norm_fast(arch, theta.replace({i: 0.0}))
+    return values
+
+
+def reference_obd_fd_scores(arch, theta, data, loss="squared_error", eps=1e-4):
+    """Second-order saliency 0.5 * h_ii * theta_i^2 by central second
+    differences: two loss evaluations of one perturbed vector each per
+    coordinate."""
+    x, y = np.asarray(data[0], dtype=np.float64), data[1]
+    base = scalar_value(arch, theta, x, aggregate=loss, target=y)
+    values = np.zeros(arch.n_coords)
+    vec = theta.vec
+    for i in range(arch.n_coords):
+        step = np.zeros_like(vec)
+        step[i] = eps
+        up = scalar_value(arch, ParamVector(arch, vec + step), x, aggregate=loss, target=y)
+        dn = scalar_value(arch, ParamVector(arch, vec - step), x, aggregate=loss, target=y)
+        h = (up - 2.0 * base + dn) / (eps * eps)
+        values[i] = 0.5 * h * vec[i] * vec[i]
     return values

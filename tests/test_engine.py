@@ -12,9 +12,9 @@ from pathlift.builders import (
     random_dag,
     random_params,
 )
-from pathlift.autodiff import grad_path_norm
+from pathlift.autodiff import grad_path_norm, grad_scalar
 from pathlift.engine import gradient, run
-from pathlift.errors import DimensionMismatch
+from pathlift.errors import DimensionMismatch, NonFiniteValue
 from pathlift.graph import IDENTITY, KPOOL, RELU, ParamVector, forward, neuron_values
 from pathlift.metrics import path_norm_fast
 from pathlift.paths import enumerate_paths, max_path_length, path_lifting
@@ -239,3 +239,81 @@ def test_run_rejects_parameters_of_the_wrong_shape():
     for bad in (np.zeros(4), np.zeros((2, 6)), np.zeros((2, 2, 5))):
         with pytest.raises(DimensionMismatch):
             run(arch, bad, [1.0, 1.0])
+
+
+def _gradient_corpus():
+    """Seeded networks for the stacked gradient: random DAGs with pools and
+    skip edges, the experiment's MLP and one conv grid, each with stacks of
+    P = 1 and P = 3 parameter vectors (integers that tie in pools, random
+    ones, random ones with zeroed coordinates)."""
+    nets = [(arch, exact, rng) for arch, _, exact, rng in _dag_corpus()[:20]]
+    assert any(np.any(arch.kinds == KPOOL) for arch, _, _ in nets)
+    rng = np.random.default_rng(77)
+    nets.append((mlp_architecture((2, 16, 16, 2)), False, rng))
+    nets.append((conv_grid_architecture(side=6, channels=(2, 3), d_out=3), False, rng))
+    for arch, exact, rng in nets:
+        three = [_integer_params(arch, rng).vec, random_params(arch, rng).vec,
+                 random_params(arch, rng, zero_frac=0.3).vec]
+        yield arch, np.stack(three[1:2]), exact, rng
+        yield arch, np.stack(three), exact, rng
+
+
+@pytest.mark.parametrize("batch", [1, 7, 256])
+def test_stacked_gradient_items_are_their_single_sweeps_bit_for_bit(batch):
+    for arch, stack, exact, rng in _gradient_corpus():
+        x = _inputs(arch, exact, rng, batch)
+        out_adj = rng.normal(size=(len(stack), arch.d_out, batch))
+        for sum_pools in (False, True):
+            vals, win = run(arch, stack, x, sum_pools=sum_pools)
+            grads = gradient(arch, stack, vals, win, out_adj)
+            assert grads.shape == stack.shape
+            for i, vec in enumerate(stack):
+                one_vals, one_win = run(arch, vec, x, sum_pools=sum_pools)
+                assert grads[i].tobytes() == gradient(arch, vec, one_vals, one_win, out_adj[i]).tobytes()
+        values, grads = grad_scalar(arch, stack, x)
+        assert values.shape == (len(stack),)
+        for i, vec in enumerate(stack):
+            one_value, one_grad = grad_scalar(arch, ParamVector(arch, vec), x)
+            assert values[i] == one_value and grads[i].tobytes() == one_grad.tobytes()
+
+
+def test_a_reused_tape_keeps_nothing_of_its_earlier_passes():
+    # each tape serves passes with other parameters, inputs and pool modes;
+    # a stale adjoint, pad row or pool winner would show against a fresh tape
+    for arch, stack, exact, rng in _gradient_corpus():
+        for batch in (1, 7):
+            tape = engine.Tape(arch, batch, len(stack))
+            for draw, sum_pools in enumerate((False, True, False, False)):
+                params = stack if draw == 0 else stack * rng.choice([-2.0, 0.5, 1.0], size=stack.shape)
+                x = _inputs(arch, exact, rng, batch)
+                out_adj = rng.normal(size=(len(stack), arch.d_out, batch))
+                want_vals, want_win = run(arch, params, x, sum_pools=sum_pools)
+                want = gradient(arch, params, want_vals, want_win, out_adj)
+                vals, win = run(arch, params, x, sum_pools=sum_pools, tape=tape)
+                assert vals is tape.vals and vals.tobytes() == want_vals.tobytes()
+                assert (win is None) == (want_win is None)
+                assert win is None or np.array_equal(win, want_win)
+                got = gradient(arch, params, vals, win, out_adj, tape=tape)
+                assert got.tobytes() == want.tobytes()
+                value, grad = grad_scalar(arch, params, x, tape=tape)
+                want_value, want_grad = grad_scalar(arch, params, x)
+                assert value.tobytes() == want_value.tobytes() and grad.tobytes() == want_grad.tobytes()
+
+
+def test_tapes_of_another_shape_and_bad_stacks_are_refused():
+    arch = mlp_architecture((2, 4, 2))
+    stack = random_params(arch, np.random.default_rng(0)).vec[None].repeat(2, axis=0)
+    x = np.ones((5, 2))
+    for tape in (engine.Tape(arch, 4, 2), engine.Tape(arch, 5, 3), engine.Tape(arch, 5)):
+        with pytest.raises(DimensionMismatch):
+            run(arch, stack, x, tape=tape)
+        with pytest.raises(DimensionMismatch):
+            grad_scalar(arch, stack, x, tape=tape)
+    for bad in (stack[:, :-1], stack[None], stack[0]):
+        with pytest.raises(DimensionMismatch):
+            grad_scalar(arch, bad, x)
+    for value in (np.nan, np.inf):
+        broken = stack.copy()
+        broken[1, 3] = value
+        with pytest.raises(NonFiniteValue):
+            grad_scalar(arch, broken, x)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pathlift.builders import mlp_architecture, mlp_params
-from pathlift.errors import InfeasibleAmount, PathliftError
+from pathlift.errors import DimensionMismatch, InfeasibleAmount, NonFiniteValue, PathliftError
 from pathlift.experiment import (
     ExperimentConfig,
     accuracy,
@@ -13,6 +13,8 @@ from pathlift.experiment import (
     run_experiment,
     sgd_train,
 )
+from pathlift.graph import ParamVector
+from pathlift.pruning import apply_prune, magnitude_scores, path_mag_scores
 
 
 def _tiny(seed=3, **over):
@@ -140,3 +142,50 @@ def test_report_renders_rows():
     assert "pathmag" in text
     assert "mask hamming distance, plain vs rescaled [pathmag]:" in text
     assert f"seed {report.config.seed}" in text
+
+
+def _four_arms(seed=5, n=300):
+    """A trained MLP, its rewind snapshot, and four masks (two of them
+    equal), as ``run_experiment`` finetunes them."""
+    rng = np.random.default_rng(seed)
+    arch = mlp_architecture((2, 16, 16, 2))
+    x, y = rng.normal(size=(n, 2)), rng.integers(0, 2, size=n)
+    seeds = epoch_seeds(seed, 6)
+    theta0 = mlp_params(arch, [rng.normal(size=(16, 2)), rng.normal(size=(16, 16)), rng.normal(size=(2, 16))])
+    trained, rewound = sgd_train(arch, theta0, x, y, seeds, 0.05, 64, snapshot_epoch=2)
+    masks = []
+    for scores in (path_mag_scores(arch, trained), path_mag_scores(arch, trained),
+                   magnitude_scores(arch, trained), magnitude_scores(arch, rewound)):
+        masks.append(apply_prune(trained, scores, fraction=0.4, edges_only=True)[1])
+    return arch, x, y, seeds[2:], rewound, masks
+
+
+def test_lockstep_arms_are_their_separate_runs_bit_for_bit():
+    arch, x, y, seeds, rewound, masks = _four_arms()
+    starts = [mask.apply(rewound) for mask in masks]
+    for loss in ("logistic", "squared_error"):
+        finals, snaps = sgd_train(arch, starts, x, y, seeds, 0.05, 64, loss=loss, snapshot_epoch=1, mask=masks)
+        assert len(finals) == len(snaps) == 4
+        for start, mask, final, snap in zip(starts, masks, finals, snaps):
+            one, one_snap = sgd_train(arch, start, x, y, seeds, 0.05, 64, loss=loss, snapshot_epoch=1, mask=mask)
+            assert final.vec.tobytes() == one.vec.tobytes()
+            assert snap.vec.tobytes() == one_snap.vec.tobytes()
+        assert finals[0].vec.tobytes() == finals[1].vec.tobytes()  # identical masks
+    # one start for every mask, and one mask for every start
+    shared, _ = sgd_train(arch, rewound, x, y, seeds, 0.05, 64, mask=masks)
+    for mask, final in zip(masks, shared):
+        assert final.vec.tobytes() == sgd_train(arch, rewound, x, y, seeds, 0.05, 64, mask=mask)[0].vec.tobytes()
+    unmasked, _ = sgd_train(arch, starts[:2], x, y, seeds, 0.05, 64, mask=[None, masks[1]])
+    assert unmasked[0].vec.tobytes() == sgd_train(arch, starts[0], x, y, seeds, 0.05, 64)[0].vec.tobytes()
+    with pytest.raises(DimensionMismatch):
+        sgd_train(arch, starts[:3], x, y, seeds, 0.05, 64, mask=masks)
+
+
+def test_lockstep_names_the_epoch_and_the_arm_that_diverge():
+    arch, x, y, seeds, rewound, masks = _four_arms()
+    starts = [mask.apply(rewound) for mask in masks]
+    blown = ParamVector(arch, starts[2].vec * 1e80)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteValue, match=r"epoch \d+ in arm 2\b"):
+            sgd_train(arch, starts[:2] + [blown, starts[3]], x, y, seeds, 50.0, 64,
+                      loss="squared_error", mask=masks)

@@ -1,6 +1,7 @@
 """Output-gap bound, proof trajectory, telescoping, and the two witnesses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pathlift.errors import (
 )
 from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.lipschitz import (
+    MAX_SAMPLED_ENTRIES,
     activation_breakpoints,
     bound_rhs,
     check_sign_condition,
@@ -25,7 +27,7 @@ from pathlift.lipschitz import (
     trajectory_point,
     verify_bound,
 )
-from pathlift.paths import path_lifting
+from pathlift.paths import enumerate_paths, path_lifting
 from pathlift.transforms import random_rescaling, rescale
 
 from conftest import random_cases
@@ -409,3 +411,18 @@ def test_sign_counterexample_values():
     assert float(forward(ce.arch, ce.theta_prime, [0.0])[0]) == 0.0
     with pytest.raises(SignConditionViolated):
         bound_rhs(ce.arch, ce.theta, ce.theta_prime, ce.x)
+
+
+def test_breakpoints_refuse_too_many_samples_before_allocating(monkeypatch):
+    _limit_passes(monkeypatch, limit=0)
+    arch, t1, t2, x = _micro_pair()
+    per_sample = len(enumerate_paths(arch)) + arch.n_coords + arch.n_neurons
+    tracemalloc.start()
+    try:
+        for samples in (10**12, MAX_SAMPLED_ENTRIES // per_sample):
+            with pytest.raises(PathliftError, match="samples"):
+                activation_breakpoints(arch, t1, t2, x, samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -4,7 +4,7 @@ the output-change guarantee."""
 import numpy as np
 import pytest
 
-from pathlift.builders import conv_grid_architecture, random_dag, random_params
+from pathlift.builders import conv_grid_architecture, mlp_architecture, random_dag, random_params
 from pathlift.errors import (
     DimensionMismatch,
     InfeasibleAmount,
@@ -26,7 +26,7 @@ from pathlift.pruning import (
 from pathlift.transforms import random_rescaling, rescale
 
 from conftest import random_cases
-from reference import reference_pathnorm_diff_scores
+from reference import reference_obd_fd_scores, reference_pathnorm_diff_scores
 
 METHODS = ("autodiff", "pathnorm_diff", "bruteforce")
 
@@ -269,3 +269,31 @@ def test_kpool_pinned_bias_never_eligible(pool_net):
     assert bias_m not in mask.pruned
     with pytest.raises(InfeasibleAmount):
         apply_prune(theta, scores, count=5)
+
+
+def test_obd_fd_is_the_per_coordinate_loop():
+    rng = np.random.default_rng(12)
+    cases = [(arch, theta) for arch, theta, _ in random_cases(8, 41, zero_frac=0.2, p_kpool=0.4)]
+    mlp = mlp_architecture((2, 16, 16, 2))
+    cases.append((mlp, random_params(mlp, rng)))
+    for arch, theta in cases:
+        x = rng.normal(size=(256, arch.d_in))
+        for loss, y in (("squared_error", rng.normal(size=(256, arch.d_out))),
+                        ("logistic", rng.integers(0, 2, size=256))):
+            got = obd_fd_scores(arch, theta, (x, y), loss=loss).values
+            assert got.tobytes() == reference_obd_fd_scores(arch, theta, (x, y), loss=loss).tobytes()
+    arch, theta = _chain_net()
+    single = ([1.0], [0.5])  # one input, not a batch
+    assert obd_fd_scores(arch, theta, single).values.tobytes() == reference_obd_fd_scores(arch, theta, single).tobytes()
+
+
+def test_pruning_amounts_of_the_wrong_type_raise_typed_errors(diamond):
+    arch, theta = diamond
+    for bad in ([0.7], ["x"], [[1, 2]], [True], 3, [1, None]):
+        with pytest.raises(InfeasibleAmount):
+            pruning_error_bound(arch, theta, bad, [1.0])
+    for bad in ("a", "0.5", True, None):
+        with pytest.raises(InfeasibleAmount):
+            apply_prune(theta, magnitude_scores(arch, theta), fraction=bad)
+    assert pruning_error_bound(arch, theta, np.array([1, 3]), [1.0]) == pruning_error_bound(arch, theta, [1, 3], [1.0])
+    assert pruning_error_bound(arch, theta, [], [1.0]).bound == 0.0
