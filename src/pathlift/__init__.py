@@ -9,7 +9,7 @@ harness that compares pruning criteria under random rescalings.
 
 import types as _types
 
-from .autodiff import grad_check, grad_path_norm, grad_scalar, scalar_value
+from .autodiff import grad_path_norm, grad_scalar, scalar_value
 from .builders import (
     conv_grid_architecture,
     mlp_architecture,
@@ -86,7 +86,6 @@ from .paths import (
     count_paths,
     enumerate_paths,
     format_path,
-    incidence_matrix,
     linearized_output,
     max_path_length,
     path_activations,

@@ -128,31 +128,3 @@ def grad_path_norm(arch: Architecture, theta: ParamVector) -> np.ndarray:
         raise NonFiniteValue("the path norm gradient overflows float64")
     return g
 
-
-def grad_check(
-    arch: Architecture,
-    theta: ParamVector,
-    x,
-    aggregate="sum_outputs",
-    target=None,
-    eps: float = 1e-6,
-):
-    """Central-difference check of grad_scalar.
-
-    Returns (autodiff gradient, finite-difference gradient, max relative
-    error), the relative error being measured against the larger magnitude
-    with a 1e-12 floor.  Meaningful only when no activation sits within eps
-    of its kink.
-    """
-    _, ad = grad_scalar(arch, theta, x, aggregate, target)
-    fd = np.zeros_like(ad)
-    base = theta.vec
-    for i in range(arch.n_coords):
-        step = np.zeros_like(base)
-        step[i] = eps
-        up = scalar_value(arch, ParamVector(arch, base + step), x, aggregate, target)
-        dn = scalar_value(arch, ParamVector(arch, base - step), x, aggregate, target)
-        fd[i] = (up - dn) / (2.0 * eps)
-    denom = np.maximum(np.maximum(np.abs(ad), np.abs(fd)), 1e-12)
-    rel = float(np.max(np.abs(ad - fd) / denom)) if ad.size else 0.0
-    return ad, fd, rel

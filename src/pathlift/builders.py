@@ -10,14 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RaggedLayers
-from .graph import Architecture, ParamVector
+from .graph import Architecture, ParamVector, _count
 
 
 def mlp_architecture(widths, hidden: str = "relu") -> Architecture:
     """Fully-connected layered network; layer 0 is the input layer."""
-    widths = [int(w) for w in widths]
-    if len(widths) < 2 or min(widths) < 1:
-        raise RaggedLayers(f"need at least two positive layer widths, got {widths}")
+    widths = [_count(w, "layer width", RaggedLayers) for w in widths]
+    if len(widths) < 2:
+        raise RaggedLayers(f"need at least two layer widths, got {widths}")
     names = [[f"L{l}n{i:03d}" for i in range(w)] for l, w in enumerate(widths)]
     neurons = [(n, "input") for n in names[0]]
     for layer in names[1:-1]:

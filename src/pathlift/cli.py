@@ -15,9 +15,9 @@ import numpy as np
 
 from . import __version__
 from .builders import random_dag, random_params, same_sign_partner
-from .errors import MissingData, ParseError, PathliftError
+from .errors import MissingData, ParseError, PathliftError, RaggedLayers
 from .experiment import ExperimentConfig, run_experiment
-from .graph import forward
+from .graph import _count, forward
 from .lipschitz import equality_witness, sign_counterexample, verify_bound
 from .metrics import (
     path_metric_exact_dominated,
@@ -128,13 +128,9 @@ def _cmd_prune(args):
         save_network(args.out, arch, pruned)
 
 
-def _check_min(flag: str, value, low: int):
-    if value is not None and value < low:
-        raise PathliftError(f"{flag} must be at least {low}, got {value}")
-
-
 def _cmd_rescale(args):
-    _check_min("--seed", args.seed, 0)
+    if args.seed is not None:
+        _count(args.seed, "--seed", PathliftError, 0)
     arch, theta = load_network(args.network)
     if args.factor:
         factors = {}
@@ -165,8 +161,8 @@ def _cmd_normalize(args):
 
 
 def _cmd_verify_lipschitz(args):
-    _check_min("--seed", args.seed, 0)
-    _check_min("--cases", args.cases, 1)
+    _count(args.seed, "--seed", PathliftError, 0)
+    _count(args.cases, "--cases", PathliftError)
     root = np.random.SeedSequence(args.seed)
     held = 0
     worst = None
@@ -194,8 +190,8 @@ def _cmd_witness(args):
         print(f"rhs if signs were ignored: {ce.rhs_ignoring_signs!r}  (bound refuses this pair)")
     else:
         d, a, b, x0 = args.equality
-        w = equality_witness(int(d), a, b, x0)
-        print(f"chain of {int(d)} edge(s), weights {a} vs {b}, input {x0}")
+        w = equality_witness(d, a, b, x0)
+        print(f"chain of {w.arch.n_edges} edge(s), weights {a} vs {b}, input {x0}")
         print(f"predicted |a^d - b^d| * x0 = {w.predicted!r}")
         print(w.report.render())
 
@@ -210,7 +206,7 @@ def _cmd_experiment(args):
         criteria=tuple(args.criteria.split(",")),
         loss=args.loss,
         rescale_preset=args.preset,
-        widths=tuple(int(w) for w in args.widths.split(",")),
+        widths=tuple(_count(w, "layer width", RaggedLayers) for w in args.widths.split(",")),
         lr=args.lr,
         batch_size=args.batch_size,
         n_train=args.n_train,

@@ -24,7 +24,7 @@ from .autodiff import grad_scalar
 from .builders import mlp_architecture
 from .engine import Tape, run
 from .errors import DimensionMismatch, InfeasibleAmount, NonFiniteValue, PathliftError
-from .graph import Architecture, ParamVector, _check_bound
+from .graph import Architecture, ParamVector, _check_bound, _count
 from .pruning import Mask, apply_prune, baseline_scores, path_mag_scores
 from .transforms import random_rescaling, rescale
 
@@ -47,8 +47,6 @@ class ExperimentConfig:
     prune_biases: bool = False
 
     def validated(self) -> "ExperimentConfig":
-        if self.seed < 0:
-            raise PathliftError(f"seed must be at least 0, got {self.seed}")
         if self.dataset not in ("two_gaussians", "xor"):
             raise PathliftError(f"unknown dataset {self.dataset!r}")
         if self.loss not in ("logistic", "squared_error"):
@@ -57,14 +55,13 @@ class ExperimentConfig:
             raise PathliftError(
                 f"rewind epoch {self.rewind_epoch} must lie in [0, {self.epochs})"
             )
-        for name in ("n_train", "n_test", "batch_size"):
-            if getattr(self, name) < 1:
-                raise PathliftError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, low in (("seed", 0), ("n_train", 1), ("n_test", 1), ("batch_size", 1)):
+            _count(getattr(self, name), name, PathliftError, low)
         if not 0.0 <= self.prune_fraction < 1.0:
             raise InfeasibleAmount(f"prune fraction {self.prune_fraction} outside [0, 1)")
-        bad = [c for c in self.criteria if c not in ("pathmag", "magnitude", "obd")]
+        bad = [c for i, c in enumerate(self.criteria) if c not in ("pathmag", "magnitude", "obd") or c in self.criteria[:i]]
         if bad:
-            raise PathliftError(f"unknown criteria {bad}")
+            raise PathliftError(f"unknown or repeated criteria {bad}")
         return self
 
 
@@ -153,7 +150,7 @@ def sgd_train(
         if not isinstance(t, ParamVector):
             raise DimensionMismatch(f"expected ParamVectors, got {type(t).__name__}")
         _check_bound(arch, t)
-    n = x.shape[0]
+    batch_size, n = _count(batch_size, "batch_size", PathliftError), x.shape[0]
     vec = np.stack([t.vec for t in thetas])
     keep = None
     if any(m is not None for m in masks):
@@ -246,19 +243,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     xtr, ytr, xte, yte = make_dataset(cfg, data_rng)
     arch = mlp_architecture(cfg.widths)
     theta0 = _init_params(arch, init_rng)
-    theta_T, theta_rw = sgd_train(
-        arch, theta0, xtr, ytr, seeds, cfg.lr, cfg.batch_size,
-        loss=cfg.loss, snapshot_epoch=cfg.rewind_epoch,
-    )
-    dense_acc = accuracy(arch, theta_T, xte, yte)
-
-    # redraw until at least one factor differs from 1, so the rescaled arm
-    # is a genuinely different parametrization of the same function
+    # drawn before training, so a bad preset fails at once; redrawn until one factor
+    # differs from 1, so the rescaled arm is another parametrization of the same function
     rescale_rng = np.random.default_rng(rescale_seed)
     while True:
         factors = random_rescaling(arch, rescale_rng, preset=cfg.rescale_preset)
         if any(f != 1.0 for f in factors.values()):
             break
+
+    theta_T, theta_rw = sgd_train(
+        arch, theta0, xtr, ytr, seeds, cfg.lr, cfg.batch_size,
+        loss=cfg.loss, snapshot_epoch=cfg.rewind_epoch,
+    )
+    dense_acc = accuracy(arch, theta_T, xte, yte)
 
     obd_batch = (xtr[:256], _loss_target(ytr[:256], cfg.loss, arch.d_out))
 

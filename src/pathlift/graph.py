@@ -19,17 +19,18 @@ An architecture is built on integer arrays: each edge endpoint is mapped
 to an integer key once, the checks run on those keys and on fan-in and
 fan-out counts, and the canonical edge order is one argsort.  The edges
 are kept as one CSR layout: ``src``/``dst`` (each canonical edge's end
-positions), ``in_ptr`` (neuron j's incoming edges are the coordinates
-``in_ptr[j]:in_ptr[j + 1]``) and ``out_perm`` (the edges in source order).
-``out_perm``, ``depth``, ``levels`` and the id views (``edges``, ``edge_index``,
-``coord_labels``, ``input_ids``, ``output_ids``) are built on first access;
-the passes, the path norm and the path-metric bounds read no id view.
+positions) and ``in_ptr`` (neuron j's incoming edges are the coordinates
+``in_ptr[j]:in_ptr[j + 1]``).  ``depth``, ``levels`` and the id views
+(``edges``, ``edge_index``, ``coord_labels``, ``input_ids``, ``output_ids``)
+are built on first access; the passes, the path norm and the path-metric
+bounds read no id view.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
+from contextlib import suppress
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Mapping
@@ -170,7 +171,7 @@ class Architecture:
         # Canonical coordinate order: edges grouped by destination (then
         # source), both in topological position, followed by biases.  The
         # (source, destination) pairs are unique, so a plain argsort of a
-        # combined key gives it (and ``out_perm``).
+        # combined key gives it.
         canon = np.argsort(v * n + u)
         self.src, self.dst = u[canon], v[canon]
         self.in_ptr = np.r_[0, np.cumsum(fan_in)]
@@ -212,10 +213,6 @@ class Architecture:
     @cached_property
     def output_ids(self) -> tuple:
         return tuple(map(self.ids.__getitem__, self.output_pos.tolist()))
-
-    @cached_property
-    def out_perm(self) -> np.ndarray:
-        return np.argsort(self.src * self.n_neurons + self.dst)
 
     @cached_property
     def depth(self) -> np.ndarray:
@@ -296,7 +293,7 @@ class ParamVector:
     __slots__ = ("arch", "vec")
 
     def __init__(self, arch: Architecture, vec):
-        v = np.array(vec, dtype=np.float64)
+        v = _floats(vec, "parameter vector entries must be numbers").copy()
         if v.shape != (arch.n_coords,):
             raise DimensionMismatch(
                 f"parameter vector has shape {v.shape}, expected ({arch.n_coords},)"
@@ -311,10 +308,6 @@ class ParamVector:
         v.setflags(write=False)
         self.arch = arch
         self.vec = v
-
-    @classmethod
-    def zeros(cls, arch: Architecture) -> "ParamVector":
-        return cls(arch, np.zeros(arch.n_coords))
 
     @classmethod
     def from_maps(
@@ -367,9 +360,6 @@ class ParamVector:
             v[i] = val
         return ParamVector(self.arch, v)
 
-    def with_vec(self, vec) -> "ParamVector":
-        return ParamVector(self.arch, vec)
-
     def __len__(self):
         return self.vec.shape[0]
 
@@ -382,16 +372,29 @@ def _check_bound(arch: Architecture, theta: ParamVector):
         raise DimensionMismatch("parameter vector bound to a different architecture")
 
 
+def _floats(values, message: str) -> np.ndarray:
+    """``values`` as a float64 array; DimensionMismatch(message) if not numbers."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(message) from None
+
+
+def _count(value, what: str, error, low: int = 1) -> int:
+    """``value`` as an int; raises ``error`` unless it is a whole number >= low, or its digits."""
+    with suppress(TypeError, ValueError, OverflowError):  # int() of nan, inf, None or "x"
+        if int(value) == float(value) >= low:
+            return int(value)
+    raise error(f"{what} must be an integer >= {low}, got {value!r}")
+
+
 def _param_rows(arch: Architecture, theta) -> np.ndarray:
     """The coordinates of a ParamVector bound to ``arch``, or a checked
     (P, n_coords) stack of parameter rows."""
     if isinstance(theta, ParamVector):
         _check_bound(arch, theta)
         return theta.vec
-    try:
-        rows = np.asarray(theta, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise DimensionMismatch("parameters must be a ParamVector or a (P, n_coords) stack") from None
+    rows = _floats(theta, "parameters must be a ParamVector or a (P, n_coords) stack")
     if rows.ndim != 2 or rows.shape[1] != arch.n_coords:
         raise DimensionMismatch(f"parameter stack has shape {rows.shape}, expected (P, {arch.n_coords})")
     if not np.isfinite(rows).all():
@@ -402,7 +405,7 @@ def _param_rows(arch: Architecture, theta) -> np.ndarray:
 def _check_input(arch: Architecture, x) -> np.ndarray:
     """One input ``x`` as a flat float vector; raises unless it has one
     finite entry per input neuron."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    x = _floats(x, "input entries must be numbers").reshape(-1)
     if x.shape[0] != arch.d_in:
         raise DimensionMismatch(f"input has {x.shape[0]} entries, the network has {arch.d_in} inputs")
     if not np.isfinite(x).all():
@@ -415,7 +418,7 @@ def neuron_values(arch: Architecture, theta: ParamVector, x) -> np.ndarray:
     from .engine import run  # the engine compiles the architectures defined here
 
     _check_bound(arch, theta)
-    vals, _ = run(arch, theta.vec, np.asarray(x, dtype=np.float64).reshape(-1))
+    vals, _ = run(arch, theta.vec, _floats(x, "input entries must be numbers").reshape(-1))
     return vals[:-1, 0]
 
 

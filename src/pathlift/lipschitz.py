@@ -33,7 +33,7 @@ from .errors import (
     PathliftError,
     SignConditionViolated,
 )
-from .graph import Architecture, ParamVector, forward, _check_bound, _check_input
+from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _count
 from .metrics import path_metric_exact_dominated, path_metric_lower, path_metric_oracle
 from .paths import _row_products, _table, path_activations, path_lifting
 
@@ -282,8 +282,6 @@ def activation_breakpoints(
 
 
 def _chain(d: int) -> Architecture:
-    if d < 1:
-        raise PathliftError("chain needs at least one edge")
     names = ["in"] + [f"m{k:02d}" for k in range(1, d)] + ["out"]
     neurons = [("in", "input")] + [(n, "relu") for n in names[1:-1]] + [("out", "identity")]
     edges = list(zip(names[:-1], names[1:]))
@@ -311,16 +309,17 @@ def equality_witness(d: int, a: float, b: float, x0: float) -> EqualityWitness:
 
     All weights a on one side, b on the other (both > 0), biases zero, and
     a positive input x0: both sides of the split bound equal
-    |a**d - b**d| * x0.
+    |a**d - b**d| * x0.  ``d`` must be a whole number of at least 1.
     """
+    d = _count(d, "chain length d", PathliftError)
     if not (a > 0.0 and b > 0.0 and x0 > 0.0):
         raise PathliftError("equality witness needs a, b, x0 all > 0")
-    arch = _chain(int(d))
+    arch = _chain(d)
     t1 = _chain_params(arch, float(a))
     t2 = _chain_params(arch, float(b))
     x = np.array([float(x0)])
     report = verify_bound(arch, t1, t2, x, variant="split")
-    predicted = abs(float(a) ** int(d) - float(b) ** int(d)) * float(x0)
+    predicted = abs(float(a) ** d - float(b) ** d) * float(x0)
     return EqualityWitness(arch, t1, t2, x, report, predicted)
 
 

@@ -5,7 +5,7 @@ paths; the path set of a network collects every path ending at an output
 neuron.  Enumeration is the reference oracle for everything else in this
 package: the path lifting (one product of weights per path, led by the
 starting bias when the path starts at a hidden neuron), the 0/1 path
-activations at a given input, and the fixed incidence matrix.
+activations at a given input, and the output rebuilt from the two.
 
 All functions return paths in one canonical order: grouped by end neuron
 (topological position), then sorted by start neuron and lexicographic
@@ -187,18 +187,6 @@ class PathLifting:
     def input_start(self) -> np.ndarray:
         return self.arch.is_input[self.table.start]
 
-    @property
-    def phi_input(self) -> np.ndarray:
-        return self.values[self.input_start]
-
-    @property
-    def phi_hidden(self) -> np.ndarray:
-        return self.values[~self.input_start]
-
-    def norm(self, q: float = 1.0) -> float:
-        """q-th power of the lq norm, i.e. sum of |phi_p|**q."""
-        return float(np.sum(np.abs(self.values) ** q))
-
     def coordinate_sums(self, weights) -> np.ndarray:
         """Per parameter coordinate, the sum of ``weights[i]`` over the paths
         i through it: over its edges, and over its start bias when the path
@@ -239,21 +227,6 @@ def path_activations(arch: Architecture, theta, x, end=None, cap=None) -> np.nda
 def _input_column(arch: Architecture) -> np.ndarray:
     """Per neuron position: its input column, or d_in off the input layer."""
     return np.where(arch.is_input, np.cumsum(arch.is_input) - 1, arch.d_in)
-
-
-def incidence_matrix(arch: Architecture, end=None, cap=None):
-    """Fixed 0/1 matrix pairing each path with its input coordinate.
-
-    Row p has a single 1: in the column of the starting input neuron, or in
-    the trailing bias column when the path starts at a hidden or output
-    neuron.  Depends only on the graph, never on parameters or inputs.
-    Returns (matrix, column_labels).
-    """
-    start = _table(arch, end=end, cap=cap).start
-    a = np.zeros((start.size, arch.d_in + 1), dtype=np.int8)
-    a[np.arange(start.size), _input_column(arch)[start]] = 1
-    labels = tuple(arch.input_ids) + ("bias",)
-    return a, labels
 
 
 def linearized_output(arch: Architecture, theta: ParamVector, x, cap=None) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from .autodiff import grad_path_norm, grad_scalar, scalar_value
 from .engine import _BLOCK_ELEMS, run
 from .errors import InfeasibleAmount, MissingData, PathliftError
-from .graph import Architecture, ParamVector, forward, _check_bound, _check_input
+from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _count
 from .metrics import _sum_pool_tape
 from .paths import path_lifting
 
@@ -154,16 +154,17 @@ def obd_hutchinson_scores(
     seed across reparametrizations does NOT make the estimate rescaling
     invariant (the probes do not transform), unlike the exact diagonal.
     """
+    probes = _count(probes, "probes", PathliftError)
     x, y = _require_data(data)
     rng = np.random.default_rng(seed)
     vec = theta.vec
     est = np.zeros(arch.n_coords)
-    for _ in range(int(probes)):
+    for _ in range(probes):
         v = rng.integers(0, 2, size=arch.n_coords).astype(np.float64) * 2.0 - 1.0
         _, gu = grad_scalar(arch, ParamVector(arch, vec + eps * v), x, aggregate=loss, target=y)
         _, gd = grad_scalar(arch, ParamVector(arch, vec - eps * v), x, aggregate=loss, target=y)
         est += (gu - gd) / (2.0 * eps) * v
-    est /= max(int(probes), 1)
+    est /= probes
     return ScoreVector(criterion="obd", method="hutchinson", values=0.5 * est * vec * vec)
 
 

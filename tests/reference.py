@@ -6,7 +6,8 @@ These are the loops the package ran before the compiled level schedule
 path-metric bound, the level-wise ``normalize``/``rescale``, the stacked
 activation breakpoints and the stacked second-difference scores replaced
 them.  They are kept here, deliberately plain, as the oracles that the
-package is compared against.
+package is compared against, together with the central-difference check
+of ``grad_scalar``.
 """
 
 import heapq
@@ -15,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from pathlift.autodiff import scalar_value
+from pathlift.autodiff import grad_scalar, scalar_value
 from pathlift.errors import (
     ArchitectureError,
     BadPoolArity,
@@ -44,12 +45,14 @@ def neuron_lists(arch):
     """Per neuron position, sliced from the architecture's CSR layout: the
     antecedent positions (runs of ``src`` between ``in_ptr`` entries), the
     incoming edge coordinates (the same runs of coordinates) and the
-    outgoing edge coordinates (runs of ``out_perm``, one per source)."""
+    outgoing edge coordinates (runs of the edges in source order, one per
+    source)."""
     ptr = arch.in_ptr.tolist()
     out_ptr = np.r_[0, np.cumsum(np.bincount(arch.src, minlength=arch.n_neurons))].tolist()
+    out_perm = np.argsort(arch.src * arch.n_neurons + arch.dst)
     ant = [arch.src[a:b] for a, b in zip(ptr, ptr[1:])]
     in_coords = [np.arange(a, b) for a, b in zip(ptr, ptr[1:])]
-    out_coords = [arch.out_perm[a:b] for a, b in zip(out_ptr, out_ptr[1:])]
+    out_coords = [out_perm[a:b] for a, b in zip(out_ptr, out_ptr[1:])]
     return ant, in_coords, out_coords
 
 
@@ -109,6 +112,28 @@ def reference_gradient(arch, theta, vals, winners, out_adjoint):
             grad[cin] += vals[ant] @ g
             adj[ant] += w[:, None] * g[None, :]
     return grad
+
+
+def grad_check(arch, theta, x, aggregate="sum_outputs", target=None, eps=1e-6):
+    """Central-difference check of grad_scalar.
+
+    Returns (autodiff gradient, finite-difference gradient, max relative
+    error), the relative error being measured against the larger magnitude
+    with a 1e-12 floor.  Meaningful only when no activation sits within eps
+    of its kink.
+    """
+    _, ad = grad_scalar(arch, theta, x, aggregate, target)
+    fd = np.zeros_like(ad)
+    base = theta.vec
+    for i in range(arch.n_coords):
+        step = np.zeros_like(base)
+        step[i] = eps
+        up = scalar_value(arch, ParamVector(arch, base + step), x, aggregate, target)
+        dn = scalar_value(arch, ParamVector(arch, base - step), x, aggregate, target)
+        fd[i] = (up - dn) / (2.0 * eps)
+    denom = np.maximum(np.maximum(np.abs(ad), np.abs(fd)), 1e-12)
+    rel = float(np.max(np.abs(ad - fd) / denom)) if ad.size else 0.0
+    return ad, fd, rel
 
 
 # ---- paths: one Python step per path ----------------------------------------
@@ -338,9 +363,6 @@ class ReferenceArchitecture(Architecture):
         self.src = np.array([self.pos[u] for u, _ in canon_edges], dtype=np.int64)
         self.dst = np.array([self.pos[v] for _, v in canon_edges], dtype=np.int64)
         self.in_ptr = np.cumsum([0] + [len(ants[nid]) for nid in order], dtype=np.int64)
-        self.out_perm = np.array(
-            sorted(range(self.n_edges), key=lambda i: (self.src[i], self.dst[i])), dtype=np.int64
-        )
         self.depth = np.zeros(n, dtype=np.int64)
         for j, nid in enumerate(order):
             if ants[nid]:

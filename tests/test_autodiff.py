@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pathlift.autodiff import (
-    grad_check,
     grad_path_norm,
     grad_scalar,
     scalar_value,
@@ -18,7 +17,7 @@ from pathlift.metrics import path_norm_fast
 from pathlift.transforms import random_rescaling, rescale
 
 from conftest import pool_arch, pool_theta, random_cases
-from reference import neuron_lists
+from reference import grad_check, neuron_lists
 
 
 def _relu_margin(arch, theta, x):

@@ -69,6 +69,29 @@ def test_config_validation():
         _tiny(prune_fraction=-0.1).validated()
 
 
+def test_config_rejects_repeated_criteria():
+    with pytest.raises(PathliftError, match="repeated"):
+        _tiny(criteria=("pathmag", "magnitude", "pathmag")).validated()
+
+
+def test_a_bad_preset_is_refused_before_training(monkeypatch):
+    def train(*args, **kwargs):
+        raise AssertionError("trained before checking the preset")
+
+    monkeypatch.setattr("pathlift.experiment.sgd_train", train)
+    with pytest.raises(PathliftError, match="bogus"):
+        run_experiment(_tiny(rescale_preset="bogus"))
+
+
+def test_sgd_train_needs_a_whole_batch_size():
+    arch = mlp_architecture((2, 3, 2))
+    theta = ParamVector(arch, np.ones(arch.n_coords))
+    x, y = np.ones((8, 2)), np.zeros(8, dtype=np.int64)
+    for batch_size in (0, -1, 2.5, None):
+        with pytest.raises(PathliftError, match="batch_size"):
+            sgd_train(arch, theta, x, y, epoch_seeds(0, 2), 0.05, batch_size)
+
+
 def test_epoch_seeds_prefix_stable():
     a = epoch_seeds(5, 10)
     b = epoch_seeds(5, 3)

@@ -98,7 +98,7 @@ def test_forward_diamond(diamond):
 
 def test_forward_zero_parameters(diamond):
     arch, _ = diamond
-    out = forward(arch, ParamVector.zeros(arch), [5.0])
+    out = forward(arch, ParamVector(arch, np.zeros(arch.n_coords)), [5.0])
     np.testing.assert_array_equal(out, [0.0])
 
 

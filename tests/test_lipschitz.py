@@ -361,6 +361,13 @@ def test_equality_witness_chain():
     assert w.report.holds
 
 
+def test_equality_witness_needs_a_whole_chain_length():
+    assert equality_witness(3.0, 2.0, 1.0, 1.0).arch.n_edges == 3
+    for d in (math.nan, math.inf, 2.5, 0, -1, "x", None):
+        with pytest.raises(PathliftError, match="chain length"):
+            equality_witness(d, 2.0, 1.0, 1.0)
+
+
 def test_equality_witness_equal_weights():
     w = equality_witness(3, 1.5, 1.5, 2.0)
     assert w.predicted == 0.0

@@ -1,5 +1,7 @@
 """Fast path norms, path-metric estimates, and layered-MLP bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,7 @@ def test_fast_norm_equals_enumeration_on_corpus():
         lift = path_lifting(arch, theta)
         for q in (1.0, 2.0):
             np.testing.assert_allclose(
-                path_norm_fast(arch, theta, q=q), lift.norm(q), rtol=1e-9
+                path_norm_fast(arch, theta, q=q), np.sum(np.abs(lift.values) ** q), rtol=1e-9
             )
 
 
@@ -82,7 +84,7 @@ def test_lower_bound_can_be_loose(diamond):
     arch, theta = diamond
     # every input-to-output path has two edges, so negating all coordinates
     # leaves the lifting unchanged
-    neg = theta.with_vec(-theta.vec)
+    neg = ParamVector(arch, -theta.vec)
     assert path_metric_lower(arch, theta, neg) == 0.0
     assert path_metric_oracle(arch, theta, neg) == 0.0
     # flipping a single edge moves the lifting without moving its norm
@@ -107,7 +109,7 @@ def test_exact_dominated_through_lifting_comparison(diamond):
 
 def test_exact_dominated_rejects_incomparable(diamond):
     arch, theta = diamond
-    other = theta.with_vec([2.0, -1.0, 3.0, 1.0, 0.0, 0.0, 0.0])
+    other = ParamVector(arch, [2.0, -1.0, 3.0, 1.0, 0.0, 0.0, 0.0])
     with pytest.raises(DominanceUnverified):
         path_metric_exact_dominated(arch, theta, other)
 
@@ -188,7 +190,7 @@ def test_exact_matches_oracle_on_shrunk_corpus():
     # partners theta * U(0, 1) with a third of the coordinates zeroed
     for arch, theta, rng in random_cases(100, seed=403, max_layers=5, max_width=6, p_kpool=0.4):
         u = rng.uniform(size=arch.n_coords) * (rng.random(arch.n_coords) > 0.3)
-        other = theta.with_vec(theta.vec * u)
+        other = ParamVector(arch, theta.vec * u)
         np.testing.assert_allclose(
             path_metric_exact_dominated(arch, theta, other),
             path_metric_oracle(arch, theta, other),
@@ -199,7 +201,7 @@ def test_exact_matches_oracle_on_shrunk_corpus():
 def test_exact_matches_oracle_on_masked_corpus():
     for arch, theta, rng in random_cases(30, seed=402):
         keep = rng.random(arch.n_coords) > 0.3
-        masked = theta.with_vec(theta.vec * keep)
+        masked = ParamVector(arch, theta.vec * keep)
         np.testing.assert_allclose(
             path_metric_exact_dominated(arch, theta, masked),
             path_metric_oracle(arch, theta, masked),
@@ -220,7 +222,7 @@ def test_upper_refined_diamond(diamond):
 
 def test_upper_bounds_dominate_oracle_on_corpus():
     for arch, t1, rng in random_cases(60, seed=403):
-        t2 = t1.with_vec(t1.vec * rng.uniform(-1.5, 1.5, size=arch.n_coords))
+        t2 = ParamVector(arch, t1.vec * rng.uniform(-1.5, 1.5, size=arch.n_coords))
         oracle = path_metric_oracle(arch, t1, t2)
         refined = path_metric_upper(arch, t1, t2, refined=True)
         assert oracle <= refined * (1 + 1e-9) + 1e-12
@@ -248,7 +250,7 @@ def test_refined_bound_exact_without_hidden_neurons():
 
 def test_upper_bounds_invariant_under_rescaling():
     for arch, t1, rng in random_cases(15, seed=404):
-        t2 = t1.with_vec(t1.vec * rng.uniform(0.2, 1.8, size=arch.n_coords))
+        t2 = ParamVector(arch, t1.vec * rng.uniform(0.2, 1.8, size=arch.n_coords))
         factors = {
             arch.ids[j]: float(rng.uniform(0.25, 4.0))
             for j in np.flatnonzero(~arch.is_input)
@@ -276,7 +278,7 @@ def test_metric_report_render(diamond):
 
 def test_metric_report_incomparable_pair(diamond):
     arch, theta = diamond
-    other = theta.with_vec([2.0, -1.0, 3.0, 1.0, 0.0, 0.0, 0.0])
+    other = ParamVector(arch, [2.0, -1.0, 3.0, 1.0, 0.0, 0.0, 0.0])
     report = path_metric_report(arch, other, theta)
     assert report.exact is None
     assert "dominates" in report.note
@@ -306,6 +308,13 @@ def test_mlp_bounds_ragged_input():
         mlp_bounds(la, la, [1.0, 1.0])
 
 
+def test_mlp_architecture_refuses_widths_that_are_not_whole_numbers():
+    assert mlp_architecture(["2", 3.0, np.int64(2)]) == mlp_architecture((2, 3, 2))
+    for widths in (["2", "x"], [2, 2.5, 2], [2, math.nan], [2, math.inf], [2, None], [2, 0], [2]):
+        with pytest.raises(RaggedLayers):
+            mlp_architecture(widths)
+
+
 def test_mlp_params_follow_edge_index_and_round_trip():
     rng = np.random.default_rng(12)
     arch = mlp_architecture((2, 3, 2))
@@ -331,15 +340,15 @@ def test_mlp_params_reject_incomplete_layers():
     with pytest.raises(RaggedLayers):
         mlp_params(arch, mats)
     with pytest.raises(RaggedLayers):
-        mlp_matrices(arch, ParamVector.zeros(arch))
+        mlp_matrices(arch, ParamVector(arch, np.zeros(arch.n_coords)))
     # a skip edge breaks the layering too
     skip = Architecture(full.neuron_decls(), list(full.edges) + [("L0n000", "L2n000")])
     with pytest.raises(RaggedLayers):
-        mlp_matrices(skip, ParamVector.zeros(skip))
+        mlp_matrices(skip, ParamVector(skip, np.zeros(skip.n_coords)))
 
 
 def _refined_corpus():
-    cases = [(arch, t1, t1.with_vec(t1.vec * rng.uniform(-1.5, 1.5, size=arch.n_coords)), rng)
+    cases = [(arch, t1, ParamVector(arch, t1.vec * rng.uniform(-1.5, 1.5, size=arch.n_coords)), rng)
              for arch, t1, rng in random_cases(60, seed=405, p_kpool=0.4, p_skip=0.5)]
     arch = conv_grid_architecture(side=6, channels=(2, 3), d_out=3)
     rng = np.random.default_rng(406)

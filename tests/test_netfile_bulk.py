@@ -55,7 +55,7 @@ def test_save_is_json_dump_on_conv_grid():
     arch = conv_grid_architecture(side=6, channels=(2, 3), d_out=3)
     rng = np.random.default_rng(3)
     theta = random_params(arch, rng, zero_frac=0.1)
-    _assert_round_trip(arch, theta.with_vec(theta.vec * rng.uniform(1e-7, 1e7, size=arch.n_coords)))
+    _assert_round_trip(arch, ParamVector(arch, theta.vec * rng.uniform(1e-7, 1e7, size=arch.n_coords)))
 
 
 def test_load_places_weights_listed_in_any_order():

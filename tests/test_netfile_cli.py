@@ -36,7 +36,7 @@ def test_round_trip_random_networks(tmp_path):
         arch = random_dag(rng, p_kpool=0.4)
         theta = random_params(arch, rng, zero_frac=0.1)
         # awkward magnitudes exercise the shortest-repr float serialization
-        theta = theta.with_vec(theta.vec * rng.uniform(1e-7, 1e7, size=arch.n_coords))
+        theta = ParamVector(arch, theta.vec * rng.uniform(1e-7, 1e7, size=arch.n_coords))
         path = tmp_path / f"net{seed}.json"
         save_network(path, arch, theta)
         arch2, theta2 = load_network(path)
@@ -439,6 +439,14 @@ def test_cli_iterative_magnitude_prune_matches_one_shot(tmp_path, capsys):
         ["verify-lipschitz", "--seed", "-1"],
         ["verify-lipschitz", "--seed", "0", "--cases", "-1"],
         ["verify-lipschitz", "--seed", "0", "--cases", "0"],
+        ["experiment", "--seed", "0", "--widths", "2,x"],
+        ["experiment", "--seed", "0", "--widths", "2,2.5,2"],
+        ["experiment", "--seed", "0", "--criteria", "pathmag,pathmag"],
+        ["experiment", "--seed", "0", "--preset", "bogus"],
+        ["witness", "--equality", "nan", "2", "1", "1"],
+        ["witness", "--equality", "inf", "2", "1", "1"],
+        ["witness", "--equality", "2.5", "2", "1", "1"],
+        ["witness", "--equality", "0", "2", "1", "1"],
     ],
 )
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, argv):

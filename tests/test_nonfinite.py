@@ -10,7 +10,7 @@ import pytest
 from pathlift.autodiff import grad_path_norm, grad_scalar
 from pathlift.builders import mlp_architecture, random_params
 from pathlift.cli import main
-from pathlift.errors import InfeasibleAmount, NonFiniteValue, NonPositiveFactor, PathliftError
+from pathlift.errors import DimensionMismatch, InfeasibleAmount, NonFiniteValue, NonPositiveFactor, PathliftError
 from pathlift.experiment import epoch_seeds, sgd_train
 from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.metrics import path_norm_fast
@@ -124,3 +124,13 @@ def test_arguments_of_the_wrong_type_raise_typed_errors(diamond, monkeypatch):
     monkeypatch.setenv("PATHLIFT_PATH_CAP", "x")
     with pytest.raises(PathliftError):
         enumerate_paths(arch)
+
+
+def test_parameters_and_inputs_that_are_not_numbers_raise_dimension_mismatch(diamond):
+    arch, theta = diamond
+    for bad in (["a"] * arch.n_coords, [[1.0], [2.0, 3.0]], "abc"):
+        with pytest.raises(DimensionMismatch):
+            ParamVector(arch, bad)
+    for bad in (["a"], "a", [[1.0], [2.0, 3.0]]):
+        with pytest.raises(DimensionMismatch):
+            forward(arch, theta, bad)

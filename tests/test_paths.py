@@ -15,7 +15,6 @@ from pathlift import (
     count_paths,
     enumerate_paths,
     format_path,
-    incidence_matrix,
     linearized_output,
     max_path_length,
     mlp_architecture,
@@ -125,9 +124,9 @@ def test_diamond_lifting(diamond):
     arch, theta = diamond
     lift = path_lifting(arch, theta)
     np.testing.assert_array_equal(lift.values, [3.0, -2.0, 0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(lift.phi_input, [3.0, -2.0])
-    np.testing.assert_array_equal(lift.phi_hidden, [0.0, 0.0, 0.0])
-    assert lift.norm(1) == 5.0
+    np.testing.assert_array_equal(lift.values[lift.input_start], [3.0, -2.0])
+    np.testing.assert_array_equal(lift.values[~lift.input_start], [0.0, 0.0, 0.0])
+    assert np.sum(np.abs(lift.values)) == 5.0
 
 
 def test_lifting_uses_start_bias(diamond):
@@ -204,20 +203,6 @@ def test_pool_tie_activates_first_antecedent_only():
     by_path = dict(zip(paths, acts))
     assert by_path[("in1", "m", "out")] == 1
     assert by_path[("in2", "m", "out")] == 0
-
-
-def test_incidence_matrix_diamond(diamond):
-    arch, _ = diamond
-    mat, columns = incidence_matrix(arch)
-    assert columns == ("in", "bias")
-    np.testing.assert_array_equal(mat, [[1, 0], [1, 0], [0, 1], [0, 1], [0, 1]])
-
-
-def test_incidence_one_entry_per_row_on_corpus():
-    for arch, _, _ in random_cases(20, seed=205):
-        mat, columns = incidence_matrix(arch)
-        assert columns == arch.input_ids + ("bias",)
-        np.testing.assert_array_equal(mat.sum(axis=1), 1)
 
 
 def test_linearized_output_diamond(diamond):

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pathlift import (
+    ParamVector,
     hidden_positions,
     normalize,
     path_lifting,
@@ -95,7 +96,7 @@ def test_bound_holds_on_same_sign_pairs(net):
 def test_exact_dominated_equals_oracle_on_both_routes(net):
     arch, theta, rng = net
     # shrunk coordinatewise, a third zeroed: the parameter route
-    small = theta.with_vec(theta.vec * rng.uniform(size=arch.n_coords) * (rng.random(arch.n_coords) > 0.3))
+    small = ParamVector(arch, theta.vec * rng.uniform(size=arch.n_coords) * (rng.random(arch.n_coords) > 0.3))
     np.testing.assert_allclose(
         path_metric_exact_dominated(arch, theta, small), path_metric_oracle(arch, theta, small), rtol=1e-12
     )
@@ -116,7 +117,7 @@ def test_lower_and_upper_bounds_enclose_the_oracle(net, independent):
     if independent:
         t2 = random_params(arch, rng)
     else:
-        t2 = t1.with_vec(t1.vec * rng.uniform(-1.5, 1.5, size=arch.n_coords))
+        t2 = ParamVector(arch, t1.vec * rng.uniform(-1.5, 1.5, size=arch.n_coords))
     oracle = path_metric_oracle(arch, t1, t2)
     assert _le(path_metric_lower(arch, t1, t2), oracle)
     assert _le(oracle, path_metric_upper(arch, t1, t2, refined=True))

@@ -113,6 +113,14 @@ def test_obd_hutchinson_converges_to_fd():
     assert sv.values[0] == pytest.approx(2.0, rel=0.05)
 
 
+def test_obd_hutchinson_needs_a_whole_number_of_probes():
+    arch = Architecture([("in", "input"), ("out", "identity")], [("in", "out")])
+    theta = ParamVector(arch, [2.0, 0.0])
+    for probes in (0, -3, 2.7, "x", None):
+        with pytest.raises(PathliftError, match="probes"):
+            obd_hutchinson_scores(arch, theta, ([[1.0]], [[0.0]]), probes=probes)
+
+
 def test_obd_fd_approximately_rescaling_invariant():
     arch, theta = _chain_net()
     data = ([[1.0], [-0.5], [2.0]], [[0.5], [0.0], [-1.0]])
