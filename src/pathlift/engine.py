@@ -34,25 +34,25 @@ its power of two.
 Stacks.  :func:`run`, :func:`gradient` and :func:`activations` take the
 raw parameter array, one vector (n_coords,) or a stack (P, n_coords), and
 give a stack a leading axis P on every result: values and adjoints
-(P, n_neurons + 1, B), gradients (P, n_coords).  A shared-source block
-indexes the (P, n_neurons + 1, B) table directly, one 3-D matrix product
-over the stack.  The forward pass runs any other block through flattened
-tables, the values as (P * (n_neurons + 1), B) and the weights as
-(P * (n_coords + 1),), read through the block's index arrays offset by each
-item's first row; the adjoint sweep runs such blocks (and pools) item by
-item.  Every operand is item-major and contiguous (``np.take``, never a
-fancy index between two slices, which would put P innermost in memory and
-make ``np.matmul`` leave BLAS and round differently), so each item's
-product is the BLAS call of a single pass, and every item of a stack is
-bit for bit its own single pass.  The ParamVector checks belong to the
-public wrappers (``forward``, ``path_activations``, ``grad_scalar``, ...).
+(P, n_neurons + 1, B), gradients (P, n_coords).  Every pass runs on that
+one shape: a vector is a stack of one, reshaped on the way in and
+unwrapped on the way out.  Every gathered operand is ``np.take`` along
+the neuron axis of the (P, n_neurons + 1, B) table (or along the
+coordinate axis of the padded weight rows), never a fancy index between
+two slices, which would put P innermost in memory and make ``np.matmul``
+leave BLAS and round differently.  So every operand is item-major and
+contiguous, each item's product is the BLAS call of a single pass, and
+every item of a stack is bit for bit its own single pass.  The
+ParamVector checks belong to the public wrappers (``forward``,
+``path_activations``, ``grad_scalar``, ...).
 
-Tapes.  A caller that repeats passes of one shape (a training loop) may
-own a :class:`Tape` and hand it to :func:`run` and :func:`gradient`: the
-value, winner and adjoint tables and the padded weight and gradient rows
-then live in it rather than in fresh arrays each pass (an array of
-128 KiB or more is mapped, and page-faulted, anew on every allocation).
-Without a tape every pass allocates its own arrays.
+Tapes.  Every pass writes its value, winner and adjoint tables and its
+padded weight and gradient rows into a :class:`Tape`, the only place
+pass arrays are allocated.  A caller that repeats passes of one shape (a
+training loop) may own one and hand it to :func:`run` and
+:func:`gradient`, so no fresh arrays are mapped, and page-faulted, per
+step (an array of 128 KiB or more is mapped anew on every allocation);
+any other pass gets a fresh tape.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
-from .graph import KPOOL, RELU, Architecture
+from .graph import KPOOL, RELU, Architecture, _floats
 
 # doubles in one gathered block (1 MB)
 _BLOCK_ELEMS = 1 << 17
@@ -175,70 +175,83 @@ def _chunks(rows: int, width: int, batch: int):
 
 
 def _rows(table, ix):
-    """Rows ``ix`` (a slice or positions) of ``table`` (..., rows, B), each
+    """Rows ``ix`` (a slice or positions) of ``table`` (P, rows, B), each
     item contiguous: a fancy index between two slices would put the
     leading axis innermost, and ``np.matmul`` would leave BLAS."""
-    return table[..., ix, :] if isinstance(ix, slice) else table.take(ix, axis=-2)
+    return table[:, ix] if isinstance(ix, slice) else table.take(ix, axis=1)
 
 
 def _gathered_product(w, table, idx):
-    """out[..., r, :] = sum over slots s of w[..., r, s] * table[idx[..., r, s]]:
-    (..., rows, B).  Leading axes run as more rows, each its own product."""
-    lead, width = idx.shape[:-1], idx.shape[-1]
-    w, idx = w.reshape(-1, width), idx.reshape(-1, width)
-    out = np.empty((idx.shape[0], table.shape[1]))
-    for c in _chunks(*idx.shape, table.shape[1]):
-        out[c] = np.matmul(w[c, None, :], table[idx[c]])[:, 0, :]
-    return out.reshape(lead + table.shape[1:])
-
-
-def _slot_products(table, idx, g):
-    """out[r, s] = sum over the batch of table[idx[r, s]] * g[r]: (rows, K)."""
-    out = np.empty(idx.shape)
-    for c in _chunks(*idx.shape, table.shape[1]):
-        out[c] = np.matmul(table[idx[c]], g[c, :, None])[:, :, 0]
+    """out[p, r, :] = sum over slots s of w[p, r, s] * table[p, idx[r, s]]:
+    (P, rows, B)."""
+    p, batch = table.shape[0], table.shape[2]
+    out = np.empty((p, idx.shape[0], batch))
+    for c in _chunks(idx.shape[0], p * idx.shape[1], batch):
+        out[:, c] = np.matmul(w[:, c, None, :], table.take(idx[c], axis=1))[:, :, 0, :]
     return out
 
 
-def _pool_forward(blk: _Block, w, table, src, rows, win):
-    """Pool rows ``rows`` of ``table`` and their winners in ``win`` (the
-    same layout) from the slot weights ``w`` over the sources ``src``."""
+def _slot_products(table, idx, g):
+    """out[p, r, s] = sum over the batch of table[p, idx[r, s]] * g[p, r]:
+    (P, rows, K)."""
+    out = np.empty(g.shape[:2] + idx.shape[1:])
+    for c in _chunks(idx.shape[0], table.shape[0] * idx.shape[1], table.shape[2]):
+        out[:, c] = np.matmul(table.take(idx[c], axis=1), g[:, c, :, None])[..., 0]
+    return out
+
+
+def _pool_forward(blk: _Block, w, vals, win):
+    """The block's pool rows of ``vals`` and their winners in ``win`` from
+    the slot weights ``w`` (P, rows, K)."""
     width = blk.src.shape[1]
-    for c in _chunks(blk.rows.size, src.size // blk.rows.size, table.shape[1]):
-        contrib = w[..., c, :, None] * table[src[..., c, :]]
+    for c in _chunks(blk.rows.size, vals.shape[0] * width, vals.shape[2]):
+        contrib = w[:, c, :, None] * vals.take(blk.src[c], axis=1)
         if blk.valid is not None:
             contrib = np.where(blk.valid[c], contrib, -np.inf)
         if blk.k == 1:
             kth = contrib.max(axis=-2)
         else:
             kth = np.partition(contrib, width - blk.k, axis=-2)[..., width - blk.k, :]
-        table[rows[..., c]] = kth
-        win[rows[..., c]] = np.argmax(contrib == kth[..., None, :], axis=-2)
+        vals[:, blk.rows[c]] = kth
+        win[:, blk.rows[c]] = np.argmax(contrib == kth[..., None, :], axis=-2)
 
 
 class Tape:
-    """Caller-owned buffers for passes of one shape: the value table (and
-    pool winners), the adjoint table, and the padded weight and gradient
-    rows of a parameter vector, or of a stack of ``stack`` of them, over a
-    batch of ``batch`` inputs.
+    """The arrays of passes of one shape: the value table (and pool
+    winners), the adjoint table, and the padded weight and gradient rows
+    of a stack of ``stack`` parameter vectors over a batch of ``batch``
+    inputs.
 
-    Handed to :func:`run` and :func:`gradient` as ``tape=``, it replaces the
-    arrays each pass would allocate; a loop of same-shape passes (a
-    training loop) then maps no fresh memory per step.  Each pass rewrites
-    every entry it reads, so nothing of an earlier pass survives.  What a
-    pass returns lives in the tape and is overwritten by its next pass.
+    Every pass of :func:`run` and :func:`gradient` writes into one; a
+    caller that hands its own as ``tape=`` (a training loop) maps no fresh
+    memory per step.  Each pass rewrites every entry it reads, so nothing
+    of an earlier pass survives.  What a pass returns lives in the tape
+    and is overwritten by its next pass.
     """
 
     __slots__ = ("vals", "win", "adj", "wpad", "gpad")
 
-    def __init__(self, arch: Architecture, batch: int, stack: int | None = None):
-        lead = () if stack is None else (int(stack),)
-        self.vals = np.empty(lead + (arch.n_neurons + 1, int(batch)))
+    def __init__(self, arch: Architecture, batch: int, stack: int = 1):
+        self.vals = np.empty((int(stack), arch.n_neurons + 1, int(batch)))
         win_dtype = schedule(arch).win_dtype
         self.win = None if win_dtype is None else np.full(self.vals.shape, -1, win_dtype)
         self.adj = np.empty(self.vals.shape)
-        self.wpad = np.zeros(lead + (arch.n_coords + 1,))
+        self.wpad = np.zeros((int(stack), arch.n_coords + 1))
         self.gpad = np.zeros(self.wpad.shape)
+
+
+def _tape(arch: Architecture, tape: Tape | None, stack: int, batch: int) -> Tape:
+    """``tape``, or a fresh one when None, for a pass of ``stack``
+    parameter vectors over ``batch`` inputs."""
+    if tape is None:
+        return Tape(arch, batch, stack)
+    want = (stack, arch.n_neurons + 1, batch), (stack, arch.n_coords + 1)
+    if (tape.vals.shape, tape.wpad.shape) != want:
+        raise DimensionMismatch(
+            f"tape holds values {tape.vals.shape} and weights {tape.wpad.shape}, "
+            f"the pass needs {want[0]} and {want[1]}"
+        )
+    return tape
 
 
 def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False, *, tape: Tape | None = None):
@@ -253,14 +266,15 @@ def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False, *, ta
     network has no pool neuron or ``sum_pools`` makes every pool neuron
     the sum of its weighted antecedents.  A stack gives both a leading
     axis P, and item i equals the pass of ``theta[i]`` bit for bit.
-    With a :class:`Tape` of the same shape, the pass writes into it and
-    returns its arrays.  Rejects non-finite inputs with :class:`NonFiniteValue`.
+    Both live in ``tape`` (a fresh :class:`Tape` when None), which must
+    have the pass's shape.  Rejects non-numeric inputs with
+    :class:`DimensionMismatch` and non-finite ones with :class:`NonFiniteValue`.
     """
     if theta.ndim not in (1, 2) or theta.shape[-1] != arch.n_coords:
         raise DimensionMismatch(
             f"parameters must have shape ({arch.n_coords},) or (P, {arch.n_coords}), got {theta.shape}"
         )
-    given = np.asarray(x, dtype=np.float64)
+    given = _floats(x, "input entries must be numbers")
     x = given[None, :] if given.ndim == 1 else given
     if x.ndim != 2 or x.shape[1] != arch.d_in:
         raise DimensionMismatch(
@@ -268,51 +282,30 @@ def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False, *, ta
         )
     if not np.isfinite(x).all():
         raise NonFiniteValue("input holds NaN or infinite entries")
-    sched = schedule(arch)
-    n, nc, batch = arch.n_neurons, arch.n_coords, x.shape[0]
-    lead = theta.shape[:-1]
-    if tape is None:
-        vals = np.empty(lead + (n + 1, batch))
-        win = None if sum_pools or sched.win_dtype is None else np.full(vals.shape, -1, sched.win_dtype)
-        wpad = np.concatenate((theta, np.zeros(lead + (1,))), axis=-1)
-    else:
-        _check_tape(tape, lead + (n + 1, batch), lead + (nc + 1,))
-        vals, wpad = tape.vals, tape.wpad
-        win = None if sum_pools else tape.win
-        wpad[..., :-1] = theta
-    vals[..., arch.input_pos, :] = x.T
-    vals[..., n, :] = 0.0
-    wflat, table, wins = wpad, vals, win
-    if lead:  # gathering blocks: item i's value rows start at (n + 1) i, its weights at (nc + 1) i
-        wflat, table = wpad.reshape(-1), vals.reshape(-1, batch)
-        wins = None if win is None else win.reshape(-1, batch)
-        off_v = (n + 1) * np.arange(lead[0])[:, None]
-        off_w = (nc + 1) * np.arange(lead[0])[:, None]
-    for level in sched.levels:
+    stack = theta.reshape(-1, arch.n_coords)
+    tape = _tape(arch, tape, stack.shape[0], x.shape[0])
+    vals, wpad = tape.vals, tape.wpad
+    win = None if sum_pools else tape.win
+    wpad[:, :-1] = stack
+    vals[:, arch.input_pos, :] = x.T
+    vals[:, -1, :] = 0.0
+    for level in schedule(arch).levels:
         for blk in level:
+            w = wpad.take(blk.coord, axis=-1)
             if blk.shared is not None:
-                pre = wpad.take(blk.coord, axis=-1) @ _rows(vals, blk.shared)
+                pre = w @ _rows(vals, blk.shared)
+            elif blk.k and win is not None:
+                _pool_forward(blk, w, vals, win)
+                continue
             else:
-                src, coord, rows = blk.src, blk.coord, blk.rows
-                if lead:
-                    src, coord, rows = src + off_v[:, :, None], coord + off_w[:, :, None], rows + off_v
-                if blk.k and win is not None:
-                    _pool_forward(blk, wflat[coord], table, src, rows, wins)
-                    continue
-                pre = _gathered_product(wflat[coord], table, src)
+                pre = _gathered_product(w, vals, blk.src)
             pre += wpad.take(blk.bias, axis=-1)[..., None]
             if blk.floor is not None:
                 np.maximum(pre, blk.floor, out=pre)
-            vals[..., blk.at, :] = pre
+            vals[:, blk.at, :] = pre
+    if theta.ndim == 1:
+        return vals[0], None if win is None else win[0]
     return vals, win
-
-
-def _check_tape(tape: Tape, vals_shape: tuple, wpad_shape: tuple):
-    if tape.vals.shape != vals_shape or tape.wpad.shape != wpad_shape:
-        raise DimensionMismatch(
-            f"tape holds values {tape.vals.shape} and weights {tape.wpad.shape}, "
-            f"the pass needs {vals_shape} and {wpad_shape}"
-        )
 
 
 def gradient(
@@ -329,67 +322,64 @@ def gradient(
     Relu passes a zero subgradient at exactly 0, a pool neuron routes its
     adjoint to its selected slot only (to every slot on the tape of a
     ``sum_pools`` pass, whose ``win`` is None), and pinned pool biases
-    get 0.  With the :class:`Tape` that ``run`` filled, the sweep reuses
-    its adjoint and gradient rows.
+    get 0.  The sweep's adjoint and gradient rows live in ``tape`` (a
+    fresh :class:`Tape` when None), the one ``run`` filled or another of
+    its shape.
     """
-    sched = schedule(arch)
-    lead = theta.shape[:-1]
-    if tape is None:
-        wpad = np.concatenate((theta, np.zeros(lead + (1,))), axis=-1)
-        gpad = np.zeros(wpad.shape)
-        adj = np.zeros(vals.shape)
-    else:
-        _check_tape(tape, vals.shape, lead + (arch.n_coords + 1,))
-        wpad, gpad, adj = tape.wpad, tape.gpad, tape.adj
-        wpad[..., :-1] = theta
-        gpad.fill(0.0)
-        adj.fill(0.0)
-    adj[..., arch.output_pos, :] = out_adjoint
-    items = range(lead[0]) if lead else [()]  # () indexes one vector's whole table
-    for depth in range(len(sched.levels) - 1, -1, -1):
+    levels = schedule(arch).levels
+    stack = theta.reshape(-1, arch.n_coords)
+    vals = vals.reshape(stack.shape[0], arch.n_neurons + 1, vals.shape[-1])
+    win = None if win is None else win.reshape(vals.shape)
+    tape = _tape(arch, tape, vals.shape[0], vals.shape[2])
+    wpad, gpad, adj = tape.wpad, tape.gpad, tape.adj
+    wpad[:, :-1] = stack
+    gpad.fill(0.0)
+    adj.fill(0.0)
+    adj[:, arch.output_pos, :] = out_adjoint
+    for depth in range(len(levels) - 1, -1, -1):
         # the first level reads only inputs, whose adjoints nothing needs
         inner = depth > 0
-        for blk in sched.levels[depth]:
+        for blk in levels[depth]:
             if blk.k and win is not None:
-                for i in items:
-                    _pool_backward(blk, wpad[i], vals[i], win[i], adj[i], gpad[i], inner)
+                _pool_backward(blk, wpad, vals, win, adj, gpad, inner)
                 continue
             g = _rows(adj, blk.at)
             if blk.floor is not None:
-                g = g * (vals[..., blk.at, :] > blk.floor)
-                adj[..., blk.at, :] = g
-            gpad[..., blk.bias] = g.sum(axis=-1)
+                g = g * (vals[:, blk.at, :] > blk.floor)
+                adj[:, blk.at, :] = g
+            gpad[:, blk.bias] = g.sum(axis=-1)
             if blk.shared is not None:
-                gpad[..., blk.coord] = g @ _rows(vals, blk.shared).swapaxes(-1, -2)
+                gpad[:, blk.coord] = g @ _rows(vals, blk.shared).swapaxes(-1, -2)
                 if inner:
-                    adj[..., blk.shared, :] += wpad.take(blk.coord, axis=-1).swapaxes(-1, -2) @ g
+                    adj[:, blk.shared, :] += wpad.take(blk.coord, axis=-1).swapaxes(-1, -2) @ g
                 continue
-            for i in items:
-                gpad[i][blk.coord] = _slot_products(vals[i], blk.src, g[i])
-                if inner:
-                    adj[i][blk.tsrc] += _gathered_product(wpad[i][blk.tcoord], adj[i], blk.trow)
-    return gpad[..., :-1]
+            gpad[:, blk.coord] = _slot_products(vals, blk.src, g)
+            if inner:
+                adj[:, blk.tsrc] += _gathered_product(wpad.take(blk.tcoord, axis=-1), adj, blk.trow)
+    grad = gpad[:, :-1]
+    return grad if theta.ndim == 2 else grad[0]
 
 
 def _pool_backward(blk: _Block, wpad, vals, win, adj, gpad, inner: bool):
     rows, width = blk.src.shape
-    batch = vals.shape[1]
-    slots = np.arange(width)[None, :, None]
-    grad = np.empty((rows, width))
-    for c in _chunks(rows, width, batch):
-        routed = (win[blk.rows[c], None, :] == slots) * adj[blk.rows[c], None, :]
-        grad[c] = np.einsum("rsb,rsb->rs", vals[blk.src[c]], routed)
-    gpad[blk.coord] = grad
+    p, batch = vals.shape[0], vals.shape[2]
+    slots = np.arange(width)[:, None]
+    grad = np.empty((p, rows, width))
+    for c in _chunks(rows, p * width, batch):
+        at = blk.rows[c]
+        routed = (win.take(at, axis=1)[:, :, None, :] == slots) * adj.take(at, axis=1)[:, :, None, :]
+        grad[:, c] = np.einsum("prsb,prsb->prs", vals.take(blk.src[c], axis=1), routed)
+    gpad[:, blk.coord] = grad
     if not inner:
         return
     # per source, the adjoints of the slots it won, weighted by their edges
-    wt = wpad[blk.tcoord]
-    out = np.empty((blk.trow.shape[0], batch))
-    for c in _chunks(*blk.trow.shape, batch):
+    wt = wpad.take(blk.tcoord, axis=-1)
+    out = np.empty((p, blk.trow.shape[0], batch))
+    for c in _chunks(blk.trow.shape[0], p * blk.trow.shape[1], batch):
         trow = blk.trow[c]
-        routed = adj[trow] * (win[trow] == blk.tslot[c, :, None])
-        out[c] = np.matmul(wt[c, None, :], routed)[:, 0, :]
-    adj[blk.tsrc] += out
+        routed = adj.take(trow, axis=1) * (win.take(trow, axis=1) == blk.tslot[c, :, None])
+        out[:, c] = np.matmul(wt[:, c, None, :], routed)[:, :, 0, :]
+    adj[:, blk.tsrc] += out
 
 
 def activations(arch: Architecture, theta: np.ndarray, x):
@@ -402,7 +392,7 @@ def activations(arch: Architecture, theta: np.ndarray, x):
     start activation (identity neurons are always active); an edge into a
     pool neuron is active only from the selected slot.
     """
-    vals, win = run(arch, theta, np.asarray(x, dtype=np.float64).reshape(-1))
+    vals, win = run(arch, theta, _floats(x, "input entries must be numbers").reshape(-1))
     start = (arch.kinds != RELU) | (vals[..., :-1, 0] > 0.0)
     edge = start[..., arch.dst]
     if win is not None:

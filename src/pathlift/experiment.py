@@ -16,7 +16,7 @@ criterion, so arms with identical masks finish with identical weights.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,18 +51,21 @@ class ExperimentConfig:
             raise PathliftError(f"unknown dataset {self.dataset!r}")
         if self.loss not in ("logistic", "squared_error"):
             raise PathliftError(f"unknown loss {self.loss!r}")
-        if not 0 <= self.rewind_epoch < self.epochs:
+        counts = {
+            name: _count(getattr(self, name), name, PathliftError, low)
+            for name, low in (("seed", 0), ("n_train", 1), ("n_test", 1), ("batch_size", 1),
+                              ("epochs", 1), ("rewind_epoch", 0))
+        }
+        if not counts["rewind_epoch"] < counts["epochs"]:
             raise PathliftError(
                 f"rewind epoch {self.rewind_epoch} must lie in [0, {self.epochs})"
             )
-        for name, low in (("seed", 0), ("n_train", 1), ("n_test", 1), ("batch_size", 1)):
-            _count(getattr(self, name), name, PathliftError, low)
         if not 0.0 <= self.prune_fraction < 1.0:
             raise InfeasibleAmount(f"prune fraction {self.prune_fraction} outside [0, 1)")
         bad = [c for i, c in enumerate(self.criteria) if c not in ("pathmag", "magnitude", "obd") or c in self.criteria[:i]]
         if bad:
             raise PathliftError(f"unknown or repeated criteria {bad}")
-        return self
+        return replace(self, **counts)
 
 
 def make_dataset(cfg: ExperimentConfig, rng):

@@ -21,9 +21,8 @@ fan-out counts, and the canonical edge order is one argsort.  The edges
 are kept as one CSR layout: ``src``/``dst`` (each canonical edge's end
 positions) and ``in_ptr`` (neuron j's incoming edges are the coordinates
 ``in_ptr[j]:in_ptr[j + 1]``).  ``depth``, ``levels`` and the id views
-(``edges``, ``edge_index``, ``coord_labels``, ``input_ids``, ``output_ids``)
-are built on first access; the passes, the path norm and the path-metric
-bounds read no id view.
+(``edges``, ``edge_index``, ``coord_labels``) are built on first access;
+the passes, the path norm and the path-metric bounds read no id view.
 """
 
 from __future__ import annotations
@@ -205,14 +204,6 @@ class Architecture:
     def coord_labels(self) -> tuple:
         biases = (f"bias({self.ids[j]})" for j in self.non_input_pos.tolist())
         return (*map("->".join, self._id_pairs()), *biases)
-
-    @cached_property
-    def input_ids(self) -> tuple:
-        return tuple(map(self.ids.__getitem__, self.input_pos.tolist()))
-
-    @cached_property
-    def output_ids(self) -> tuple:
-        return tuple(map(self.ids.__getitem__, self.output_pos.tolist()))
 
     @cached_property
     def depth(self) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from .autodiff import grad_path_norm, grad_scalar, scalar_value
 from .engine import _BLOCK_ELEMS, run
 from .errors import InfeasibleAmount, MissingData, PathliftError
-from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _count
+from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _count, _floats
 from .metrics import _sum_pool_tape
 from .paths import path_lifting
 
@@ -104,7 +104,7 @@ def _require_data(data):
     if data is None:
         raise MissingData("this criterion needs a data batch (X, y)")
     x, y = data
-    return np.asarray(x, dtype=np.float64), y
+    return _floats(x, "input entries must be numbers"), y
 
 
 def obd_fd_scores(

@@ -72,7 +72,7 @@ def oracle_paths(arch: Architecture):
     succ = {nid: [] for nid in arch.ids}
     for u, v in arch.edges:
         succ[u].append(v)
-    outputs = set(arch.output_ids)
+    outputs = {arch.ids[j] for j in arch.output_pos}
     found = []
 
     def walk(seq):
@@ -89,7 +89,7 @@ def oracle_paths(arch: Architecture):
 
 def oracle_phi(arch: Architecture, theta: ParamVector, paths) -> np.ndarray:
     """Per-path products straight from the definition."""
-    inputs = set(arch.input_ids)
+    inputs = {arch.ids[j] for j in arch.input_pos}
     vals = []
     for p in paths:
         v = 1.0 if p[0] in inputs else theta.bias(p[0])

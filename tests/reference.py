@@ -332,8 +332,6 @@ class ReferenceArchitecture(Architecture):
         self.output_pos = np.flatnonzero(
             np.array([len(sucs[nid]) == 0 for nid in order], dtype=bool)
         )
-        self.input_ids = tuple(self.ids[j] for j in self.input_pos)
-        self.output_ids = tuple(self.ids[j] for j in self.output_pos)
 
         self.bias_coord = np.full(n, -1, dtype=np.int64)
         next_coord = self.n_edges

@@ -67,6 +67,10 @@ def test_config_validation():
         _tiny(prune_fraction=1.0).validated()
     with pytest.raises(InfeasibleAmount):
         _tiny(prune_fraction=-0.1).validated()
+    for bad in (dict(epochs=2.5), dict(rewind_epoch=1.5), dict(rewind_epoch=None)):
+        with pytest.raises(PathliftError):
+            run_experiment(_tiny(**bad))
+    assert _tiny(epochs=12.0, rewind_epoch=2.0).validated() == _tiny(epochs=12, rewind_epoch=2)
 
 
 def test_config_rejects_repeated_criteria():

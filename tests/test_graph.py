@@ -34,8 +34,8 @@ from conftest import diamond_arch, diamond_theta, pool_arch, pool_theta, random_
 def test_diamond_topological_order(diamond):
     arch, _ = diamond
     assert arch.ids == ("in", "h1", "h2", "out")
-    assert arch.input_ids == ("in",)
-    assert arch.output_ids == ("out",)
+    assert tuple(arch.ids[j] for j in arch.input_pos) == ("in",)
+    assert tuple(arch.ids[j] for j in arch.output_pos) == ("out",)
     assert arch.n_edges == 4
     assert arch.n_coords == 7
 
@@ -187,7 +187,7 @@ def test_forward_matches_trace_on_corpus():
         x = rng.normal(size=arch.d_in)
         out, values = forward(arch, theta, x, trace=True)
         assert len(values) == arch.n_neurons
-        np.testing.assert_allclose(out, [values[v] for v in arch.output_ids])
+        np.testing.assert_allclose(out, [values[arch.ids[j]] for j in arch.output_pos])
 
 
 @pytest.mark.parametrize(

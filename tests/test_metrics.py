@@ -254,7 +254,7 @@ def test_upper_bounds_invariant_under_rescaling():
         factors = {
             arch.ids[j]: float(rng.uniform(0.25, 4.0))
             for j in np.flatnonzero(~arch.is_input)
-            if arch.ids[j] not in arch.output_ids
+            if j not in arch.output_pos
         }
         r1, r2 = rescale(arch, t1, factors), rescale(arch, t2, factors)
         for refined in (False, True):

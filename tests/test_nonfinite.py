@@ -7,16 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
-from pathlift.autodiff import grad_path_norm, grad_scalar
+from pathlift.autodiff import grad_path_norm, grad_scalar, scalar_value
 from pathlift.builders import mlp_architecture, random_params
 from pathlift.cli import main
 from pathlift.errors import DimensionMismatch, InfeasibleAmount, NonFiniteValue, NonPositiveFactor, PathliftError
-from pathlift.experiment import epoch_seeds, sgd_train
+from pathlift.experiment import accuracy, epoch_seeds, sgd_train
 from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.metrics import path_norm_fast
 from pathlift.netfile import load_network, save_network
-from pathlift.paths import enumerate_paths
-from pathlift.pruning import apply_prune, magnitude_scores
+from pathlift.paths import enumerate_paths, path_activations
+from pathlift.pruning import apply_prune, magnitude_scores, obd_fd_scores
 from pathlift.transforms import rescale
 
 from conftest import chain2_arch
@@ -134,3 +134,15 @@ def test_parameters_and_inputs_that_are_not_numbers_raise_dimension_mismatch(dia
     for bad in (["a"], "a", [[1.0], [2.0, 3.0]]):
         with pytest.raises(DimensionMismatch):
             forward(arch, theta, bad)
+    mlp = mlp_architecture((2, 3, 2))
+    params = random_params(mlp, np.random.default_rng(0))
+    bad = ["a", "b"]
+    for call in (
+        lambda: grad_scalar(mlp, params, bad),
+        lambda: scalar_value(mlp, params, bad),
+        lambda: path_activations(mlp, params, bad),
+        lambda: accuracy(mlp, params, bad, [0]),
+        lambda: obd_fd_scores(mlp, params, (bad, [[0.0, 1.0]])),
+    ):
+        with pytest.raises(DimensionMismatch):
+            call()
