@@ -12,19 +12,19 @@ into the flat parameter coordinate vector.  Convention choices that matter:
 * kpool bias coordinates are pinned to zero, so their gradient is reported
   as 0.
 
-The path norm gradient differentiates the path norm's one sum-pool pass
-(see :mod:`pathlift.metrics`) on the same compiled schedule, then applies
-the chain rule through the absolute value with sign(0) taken to be 0.
+The path norm gradient is the adjoint sweep that :mod:`pathlift.metrics`
+runs on the tape of the path norm's one sum-pool pass, then the chain rule
+through the absolute value with sign(0) taken to be 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import gradient, run
+from .engine import Tape, gradient, run
 from .errors import DimensionMismatch, MissingData, NonFiniteValue, PathliftError
-from .graph import Architecture, ParamVector, _param_rows
-from .metrics import _sum_pool_tape
+from .graph import Architecture, ParamVector, _floats, _param_rows
+from .metrics import _sum_pool_sweep, _sum_pool_tape
 
 
 def _aggregate(arch: Architecture, vals, aggregate, target):
@@ -104,10 +104,13 @@ def grad_scalar(arch: Architecture, theta, x, aggregate="sum_outputs", target=No
     NonFiniteValue): one engine pass and one adjoint sweep give a value per
     item (P,) and gradients (P, n_coords), item i bit for bit the call on
     ``theta[i]`` alone.  ``tape``, an :class:`pathlift.engine.Tape` of the
-    pass's shape, holds the pass's arrays instead of fresh ones; the
-    gradient returned then lives in it until its next pass.
+    pass's shape, holds the pass's arrays instead of one fresh tape for
+    both; the gradient returned then lives in it until its next pass.
     """
     rows = _param_rows(arch, theta)
+    if tape is None:
+        x = _floats(x, "input entries must be numbers")
+        tape = Tape(arch, x.shape[0] if x.ndim == 2 else 1, rows.shape[0] if rows.ndim == 2 else 1)
     vals, win = run(arch, rows, x, tape=tape)
     value, out_adj = _aggregate(arch, vals, aggregate, target)
     return value, gradient(arch, rows, vals, win, out_adj, tape=tape)
@@ -121,9 +124,9 @@ def grad_path_norm(arch: Architecture, theta: ParamVector) -> np.ndarray:
     theta itself yields each coordinate's total path weight.  Raises
     NonFiniteValue when the norm or a gradient entry overflows float64.
     """
-    w, vals = _sum_pool_tape(arch, theta)
+    w, _, tape = _sum_pool_tape(arch, theta)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.sign(theta.vec) * gradient(arch, w, vals, None, np.ones((arch.d_out, 1)))
+        g = np.sign(theta.vec) * _sum_pool_sweep(arch, w, tape)
     if not np.isfinite(g).all():
         raise NonFiniteValue("the path norm gradient overflows float64")
     return g

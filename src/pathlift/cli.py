@@ -197,23 +197,12 @@ def _cmd_witness(args):
 
 
 def _cmd_experiment(args):
-    cfg = ExperimentConfig(
-        seed=args.seed,
-        dataset=args.dataset,
-        epochs=args.epochs,
-        rewind_epoch=args.rewind_epoch,
-        prune_fraction=args.fraction,
-        criteria=tuple(args.criteria.split(",")),
-        loss=args.loss,
-        rescale_preset=args.preset,
-        widths=tuple(_count(w, "layer width", RaggedLayers) for w in args.widths.split(",")),
-        lr=args.lr,
-        batch_size=args.batch_size,
-        n_train=args.n_train,
-        n_test=args.n_test,
-        prune_biases=args.prune_biases,
-    )
-    print(run_experiment(cfg).render())
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "fn")}
+    if "criteria" in given:
+        given["criteria"] = tuple(given["criteria"].split(","))
+    if "widths" in given:
+        given["widths"] = tuple(_count(w, "layer width", RaggedLayers) for w in given["widths"].split(","))
+    print(run_experiment(ExperimentConfig(**given)).render())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,20 +272,23 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--counterexample", action="store_true")
     q.set_defaults(fn=_cmd_witness)
 
-    q = sub.add_parser("experiment", help="train / rescale / prune / rewind / finetune")
+    # every flag's dest is its ExperimentConfig field, whose default applies
+    # when the flag is absent
+    q = sub.add_parser("experiment", help="train / rescale / prune / rewind / finetune",
+                       argument_default=argparse.SUPPRESS)
     q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--dataset", choices=["two_gaussians", "xor"], default="two_gaussians")
-    q.add_argument("--epochs", type=int, default=200)
-    q.add_argument("--rewind-epoch", type=int, default=10)
-    q.add_argument("--fraction", type=float, default=0.4)
-    q.add_argument("--criteria", default="pathmag,magnitude")
-    q.add_argument("--loss", choices=["logistic", "squared_error"], default="logistic")
-    q.add_argument("--preset", default="pow2_factors")
-    q.add_argument("--widths", default="2,16,16,2")
-    q.add_argument("--lr", type=float, default=0.05)
-    q.add_argument("--batch-size", type=int, default=256)
-    q.add_argument("--n-train", type=int, default=2000)
-    q.add_argument("--n-test", type=int, default=500)
+    q.add_argument("--dataset", choices=["two_gaussians", "xor"])
+    q.add_argument("--epochs", type=int)
+    q.add_argument("--rewind-epoch", type=int)
+    q.add_argument("--fraction", type=float, dest="prune_fraction")
+    q.add_argument("--criteria")
+    q.add_argument("--loss", choices=["logistic", "squared_error"])
+    q.add_argument("--preset", dest="rescale_preset")
+    q.add_argument("--widths")
+    q.add_argument("--lr", type=float)
+    q.add_argument("--batch-size", type=int)
+    q.add_argument("--n-train", type=int)
+    q.add_argument("--n-test", type=int)
     q.add_argument("--prune-biases", action="store_true")
     q.set_defaults(fn=_cmd_experiment)
     for parser in (p, *sub.choices.values()):  # argparse's own pattern reads "-5e-05" as an option

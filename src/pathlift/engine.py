@@ -343,10 +343,9 @@ def gradient(
             if blk.k and win is not None:
                 _pool_backward(blk, wpad, vals, win, adj, gpad, inner)
                 continue
-            g = _rows(adj, blk.at)
             if blk.floor is not None:
-                g = g * (vals[:, blk.at, :] > blk.floor)
-                adj[:, blk.at, :] = g
+                adj[:, blk.at, :] *= vals[:, blk.at, :] > blk.floor
+            g = _rows(adj, blk.at)
             gpad[:, blk.bias] = g.sum(axis=-1)
             if blk.shared is not None:
                 gpad[:, blk.coord] = g @ _rows(vals, blk.shared).swapaxes(-1, -2)

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _count
 from .metrics import path_metric_exact_dominated, path_metric_lower, path_metric_oracle
-from .paths import _row_products, _table, path_activations, path_lifting
+from .paths import path_activations, path_lifting
 
 HOLDS_RTOL = 1e-9
 HOLDS_ATOL = 1e-12
@@ -216,7 +216,8 @@ def activation_breakpoints(
     cut by the located breakpoints and compares against the endpoint l1
     metric; per-coordinate monotonicity of the lifting along the trajectory
     makes the two agree for any segmentation.  All boundary liftings are one
-    row product, whose first and last rows (theta, theta') give the endpoint.
+    stacked ``path_lifting``, whose first and last rows (theta, theta') give
+    the endpoint.
 
     ``samples`` must be an integer of at least 1 and ``width`` at least 0.
     Every sample holds about n_paths + n_coords + n_neurons entries, so
@@ -232,7 +233,7 @@ def activation_breakpoints(
     if not width >= 0.0:
         raise PathliftError(f"width must be a number >= 0, got {width!r}")
     _check_trajectory(arch, t1, t2)
-    per_sample = _table(arch, cap=cap).start.size + arch.n_coords + arch.n_neurons
+    per_sample = len(path_lifting(arch, t1, cap=cap)) + arch.n_coords + arch.n_neurons
     if (samples + 1) * per_sample > MAX_SAMPLED_ENTRIES:
         raise PathliftError(
             f"{samples} samples of {per_sample} entries each exceed the "
@@ -264,8 +265,7 @@ def activation_breakpoints(
     ]
 
     boundaries = (0.0,) + tuple(bp.t for bp in found) + (1.0,)
-    points = _trajectory_points(arch, t1, t2, boundaries)
-    liftings = _row_products(np.c_[points, np.ones(len(boundaries))], _table(arch, cap=cap).rows)
+    liftings = path_lifting(arch, _trajectory_points(arch, t1, t2, boundaries), cap=cap).values
     seg = sum(float(np.abs(b - a).sum()) for a, b in zip(liftings[:-1], liftings[1:]))
     endpoint = float(np.sum(np.abs(liftings[0] - liftings[-1])))
     denom = max(abs(seg), abs(endpoint), 1e-300)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import gradient, run
+from .engine import _BLOCK_ELEMS, Tape, gradient, run
 from .errors import DominanceUnverified, NonFiniteValue, PathExplosion, PathliftError, RaggedLayers
 from .graph import Architecture, ParamVector, _check_bound
 from .paths import max_path_length, path_lifting
@@ -37,25 +37,51 @@ from .transforms import hidden_positions, normalize
 
 
 def _sum_pool_tape(arch: Architecture, theta: ParamVector, q: float = 1.0):
-    """(|theta|**q, ``vals`` of its ``run(..., sum_pools=True)`` on the
-    all-ones input), whose output rows sum to the q-th power of the lq path
-    norm.  Raises :class:`NonFiniteValue` naming ``q`` when that overflows."""
+    """(|theta|**q, the q-th power of the lq path norm, the :class:`Tape`
+    of the sum-pool pass of |theta|**q on the all-ones input, whose output
+    rows sum to that norm).  Raises :class:`NonFiniteValue` naming ``q``
+    when the norm overflows."""
     if not (isinstance(q, numbers.Real) and np.isfinite(q) and q > 0):
         raise PathliftError(f"q must be finite and > 0, got {q!r}")
     _check_bound(arch, theta)
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.abs(theta.vec) ** q
         if np.isfinite(w).all():
-            vals, _ = run(arch, w, np.ones(arch.d_in), sum_pools=True)
-            if np.isfinite(vals[arch.output_pos].sum()):
-                return w, vals
+            tape = Tape(arch, 1)
+            vals, _ = run(arch, w, np.ones(arch.d_in), sum_pools=True, tape=tape)
+            norm = float(vals[arch.output_pos].sum())
+            if np.isfinite(norm):
+                return w, norm, tape
     raise NonFiniteValue(f"the path norm at q={q!r} overflows float64")
+
+
+def _sum_pool_sweep(arch: Architecture, weights: np.ndarray, tape: Tape) -> np.ndarray:
+    """Adjoint sweep of the summed outputs of the sum-pool pass on ``tape``
+    with the parameters ``weights``; the gradient lives in ``tape``."""
+    return gradient(arch, weights, tape.vals, None, np.ones((arch.d_out, 1)), tape=tape)
 
 
 def path_norm_fast(arch: Architecture, theta: ParamVector, q: float = 1.0) -> float:
     """Sum of |phi_p|**q over all paths, in one forward pass."""
-    _, vals = _sum_pool_tape(arch, theta, q)
-    return float(vals[arch.output_pos].sum())
+    return _sum_pool_tape(arch, theta, q)[1]
+
+
+def _pathnorm_diffs(arch: Architecture, theta: ParamVector) -> np.ndarray:
+    """Per nonzero coordinate i, the l1 path norm minus the l1 path norm
+    with i zeroed: one stacked sum-pool pass per chunk of coordinates, each
+    row |theta| with one coordinate zeroed (bit for bit its own pass), a
+    chunk holding about as many entries as one gathered block of the engine."""
+    w, base, _ = _sum_pool_tape(arch, theta)
+    values = np.zeros(arch.n_coords)
+    nonzero = np.flatnonzero(theta.vec)
+    step = max(1, _BLOCK_ELEMS // max(arch.n_coords, 1))
+    for lo in range(0, nonzero.size, step):
+        coords = nonzero[lo : lo + step]
+        stack = np.repeat(w[None, :], coords.size, axis=0)
+        stack[np.arange(coords.size), coords] = 0.0
+        vals, _ = run(arch, stack, np.ones(arch.d_in), sum_pools=True)
+        values[coords] = base - vals[:, arch.output_pos].sum(axis=(1, 2))
+    return values
 
 
 def path_metric_oracle(arch: Architecture, t1: ParamVector, t2: ParamVector, cap=None) -> float:
@@ -116,10 +142,9 @@ def _dominated_gap(arch: Architecture, big: ParamVector, small: ParamVector) -> 
     pass of |small| on the tape of |big| (the |big| products before i times
     the |small| ones after).  The tape is 0 at a relu neuron only where every
     |big| product reaching it is, so its masks drop no nonzero term."""
-    w, vals = _sum_pool_tape(arch, big)
+    w, _, tape = _sum_pool_tape(arch, big)
     b = np.abs(small.vec)
-    g = gradient(arch, b, vals, None, np.ones((arch.d_out, 1)))
-    return float((w - b) @ g)
+    return float((w - b) @ _sum_pool_sweep(arch, b, tape))
 
 
 def _coarse_width(arch: Architecture) -> int:

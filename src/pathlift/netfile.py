@@ -25,6 +25,7 @@ entries one by one, to name the first bad one.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from json.encoder import encode_basestring_ascii as _encode
@@ -36,6 +37,14 @@ from .errors import ParseError
 from .graph import Architecture, ParamVector
 
 _KPOOL = '{{\n    "kpool": {}\n   }}'.format
+
+
+def _opened(fp, mode: str):
+    """A context giving an open handle: the file at ``fp`` opened in
+    ``mode`` and closed on exit, or ``fp`` itself when it is a handle."""
+    if isinstance(fp, (str, os.PathLike)):
+        return open(fp, mode)
+    return contextlib.nullcontext(fp)
 
 
 def _list(keys: tuple, columns: list) -> str:
@@ -75,13 +84,8 @@ def save_network(fp, arch: Architecture, theta: ParamVector) -> None:
         ',\n "biases": ', "{\n  " + ",\n  ".join(biases) + "\n }" if biases else "{}",
         "\n}\n",
     ))
-    own = isinstance(fp, (str, os.PathLike))
-    fh = open(fp, "w") if own else fp
-    try:
+    with _opened(fp, "w") as fh:
         fh.write(text)
-    finally:
-        if own:
-            fh.close()
 
 
 def _is_number(value) -> bool:
@@ -139,16 +143,11 @@ def _weights(values: list, entries: list) -> np.ndarray:
 
 def load_network(fp):
     """Read a network file; returns (architecture, parameters)."""
-    own = isinstance(fp, (str, os.PathLike))
-    fh = open(fp) if own else fp
-    try:
+    with _opened(fp, "r") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"not valid JSON: {exc}") from exc
-    finally:
-        if own:
-            fh.close()
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     for key in ("neurons", "edges"):

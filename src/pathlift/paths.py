@@ -22,9 +22,9 @@ input start), the rest are its edge coordinates in forward order, padded
 with the sentinel, which reads an appended 1.0 (on, for activations).  A
 per-path product, the lifting or the 0/1 activations, is reduced column by
 column, one entry per path; a per-coordinate sum is one bincount.  The
-table is cached on the architecture per end and the cap is checked on
-every call.  It holds paths x (longest path + 1) int32 entries: about
-36 MB for a 3,000-edge chain, 1.6 MB for a (4, 20, 20, 20, 2) MLP.
+table is cached on the architecture and the cap is checked on every call.
+It holds paths x (longest path + 1) int32 entries: about 36 MB for a
+3,000-edge chain, 1.6 MB for a (4, 20, 20, 20, 2) MLP.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ import numpy as np
 
 from .engine import activations
 from .errors import PathExplosion, PathliftError
-from .graph import Architecture, ParamVector, _check_bound, _check_input, _param_rows
+from .graph import Architecture, ParamVector, _check_input, _param_rows
+from .netfile import _opened
 
 DEFAULT_PATH_CAP = 10**6
 
@@ -56,8 +57,8 @@ def _resolve_cap(cap) -> int:
         raise PathliftError(f"PATHLIFT_PATH_CAP must be an integer, got {value!r}") from None
 
 
-def count_paths(arch: Architecture, end=None) -> int:
-    """Exact number of paths ending at output neurons (or at ``end``).
+def count_paths(arch: Architecture) -> int:
+    """Exact number of paths ending at output neurons.
 
     Linear-time dynamic program c(v) = 1 + sum of c(u) over antecedents:
     one segment sum per level of ``arch.levels``, over Python ints.
@@ -65,8 +66,6 @@ def count_paths(arch: Architecture, end=None) -> int:
     counts = np.ones(arch.n_neurons, dtype=object)
     for rows, edges, starts in arch.levels:
         counts[rows] = 1 + np.add.reduceat(counts[arch.src[edges]], starts)
-    if end is not None:
-        return counts[arch.position(end)]
     return sum(counts[arch.output_pos].tolist())
 
 
@@ -84,9 +83,9 @@ class _PathTable(NamedTuple):
     rows: np.ndarray
 
 
-def _build_table(arch: Architecture, ends: np.ndarray) -> _PathTable:
-    """Every path ending at one of ``ends``, in canonical order."""
-    sentinel = arch.n_coords
+def _build_table(arch: Architecture) -> _PathTable:
+    """Every path ending at an output neuron, in canonical order."""
+    ends, sentinel = arch.output_pos, arch.n_coords
     fan, first, src = np.diff(arch.in_ptr), arch.in_ptr[:-1], arch.src
     dst = np.r_[arch.dst, np.full(sentinel + 1 - arch.n_edges, -1)]  # -1 at the sentinel
 
@@ -120,19 +119,16 @@ def _build_table(arch: Architecture, ends: np.ndarray) -> _PathTable:
     return table
 
 
-def _table(arch: Architecture, end=None, cap=None) -> _PathTable:
-    """The path table for ``end`` (all outputs when None), built on first
-    use and cached on the architecture; raises PathExplosion over the cap."""
+def _table(arch: Architecture, cap=None) -> _PathTable:
+    """The path table, built on first use and cached on the architecture;
+    raises PathExplosion over the cap."""
     cap = _resolve_cap(cap)
-    key = None if end is None else arch.position(end)
-    tables = arch.__dict__.setdefault("_path_tables", {})
-    table = tables.get(key)
-    total = count_paths(arch, end=end) if table is None else table.start.size
+    table = getattr(arch, "_path_table", None)
+    total = count_paths(arch) if table is None else table.start.size
     if total > cap:
         raise PathExplosion(total, cap)
     if table is None:
-        ends = arch.output_pos if key is None else np.array([key])
-        table = tables[key] = _build_table(arch, ends)
+        table = arch._path_table = _build_table(arch)
     return table
 
 
@@ -155,9 +151,9 @@ def _id_tuples(arch: Architecture, table: _PathTable) -> list:
     return [tuple(r[:k]) for r, k in zip(nodes, lengths.tolist())]
 
 
-def enumerate_paths(arch: Architecture, end=None, cap=None):
+def enumerate_paths(arch: Architecture, cap=None):
     """All paths in canonical order, as tuples of neuron ids."""
-    return _id_tuples(arch, _table(arch, end=end, cap=cap))
+    return _id_tuples(arch, _table(arch, cap=cap))
 
 
 def format_path(path) -> str:
@@ -168,9 +164,10 @@ def format_path(path) -> str:
 class PathLifting:
     """Path lifting of a parameter vector, aligned with the canonical paths.
 
-    ``values[i]`` is the coordinate of path i.  ``paths``, the id tuples,
-    are built on first access.  ``input_start[i]`` tells whether path i
-    starts at an input neuron; the two blocks values[input_start] /
+    ``values[i]`` is the coordinate of path i (``values[p, i]`` for item p
+    of a stack; ``len`` is the number of paths either way).  ``paths``, the
+    id tuples, are built on first access.  ``input_start[i]`` tells whether
+    path i starts at an input neuron; the two blocks values[input_start] /
     values[~input_start] split the lifting into its input-led and bias-led
     coordinates.
     """
@@ -196,19 +193,24 @@ class PathLifting:
         return np.bincount(rows.ravel(), weights=w, minlength=self.arch.n_coords + 1)[:-1]
 
     def __len__(self):
-        return self.values.size
+        return self.table.start.size
 
 
-def path_lifting(arch: Architecture, theta: ParamVector, end=None, cap=None) -> PathLifting:
+def path_lifting(arch: Architecture, theta, cap=None) -> PathLifting:
     """One coordinate per path: product of traversed weights, led by the
     starting neuron's bias when the path starts off the input layer (the
-    empty product is 1, so a single-neuron path at v has value b_v)."""
-    _check_bound(arch, theta)
-    table = _table(arch, end=end, cap=cap)
-    return PathLifting(arch=arch, table=table, values=_row_products(np.append(theta.vec, 1.0), table.rows))
+    empty product is 1, so a single-neuron path at v has value b_v).
+
+    ``theta`` is a ParamVector, or a (P, n_coords) stack of parameter
+    vectors, which gives ``values`` of shape (P, n_paths), row i bit for
+    bit the lifting of ``theta[i]``."""
+    rows = _param_rows(arch, theta)
+    table = _table(arch, cap=cap)
+    padded = np.concatenate((rows, np.ones(rows.shape[:-1] + (1,))), axis=-1)
+    return PathLifting(arch=arch, table=table, values=_row_products(padded, table.rows))
 
 
-def path_activations(arch: Architecture, theta, x, end=None, cap=None) -> np.ndarray:
+def path_activations(arch: Architecture, theta, x, cap=None) -> np.ndarray:
     """0/1 activation of each canonical path at input x.
 
     ``theta`` is a ParamVector, or a (P, n_coords) array stacking P
@@ -217,7 +219,7 @@ def path_activations(arch: Architecture, theta, x, end=None, cap=None) -> np.nda
     pass, row i equal to the activations of ``theta[i]``.  A start's
     activation sits in its bias slot, column 0 of every path starting there."""
     edge_act, start_act = activations(arch, _param_rows(arch, theta), x)
-    table = _table(arch, end=end, cap=cap)
+    table = _table(arch, cap=cap)
     on = np.ones(edge_act.shape[:-1] + (arch.n_coords + 1,), dtype=bool)  # the sentinel is on
     on[..., : arch.n_edges] = edge_act
     on[..., arch.n_edges : arch.n_coords] = start_act[..., arch.non_input_pos]
@@ -239,21 +241,15 @@ def linearized_output(arch: Architecture, theta: ParamVector, x, cap=None) -> np
     """
     x = _check_input(arch, x)
     acts = path_activations(arch, theta, x, cap=cap)
-    table = _table(arch, cap=cap)
-    phi = _row_products(np.append(theta.vec, 1.0), table.rows)
-    lead = np.append(x, 1.0)[_input_column(arch)[table.start]]
-    out_col = np.searchsorted(arch.output_pos, table.end)
-    return np.bincount(out_col, weights=phi * acts * lead, minlength=arch.d_out)
+    lift = path_lifting(arch, theta, cap=cap)
+    lead = np.append(x, 1.0)[_input_column(arch)[lift.table.start]]
+    out_col = np.searchsorted(arch.output_pos, lift.table.end)
+    return np.bincount(out_col, weights=lift.values * acts * lead, minlength=arch.d_out)
 
 
 def save_path_table(fp, paths, values, header="path\tvalue"):
     """Write one ``path<TAB>value`` row per path to a text file or handle."""
-    own = isinstance(fp, (str, os.PathLike))
-    fh = open(fp, "w") if own else fp
-    try:
+    with _opened(fp, "w") as fh:
         fh.write(header + "\n")
         for p, v in zip(paths, values):
             fh.write(f"{format_path(p)}\t{float(v)!r}\n")
-    finally:
-        if own:
-            fh.close()

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import grad_path_norm, grad_scalar, scalar_value
-from .engine import _BLOCK_ELEMS, run
+from .engine import _BLOCK_ELEMS
 from .errors import InfeasibleAmount, MissingData, PathliftError
 from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _count, _floats
-from .metrics import _sum_pool_tape
+from .metrics import _pathnorm_diffs
 from .paths import path_lifting
 
 
@@ -75,25 +75,6 @@ def path_mag_scores(
     else:
         raise PathliftError(f"unknown path-magnitude method {method!r}")
     return ScoreVector(criterion="pathmag", method=method, values=values)
-
-
-def _pathnorm_diffs(arch: Architecture, theta: ParamVector) -> np.ndarray:
-    """Per nonzero coordinate i, the path norm minus the path norm with i
-    zeroed: one stacked sum-pool pass per chunk of coordinates, each row
-    |theta| with one coordinate zeroed (bit for bit its own pass), a chunk
-    holding about as many entries as one gathered block of the engine."""
-    w, vals = _sum_pool_tape(arch, theta)
-    base = float(vals[arch.output_pos].sum())
-    values = np.zeros(arch.n_coords)
-    nonzero = np.flatnonzero(theta.vec)
-    step = max(1, _BLOCK_ELEMS // max(arch.n_coords, 1))
-    for lo in range(0, nonzero.size, step):
-        coords = nonzero[lo : lo + step]
-        stack = np.repeat(w[None, :], coords.size, axis=0)
-        stack[np.arange(coords.size), coords] = 0.0
-        vals, _ = run(arch, stack, np.ones(arch.d_in), sum_pools=True)
-        values[coords] = base - vals[:, arch.output_pos].sum(axis=(1, 2))
-    return values
 
 
 def magnitude_scores(arch: Architecture, theta: ParamVector) -> ScoreVector:

@@ -159,23 +159,22 @@ def _ending_at(ant, j):
             yield p + (j,)
 
 
-def reference_positions(arch, end=None):
+def reference_positions(arch):
     """Paths as tuples of topological positions, in canonical order."""
     ant = neuron_lists(arch)[0]
-    ends = [int(j) for j in arch.output_pos] if end is None else [arch.position(end)]
-    return [p for j in ends for p in sorted(_ending_at(ant, j))]
+    return [p for j in arch.output_pos.tolist() for p in sorted(_ending_at(ant, j))]
 
 
 def _edge(arch, u, v):
     return arch.edge_index[(arch.ids[u], arch.ids[v])]
 
 
-def reference_lifting(arch, theta, end=None):
+def reference_lifting(arch, theta):
     """Per canonical path: the start's bias (1.0 at an input), then times
     each traversed weight in forward order."""
     vec = theta.vec
     values = []
-    for p in reference_positions(arch, end):
+    for p in reference_positions(arch):
         acc = 1.0 if arch.kinds[p[0]] == INPUT else vec[arch.bias_coord[p[0]]]
         for u, v in zip(p[:-1], p[1:]):
             acc *= vec[_edge(arch, u, v)]
@@ -200,11 +199,11 @@ def reference_unit_activations(arch, theta, x):
     return edge, start
 
 
-def reference_activations(arch, theta, x, end=None):
+def reference_activations(arch, theta, x):
     """Per canonical path: its start's activation times each edge's."""
     edge_act, start_act = reference_unit_activations(arch, theta, x)
     acts = []
-    for p in reference_positions(arch, end):
+    for p in reference_positions(arch):
         a = start_act[p[0]]
         for u, v in zip(p[:-1], p[1:]):
             if a == 0.0:

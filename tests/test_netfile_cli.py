@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from pathlift.builders import mlp_architecture, random_dag, random_params
 from pathlift.cli import main
 from pathlift.errors import ArchitectureError, DanglingEdge, ParseError
+from pathlift.experiment import ExperimentConfig, run_experiment
 from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.netfile import load_network, save_network
 
@@ -455,3 +457,11 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_cli_experiment_defaults_are_the_config_defaults(capsys):
+    argv = ["experiment", "--seed", "0", "--epochs", "4", "--rewind-epoch", "1", "--n-train", "60", "--n-test", "40"]
+    assert main(argv) == 0
+    want = run_experiment(ExperimentConfig(seed=0, epochs=4, rewind_epoch=1, n_train=60, n_test=40)).render()
+    elapsed = re.compile(r"\(\d+\.\ds\)")
+    assert elapsed.sub("", capsys.readouterr().out) == elapsed.sub("", want) + "\n"

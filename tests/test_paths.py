@@ -79,11 +79,6 @@ def test_canonical_order_matches_oracle_on_corpus():
         assert list(enumerate_paths(arch)) == oracle_paths(arch)
 
 
-def test_enumerate_single_end(diamond):
-    arch, _ = diamond
-    assert enumerate_paths(arch, end="h1") == [("in", "h1"), ("h1",)]
-
-
 def test_path_explosion_reports_count_without_materializing():
     # a fully connected stack of 8 layers of width 10 has
     # 10 + 10*10 + ... + 10**8 = 111_111_110 paths
@@ -164,6 +159,18 @@ def test_stacked_path_activations_are_the_per_vector_ones():
     stack[1, 0] = np.nan
     with pytest.raises(NonFiniteValue):
         path_activations(arch, stack, x)
+
+
+def test_stacked_path_lifting_is_the_per_vector_ones():
+    for arch, theta, rng in random_cases(20, seed=2101, zero_frac=0.2, p_kpool=0.4):
+        stack = np.stack([theta.vec, random_params(arch, rng).vec, -theta.vec])
+        lift = path_lifting(arch, stack)
+        assert lift.values.shape == (3, count_paths(arch)) and len(lift) == count_paths(arch)
+        for row, vec in zip(lift.values, stack):
+            assert np.array_equal(row, path_lifting(arch, ParamVector(arch, vec)).values)
+    for bad in (stack[:, 1:], stack[0]):
+        with pytest.raises(DimensionMismatch):
+            path_lifting(arch, bad)
 
 
 def test_stacked_path_activations_hold_one_boolean_per_path_and_row():
