@@ -52,9 +52,9 @@ class PathExplosion(PathliftError):
     and the cap that was in force.
     """
 
-    def __init__(self, count, cap):
+    def __init__(self, count, limit):
         self.count = int(count)
-        self.cap = int(cap)
+        self.cap = int(limit)
         super().__init__(f"network has {self.count} paths, enumeration cap is {self.cap}")
 
 

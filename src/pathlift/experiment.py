@@ -15,6 +15,8 @@ criterion, so arms with identical masks finish with identical weights.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -60,6 +62,10 @@ class ExperimentConfig:
             raise PathliftError(
                 f"rewind epoch {self.rewind_epoch} must lie in [0, {self.epochs})"
             )
+        if not (isinstance(self.lr, numbers.Real) and math.isfinite(self.lr) and self.lr > 0.0):
+            raise PathliftError(f"lr must be a finite number > 0, got {self.lr!r}")
+        if not isinstance(self.prune_fraction, numbers.Real) or isinstance(self.prune_fraction, bool):
+            raise InfeasibleAmount(f"prune fraction must be a number, got {self.prune_fraction!r}")
         if not 0.0 <= self.prune_fraction < 1.0:
             raise InfeasibleAmount(f"prune fraction {self.prune_fraction} outside [0, 1)")
         bad = [c for i, c in enumerate(self.criteria) if c not in ("pathmag", "magnitude", "obd") or c in self.criteria[:i]]

@@ -70,7 +70,7 @@ class BoundReport:
         )
 
 
-def _rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x, variant: str, cap):
+def _rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x, variant: str):
     """(right-hand side at x, metric route, whether the metric is certified).
 
     The main variant takes the best available l1 path metric: the oracle,
@@ -85,37 +85,35 @@ def _rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x, variant: str, 
     if variant == "main":
         scale = max(xinf, 1.0)
         try:
-            return scale * path_metric_oracle(arch, t1, t2, cap=cap), "oracle", True
+            return scale * path_metric_oracle(arch, t1, t2), "oracle", True
         except PathExplosion:
             pass
         try:
-            return scale * path_metric_exact_dominated(arch, t1, t2, cap=cap), "dominated", True
+            return scale * path_metric_exact_dominated(arch, t1, t2), "dominated", True
         except DominanceUnverified:
             return scale * path_metric_lower(arch, t1, t2), "lower", False
     if variant == "split":
-        l1 = path_lifting(arch, t1, cap=cap)
-        l2 = path_lifting(arch, t2, cap=cap)
+        l1 = path_lifting(arch, t1)
+        l2 = path_lifting(arch, t2)
         gap = np.abs(l1.values - l2.values)
         return float(xinf * gap[l1.input_start].sum() + gap[~l1.input_start].sum()), "oracle", True
     raise PathliftError(f"unknown variant {variant!r}")
 
 
-def bound_rhs(
-    arch: Architecture, t1: ParamVector, t2: ParamVector, x, variant: str = "main", cap=None
-) -> float:
+def bound_rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x, variant: str = "main") -> float:
     """Right-hand side of the chosen bound variant at input x.
 
     Checks the sign condition and the length and finiteness of x first.
     The split variant needs the lifting blocks, hence path enumeration.
     """
-    return _rhs(arch, t1, t2, x, variant, cap)[0]
+    return _rhs(arch, t1, t2, x, variant)[0]
 
 
 def verify_bound(
-    arch: Architecture, t1: ParamVector, t2: ParamVector, x, variant: str = "main", cap=None
+    arch: Architecture, t1: ParamVector, t2: ParamVector, x, variant: str = "main"
 ) -> BoundReport:
     """Evaluate both sides of the bound on one (theta, theta', x) triple."""
-    rhs, method, certified = _rhs(arch, t1, t2, x, variant, cap)
+    rhs, method, certified = _rhs(arch, t1, t2, x, variant)
     lhs = float(np.abs(forward(arch, t1, x) - forward(arch, t2, x)).sum())
     holds = lhs <= rhs * (1.0 + HOLDS_RTOL) + HOLDS_ATOL
     return BoundReport(
@@ -198,7 +196,6 @@ def activation_breakpoints(
     x,
     samples: int = 100,
     width: float = 1e-10,
-    cap=None,
 ):
     """Locate activation changes along the trajectory and check telescoping.
 
@@ -230,10 +227,10 @@ def activation_breakpoints(
     """
     if not (isinstance(samples, numbers.Integral) and samples >= 1):
         raise PathliftError(f"samples must be an integer >= 1, got {samples!r}")
-    if not width >= 0.0:
+    if not (isinstance(width, numbers.Real) and width >= 0.0):
         raise PathliftError(f"width must be a number >= 0, got {width!r}")
     _check_trajectory(arch, t1, t2)
-    per_sample = len(path_lifting(arch, t1, cap=cap)) + arch.n_coords + arch.n_neurons
+    per_sample = len(path_lifting(arch, t1)) + arch.n_coords + arch.n_neurons
     if (samples + 1) * per_sample > MAX_SAMPLED_ENTRIES:
         raise PathliftError(
             f"{samples} samples of {per_sample} entries each exceed the "
@@ -242,7 +239,7 @@ def activation_breakpoints(
     ts = np.linspace(0.0, 1.0, samples + 1)
 
     def acts(times):
-        return path_activations(arch, _trajectory_points(arch, t1, t2, times.tolist()), x, cap=cap)
+        return path_activations(arch, _trajectory_points(arch, t1, t2, times.tolist()), x)
 
     sampled = acts(ts)
     # a_lo stays the sample at lo: lo moves only onto points that match it
@@ -265,7 +262,7 @@ def activation_breakpoints(
     ]
 
     boundaries = (0.0,) + tuple(bp.t for bp in found) + (1.0,)
-    liftings = path_lifting(arch, _trajectory_points(arch, t1, t2, boundaries), cap=cap).values
+    liftings = path_lifting(arch, _trajectory_points(arch, t1, t2, boundaries)).values
     seg = sum(float(np.abs(b - a).sum()) for a, b in zip(liftings[:-1], liftings[1:]))
     endpoint = float(np.sum(np.abs(liftings[0] - liftings[-1])))
     denom = max(abs(seg), abs(endpoint), 1e-300)

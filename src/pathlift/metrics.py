@@ -84,10 +84,10 @@ def _pathnorm_diffs(arch: Architecture, theta: ParamVector) -> np.ndarray:
     return values
 
 
-def path_metric_oracle(arch: Architecture, t1: ParamVector, t2: ParamVector, cap=None) -> float:
+def path_metric_oracle(arch: Architecture, t1: ParamVector, t2: ParamVector) -> float:
     """l1 distance between the two path liftings, by enumeration."""
-    p1 = path_lifting(arch, t1, cap=cap).values
-    p2 = path_lifting(arch, t2, cap=cap).values
+    p1 = path_lifting(arch, t1).values
+    p2 = path_lifting(arch, t2).values
     return float(np.sum(np.abs(p1 - p2)))
 
 
@@ -108,9 +108,7 @@ def _dominating(t1: ParamVector, t2: ParamVector, v1, v2):
     return None
 
 
-def path_metric_exact_dominated(
-    arch: Architecture, t1: ParamVector, t2: ParamVector, cap=None
-) -> float:
+def path_metric_exact_dominated(arch: Architecture, t1: ParamVector, t2: ParamVector) -> float:
     """Exact l1 path metric when one lifting dominates the other.
 
     When every path keeps its sign and one side's magnitude dominates, each
@@ -126,8 +124,8 @@ def path_metric_exact_dominated(
     if pair is not None:
         return _dominated_gap(arch, *pair)
     try:
-        p1 = path_lifting(arch, t1, cap=cap).values
-        p2 = path_lifting(arch, t2, cap=cap).values
+        p1 = path_lifting(arch, t1).values
+        p2 = path_lifting(arch, t2).values
     except PathExplosion as exc:
         raise DominanceUnverified("neither parameter vector dominates with matching signs "
                                   "and the liftings are too large to compare") from exc
@@ -237,17 +235,15 @@ class PathMetricReport:
         return "\n".join(lines)
 
 
-def path_metric_report(
-    arch: Architecture, t1: ParamVector, t2: ParamVector, cap=None
-) -> PathMetricReport:
+def path_metric_report(arch: Architecture, t1: ParamVector, t2: ParamVector) -> PathMetricReport:
     note = []
     try:
-        exact = path_metric_exact_dominated(arch, t1, t2, cap=cap)
+        exact = path_metric_exact_dominated(arch, t1, t2)
     except DominanceUnverified as exc:
         exact = None
         note.append(str(exc))
     try:
-        oracle = path_metric_oracle(arch, t1, t2, cap=cap)
+        oracle = path_metric_oracle(arch, t1, t2)
     except PathExplosion as exc:
         oracle = None
         note.append(str(exc))

@@ -11,8 +11,8 @@ All functions return paths in one canonical order: grouped by end neuron
 (topological position), then sorted by start neuron and lexicographic
 neuron sequence.  The number of paths can be exponential in depth, so every
 enumerating entry point first counts paths in linear time and raises
-:class:`PathExplosion` when the count exceeds the cap (default 10**6,
-overridable per call or via the PATHLIFT_PATH_CAP environment variable).
+:class:`PathExplosion` when the count exceeds the cap: the
+PATHLIFT_PATH_CAP environment variable, read on every call, or 10**6.
 
 Paths live in one path table, built without recursion: every path grows
 backwards from its end one edge per step, then all are sorted into the
@@ -29,7 +29,6 @@ It holds paths x (longest path + 1) int32 entries: about 36 MB for a
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -43,18 +42,6 @@ from .graph import Architecture, ParamVector, _check_input, _param_rows
 from .netfile import _opened
 
 DEFAULT_PATH_CAP = 10**6
-
-
-def _resolve_cap(cap) -> int:
-    if cap is not None:
-        if not isinstance(cap, numbers.Integral):
-            raise PathliftError(f"cap must be an integer, got {cap!r}")
-        return int(cap)
-    value = os.environ.get("PATHLIFT_PATH_CAP", DEFAULT_PATH_CAP)
-    try:
-        return int(value)
-    except ValueError:
-        raise PathliftError(f"PATHLIFT_PATH_CAP must be an integer, got {value!r}") from None
 
 
 def count_paths(arch: Architecture) -> int:
@@ -119,10 +106,14 @@ def _build_table(arch: Architecture) -> _PathTable:
     return table
 
 
-def _table(arch: Architecture, cap=None) -> _PathTable:
+def _table(arch: Architecture) -> _PathTable:
     """The path table, built on first use and cached on the architecture;
-    raises PathExplosion over the cap."""
-    cap = _resolve_cap(cap)
+    raises PathExplosion over the cap, read on every call."""
+    value = os.environ.get("PATHLIFT_PATH_CAP", DEFAULT_PATH_CAP)
+    try:
+        cap = int(value)
+    except ValueError:
+        raise PathliftError(f"PATHLIFT_PATH_CAP must be an integer, got {value!r}") from None
     table = getattr(arch, "_path_table", None)
     total = count_paths(arch) if table is None else table.start.size
     if total > cap:
@@ -151,9 +142,9 @@ def _id_tuples(arch: Architecture, table: _PathTable) -> list:
     return [tuple(r[:k]) for r, k in zip(nodes, lengths.tolist())]
 
 
-def enumerate_paths(arch: Architecture, cap=None):
+def enumerate_paths(arch: Architecture):
     """All paths in canonical order, as tuples of neuron ids."""
-    return _id_tuples(arch, _table(arch, cap=cap))
+    return _id_tuples(arch, _table(arch))
 
 
 def format_path(path) -> str:
@@ -196,7 +187,7 @@ class PathLifting:
         return self.table.start.size
 
 
-def path_lifting(arch: Architecture, theta, cap=None) -> PathLifting:
+def path_lifting(arch: Architecture, theta) -> PathLifting:
     """One coordinate per path: product of traversed weights, led by the
     starting neuron's bias when the path starts off the input layer (the
     empty product is 1, so a single-neuron path at v has value b_v).
@@ -205,12 +196,12 @@ def path_lifting(arch: Architecture, theta, cap=None) -> PathLifting:
     vectors, which gives ``values`` of shape (P, n_paths), row i bit for
     bit the lifting of ``theta[i]``."""
     rows = _param_rows(arch, theta)
-    table = _table(arch, cap=cap)
+    table = _table(arch)
     padded = np.concatenate((rows, np.ones(rows.shape[:-1] + (1,))), axis=-1)
     return PathLifting(arch=arch, table=table, values=_row_products(padded, table.rows))
 
 
-def path_activations(arch: Architecture, theta, x, cap=None) -> np.ndarray:
+def path_activations(arch: Architecture, theta, x) -> np.ndarray:
     """0/1 activation of each canonical path at input x.
 
     ``theta`` is a ParamVector, or a (P, n_coords) array stacking P
@@ -219,7 +210,7 @@ def path_activations(arch: Architecture, theta, x, cap=None) -> np.ndarray:
     pass, row i equal to the activations of ``theta[i]``.  A start's
     activation sits in its bias slot, column 0 of every path starting there."""
     edge_act, start_act = activations(arch, _param_rows(arch, theta), x)
-    table = _table(arch, cap=cap)
+    table = _table(arch)
     on = np.ones(edge_act.shape[:-1] + (arch.n_coords + 1,), dtype=bool)  # the sentinel is on
     on[..., : arch.n_edges] = edge_act
     on[..., arch.n_edges : arch.n_coords] = start_act[..., arch.non_input_pos]
@@ -231,7 +222,7 @@ def _input_column(arch: Architecture) -> np.ndarray:
     return np.where(arch.is_input, np.cumsum(arch.is_input) - 1, arch.d_in)
 
 
-def linearized_output(arch: Architecture, theta: ParamVector, x, cap=None) -> np.ndarray:
+def linearized_output(arch: Architecture, theta: ParamVector, x) -> np.ndarray:
     """Network output reconstructed from the path decomposition.
 
     For each output neuron, the sum over paths ending there of
@@ -240,16 +231,16 @@ def linearized_output(arch: Architecture, theta: ParamVector, x, cap=None) -> np
     on every input.
     """
     x = _check_input(arch, x)
-    acts = path_activations(arch, theta, x, cap=cap)
-    lift = path_lifting(arch, theta, cap=cap)
+    acts = path_activations(arch, theta, x)
+    lift = path_lifting(arch, theta)
     lead = np.append(x, 1.0)[_input_column(arch)[lift.table.start]]
     out_col = np.searchsorted(arch.output_pos, lift.table.end)
     return np.bincount(out_col, weights=lift.values * acts * lead, minlength=arch.d_out)
 
 
-def save_path_table(fp, paths, values, header="path\tvalue"):
+def save_path_table(fp, paths, values):
     """Write one ``path<TAB>value`` row per path to a text file or handle."""
     with _opened(fp, "w") as fh:
-        fh.write(header + "\n")
+        fh.write("path\tvalue\n")
         for p, v in zip(paths, values):
             fh.write(f"{format_path(p)}\t{float(v)!r}\n")

@@ -23,10 +23,13 @@ import numpy as np
 
 from .autodiff import grad_path_norm, grad_scalar, scalar_value
 from .engine import _BLOCK_ELEMS
-from .errors import InfeasibleAmount, MissingData, PathliftError
+from .errors import DimensionMismatch, InfeasibleAmount, MissingData, NonFiniteValue, PathliftError
 from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _count, _floats
 from .metrics import _pathnorm_diffs
 from .paths import path_lifting
+
+# the finite-difference step of both OBD scorers
+FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -54,9 +57,7 @@ class Mask:
         return int(np.count_nonzero(self.keep != other.keep))
 
 
-def path_mag_scores(
-    arch: Architecture, theta: ParamVector, method: str = "autodiff", cap=None
-) -> ScoreVector:
+def path_mag_scores(arch: Architecture, theta: ParamVector, method: str = "autodiff") -> ScoreVector:
     """Per-coordinate l1 path norm drop from zeroing that coordinate.
 
     methods: "autodiff" (one sum-pool forward/backward), "pathnorm_diff"
@@ -70,7 +71,7 @@ def path_mag_scores(
     elif method == "pathnorm_diff":
         values = _pathnorm_diffs(arch, theta)
     elif method == "bruteforce":
-        lift = path_lifting(arch, theta, cap=cap)
+        lift = path_lifting(arch, theta)
         values = lift.coordinate_sums(np.abs(lift.values))
     else:
         raise PathliftError(f"unknown path-magnitude method {method!r}")
@@ -82,10 +83,17 @@ def magnitude_scores(arch: Architecture, theta: ParamVector) -> ScoreVector:
 
 
 def _require_data(data):
+    """The inputs (as floats) and targets of an (X, y) data batch."""
     if data is None:
         raise MissingData("this criterion needs a data batch (X, y)")
-    x, y = data
-    return _floats(x, "input entries must be numbers"), y
+    try:
+        x, y = data
+    except (TypeError, ValueError):
+        raise MissingData("the data batch must be an (X, y) pair") from None
+    x = _floats(x, "input entries must be numbers")
+    if y is not None and not np.isfinite(_floats(y, "target entries must be numbers")).all():
+        raise NonFiniteValue("the data batch has a NaN or infinite target")
+    return x, y
 
 
 def obd_fd_scores(
@@ -93,7 +101,6 @@ def obd_fd_scores(
     theta: ParamVector,
     data,
     loss: str = "squared_error",
-    eps: float = 1e-4,
 ) -> ScoreVector:
     """Second-order saliency 0.5 * h_ii * theta_i^2 with the loss Hessian
     diagonal taken by exact per-coordinate central second differences.
@@ -111,10 +118,10 @@ def obd_fd_scores(
     for lo in range(0, arch.n_coords, step):
         coords = np.arange(lo, min(lo + step, arch.n_coords))
         steps = np.zeros((coords.size, arch.n_coords))
-        steps[np.arange(coords.size), coords] = eps
+        steps[np.arange(coords.size), coords] = FD_STEP
         both = scalar_value(arch, np.concatenate((vec + steps, vec - steps)), x, aggregate=loss, target=y)
         up, dn = both[: coords.size], both[coords.size :]
-        h = (up - 2.0 * base + dn) / (eps * eps)
+        h = (up - 2.0 * base + dn) / (FD_STEP * FD_STEP)
         values[coords] = 0.5 * h * vec[coords] * vec[coords]
     return ScoreVector(criterion="obd", method="fd", values=values)
 
@@ -126,7 +133,6 @@ def obd_hutchinson_scores(
     loss: str = "squared_error",
     probes: int = 32,
     seed=0,
-    eps: float = 1e-4,
 ) -> ScoreVector:
     """Same saliency with the Hessian diagonal estimated stochastically.
 
@@ -142,9 +148,9 @@ def obd_hutchinson_scores(
     est = np.zeros(arch.n_coords)
     for _ in range(probes):
         v = rng.integers(0, 2, size=arch.n_coords).astype(np.float64) * 2.0 - 1.0
-        _, gu = grad_scalar(arch, ParamVector(arch, vec + eps * v), x, aggregate=loss, target=y)
-        _, gd = grad_scalar(arch, ParamVector(arch, vec - eps * v), x, aggregate=loss, target=y)
-        est += (gu - gd) / (2.0 * eps) * v
+        _, gu = grad_scalar(arch, ParamVector(arch, vec + FD_STEP * v), x, aggregate=loss, target=y)
+        _, gd = grad_scalar(arch, ParamVector(arch, vec - FD_STEP * v), x, aggregate=loss, target=y)
+        est += (gu - gd) / (2.0 * FD_STEP) * v
     est /= probes
     return ScoreVector(criterion="obd", method="hutchinson", values=0.5 * est * vec * vec)
 
@@ -155,16 +161,22 @@ def baseline_scores(
     criterion: str,
     data=None,
     loss: str = "squared_error",
-    probes: int = 32,
-    seed=0,
 ) -> ScoreVector:
     if criterion == "magnitude":
         return magnitude_scores(arch, theta)
     if criterion == "obd_fd":
         return obd_fd_scores(arch, theta, data, loss=loss)
     if criterion == "obd_hutchinson":
-        return obd_hutchinson_scores(arch, theta, data, loss=loss, probes=probes, seed=seed)
+        return obd_hutchinson_scores(arch, theta, data, loss=loss)
     raise PathliftError(f"unknown baseline criterion {criterion!r}")
+
+
+def _score_values(arch: Architecture, scores: ScoreVector) -> np.ndarray:
+    """``scores.values``, one per coordinate of ``arch``, or DimensionMismatch."""
+    values = np.asarray(scores.values)
+    if values.shape != (arch.n_coords,):
+        raise DimensionMismatch(f"scores have shape {values.shape}, not ({arch.n_coords},)")
+    return values
 
 
 def _eligible(arch: Architecture, edges_only: bool) -> np.ndarray:
@@ -232,7 +244,7 @@ def apply_prune(
             cur = cur.replace({pick: 0.0})
     else:
         eligible = np.flatnonzero(ok)
-        keep[eligible[np.argsort(scores.values[eligible], kind="stable")[:n_prune]]] = False
+        keep[eligible[np.argsort(_score_values(arch, scores)[eligible], kind="stable")[:n_prune]]] = False
     mask = Mask(keep=keep, pruned=tuple(np.flatnonzero(~keep).tolist()))
     return mask.apply(theta), mask
 
@@ -270,7 +282,7 @@ def pruning_error_bound(
     idx = np.unique(idx.astype(np.int64))
     if idx.size and (idx.min() < 0 or idx.max() >= arch.n_coords):
         raise InfeasibleAmount("pruned coordinate index out of range")
-    bound = float(scores.values[idx].sum()) * max(1.0, float(np.abs(x).max()))
+    bound = float(_score_values(arch, scores)[idx].sum()) * max(1.0, float(np.abs(x).max()))
     keep = np.ones(arch.n_coords, dtype=bool)
     keep[idx] = False
     pruned_theta = ParamVector(arch, theta.vec * keep)

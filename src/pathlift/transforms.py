@@ -61,6 +61,8 @@ def random_rescaling(arch: Architecture, seed, preset: str = "pow2_factors") -> 
       powers of two, so applying them is exact in binary floating point.
     * ``"log_uniform:L"``  -- log of the factor uniform on [-ln L, ln L].
     """
+    if not isinstance(preset, str):
+        raise ParseError(f"rescaling preset must be a string, got {preset!r}")
     rng = np.random.default_rng(seed)
     pos = hidden_positions(arch, include_kpool=True)
     if preset == "pow2_factors":
@@ -82,15 +84,17 @@ def normalize(arch: Architecture, theta: ParamVector, include_kpool: bool = Fals
     """Pick the canonical representative of theta's rescaling orbit.
 
     Sweeps hidden neurons in topological order, dividing each one's incoming
-    weights and bias by their l1 norm lambda (when nonzero) and multiplying
-    its outgoing weights by it.  Neurons of one level of ``arch.levels`` never
-    feed each other, so each level's lambdas are one segment sum; every weight
-    is then multiplied by its source's lambda and divided by its destination's.
-    Afterwards every visited neuron has incoming l1 norm 0 or 1, the path
-    lifting is unchanged, and running the map again is a no-op.  Rescaled
-    copies of theta map to the same vector unless some visited neuron has
-    incoming norm 0: such a neuron keeps its factor, and its outgoing
-    weights carry it into the norms downstream.
+    weights and bias by their l1 norm lambda and multiplying its outgoing
+    weights by it.  Neurons of one level of ``arch.levels`` never feed each
+    other, so each level's lambdas are one segment sum; every weight is then
+    multiplied by its source's lambda and divided by its destination's.
+    A visited neuron whose incoming l1 norm (bias included) is 0 is dead: it
+    outputs 0 at every input and lies only on paths that lift to 0.  It gets
+    lambda 0, so its outgoing weights, and what is left of its incoming
+    weights and bias, come out zero.  Afterwards every visited neuron has
+    incoming l1 norm 0 or 1, the path lifting and the network function are
+    unchanged, running the map again is a no-op, and rescaled copies of
+    theta map to the same vector.
 
     kpool neurons are skipped by default so that pooling windows keep their
     native scale; pass include_kpool=True to normalize them as well (pooling
@@ -104,7 +108,8 @@ def normalize(arch: Architecture, theta: ParamVector, include_kpool: bool = Fals
     for r, e, starts in arch.levels:  # unvisited neurons keep lambda 1
         norm = np.add.reduceat(np.abs(v[e] * lam[src[e]]), starts)
         norm += bias[r]
-        lam[r] = np.where(visit[r] & (norm > 0.0), norm, 1.0)
-    v[: arch.n_edges] = v[: arch.n_edges] * lam[src] / lam[arch.dst]
-    v[arch.n_edges :] /= lam[arch.non_input_pos]
+        lam[r] = np.where(visit[r], norm, 1.0)
+    div = np.where(lam > 0.0, lam, np.inf)  # dividing by inf zeroes what is left on a dead neuron
+    v[: arch.n_edges] = v[: arch.n_edges] * lam[src] / div[arch.dst]
+    v[arch.n_edges :] /= div[arch.non_input_pos]
     return ParamVector(arch, v)

@@ -449,7 +449,7 @@ def reference_rescale(arch, theta, factors):
 def reference_normalize(arch, theta, include_kpool=False):
     """``normalize`` neuron by neuron in topological order: divide the
     incoming weights and bias by their l1 norm (when nonzero) and multiply
-    the outgoing weights by it."""
+    the outgoing weights by it, which zeroes those of a dead neuron (norm 0)."""
     _, in_coords, out_coords = neuron_lists(arch)
     outputs = set(arch.output_pos.tolist())
     v = theta.vec.copy()
@@ -462,19 +462,19 @@ def reference_normalize(arch, theta, include_kpool=False):
         if lam > 0.0:
             v[cin] /= lam
             v[b] /= lam
-            v[out_coords[j]] *= lam
+        v[out_coords[j]] *= lam
     return ParamVector(arch, v)
 
 
 # ---- the proof trajectory: one engine pass per t ----------------------------
 
 
-def reference_activation_breakpoints(arch, t1, t2, x, samples=100, width=1e-10, cap=None):
+def reference_activation_breakpoints(arch, t1, t2, x, samples=100, width=1e-10):
     """``activation_breakpoints`` one trajectory point at a time: every
     sample, then each disagreeing interval bisected alone."""
 
     def acts(t):
-        return path_activations(arch, trajectory_point(t1, t2, t), x, cap=cap)
+        return path_activations(arch, trajectory_point(t1, t2, t), x)
 
     ts = np.linspace(0.0, 1.0, samples + 1)
     sampled = [acts(t) for t in ts]
@@ -495,9 +495,9 @@ def reference_activation_breakpoints(arch, t1, t2, x, samples=100, width=1e-10, 
         found.append(Breakpoint(t=0.5 * (lo + hi), changed_paths=changed))
 
     boundaries = (0.0,) + tuple(bp.t for bp in found) + (1.0,)
-    liftings = [path_lifting(arch, trajectory_point(t1, t2, t), cap=cap).values for t in boundaries]
+    liftings = [path_lifting(arch, trajectory_point(t1, t2, t)).values for t in boundaries]
     seg = sum(float(np.abs(b - a).sum()) for a, b in zip(liftings[:-1], liftings[1:]))
-    endpoint = path_metric_oracle(arch, t1, t2, cap=cap)
+    endpoint = path_metric_oracle(arch, t1, t2)
     denom = max(abs(seg), abs(endpoint), 1e-300)
     report = TelescopingReport(
         boundaries=boundaries,

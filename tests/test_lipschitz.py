@@ -345,11 +345,12 @@ def test_breakpoint_checks_raise_like_the_reference_loop(case, error):
             breakpoints(arch, t1, t2, x, samples=3)
 
 
-def test_breakpoints_refuse_over_the_path_cap():
+def test_breakpoints_refuse_over_the_path_cap(monkeypatch):
     arch, t1, t2, x = _breakpoint_corpus()[0]
+    monkeypatch.setenv("PATHLIFT_PATH_CAP", "1")
     for breakpoints in (activation_breakpoints, reference_activation_breakpoints):
         with pytest.raises(PathExplosion):
-            breakpoints(arch, t1, t2, x, samples=3, cap=1)
+            breakpoints(arch, t1, t2, x, samples=3)
 
 
 def test_equality_witness_chain():

@@ -304,6 +304,17 @@ def test_cli_prune_obd_with_data(tmp_path, capsys):
     assert "pruned 1 coordinate(s)" in capsys.readouterr().out
 
 
+def test_cli_prune_obd_refuses_a_nan_target(tmp_path, capsys):
+    path, _, _ = _write_diamond(tmp_path)
+    csv = tmp_path / "batch.csv"
+    csv.write_text("0.5,0.2\n1.0,nan\n-0.25,0.0\n")
+    assert main(["prune", str(path), "--criterion", "obd", "--count", "2",
+                 "--data", str(csv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "target" in captured.err
+
+
 def test_cli_prune_csv_with_header_is_a_parse_error(tmp_path, capsys):
     path, _, _ = _write_diamond(tmp_path)
     csv = tmp_path / "batch.csv"
@@ -449,6 +460,10 @@ def test_cli_iterative_magnitude_prune_matches_one_shot(tmp_path, capsys):
         ["witness", "--equality", "inf", "2", "1", "1"],
         ["witness", "--equality", "2.5", "2", "1", "1"],
         ["witness", "--equality", "0", "2", "1", "1"],
+        ["experiment", "--seed", "0", "--epochs", "2", "--rewind-epoch", "1", "--lr", "-1"],
+        ["experiment", "--seed", "0", "--epochs", "2", "--rewind-epoch", "1", "--lr", "0"],
+        ["experiment", "--seed", "0", "--epochs", "2", "--rewind-epoch", "1", "--lr", "inf"],
+        ["experiment", "--seed", "0", "--epochs", "2", "--rewind-epoch", "1", "--lr", "nan"],
     ],
 )
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, argv):

@@ -10,14 +10,17 @@ import pytest
 from pathlift.autodiff import grad_path_norm, grad_scalar, scalar_value
 from pathlift.builders import mlp_architecture, random_params
 from pathlift.cli import main
-from pathlift.errors import DimensionMismatch, InfeasibleAmount, NonFiniteValue, NonPositiveFactor, PathliftError
-from pathlift.experiment import accuracy, epoch_seeds, sgd_train
+from pathlift.errors import (
+    DimensionMismatch, InfeasibleAmount, NonFiniteValue, NonPositiveFactor, ParseError, PathliftError,
+)
+from pathlift.experiment import ExperimentConfig, accuracy, epoch_seeds, sgd_train
 from pathlift.graph import Architecture, ParamVector, forward
+from pathlift.lipschitz import activation_breakpoints
 from pathlift.metrics import path_norm_fast
 from pathlift.netfile import load_network, save_network
 from pathlift.paths import enumerate_paths, path_activations
 from pathlift.pruning import apply_prune, magnitude_scores, obd_fd_scores
-from pathlift.transforms import rescale
+from pathlift.transforms import random_rescaling, rescale
 
 from conftest import chain2_arch
 
@@ -118,12 +121,21 @@ def test_arguments_of_the_wrong_type_raise_typed_errors(diamond, monkeypatch):
             rescale(arch, theta, {"h1": bad})
     with pytest.raises(PathliftError):
         path_norm_fast(arch, theta, q="a")
-    for cap in ("x", 2.5):
-        with pytest.raises(PathliftError):
-            enumerate_paths(arch, cap=cap)
     monkeypatch.setenv("PATHLIFT_PATH_CAP", "x")
     with pytest.raises(PathliftError):
         enumerate_paths(arch)
+    for lr in (-1.0, 0.0, np.inf, np.nan, "0.1", None):
+        with pytest.raises(PathliftError, match="lr"):
+            ExperimentConfig(seed=0, lr=lr).validated()
+    for fraction in ("a", None, False):
+        with pytest.raises(InfeasibleAmount):
+            ExperimentConfig(seed=0, prune_fraction=fraction).validated()
+    for preset in (None, 5):
+        with pytest.raises(ParseError):
+            random_rescaling(arch, 0, preset=preset)
+    for width in ("a", None):
+        with pytest.raises(PathliftError, match="width"):
+            activation_breakpoints(arch, theta, theta, [1.0], width=width)
 
 
 def test_parameters_and_inputs_that_are_not_numbers_raise_dimension_mismatch(diamond):

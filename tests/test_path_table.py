@@ -61,13 +61,15 @@ def test_table_order_matches_oracle_with_single_ends():
         assert enumerate_paths(arch) == oracle_paths(arch)
 
 
-def test_cache_still_checks_the_cap(diamond):
+def test_cache_still_checks_the_cap(diamond, monkeypatch):
     arch, theta = diamond
     assert len(path_lifting(arch, theta)) == 5
+    monkeypatch.setenv("PATHLIFT_PATH_CAP", "4")
     with pytest.raises(PathExplosion) as err:
-        path_lifting(arch, theta, cap=4)
+        path_lifting(arch, theta)
     assert err.value.count == 5
-    assert len(path_lifting(arch, theta, cap=5)) == 5
+    monkeypatch.setenv("PATHLIFT_PATH_CAP", "5")
+    assert len(path_lifting(arch, theta)) == 5
 
 
 def test_length_does_not_build_id_tuples(diamond):

@@ -91,11 +91,13 @@ def test_path_explosion_reports_count_without_materializing():
     assert err.value.cap == 10**6
 
 
-def test_path_cap_argument(diamond):
+def test_path_cap_argument(diamond, monkeypatch):
     arch, _ = diamond
+    monkeypatch.setenv("PATHLIFT_PATH_CAP", "4")
     with pytest.raises(PathExplosion):
-        enumerate_paths(arch, cap=4)
-    assert len(enumerate_paths(arch, cap=5)) == 5
+        enumerate_paths(arch)
+    monkeypatch.setenv("PATHLIFT_PATH_CAP", "5")
+    assert len(enumerate_paths(arch)) == 5
 
 
 def test_path_cap_env_override(diamond, monkeypatch):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from pathlift import (
     ParamVector,
-    hidden_positions,
     normalize,
     path_lifting,
     path_metric_exact_dominated,
@@ -51,28 +50,20 @@ def networks(draw):
     return arch, theta, rng
 
 
-def _has_dead_hidden_neuron(arch, theta):
-    """Whether some hidden neuron has every incoming weight and its bias 0."""
-    rows = hidden_positions(arch)
-    v = np.abs(theta.vec)
-    inflow = np.bincount(arch.dst, weights=v[: arch.n_edges], minlength=arch.n_neurons)
-    return bool(np.any(inflow[rows] + v[arch.bias_coord[rows]] == 0.0))
-
-
 @PROPERTY
 @given(networks(), st.sampled_from(["pow2_factors", "log_uniform:1e3"]))
 def test_lifting_norm_and_normalize_are_rescaling_invariant(net, preset):
     arch, theta, rng = net
     moved = rescale(arch, theta, random_rescaling(arch, rng, preset=preset))
+    partner = same_sign_partner(theta, rng)
     pairs = [
         (path_lifting(arch, moved).values, path_lifting(arch, theta).values),
         (path_norm_fast(arch, moved), path_norm_fast(arch, theta)),
+        (normalize(arch, moved, include_kpool=True).vec, normalize(arch, theta, include_kpool=True).vec),
+    ] + [
+        (path_metric_upper(arch, moved, partner, refined=r), path_metric_upper(arch, theta, partner, refined=r))
+        for r in (False, True)
     ]
-    # a dead neuron keeps its factor, and its outgoing weights pass it on
-    if not _has_dead_hidden_neuron(arch, theta):
-        pairs.append(
-            (normalize(arch, moved, include_kpool=True).vec, normalize(arch, theta, include_kpool=True).vec)
-        )
     for got, want in pairs:
         if preset == "pow2_factors":
             np.testing.assert_array_equal(got, want)

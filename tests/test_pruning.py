@@ -20,6 +20,7 @@ from pathlift.pruning import (
     magnitude_scores,
     obd_fd_scores,
     obd_hutchinson_scores,
+    ScoreVector,
     path_mag_scores,
     pruning_error_bound,
 )
@@ -130,6 +131,17 @@ def test_obd_fd_approximately_rescaling_invariant():
         np.testing.assert_allclose(scores, base, rtol=1e-3, atol=1e-12)
 
 
+def test_obd_data_must_be_a_pair_with_finite_targets(diamond):
+    arch, theta = diamond
+    for scorer in (obd_fd_scores, obd_hutchinson_scores):
+        for bad in (([[1.0]],), ([[1.0]], [[0.0]], [[2.0]]), 5):
+            with pytest.raises(MissingData):
+                scorer(arch, theta, bad)
+        for y in ([[np.nan]], [[np.inf]], [-np.inf]):
+            with pytest.raises(NonFiniteValue, match="target"):
+                scorer(arch, theta, ([[1.0]], y))
+
+
 def test_obd_hutchinson_not_rescaling_invariant():
     arch, theta = _chain_net()
     data = ([[1.0], [-0.5], [2.0]], [[0.5], [0.0], [-1.0]])
@@ -191,6 +203,19 @@ def test_apply_prune_infeasible_amounts(diamond):
         apply_prune(theta, scores, count=arch.n_coords + 1)
 
 
+def _misfit_scores(arch, theta):
+    """Score vectors 5 entries too long, 2 too short, and one row too many."""
+    v = magnitude_scores(arch, theta).values
+    return [ScoreVector("magnitude", "abs", w) for w in (np.r_[v, np.zeros(5)], v[:-2], v[None, :])]
+
+
+def test_apply_prune_refuses_scores_that_do_not_fit(diamond):
+    arch, theta = diamond
+    for scores in _misfit_scores(arch, theta):
+        with pytest.raises(DimensionMismatch):
+            apply_prune(theta, scores, count=2)
+
+
 def test_iterative_prune_matches_one_shot_on_diamond(diamond):
     arch, theta = diamond
     scores = path_mag_scores(arch, theta)
@@ -243,6 +268,13 @@ def test_pruning_error_bound_checks_the_input(diamond):
     for x, error in (([], DimensionMismatch), ([1.0, 2.0], DimensionMismatch), ([np.nan], NonFiniteValue)):
         with pytest.raises(error):
             pruning_error_bound(arch, theta, [0], x)
+
+
+def test_pruning_error_bound_refuses_scores_that_do_not_fit(diamond):
+    arch, theta = diamond
+    for scores in _misfit_scores(arch, theta):
+        with pytest.raises(DimensionMismatch):
+            pruning_error_bound(arch, theta, [1], [1.0], scores=scores)
 
 
 def test_pruning_error_bound_random_trials():

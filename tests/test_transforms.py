@@ -158,7 +158,9 @@ def test_normalize_dead_neuron_untouched(diamond):
     dead = theta.replace({0: 0.0, 4: 0.0})  # h1 has no incoming mass
     out = normalize(arch, dead)
     assert out.weight("in", "h1") == 0.0
-    assert out.weight("h1", "out") == 3.0
+    assert out.weight("h1", "out") == 0.0  # only paths that lift to 0 ran through it
+    for x in ([1.0], [-2.0], [0.5]):
+        np.testing.assert_array_equal(forward(arch, out, x), forward(arch, dead, x))
 
 
 def test_normalize_skips_pool_by_default(pool_net):
