@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RaggedLayers
+from .errors import ArchitectureError, RaggedLayers
 from .graph import Architecture, ParamVector, _count
 
 
@@ -81,8 +81,16 @@ def conv_grid_architecture(
     """Conv-net-shaped DAG: valid convolutions, a max-pool stage, a dense head.
 
     Connectivity only; every edge keeps its own weight.  Defaults give about
-    1e5 edges, the scale-test regime.
+    1e5 edges, the scale-test regime.  Raises ArchitectureError when a
+    kernel or pool window, a convolution stage or the pooled grid would be
+    empty.
     """
+    last = side - len(channels) * (kernel - 1)
+    if kernel < 1 or pool < 1 or last < 1 or last // pool < 1:
+        raise ArchitectureError(
+            f"side {side}, kernel {kernel} and pool {pool} leave an empty window or grid "
+            f"({len(channels)} convolution(s), then the pool)"
+        )
     neurons = [(f"I{r:02d}x{c:02d}", "input") for r in range(side) for c in range(side)]
     edges = []
     prev = [[f"I{r:02d}x{c:02d}" for c in range(side)] for r in range(side)]

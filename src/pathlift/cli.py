@@ -79,7 +79,15 @@ def _load_batch(path, arch, loss):
             raise MissingData(
                 f"expected {arch.d_in} input columns plus one label column"
             )
-        return data[:, : arch.d_in], data[:, arch.d_in].astype(np.int64)
+        labels = data[:, arch.d_in]
+        whole = np.isfinite(labels) & (labels == np.trunc(labels)) & (np.abs(labels) < 2.0**63)
+        bad = np.flatnonzero(~whole)
+        if bad.size:
+            raise ParseError(
+                f"{path}: data row {bad[0] + 1}: class label {float(labels[bad[0]])!r} "
+                "is not a whole number in the int64 range"
+            )
+        return data[:, : arch.d_in], labels.astype(np.int64)
     if data.shape[1] != arch.d_in + arch.d_out:
         raise MissingData(
             f"expected {arch.d_in} input columns plus {arch.d_out} target columns"

@@ -471,7 +471,8 @@ def reference_normalize(arch, theta, include_kpool=False):
 
 def reference_activation_breakpoints(arch, t1, t2, x, samples=100, width=1e-10):
     """``activation_breakpoints`` one trajectory point at a time: every
-    sample, then each disagreeing interval bisected alone."""
+    sample, then each disagreeing interval bisected alone, down to the
+    width or until a midpoint rounds onto an end."""
 
     def acts(t):
         return path_activations(arch, trajectory_point(t1, t2, t), x)
@@ -487,10 +488,13 @@ def reference_activation_breakpoints(arch, t1, t2, x, samples=100, width=1e-10):
         while hi - lo > width:
             mid = 0.5 * (lo + hi)
             am = acts(mid)
+            rounded = mid in (lo, hi)
             if np.array_equal(am, a_lo):
                 lo = mid
             else:
                 hi, a_hi = mid, am
+            if rounded:  # the interval cannot shrink below the float spacing
+                break
         changed = tuple(int(k) for k in np.flatnonzero(a_lo != a_hi))
         found.append(Breakpoint(t=0.5 * (lo + hi), changed_paths=changed))
 

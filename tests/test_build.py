@@ -71,6 +71,23 @@ def test_build_matches_reference_on_layered_nets(arch):
     _assert_builds_alike(*_shuffled(arch, np.random.default_rng(5)))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(side=5, channels=(2, 2), d_out=2),
+        dict(side=2, channels=(2,), d_out=2),
+        dict(side=6, channels=(2,), kernel=0, d_out=2),
+        dict(side=6, channels=(2,), pool=0, d_out=2),
+    ],
+    ids=["pooled-grid-empty", "side-below-kernel", "kernel-0", "pool-0"],
+)
+def test_conv_grid_refuses_an_empty_grid(kwargs):
+    want = {"kernel": 3, "pool": 2, **kwargs}
+    message = f"^side {want['side']}, kernel {want['kernel']} and pool {want['pool']} leave an empty"
+    with pytest.raises(ArchitectureError, match=message):
+        conv_grid_architecture(**kwargs)
+
+
 def test_build_matches_reference_on_raw_ids_and_tags():
     neurons = [(2, "input"), (10, "input"), (7, {"kpool": 2}), (1, "relu"), ("z", "identity")]
     edges = [(2, 7), (10, 7), (2, 1), (7, "z"), (1, "z"), (10, "z")]

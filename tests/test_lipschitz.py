@@ -18,6 +18,7 @@ from pathlift.errors import (
 )
 from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.lipschitz import (
+    _BISECT_DEPTH,
     MAX_SAMPLED_ENTRIES,
     activation_breakpoints,
     bound_rhs,
@@ -307,18 +308,60 @@ def test_breakpoints_equal_the_reference_loop_on_a_large_table():
     assert got == reference_activation_breakpoints(arch, t1, t2, x, samples=8)
 
 
-def test_breakpoints_take_one_pass_plus_one_per_halving(monkeypatch):
-    passes = []
+def _count_passes(monkeypatch):
+    """The row count of every engine pass from here on."""
+    rows = []
     run = engine.run
-    monkeypatch.setattr(engine, "run", lambda *a, **k: passes.append(a[1].shape) or run(*a, **k))
+    monkeypatch.setattr(engine, "run", lambda *a, **k: rows.append(a[1].shape[0]) or run(*a, **k))
+    return rows
+
+
+def test_breakpoints_take_one_pass_plus_one_per_round_of_halvings(monkeypatch):
+    passes = _count_passes(monkeypatch)
     samples, width = 32, 1e-10
     # every interval starts 1/samples wide, so all take the same halvings
     halvings = math.ceil(math.log2(1.0 / samples / width))
     for arch, t1, t2, x in _breakpoint_corpus()[:40]:
         passes.clear()
         found, _ = activation_breakpoints(arch, t1, t2, x, samples=samples, width=width)
-        assert len(passes) == 1 + (halvings if found else 0)
-        assert passes[0] == (samples + 1, arch.n_coords)
+        rounds = 0
+        if found:
+            # the deepest round whose grid fits in the sampling pass
+            depth = max(d for d in range(1, _BISECT_DEPTH + 1) if len(found) * (2**d - 1) <= samples + 1)
+            rounds = math.ceil(halvings / depth)
+        assert len(passes) == 1 + rounds
+        assert passes[0] == samples + 1
+        assert max(passes) <= samples + 1
+
+
+# corpus nets with two or three activation changes at samples <= 7
+_CROWDED = (3, 16, 25, 61)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 7])
+@pytest.mark.parametrize("width", [0.0, 1e-10, 1e-2])
+def test_breakpoints_equal_the_reference_loop_at_every_depth(monkeypatch, samples, width):
+    """samples=1 allows one level per pass; at 1e-10 and 1e-2 the last
+    round needs fewer levels than a pass evaluates; at 0 each interval
+    stops at its own float spacing, closing intervals mid-call."""
+    passes = _count_passes(monkeypatch)
+    corpus = _breakpoint_corpus()
+    for arch, t1, t2, x in [corpus[i] for i in _CROWDED] + [_micro_pair()]:
+        passes.clear()
+        got = activation_breakpoints(arch, t1, t2, x, samples=samples, width=width)
+        assert max(passes) <= samples + 1
+        assert got == reference_activation_breakpoints(arch, t1, t2, x, samples=samples, width=width)
+
+
+def test_the_depth_cap_lifts_when_an_interval_closes(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    arch, t1, t2, x = _breakpoint_corpus()[3]
+    found, report = activation_breakpoints(arch, t1, t2, x, samples=7, width=0.0)
+    # two open intervals get 2 levels (6 points) per pass; once the one
+    # with the finer float spacing remains, it gets 3 (7 points)
+    assert len(found) == 2
+    assert passes[0] == 8 and set(passes[1:-1]) == {6} and passes[-1] == 7
+    assert (found, report) == reference_activation_breakpoints(arch, t1, t2, x, samples=7, width=0.0)
 
 
 def _single_edge_pair(w1, w2):

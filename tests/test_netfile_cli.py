@@ -315,6 +315,20 @@ def test_cli_prune_obd_refuses_a_nan_target(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "target" in captured.err
 
 
+@pytest.mark.parametrize("label", ["nan", "0.7"])
+def test_cli_prune_refuses_a_label_that_is_no_class(tmp_path, capsys, label):
+    arch = mlp_architecture((1, 3, 1))
+    path = tmp_path / "net.json"
+    save_network(path, arch, random_params(arch, np.random.default_rng(0)))
+    csv = tmp_path / "batch.csv"
+    csv.write_text(f"0.5,1\n1.0,{label}\n-0.25,0\n")
+    code = main(["prune", str(path), "--criterion", "obd", "--count", "2",
+                 "--loss", "logistic", "--data", str(csv)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {csv}: data row 2: class label {float(label)!r} is not a whole number in the int64 range\n"
+
+
 def test_cli_prune_csv_with_header_is_a_parse_error(tmp_path, capsys):
     path, _, _ = _write_diamond(tmp_path)
     csv = tmp_path / "batch.csv"

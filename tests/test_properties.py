@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathlift import (
     ParamVector,
+    activation_breakpoints,
     normalize,
     path_lifting,
     path_metric_exact_dominated,
@@ -26,6 +27,8 @@ from pathlift import (
 )
 from pathlift.metrics import _dominating
 
+from reference import reference_activation_breakpoints
+
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
@@ -35,14 +38,14 @@ def _le(a, b):
 
 
 @st.composite
-def networks(draw):
+def networks(draw, layers=st.integers(2, 5), widths=st.integers(1, 5)):
     """(arch, theta, rng): a random DAG with pools and skip edges, and
     parameters with some coordinates zeroed."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     arch = random_dag(
         rng,
-        max_layers=draw(st.integers(2, 5)),
-        max_width=draw(st.integers(1, 5)),
+        max_layers=draw(layers),
+        max_width=draw(widths),
         p_skip=draw(st.sampled_from([0.0, 0.25, 0.5])),
         p_kpool=draw(st.sampled_from([0.0, 0.25, 0.5])),
     )
@@ -113,3 +116,19 @@ def test_lower_and_upper_bounds_enclose_the_oracle(net, independent):
     assert _le(path_metric_lower(arch, t1, t2), oracle)
     assert _le(oracle, path_metric_upper(arch, t1, t2, refined=True))
     assert _le(oracle, path_metric_upper(arch, t1, t2))
+
+
+@PROPERTY
+@given(
+    # wider nets, partners up to e**2 apart and a wide x: about a quarter
+    # of the draws have activation changes to bisect
+    networks(layers=st.integers(3, 5), widths=st.integers(4, 6)),
+    st.sampled_from([1, 2, 3, 7, 32]),
+    st.sampled_from([0.0, 1e-10, 1e-2]),
+)
+def test_breakpoints_equal_the_reference_loop(net, samples, width):
+    arch, theta, rng = net
+    partner = ParamVector(arch, theta.vec * np.exp(rng.uniform(-2.0, 2.0, size=arch.n_coords)))
+    x = rng.normal(scale=3.0, size=arch.d_in)
+    got = activation_breakpoints(arch, theta, partner, x, samples=samples, width=width)
+    assert got == reference_activation_breakpoints(arch, theta, partner, x, samples=samples, width=width)
