@@ -291,7 +291,7 @@ class ParamVector:
             )
         if not np.isfinite(v).all():
             bad = np.flatnonzero(~np.isfinite(v))
-            shown = ", ".join(f"{arch.coord_labels[i]}={v[i]!r}" for i in bad[:5])
+            shown = ", ".join(f"{arch.coord_labels[i]}={float(v[i])!r}" for i in bad[:5])
             more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
             raise NonFiniteValue(f"non-finite parameter(s): {shown}{more}")
         if arch._pool_bias.size:

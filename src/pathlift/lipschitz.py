@@ -20,6 +20,7 @@ segmentation of [0, 1] telescope exactly.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -33,8 +34,9 @@ from .errors import (
     PathliftError,
     SignConditionViolated,
 )
+from .engine import run
 from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _count
-from .metrics import path_metric_exact_dominated, path_metric_lower, path_metric_oracle
+from .metrics import _lifting_pair, path_metric_exact_dominated, path_metric_lower, path_metric_oracle
 from .paths import path_activations, path_lifting
 
 HOLDS_RTOL = 1e-9
@@ -43,9 +45,12 @@ HOLDS_ATOL = 1e-12
 MAX_SAMPLED_ENTRIES = 1 << 27
 # halving levels per bisection pass, trading the fixed cost of a pass
 # against its 2**depth - 1 points per interval: bisecting 32 random DAGs
-# (up to 5 layers of 6) at samples=32 took 257, 152, 104, 108 and 131 ms
-# at depths 1-5 on a 2-CPU machine
-_BISECT_DEPTH = 3
+# (up to 5 layers of 6) took a median 144, 141, 136 and 141 ms of CPU at
+# depths 3-6 with samples=32 (where 6 runs as 5), and 147, 140, 141 and
+# 143 ms with samples=100, on a 2-CPU machine
+_BISECT_DEPTH = 5
+# scalar exponents that numpy's power hands to sqrt, square and reciprocal, not pow
+_SCALAR_POWERS = np.array([0.5, 2.0, -1.0])
 
 
 def check_sign_condition(t1: ParamVector, t2: ParamVector) -> None:
@@ -75,34 +80,46 @@ class BoundReport:
         )
 
 
-def _rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x, variant: str):
-    """(right-hand side at x, metric route, whether the metric is certified).
+def _rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x: np.ndarray, variant: str):
+    """(right-hand side at the checked input x, metric route, whether the
+    metric is certified), for a pair bound to ``arch`` with matching signs.
 
     The main variant takes the best available l1 path metric: the oracle,
     else the dominated value, else the norm-gap lower bound (uncertified).
     The split variant needs the lifting blocks, hence path enumeration.
+    Raises NonFiniteValue when the right-hand side overflows.
     """
-    _check_bound(arch, t1)
-    _check_bound(arch, t2)
-    check_sign_condition(t1, t2)
-    x = _check_input(arch, x)
     xinf = float(np.abs(x).max())
     if variant == "main":
         scale = max(xinf, 1.0)
         try:
-            return scale * path_metric_oracle(arch, t1, t2), "oracle", True
+            metric, method = path_metric_oracle(arch, t1, t2), "oracle"
         except PathExplosion:
-            pass
-        try:
-            return scale * path_metric_exact_dominated(arch, t1, t2), "dominated", True
-        except DominanceUnverified:
-            return scale * path_metric_lower(arch, t1, t2), "lower", False
-    if variant == "split":
-        l1 = path_lifting(arch, t1)
-        l2 = path_lifting(arch, t2)
-        gap = np.abs(l1.values - l2.values)
-        return float(xinf * gap[l1.input_start].sum() + gap[~l1.input_start].sum()), "oracle", True
-    raise PathliftError(f"unknown variant {variant!r}")
+            try:
+                metric, method = path_metric_exact_dominated(arch, t1, t2), "dominated"
+            except DominanceUnverified:
+                metric, method = path_metric_lower(arch, t1, t2), "lower"
+        rhs = scale * metric
+    elif variant == "split":
+        lift = _lifting_pair(arch, t1, t2)
+        gap = np.abs(lift.values[0] - lift.values[1])
+        with np.errstate(over="ignore"):
+            rhs = float(xinf * gap[lift.input_start].sum() + gap[~lift.input_start].sum())
+        method = "oracle"
+    else:
+        raise PathliftError(f"unknown variant {variant!r}")
+    if not np.isfinite(rhs):
+        raise NonFiniteValue(f"the right-hand side of the {variant} variant overflows float64")
+    return rhs, method, method != "lower"
+
+
+def _checked(arch: Architecture, t1: ParamVector, t2: ParamVector, x) -> np.ndarray:
+    """x as a checked input, once t1 and t2 are bound to ``arch`` with
+    matching signs."""
+    _check_bound(arch, t1)
+    _check_bound(arch, t2)
+    check_sign_condition(t1, t2)
+    return _check_input(arch, x)
 
 
 def bound_rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x, variant: str = "main") -> float:
@@ -110,16 +127,29 @@ def bound_rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x, variant: 
 
     Checks the sign condition and the length and finiteness of x first.
     The split variant needs the lifting blocks, hence path enumeration.
+    Raises NonFiniteValue when the right-hand side overflows float64.
     """
-    return _rhs(arch, t1, t2, x, variant)[0]
+    return _rhs(arch, t1, t2, _checked(arch, t1, t2, x), variant)[0]
 
 
 def verify_bound(
     arch: Architecture, t1: ParamVector, t2: ParamVector, x, variant: str = "main"
 ) -> BoundReport:
-    """Evaluate both sides of the bound on one (theta, theta', x) triple."""
+    """Evaluate both sides of the bound on one (theta, theta', x) triple.
+
+    Both outputs come from one engine pass over the stack of the two
+    parameter vectors, each bit for bit its own forward pass.  Raises
+    NonFiniteValue when an output or the right-hand side overflows
+    float64, rather than report a side that is not a number.
+    """
+    x = _checked(arch, t1, t2, x)
     rhs, method, certified = _rhs(arch, t1, t2, x, variant)
-    lhs = float(np.abs(forward(arch, t1, x) - forward(arch, t2, x)).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, _ = run(arch, np.stack((t1.vec, t2.vec)), x)
+        out = vals[:, arch.output_pos, 0]
+        lhs = float(np.abs(out[0] - out[1]).sum())
+    if not np.isfinite(lhs):
+        raise NonFiniteValue("the output gap at x overflows float64")
     holds = lhs <= rhs * (1.0 + HOLDS_RTOL) + HOLDS_ATOL
     return BoundReport(
         variant=variant,
@@ -149,17 +179,24 @@ def _check_trajectory(arch: Architecture, t1: ParamVector, t2: ParamVector) -> N
 
 def _trajectory_points(arch: Architecture, t1: ParamVector, t2: ParamVector, ts) -> np.ndarray:
     """(len(ts), n_coords) stack of the trajectory points at the float times
-    ``ts``, for a pair that passed :func:`_check_trajectory`.  Each row has
-    its own scalar exponents, as a single point does: numpy's power takes
-    fast paths for some scalar exponents, so one power broadcast over all
-    times would be a different computation.  kpool biases are pinned to 0;
-    raises NonFiniteValue when a point overflows."""
+    ``ts``, for a pair that passed :func:`_check_trajectory`, each row bit
+    for bit the point its scalar time gives.  One power broadcast over all
+    times computes every row, except where an exponent is one that numpy's
+    power with a scalar exponent hands to sqrt, square or reciprocal
+    (t or 1 - t in 0.5, 2, -1): those rows keep the scalar expression.
+    kpool biases are pinned to 0; raises NonFiniteValue when a point
+    overflows."""
     s, a1, a2 = np.sign(t1.vec), np.abs(t1.vec), np.abs(t2.vec)
+    t = np.asarray(ts, dtype=np.float64)[:, None]
+    u = 1.0 - t
     with np.errstate(over="ignore"):
-        stack = np.stack([s * a1 ** (1.0 - t) * a2 ** t for t in ts])
+        stack = s * a1**u * a2**t
+        for i in np.flatnonzero(((t == _SCALAR_POWERS) | (u == _SCALAR_POWERS)).any(axis=1)):
+            ti = float(t[i, 0])
+            stack[i] = s * a1 ** (1.0 - ti) * a2**ti
     bad = ~np.isfinite(stack).all(axis=1)
     if bad.any():
-        raise NonFiniteValue(f"the trajectory point at t={ts[int(np.argmax(bad))]!r} overflows float64")
+        raise NonFiniteValue(f"the trajectory point at t={float(t[np.argmax(bad), 0])!r} overflows float64")
     stack[:, arch._pool_bias] = 0.0
     return stack
 
@@ -210,10 +247,10 @@ def activation_breakpoints(
     the canonical paths whose activation flips there.  Two changes closer
     than 1/samples collapse into one located point.  The samples take one
     engine pass over the stack of their trajectory points.  Each round
-    then evaluates the next 3 halving levels of every interval still open
-    (the 7 midpoints it may visit) in one pass and replays the halvings
-    from them, so a call costs 1 + ceil(halvings / 3) passes.  A round
-    takes fewer levels when 7 points per open interval would pass the
+    then evaluates the next 5 halving levels of every interval still open
+    (the 31 midpoints it may visit) in one pass and replays the halvings
+    from them, so a call costs 1 + ceil(halvings / 5) passes.  A round
+    takes fewer levels when 31 points per open interval would pass the
     samples + 1 points of the sampling pass, which no pass exceeds.
     Every interval keeps its own bounds, as if it were bisected alone,
     one midpoint at a time.
@@ -250,7 +287,7 @@ def activation_breakpoints(
     ts = np.linspace(0.0, 1.0, samples + 1)
 
     def acts(times):
-        return path_activations(arch, _trajectory_points(arch, t1, t2, times.tolist()), x)
+        return path_activations(arch, _trajectory_points(arch, t1, t2, times), x)
 
     sampled = acts(ts)
     # a_lo stays the sample at lo: lo moves only onto points that match it
@@ -269,15 +306,15 @@ def activation_breakpoints(
         for s in (n >> k for k in range(1, depth + 1)):
             grid[:, s :: 2 * s] = 0.5 * (grid[:, : -s : 2 * s] + grid[:, 2 * s :: 2 * s])
         evaluated = acts(grid[:, 1:-1].ravel()).reshape(live.size, n - 1, -1)
+        matches = np.all(evaluated == a_lo[live][:, None, :], axis=2)
         # replay the one-level halvings, each interval from its middle point
         row, pos, step = np.arange(live.size), np.full(live.size, n // 2), n // 2
         while step and live.size:
-            mid, am = grid[row, pos], evaluated[row, pos - 1]
-            same = np.all(am == a_lo[live], axis=1)
+            mid, same = grid[row, pos], matches[row, pos - 1]
             split = (mid != lo[live]) & (mid != hi[live])  # else the midpoint rounded onto an end
             lo[live[same]] = mid[same]
             hi[live[~same]] = mid[~same]
-            a_hi[live[~same]] = am[~same]
+            a_hi[live[~same]] = evaluated[row[~same], pos[~same] - 1]
             step //= 2
             pos = np.where(same, pos + step, pos - step)
             keep = split & (hi[live] - lo[live] > width)
@@ -342,7 +379,12 @@ def equality_witness(d: int, a: float, b: float, x0: float) -> EqualityWitness:
     t2 = _chain_params(arch, float(b))
     x = np.array([float(x0)])
     report = verify_bound(arch, t1, t2, x, variant="split")
-    predicted = abs(float(a) ** d - float(b) ** d) * float(x0)
+    try:
+        predicted = abs(float(a) ** d - float(b) ** d) * float(x0)
+    except OverflowError:  # a float raised to an int overflows with an exception
+        predicted = math.inf
+    if not math.isfinite(predicted):
+        raise NonFiniteValue("the predicted gap |a**d - b**d| * x0 overflows float64")
     return EqualityWitness(arch, t1, t2, x, report, predicted)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .engine import _BLOCK_ELEMS, Tape, gradient, run
 from .errors import DominanceUnverified, NonFiniteValue, PathExplosion, PathliftError, RaggedLayers
 from .graph import Architecture, ParamVector, _check_bound
-from .paths import max_path_length, path_lifting
+from .paths import PathLifting, max_path_length, path_lifting
 from .transforms import hidden_positions, normalize
 
 
@@ -84,11 +84,35 @@ def _pathnorm_diffs(arch: Architecture, theta: ParamVector) -> np.ndarray:
     return values
 
 
+def _lifting_pair(arch: Architecture, t1: ParamVector, t2: ParamVector) -> PathLifting:
+    """The path liftings of t1 and t2 as one stacked :func:`path_lifting`,
+    row i bit for bit the lifting of its vector.  A stack skips the binding
+    check of a ParamVector, so both are checked here.  Raises
+    NonFiniteValue when a lifting coordinate overflows."""
+    _check_bound(arch, t1)
+    _check_bound(arch, t2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lift = path_lifting(arch, np.stack((t1.vec, t2.vec)))
+    if not np.isfinite(lift.values).all():
+        raise NonFiniteValue("the path lifting overflows float64")
+    return lift
+
+
+def _l1_gap(lift: PathLifting) -> float:
+    """l1 distance between the two rows of a stacked pair of liftings;
+    raises NonFiniteValue when it overflows."""
+    with np.errstate(over="ignore"):
+        gap = float(np.sum(np.abs(lift.values[0] - lift.values[1])))
+    if not np.isfinite(gap):
+        raise NonFiniteValue("the path metric overflows float64")
+    return gap
+
+
 def path_metric_oracle(arch: Architecture, t1: ParamVector, t2: ParamVector) -> float:
-    """l1 distance between the two path liftings, by enumeration."""
-    p1 = path_lifting(arch, t1).values
-    p2 = path_lifting(arch, t2).values
-    return float(np.sum(np.abs(p1 - p2)))
+    """l1 distance between the two path liftings, by enumeration (one
+    stacked lifting).  Raises NonFiniteValue when a lifting or the
+    distance overflows float64."""
+    return _l1_gap(_lifting_pair(arch, t1, t2))
 
 
 def path_metric_lower(arch: Architecture, t1: ParamVector, t2: ParamVector) -> float:
@@ -124,14 +148,13 @@ def path_metric_exact_dominated(arch: Architecture, t1: ParamVector, t2: ParamVe
     if pair is not None:
         return _dominated_gap(arch, *pair)
     try:
-        p1 = path_lifting(arch, t1).values
-        p2 = path_lifting(arch, t2).values
+        lift = _lifting_pair(arch, t1, t2)
     except PathExplosion as exc:
         raise DominanceUnverified("neither parameter vector dominates with matching signs "
                                   "and the liftings are too large to compare") from exc
-    if _dominating(t1, t2, p1, p2) is None:
+    if _dominating(t1, t2, *lift.values) is None:
         raise DominanceUnverified("neither path lifting dominates the other with matching signs")
-    return float(np.sum(np.abs(p1 - p2)))
+    return _l1_gap(lift)
 
 
 def _dominated_gap(arch: Architecture, big: ParamVector, small: ParamVector) -> float:

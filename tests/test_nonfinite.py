@@ -15,8 +15,8 @@ from pathlift.errors import (
 )
 from pathlift.experiment import ExperimentConfig, accuracy, epoch_seeds, sgd_train
 from pathlift.graph import Architecture, ParamVector, forward
-from pathlift.lipschitz import activation_breakpoints
-from pathlift.metrics import path_norm_fast
+from pathlift.lipschitz import activation_breakpoints, bound_rhs, equality_witness, verify_bound
+from pathlift.metrics import path_metric_oracle, path_norm_fast
 from pathlift.netfile import load_network, save_network
 from pathlift.paths import enumerate_paths, path_activations
 from pathlift.pruning import apply_prune, magnitude_scores, obd_fd_scores
@@ -158,3 +158,65 @@ def test_parameters_and_inputs_that_are_not_numbers_raise_dimension_mismatch(dia
     ):
         with pytest.raises(DimensionMismatch):
             call()
+
+
+def _chain_pair(w1, w2, depth=2):
+    """A ReLU chain with every weight w1 on one side and w2 on the other."""
+    arch = _relu_chain(depth, 1.0)[0]
+    return arch, ParamVector(arch, np.r_[np.full(depth, w1), np.zeros(depth)]), \
+        ParamVector(arch, np.r_[np.full(depth, w2), np.zeros(depth)])
+
+
+def test_path_metric_oracle_refuses_an_overflowing_lifting(tmp_path, capsys):
+    # the input path weighs 4e400 on one side and 9e400 on the other
+    arch, t1, t2 = _chain_pair(2e200, 3e200)
+    with pytest.raises(NonFiniteValue, match="overflows"):
+        path_metric_oracle(arch, t1, t2)
+    save_network(tmp_path / "o1.json", arch, t1)
+    save_network(tmp_path / "o2.json", arch, t2)
+    for flag in ("--oracle", "--lower", "--exact"):
+        assert main(["pathmetric", str(tmp_path / "o1.json"), str(tmp_path / "o2.json"), flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "overflows float64" in captured.err
+
+
+@pytest.mark.parametrize("variant", ["main", "split"])
+def test_the_bound_refuses_sides_that_are_not_numbers(variant):
+    # both liftings overflow: the sides read nan <= nan: VIOLATED unchecked
+    arch, t1, t2 = _chain_pair(1e200, 2e200)
+    with pytest.raises(NonFiniteValue, match="overflows"):
+        verify_bound(arch, t1, t2, [1.0], variant=variant)
+    with pytest.raises(NonFiniteValue, match="overflows"):
+        bound_rhs(arch, t1, t2, [1.0], variant=variant)
+    # a finite right-hand side (about 1e301) with outputs of about 2e308
+    arch, t1, t2 = _chain_pair(2.0, 2.0 + 1e-7, depth=1)
+    assert np.isfinite(bound_rhs(arch, t1, t2, [1e308], variant=variant))
+    with pytest.raises(NonFiniteValue, match="output gap"):
+        verify_bound(arch, t1, t2, [1e308], variant=variant)
+    # the metric is finite, max(|x|, 1) times it is not
+    arch, t1, t2 = _chain_pair(1e150, 2e150)
+    with pytest.raises(NonFiniteValue, match=f"right-hand side of the {variant} variant"):
+        bound_rhs(arch, t1, t2, [1e10], variant=variant)
+
+
+@pytest.mark.parametrize("args", [("2", "1e200", "1", "1"), ("2", "1e154", "1", "1e10")])
+def test_equality_witness_refuses_an_overflow(args, capsys):
+    with pytest.raises(NonFiniteValue, match="overflows"):
+        equality_witness(int(args[0]), *map(float, args[1:]))
+    assert main(["witness", "--equality", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "overflows float64" in captured.err
+
+
+def test_the_non_finite_parameter_message_prints_plain_floats(chain2, tmp_path, capsys):
+    with pytest.raises(NonFiniteValue) as err:
+        ParamVector(chain2, [np.inf, np.float64(np.nan), 0.0, 0.0])
+    assert str(err.value) == "non-finite parameter(s): in->m=inf, m->out=nan"
+    # normalizing weights of 2e200 and 3e200 moves 4e400 onto the last edge
+    arch, t1, t2 = _chain_pair(2e200, 3e200)
+    save_network(tmp_path / "o1.json", arch, t1)
+    save_network(tmp_path / "o2.json", arch, t2)
+    assert main(["pathmetric", str(tmp_path / "o1.json"), str(tmp_path / "o2.json"), "--upper"]) == 1
+    assert capsys.readouterr().err == "error: non-finite parameter(s): m001->out=inf\n"
