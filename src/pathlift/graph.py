@@ -20,9 +20,9 @@ to an integer key once, the checks run on those keys and on fan-in and
 fan-out counts, and the canonical edge order is one argsort.  The edges
 are kept as one CSR layout: ``src``/``dst`` (each canonical edge's end
 positions) and ``in_ptr`` (neuron j's incoming edges are the coordinates
-``in_ptr[j]:in_ptr[j + 1]``).  ``depth``, ``levels`` and the id views
-(``edges``, ``edge_index``, ``coord_labels``) are built on first access;
-the passes, the path norm and the path-metric bounds read no id view.
+``in_ptr[j]:in_ptr[j + 1]``).  ``depth``, ``levels`` and the id view
+``coord_labels`` are built on first access; the passes, the path norm and
+the path-metric bounds read no id view.
 """
 
 from __future__ import annotations
@@ -188,22 +188,11 @@ class Architecture:
 
     # ---- views built on first access -----------------------------------
 
-    def _id_pairs(self):
-        """(source id, destination id) per edge, in canonical order."""
-        return zip(*(map(self.ids.__getitem__, a.tolist()) for a in (self.src, self.dst)))
-
-    @cached_property
-    def edges(self) -> tuple:
-        return tuple(self._id_pairs())
-
-    @cached_property
-    def edge_index(self) -> dict:
-        return dict(zip(self.edges, range(self.n_edges)))
-
     @cached_property
     def coord_labels(self) -> tuple:
+        edges = zip(*(map(self.ids.__getitem__, a.tolist()) for a in (self.src, self.dst)))
         biases = (f"bias({self.ids[j]})" for j in self.non_input_pos.tolist())
-        return (*map("->".join, self._id_pairs()), *biases)
+        return (*map("->".join, edges), *biases)
 
     @cached_property
     def depth(self) -> np.ndarray:
@@ -254,9 +243,6 @@ class Architecture:
         except KeyError:
             raise UnknownNeuron(f"no neuron named {nid!r}") from None
 
-    def neuron_decls(self):
-        return [(nid, tag) for nid, tag in zip(self.ids, self.tags)]
-
     def __eq__(self, other):
         if not isinstance(other, Architecture):
             return NotImplemented
@@ -301,48 +287,17 @@ class ParamVector:
         self.vec = v
 
     @classmethod
-    def from_maps(
-        cls,
-        arch: Architecture,
-        weights: Mapping,
-        biases: Mapping | None = None,
-    ) -> "ParamVector":
-        v = np.zeros(arch.n_coords)
-        for (u, w), val in weights.items():
-            key = (str(u), str(w))
-            if key not in arch.edge_index:
-                raise UnknownNeuron(f"no edge {key[0]}->{key[1]}")
-            v[arch.edge_index[key]] = val
-        return cls._with_biases(arch, v, biases)
-
-    @classmethod
     def _from_given_order(cls, arch: Architecture, weights, biases: Mapping) -> "ParamVector":
         """Weights listed in the order the edges were given to the
-        architecture's constructor; biases as in :meth:`from_maps`."""
+        architecture's constructor; biases by neuron id."""
         v = np.zeros(arch.n_coords)
         v[arch._given_coord] = weights
-        return cls._with_biases(arch, v, biases)
-
-    @classmethod
-    def _with_biases(cls, arch: Architecture, v: np.ndarray, biases) -> "ParamVector":
-        for nid, val in (biases or {}).items():
+        for nid, val in biases.items():
             j = arch.position(nid)
             if arch.bias_coord[j] < 0:
                 raise UnknownNeuron(f"input neuron {nid} has no bias")
             v[arch.bias_coord[j]] = val
         return cls(arch, v)
-
-    def weight(self, u, v) -> float:
-        key = (str(u), str(v))
-        if key not in self.arch.edge_index:
-            raise UnknownNeuron(f"no edge {key[0]}->{key[1]}")
-        return float(self.vec[self.arch.edge_index[key]])
-
-    def bias(self, nid) -> float:
-        j = self.arch.position(nid)
-        if self.arch.bias_coord[j] < 0:
-            raise UnknownNeuron(f"input neuron {nid} has no bias")
-        return float(self.vec[self.arch.bias_coord[j]])
 
     def replace(self, updates: Mapping[int, float]) -> "ParamVector":
         """New vector with coordinates (by flat index) replaced."""

@@ -177,16 +177,18 @@ def _check_trajectory(arch: Architecture, t1: ParamVector, t2: ParamVector) -> N
         )
 
 
-def _trajectory_points(arch: Architecture, t1: ParamVector, t2: ParamVector, ts) -> np.ndarray:
+def _trajectory_points(t1: ParamVector, t2: ParamVector, ts) -> np.ndarray:
     """(len(ts), n_coords) stack of the trajectory points at the float times
     ``ts``, for a pair that passed :func:`_check_trajectory`, each row bit
     for bit the point its scalar time gives.  One power broadcast over all
     times computes every row, except where an exponent is one that numpy's
     power with a scalar exponent hands to sqrt, square or reciprocal
     (t or 1 - t in 0.5, 2, -1): those rows keep the scalar expression.
-    kpool biases are pinned to 0; raises NonFiniteValue when a point
-    overflows."""
-    s, a1, a2 = np.sign(t1.vec), np.abs(t1.vec), np.abs(t2.vec)
+    Coordinates zero on both sides (kpool biases among them) take base 1,
+    as 0 ** (1 - t) is inf for t > 1, so they stay s = 0 at any t; raises
+    NonFiniteValue when a point overflows."""
+    s = np.sign(t1.vec)
+    a1, a2 = np.where(s == 0.0, 1.0, np.abs([t1.vec, t2.vec]))
     t = np.asarray(ts, dtype=np.float64)[:, None]
     u = 1.0 - t
     with np.errstate(over="ignore"):
@@ -197,7 +199,6 @@ def _trajectory_points(arch: Architecture, t1: ParamVector, t2: ParamVector, ts)
     bad = ~np.isfinite(stack).all(axis=1)
     if bad.any():
         raise NonFiniteValue(f"the trajectory point at t={float(t[np.argmax(bad), 0])!r} overflows float64")
-    stack[:, arch._pool_bias] = 0.0
     return stack
 
 
@@ -210,17 +211,13 @@ def trajectory_point(t1: ParamVector, t2: ParamVector, t: float) -> ParamVector:
     """
     arch = t1.arch
     _check_trajectory(arch, t1, t2)
-    return ParamVector(arch, _trajectory_points(arch, t1, t2, [float(t)])[0])
+    return ParamVector(arch, _trajectory_points(t1, t2, [float(t)])[0])
 
 
 @dataclass(frozen=True)
 class Breakpoint:
     t: float
     changed_paths: tuple
-
-    @property
-    def n_changed(self) -> int:
-        return len(self.changed_paths)
 
 
 @dataclass(frozen=True)
@@ -287,7 +284,7 @@ def activation_breakpoints(
     ts = np.linspace(0.0, 1.0, samples + 1)
 
     def acts(times):
-        return path_activations(arch, _trajectory_points(arch, t1, t2, times), x)
+        return path_activations(arch, _trajectory_points(t1, t2, times), x)
 
     sampled = acts(ts)
     # a_lo stays the sample at lo: lo moves only onto points that match it
@@ -325,7 +322,7 @@ def activation_breakpoints(
     ]
 
     boundaries = (0.0,) + tuple(bp.t for bp in found) + (1.0,)
-    liftings = path_lifting(arch, _trajectory_points(arch, t1, t2, boundaries)).values
+    liftings = path_lifting(arch, _trajectory_points(t1, t2, boundaries)).values
     seg = sum(float(np.abs(b - a).sum()) for a, b in zip(liftings[:-1], liftings[1:]))
     endpoint = float(np.sum(np.abs(liftings[0] - liftings[-1])))
     denom = max(abs(seg), abs(endpoint), 1e-300)

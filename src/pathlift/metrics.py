@@ -162,10 +162,16 @@ def _dominated_gap(arch: Architecture, big: ParamVector, small: ParamVector) -> 
     sum_i (|big_i| - |small_i|) * G_i >= 0: G is the gradient of the sum-pool
     pass of |small| on the tape of |big| (the |big| products before i times
     the |small| ones after).  The tape is 0 at a relu neuron only where every
-    |big| product reaching it is, so its masks drop no nonzero term."""
+    |big| product reaching it is, so its masks drop no nonzero term.  Raises
+    NonFiniteValue when a term of the sum overflows, as G_i can though the
+    metric is finite."""
     w, _, tape = _sum_pool_tape(arch, big)
     b = np.abs(small.vec)
-    return float((w - b) @ _sum_pool_sweep(arch, b, tape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = float((w - b) @ _sum_pool_sweep(arch, b, tape))
+    if not np.isfinite(gap):
+        raise NonFiniteValue("the telescoped path-metric gap overflows float64")
+    return gap
 
 
 def _coarse_width(arch: Architecture) -> int:

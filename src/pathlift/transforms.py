@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import IneligibleNeuron, NonPositiveFactor, ParseError
+from .errors import IneligibleNeuron, NonFiniteValue, NonPositiveFactor, ParseError
 from .graph import KPOOL, Architecture, ParamVector, _check_bound
 
 
@@ -94,7 +94,8 @@ def normalize(arch: Architecture, theta: ParamVector, include_kpool: bool = Fals
     weights and bias, come out zero.  Afterwards every visited neuron has
     incoming l1 norm 0 or 1, the path lifting and the network function are
     unchanged, running the map again is a no-op, and rescaled copies of
-    theta map to the same vector.
+    theta map to the same vector.  Raises NonFiniteValue when the
+    normalized copy overflows.
 
     kpool neurons are skipped by default so that pooling windows keep their
     native scale; pass include_kpool=True to normalize them as well (pooling
@@ -113,4 +114,7 @@ def normalize(arch: Architecture, theta: ParamVector, include_kpool: bool = Fals
         div = np.where(lam > 0.0, lam, np.inf)  # dividing by inf zeroes what is left on a dead neuron
         v[: arch.n_edges] = v[: arch.n_edges] * lam[src] / div[arch.dst]
         v[arch.n_edges :] /= div[arch.non_input_pos]
-    return ParamVector(arch, v)
+    try:
+        return ParamVector(arch, v)
+    except NonFiniteValue:
+        raise NonFiniteValue("normalizing the parameters overflows float64") from None

@@ -67,10 +67,29 @@ def random_cases(n: int, seed: int, zero_frac: float = 0.0, **dag_kw):
     return cases
 
 
+def edge_ids(arch: Architecture) -> tuple:
+    """(source id, destination id) per edge, in canonical order, read from src/dst."""
+    return tuple((arch.ids[u], arch.ids[v]) for u, v in zip(arch.src.tolist(), arch.dst.tolist()))
+
+
+def weight(theta: ParamVector, u, v) -> float:
+    """The weight of the edge u->v, found by the positions of its ends."""
+    arch = theta.arch
+    (i,) = np.flatnonzero((arch.src == arch.position(u)) & (arch.dst == arch.position(v)))
+    return float(theta.vec[i])
+
+
+def bias(theta: ParamVector, nid) -> float:
+    """The bias of the non-input neuron nid."""
+    i = theta.arch.bias_coord[theta.arch.position(nid)]
+    assert i >= 0, f"input neuron {nid} has no bias"
+    return float(theta.vec[i])
+
+
 def oracle_paths(arch: Architecture):
     """Independent path enumeration by depth-first walk over successors."""
     succ = {nid: [] for nid in arch.ids}
-    for u, v in arch.edges:
+    for u, v in edge_ids(arch):
         succ[u].append(v)
     outputs = {arch.ids[j] for j in arch.output_pos}
     found = []
@@ -90,10 +109,11 @@ def oracle_paths(arch: Architecture):
 def oracle_phi(arch: Architecture, theta: ParamVector, paths) -> np.ndarray:
     """Per-path products straight from the definition."""
     inputs = {arch.ids[j] for j in arch.input_pos}
+    coord = dict(zip(edge_ids(arch), range(arch.n_edges)))
     vals = []
     for p in paths:
-        v = 1.0 if p[0] in inputs else theta.bias(p[0])
-        for u, w in zip(p, p[1:]):
-            v *= theta.weight(u, w)
+        v = 1.0 if p[0] in inputs else bias(theta, p[0])
+        for e in zip(p, p[1:]):
+            v *= theta.vec[coord[e]]
         vals.append(v)
     return np.asarray(vals)

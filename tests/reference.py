@@ -166,7 +166,10 @@ def reference_positions(arch):
 
 
 def _edge(arch, u, v):
-    return arch.edge_index[(arch.ids[u], arch.ids[v])]
+    """The coordinate of the edge from position u to position v: v's incoming
+    edges are the coordinates in_ptr[v]:in_ptr[v + 1], their sources in src."""
+    a = int(arch.in_ptr[v])
+    return a + arch.src[a : arch.in_ptr[v + 1]].tolist().index(u)
 
 
 def reference_lifting(arch, theta):
@@ -324,7 +327,7 @@ class ReferenceArchitecture(Architecture):
         canon_edges = sorted(edge_list, key=lambda e: (self.pos[e[1]], self.pos[e[0]]))
         self.edges: tuple = tuple(canon_edges)
         self.n_edges = len(canon_edges)
-        self.edge_index = {e: i for i, e in enumerate(canon_edges)}
+        coord = {e: i for i, e in enumerate(canon_edges)}
 
         self.is_input = self.kinds == INPUT
         self.input_pos = np.flatnonzero(self.is_input)
@@ -349,11 +352,11 @@ class ReferenceArchitecture(Architecture):
             aj = sorted((self.pos[u] for u in ants[nid]))
             self.ant.append(np.asarray(aj, dtype=np.int64))
             self.in_coords.append(
-                np.asarray([self.edge_index[(self.ids[a], nid)] for a in aj], dtype=np.int64)
+                np.asarray([coord[(self.ids[a], nid)] for a in aj], dtype=np.int64)
             )
             sj = sorted((self.pos[v] for v in sucs[nid]))
             self.out_coords.append(
-                np.asarray([self.edge_index[(nid, self.ids[s])] for s in sj], dtype=np.int64)
+                np.asarray([coord[(nid, self.ids[s])] for s in sj], dtype=np.int64)
             )
 
         # the CSR layout, one edge at a time
@@ -382,8 +385,8 @@ def reference_save(fh, arch, theta):
             for nid, tag in zip(arch.ids, arch.tags)
         ],
         "edges": [
-            {"src": u, "dst": v, "weight": float(theta.vec[i])}
-            for i, (u, v) in enumerate(arch.edges)
+            {"src": arch.ids[u], "dst": arch.ids[v], "weight": float(theta.vec[i])}
+            for i, (u, v) in enumerate(zip(arch.src.tolist(), arch.dst.tolist()))
         ],
         "biases": {
             arch.ids[j]: float(theta.vec[arch.bias_coord[j]])
@@ -438,8 +441,8 @@ def reference_rescale(arch, theta, factors):
     for nid, f in factors.items():
         lam[arch.position(nid)] = float(f)
     v = theta.vec.copy()
-    for i, (u, w) in enumerate(arch.edges):
-        v[i] *= lam[arch.pos[w]] / lam[arch.pos[u]]
+    for i, (u, w) in enumerate(zip(arch.src.tolist(), arch.dst.tolist())):
+        v[i] *= lam[w] / lam[u]
     for j in range(arch.n_neurons):
         if arch.bias_coord[j] >= 0:
             v[arch.bias_coord[j]] *= lam[j]

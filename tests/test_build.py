@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pathlift import Architecture, ArchitectureError, conv_grid_architecture, mlp_architecture, random_dag
+from conftest import edge_ids
 from reference import ReferenceArchitecture, neuron_lists
 
 
@@ -32,8 +33,8 @@ def _assert_all_alike(got, want):
     """Every attribute the reference builds, read from ``got`` by getattr,
     so views built on first access are compared too; the per-neuron lists
     the reference keeps are compared with those sliced from ``got``'s CSR
-    arrays."""
-    lists = dict(zip(("ant", "in_coords", "out_coords"), neuron_lists(got)))
+    arrays, and its edge ids with those read from ``got``'s src/dst."""
+    lists = dict(zip(("ant", "in_coords", "out_coords"), neuron_lists(got)), edges=edge_ids(got))
     for name, value in _public(want).items():
         _assert_same(lists[name] if name in lists else getattr(got, name), value, name)
 
@@ -46,8 +47,8 @@ def _assert_builds_alike(neurons, edges):
 
 
 def _shuffled(arch, rng):
-    neurons = arch.neuron_decls()
-    edges = list(arch.edges)
+    neurons = list(zip(arch.ids, arch.tags))
+    edges = edge_ids(arch)
     return [neurons[i] for i in rng.permutation(len(neurons))], [edges[i] for i in rng.permutation(len(edges))]
 
 
@@ -57,7 +58,7 @@ def test_build_matches_reference_on_random_dags():
         rng = np.random.default_rng(child)
         arch = random_dag(rng, max_layers=5, max_width=6, p_skip=0.5, p_kpool=0.4)
         kpools += int(np.sum(arch.pool_k > 0))
-        skips += sum(int(u[1]) < int(v[1]) - 1 for u, v in arch.edges)  # ids are L<layer>n<i>
+        skips += sum(int(u[1]) < int(v[1]) - 1 for u, v in edge_ids(arch))  # ids are L<layer>n<i>
         _assert_builds_alike(*_shuffled(arch, rng))
     assert kpools and skips
 
@@ -210,8 +211,8 @@ def test_build_matches_reference_with_ids_against_the_topological_order():
         rng = np.random.default_rng(child)
         arch = random_dag(rng, max_layers=5, max_width=6, p_skip=0.5, p_kpool=0.4)
         name = dict(zip(arch.ids, (f"v{i:03d}" for i in rng.permutation(arch.n_neurons))))
-        neurons = [(name[nid], tag) for nid, tag in arch.neuron_decls()]
-        edges = [(name[u], name[v]) for u, v in arch.edges]
+        neurons = [(name[nid], tag) for nid, tag in zip(arch.ids, arch.tags)]
+        edges = [(name[u], name[v]) for u, v in edge_ids(arch)]
         against += any(u > v for u, v in edges)
         _assert_builds_alike(*_shuffled(Architecture(neurons, edges), rng))
     assert against >= 50

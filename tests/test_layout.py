@@ -1,4 +1,5 @@
-"""Module layout: one home for the path table and one for the sum-pool pass.
+"""Module layout: one home for the path table and one for the sum-pool pass,
+and no class member that only the tests read.
 
 Only ``paths`` reads the path table (``_table``, ``_row_products``,
 ``_build_table``); every other module goes through ``path_lifting`` and
@@ -7,15 +8,18 @@ Only ``paths`` reads the path table (``_table``, ``_row_products``,
 per-coordinate norm differences reach it through ``metrics``.  The path
 cap has one setting, ``PATHLIFT_PATH_CAP``, read only by ``paths``, and no
 function takes a ``cap`` or an ``eps``: values no caller varies are
-constants.
+constants.  Every public method and property of a class is read as an
+attribute in the package or named as one in ``bench/``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pathlift
 
 SRC = Path(pathlift.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 TABLE_NAMES = {"_table", "_row_products", "_build_table"}
 CONSTANT_NAMES = {"cap", "eps"}
 
@@ -69,3 +73,28 @@ def test_the_path_cap_and_the_step_are_no_parameters():
     )
     cap_readers = sorted(m for m, text in texts.items() if "PATHLIFT_PATH_CAP" in text)
     assert (declared, cap_readers) == ([], ["paths"])
+
+
+def _attributes(tree):
+    """Every name the module reads as an attribute, ``.name``."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _members(tree):
+    """(class, name) for every public method and property of every class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    yield node.name, item.name
+
+
+def test_every_class_member_has_a_reader_outside_the_tests():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(_attributes, trees.values()))
+    bench = "\n".join(p.read_text() for p in sorted(BENCH.glob("*.py")))
+    unread = sorted(
+        f"{m}.{cls}.{name}" for m, tree in trees.items() for cls, name in _members(tree)
+        if name not in read and not re.search(rf"\.{name}\b", bench)
+    )
+    assert unread == []

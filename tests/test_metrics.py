@@ -30,7 +30,7 @@ from pathlift import (
     same_sign_partner,
 )
 from pathlift.metrics import _discrepancy_sums
-from conftest import pool_arch, pool_theta, random_cases
+from conftest import bias, edge_ids, pool_arch, pool_theta, random_cases, weight
 from reference import reference_refined_parts, reference_upper_refined
 
 
@@ -323,9 +323,9 @@ def test_mlp_params_follow_edge_index_and_round_trip():
     theta = mlp_params(arch, mats, biases)
     for l, m in enumerate(mats):
         for i in range(m.shape[0]):
-            assert theta.bias(f"L{l + 1}n{i:03d}") == biases[l][i]
+            assert bias(theta, f"L{l + 1}n{i:03d}") == biases[l][i]
             for j in range(m.shape[1]):
-                assert theta.weight(f"L{l}n{j:03d}", f"L{l + 1}n{i:03d}") == m[i, j]
+                assert weight(theta, f"L{l}n{j:03d}", f"L{l + 1}n{i:03d}") == m[i, j]
     for got, want in zip(mlp_matrices(arch, theta), mats):
         np.testing.assert_array_equal(got, want)
     with pytest.raises(RaggedLayers):
@@ -334,15 +334,16 @@ def test_mlp_params_follow_edge_index_and_round_trip():
 
 def test_mlp_params_reject_incomplete_layers():
     full = mlp_architecture((2, 3, 2))
-    missing = [e for e in full.edges if e != ("L0n000", "L1n000")]
-    arch = Architecture(full.neuron_decls(), missing)
+    neurons = list(zip(full.ids, full.tags))
+    missing = [e for e in edge_ids(full) if e != ("L0n000", "L1n000")]
+    arch = Architecture(neurons, missing)
     mats = [np.ones((3, 2)), np.ones((2, 3))]
     with pytest.raises(RaggedLayers):
         mlp_params(arch, mats)
     with pytest.raises(RaggedLayers):
         mlp_matrices(arch, ParamVector(arch, np.zeros(arch.n_coords)))
     # a skip edge breaks the layering too
-    skip = Architecture(full.neuron_decls(), list(full.edges) + [("L0n000", "L2n000")])
+    skip = Architecture(neurons, [*edge_ids(full), ("L0n000", "L2n000")])
     with pytest.raises(RaggedLayers):
         mlp_matrices(skip, ParamVector(skip, np.zeros(skip.n_coords)))
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pathlift import Architecture, ParamVector, conv_grid_architecture, random_dag, random_params
 from pathlift.netfile import load_network, save_network
+from conftest import edge_ids
 from reference import reference_save
 
 _AWKWARD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-300, 1.7e308, -1.7e308, 0.1, 1 / 3]
@@ -44,8 +45,8 @@ def test_save_is_json_dump_and_load_is_bit_exact(seed, data):
     names = data.draw(st.lists(_ids, min_size=shape.n_neurons, max_size=shape.n_neurons, unique=True))
     name = dict(zip(shape.ids, names))
     arch = Architecture(
-        [(name[nid], tag) for nid, tag in shape.neuron_decls()],
-        [(name[u], name[v]) for u, v in shape.edges],
+        [(name[nid], tag) for nid, tag in zip(shape.ids, shape.tags)],
+        [(name[u], name[v]) for u, v in edge_ids(shape)],
     )
     values = data.draw(st.lists(_floats, min_size=arch.n_coords, max_size=arch.n_coords))
     _assert_round_trip(arch, ParamVector(arch, values))
@@ -72,5 +73,9 @@ def test_load_places_weights_listed_in_any_order():
         arch2, theta2 = load_network(io.StringIO(json.dumps(doc)))
         assert arch2 == arch
         weights = {(e["src"], e["dst"]): e["weight"] for e in doc["edges"]}
-        assert np.array_equal(theta2.vec, ParamVector.from_maps(arch, weights, doc["biases"]).vec)
+        want = np.zeros(arch.n_coords)
+        want[: arch.n_edges] = [weights[e] for e in edge_ids(arch)]
+        for nid, b in doc["biases"].items():
+            want[arch.bias_coord[arch.position(nid)]] = b
+        assert np.array_equal(theta2.vec, ParamVector(arch, want).vec)
         assert np.array_equal(theta2.vec, theta.vec)

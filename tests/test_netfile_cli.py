@@ -14,7 +14,7 @@ from pathlift.experiment import ExperimentConfig, run_experiment
 from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.netfile import load_network, save_network
 
-from conftest import diamond_arch, diamond_theta, pool_arch, pool_theta
+from conftest import bias, diamond_arch, diamond_theta, pool_arch, pool_theta
 
 
 def _write_diamond(tmp_path, name="net.json"):
@@ -157,8 +157,8 @@ def test_kpool_bias_pinned_on_load(tmp_path):
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
     arch, theta = load_network(path)
-    assert theta.bias("m") == 0.0
-    assert theta.bias("out") == 0.25
+    assert bias(theta, "m") == 0.0
+    assert bias(theta, "out") == 0.25
 
 
 def _huge_integer_doc(tmp_path, where):

@@ -15,12 +15,14 @@ from pathlift.errors import (
 )
 from pathlift.experiment import ExperimentConfig, accuracy, epoch_seeds, sgd_train
 from pathlift.graph import Architecture, ParamVector, forward
-from pathlift.lipschitz import activation_breakpoints, bound_rhs, equality_witness, verify_bound
-from pathlift.metrics import path_metric_oracle, path_norm_fast
+from pathlift.lipschitz import (
+    activation_breakpoints, bound_rhs, equality_witness, trajectory_point, verify_bound,
+)
+from pathlift.metrics import path_metric_exact_dominated, path_metric_oracle, path_norm_fast
 from pathlift.netfile import load_network, save_network
 from pathlift.paths import enumerate_paths, path_activations
 from pathlift.pruning import apply_prune, magnitude_scores, obd_fd_scores
-from pathlift.transforms import random_rescaling, rescale
+from pathlift.transforms import normalize, random_rescaling, rescale
 
 from conftest import chain2_arch
 
@@ -30,8 +32,6 @@ def test_param_vector_rejects_non_finite(chain2):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(NonFiniteValue, match="in->m"):
             ParamVector(chain2, [bad, 1.0, 0.0, 0.0])
-    with pytest.raises(NonFiniteValue):
-        ParamVector.from_maps(chain2, {("in", "m"): float("nan")})
     theta = ParamVector(chain2, [1.0, 1.0, 0.0, 0.0])
     with pytest.raises(NonFiniteValue):
         theta.replace({1: float("inf")})
@@ -40,7 +40,7 @@ def test_param_vector_rejects_non_finite(chain2):
 def test_load_network_and_cli_reject_nan(tmp_path, capsys):
     arch = chain2_arch()
     doc = {
-        "neurons": [{"id": nid, "activation": tag} for nid, tag in arch.neuron_decls()],
+        "neurons": [{"id": nid, "activation": tag} for nid, tag in zip(arch.ids, arch.tags)],
         "edges": [
             {"src": "in", "dst": "m", "weight": float("nan")},
             {"src": "m", "dst": "out", "weight": 1.0},
@@ -218,5 +218,39 @@ def test_the_non_finite_parameter_message_prints_plain_floats(chain2, tmp_path, 
     arch, t1, t2 = _chain_pair(2e200, 3e200)
     save_network(tmp_path / "o1.json", arch, t1)
     save_network(tmp_path / "o2.json", arch, t2)
+    with pytest.raises(NonFiniteValue, match="^normalizing the parameters overflows float64$"):
+        normalize(arch, t1)
     assert main(["pathmetric", str(tmp_path / "o1.json"), str(tmp_path / "o2.json"), "--upper"]) == 1
-    assert capsys.readouterr().err == "error: non-finite parameter(s): m001->out=inf\n"
+    assert capsys.readouterr().err == "error: normalizing the parameters overflows float64\n"
+
+
+def test_the_dominated_gap_refuses_an_overflowing_term(tmp_path, capsys):
+    # the metric is 1e200, but the telescoped term of the first edge is
+    # 1e-200 times the product 1e400 of the edges after it
+    arch = _relu_chain(3, 1.0)[0]
+    big = ParamVector(arch, [1e-200, 1e200, 1e200, 0.0, 0.0, 0.0])
+    small = ParamVector(arch, [0.0, 1e200, 1e200, 0.0, 0.0, 0.0])
+    assert path_metric_oracle(arch, big, small) == 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="overflows float64"):
+            path_metric_exact_dominated(arch, big, small)
+        save_network(tmp_path / "big.json", arch, big)
+        save_network(tmp_path / "small.json", arch, small)
+        assert main(["pathmetric", str(tmp_path / "big.json"), str(tmp_path / "small.json"), "--exact"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "overflows float64" in captured.err
+
+
+@pytest.mark.parametrize("t", [2.0, -1.0, 1.5])
+def test_trajectory_points_keep_shared_zeros_off_the_unit_interval(t):
+    # every bias is zero on both sides; 0 ** (1 - t) is inf for t > 1
+    arch = _relu_chain(3, 1.0)[0]
+    t1 = ParamVector(arch, [1.0, 2.0, 3.0, 0.0, 0.0, 0.0])
+    t2 = ParamVector(arch, [2.0, 1.0, 3.0, 0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = trajectory_point(t1, t2, t).vec
+    np.testing.assert_allclose(point[:3], t1.vec[:3] ** (1.0 - t) * t2.vec[:3] ** t, rtol=1e-15)
+    assert point[3:].tolist() == [0.0, 0.0, 0.0]

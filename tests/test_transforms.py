@@ -19,7 +19,7 @@ from pathlift import (
     random_rescaling,
     rescale,
 )
-from conftest import pool_arch, pool_theta, random_cases
+from conftest import bias, pool_arch, pool_theta, random_cases, weight
 from reference import neuron_lists, reference_normalize, reference_rescale
 
 
@@ -34,7 +34,7 @@ def test_rescale_scales_bias(diamond):
     arch, theta = diamond
     theta2 = theta.replace({4: 0.5})  # b(h1)
     out = rescale(arch, theta2, {"h1": 4.0})
-    assert out.bias("h1") == 2.0
+    assert bias(out, "h1") == 2.0
 
 
 def test_rescale_rejects_input_and_output(diamond):
@@ -157,8 +157,8 @@ def test_normalize_dead_neuron_untouched(diamond):
     arch, theta = diamond
     dead = theta.replace({0: 0.0, 4: 0.0})  # h1 has no incoming mass
     out = normalize(arch, dead)
-    assert out.weight("in", "h1") == 0.0
-    assert out.weight("h1", "out") == 0.0  # only paths that lift to 0 ran through it
+    assert weight(out, "in", "h1") == 0.0
+    assert weight(out, "h1", "out") == 0.0  # only paths that lift to 0 ran through it
     for x in ([1.0], [-2.0], [0.5]):
         np.testing.assert_array_equal(forward(arch, out, x), forward(arch, dead, x))
 
