@@ -25,7 +25,7 @@ import numpy as np
 from .autodiff import grad_scalar
 from .builders import mlp_architecture
 from .engine import Tape, run
-from .errors import DimensionMismatch, InfeasibleAmount, NonFiniteValue, PathliftError
+from .errors import DimensionMismatch, InfeasibleAmount, MissingData, NonFiniteValue, PathliftError
 from .graph import Architecture, ParamVector, _check_bound, _count
 from .pruning import Mask, apply_prune, baseline_scores, path_mag_scores
 from .transforms import random_rescaling, rescale
@@ -195,10 +195,18 @@ def sgd_train(
 
 
 def accuracy(arch: Architecture, theta: ParamVector, x, y) -> float:
+    """Share of the rows of x whose largest output is at their label in y.
+    Raises MissingData for no rows, DimensionMismatch unless y holds one
+    label per row."""
     _check_bound(arch, theta)
     vals, _ = run(arch, theta.vec, x)
     pred = vals[arch.output_pos].argmax(axis=0)
-    return float(np.mean(pred == np.asarray(y)))
+    labels = np.asarray(y).reshape(-1)
+    if not pred.size:
+        raise MissingData("accuracy needs at least one input row")
+    if labels.size != pred.size:
+        raise DimensionMismatch(f"{labels.size} label(s) for {pred.size} input row(s)")
+    return float(np.mean(pred == labels))
 
 
 @dataclass(frozen=True)

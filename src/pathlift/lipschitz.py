@@ -36,7 +36,7 @@ from .errors import (
 )
 from .engine import run
 from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _count
-from .metrics import _lifting_pair, path_metric_exact_dominated, path_metric_lower, path_metric_oracle
+from .metrics import _lifting_pair, path_metric_exact_dominated, path_metric_oracle, path_metric_upper
 from .paths import path_activations, path_lifting
 
 HOLDS_RTOL = 1e-9
@@ -69,23 +69,21 @@ class BoundReport:
     holds: bool
     slack: float
     metric_method: str = "oracle"
-    metric_certified: bool = True
 
     def render(self) -> str:
         status = "holds" if self.holds else "VIOLATED"
-        extra = "" if self.metric_certified else " (metric is only a lower bound)"
         return (
             f"{self.variant} variant: lhs {self.lhs!r} <= rhs {self.rhs!r}: "
-            f"{status}, slack {self.slack!r}{extra}"
+            f"{status}, slack {self.slack!r}"
         )
 
 
 def _rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x: np.ndarray, variant: str):
-    """(right-hand side at the checked input x, metric route, whether the
-    metric is certified), for a pair bound to ``arch`` with matching signs.
+    """(right-hand side at the checked input x, metric route), for a pair
+    bound to ``arch`` with matching signs.
 
-    The main variant takes the best available l1 path metric: the oracle,
-    else the dominated value, else the norm-gap lower bound (uncertified).
+    The main variant takes the l1 path metric from the first route that
+    answers: "oracle", else "dominated", else "upper" (the refined bound).
     The split variant needs the lifting blocks, hence path enumeration.
     Raises NonFiniteValue when the right-hand side overflows.
     """
@@ -98,7 +96,7 @@ def _rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x: np.ndarray, va
             try:
                 metric, method = path_metric_exact_dominated(arch, t1, t2), "dominated"
             except DominanceUnverified:
-                metric, method = path_metric_lower(arch, t1, t2), "lower"
+                metric, method = path_metric_upper(arch, t1, t2, refined=True), "upper"
         rhs = scale * metric
     elif variant == "split":
         lift = _lifting_pair(arch, t1, t2)
@@ -110,7 +108,7 @@ def _rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x: np.ndarray, va
         raise PathliftError(f"unknown variant {variant!r}")
     if not np.isfinite(rhs):
         raise NonFiniteValue(f"the right-hand side of the {variant} variant overflows float64")
-    return rhs, method, method != "lower"
+    return rhs, method
 
 
 def _checked(arch: Architecture, t1: ParamVector, t2: ParamVector, x) -> np.ndarray:
@@ -141,9 +139,11 @@ def verify_bound(
     parameter vectors, each bit for bit its own forward pass.  Raises
     NonFiniteValue when an output or the right-hand side overflows
     float64, rather than report a side that is not a number.
+    The report's ``metric_method`` names the route that answered: "oracle",
+    "dominated" or "upper" in the main variant (see :func:`_rhs`).
     """
     x = _checked(arch, t1, t2, x)
-    rhs, method, certified = _rhs(arch, t1, t2, x, variant)
+    rhs, method = _rhs(arch, t1, t2, x, variant)
     with np.errstate(over="ignore", invalid="ignore"):
         vals, _ = run(arch, np.stack((t1.vec, t2.vec)), x)
         out = vals[:, arch.output_pos, 0]
@@ -158,7 +158,6 @@ def verify_bound(
         holds=holds,
         slack=rhs - lhs,
         metric_method=method,
-        metric_certified=certified,
     )
 
 

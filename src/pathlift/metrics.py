@@ -41,7 +41,11 @@ def _sum_pool_tape(arch: Architecture, theta: ParamVector, q: float = 1.0):
     of the sum-pool pass of |theta|**q on the all-ones input, whose output
     rows sum to that norm).  Raises :class:`NonFiniteValue` naming ``q``
     when the norm overflows."""
-    if not (isinstance(q, numbers.Real) and np.isfinite(q) and q > 0):
+    try:
+        valid = isinstance(q, numbers.Real) and math.isfinite(q) and q > 0
+    except OverflowError:  # an int too large for a float
+        valid = False
+    if not valid:
         raise PathliftError(f"q must be finite and > 0, got {q!r}")
     _check_bound(arch, theta)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -207,18 +211,27 @@ def path_metric_upper(
     over output neurons of their own discrepancy plus min_path_norm times
     the largest discrepancy sum over the interior of any path, found by a
     longest-path sweep over the DAG.  It holds on every architecture.
+    Raises NonFiniteValue when the bound overflows float64.
     """
     n1 = normalize(arch, t1, include_kpool=True)
     n2 = normalize(arch, t2, include_kpool=True)
     min_norm = min(path_norm_fast(arch, t1), path_norm_fast(arch, t2))
-    if not refined:
-        w = _coarse_width(arch)
-        ell = max(max_path_length(arch) - 1, 0)
-        dsup = float(np.max(np.abs(n1.vec - n2.vec))) if arch.n_coords else 0.0
-        return float((w * w + min_norm * ell * w) * dsup)
-
-    out_sum, interior_max = _discrepancy_sums(arch, np.abs(n1.vec - n2.vec))
-    return float(out_sum + min_norm * interior_max)
+    with np.errstate(over="ignore"):
+        d = np.abs(n1.vec - n2.vec)
+        if refined:
+            out_sum, interior_max = _discrepancy_sums(arch, d)
+            bound = float(out_sum + min_norm * interior_max)
+        else:
+            w = _coarse_width(arch)
+            ell = max(max_path_length(arch) - 1, 0)
+            dsup = float(np.max(d)) if arch.n_coords else 0.0
+            # dsup multiplies in first, so a product overflows only with the
+            # bound (min_norm * ell * w can overflow where the bound does not,
+            # and times dsup = 0 that is nan); at ell = 0 the term is 0
+            bound = w * w * dsup + (min_norm * dsup * ell * w if ell else 0.0)
+    if not math.isfinite(bound):
+        raise NonFiniteValue("the upper bound on the path metric overflows float64")
+    return bound
 
 
 def _discrepancy_sums(arch: Architecture, d: np.ndarray):

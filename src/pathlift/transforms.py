@@ -31,6 +31,7 @@ def rescale(arch: Architecture, theta: ParamVector, factors: Mapping) -> ParamVe
 
     ``factors`` maps hidden neuron ids to strictly positive reals; neurons
     not mentioned keep factor 1.  Inputs and outputs cannot be rescaled.
+    Raises NonFiniteValue when the rescaled copy overflows.
     """
     _check_bound(arch, theta)
     out = set(arch.output_pos.tolist())
@@ -44,9 +45,13 @@ def rescale(arch: Architecture, theta: ParamVector, factors: Mapping) -> ParamVe
         lam[j] = f
     v = theta.vec.copy()
     m = arch.n_edges
-    v[:m] *= lam[arch.dst] / lam[arch.src]
-    v[m:] *= lam[arch.non_input_pos]
-    return ParamVector(arch, v)
+    with np.errstate(over="ignore", invalid="ignore"):  # ParamVector refuses what overflowed
+        v[:m] *= lam[arch.dst] / lam[arch.src]
+        v[m:] *= lam[arch.non_input_pos]
+    try:
+        return ParamVector(arch, v)
+    except NonFiniteValue:
+        raise NonFiniteValue("rescaling the parameters overflows float64") from None
 
 
 POW2_FACTORS = (1.0, 128.0, 4096.0)

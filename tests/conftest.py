@@ -27,6 +27,17 @@ def chain2_arch() -> Architecture:
     )
 
 
+def chain3(weights, biases):
+    """The relu chain in->m1->m2->out with these weights and biases, as
+    (architecture, parameters)."""
+    names = ["in", "m1", "m2", "out"]
+    arch = Architecture(
+        [("in", "input"), ("m1", "relu"), ("m2", "relu"), ("out", "identity")],
+        list(zip(names[:-1], names[1:])),
+    )
+    return arch, ParamVector(arch, [*weights, *biases])
+
+
 def pool_arch() -> Architecture:
     """Two inputs into a 1-max-pool neuron, then one output edge."""
     return Architecture(

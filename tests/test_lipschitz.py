@@ -8,6 +8,7 @@ import pytest
 
 from pathlift import engine
 from pathlift.builders import mlp_architecture, random_dag, random_params, same_sign_partner
+from pathlift.cli import main
 from pathlift.errors import (
     DimensionMismatch,
     MixedZeroCoordinate,
@@ -29,6 +30,7 @@ from pathlift.lipschitz import (
     trajectory_point,
     verify_bound,
 )
+from pathlift.metrics import path_metric_oracle, path_metric_upper
 from pathlift.paths import enumerate_paths, path_lifting
 from pathlift.transforms import random_rescaling, rescale
 
@@ -108,6 +110,27 @@ def test_verify_bound_random_corpus_both_variants():
         for variant in ("main", "split"):
             report = verify_bound(arch, theta, other, x, variant=variant)
             assert report.holds, (variant, report.lhs, report.rhs)
+
+
+def test_over_the_cap_without_dominance_the_main_variant_answers_by_the_refined_upper_bound(monkeypatch):
+    arch = mlp_architecture((2, 8, 8, 2))
+    theta = random_params(arch, 0)
+    other = same_sign_partner(theta, 1)
+    x = np.ones(2)
+    metric = path_metric_oracle(arch, theta, other)
+    assert metric == pytest.approx(32.23, abs=0.01)
+    monkeypatch.setenv("PATHLIFT_PATH_CAP", "50")
+    report = verify_bound(arch, theta, other, x)
+    assert report.metric_method == "upper"
+    assert report.rhs == bound_rhs(arch, theta, other, x) >= max(np.abs(x).max(), 1.0) * metric
+    assert report.rhs == path_metric_upper(arch, theta, other, refined=True)
+    assert report.holds
+
+
+def test_verify_lipschitz_holds_on_every_case_under_a_tiny_cap(monkeypatch, capsys):
+    monkeypatch.setenv("PATHLIFT_PATH_CAP", "3")
+    assert main(["verify-lipschitz", "--seed", "0", "--cases", "100"]) == 0
+    assert capsys.readouterr().out.startswith("100/100 hold (main variant)")
 
 
 def test_bound_rhs_invariant_under_independent_rescalings():

@@ -11,20 +11,21 @@ from pathlift.autodiff import grad_path_norm, grad_scalar, scalar_value
 from pathlift.builders import mlp_architecture, random_params
 from pathlift.cli import main
 from pathlift.errors import (
-    DimensionMismatch, InfeasibleAmount, NonFiniteValue, NonPositiveFactor, ParseError, PathliftError,
+    DimensionMismatch, InfeasibleAmount, MissingData, NonFiniteValue, NonPositiveFactor, ParseError,
+    PathliftError,
 )
 from pathlift.experiment import ExperimentConfig, accuracy, epoch_seeds, sgd_train
 from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.lipschitz import (
     activation_breakpoints, bound_rhs, equality_witness, trajectory_point, verify_bound,
 )
-from pathlift.metrics import path_metric_exact_dominated, path_metric_oracle, path_norm_fast
+from pathlift.metrics import path_metric_exact_dominated, path_metric_oracle, path_metric_upper, path_norm_fast
 from pathlift.netfile import load_network, save_network
 from pathlift.paths import enumerate_paths, path_activations
 from pathlift.pruning import apply_prune, magnitude_scores, obd_fd_scores
 from pathlift.transforms import normalize, random_rescaling, rescale
 
-from conftest import chain2_arch
+from conftest import chain2_arch, chain3
 
 
 def test_param_vector_rejects_non_finite(chain2):
@@ -254,3 +255,64 @@ def test_trajectory_points_keep_shared_zeros_off_the_unit_interval(t):
         point = trajectory_point(t1, t2, t).vec
     np.testing.assert_allclose(point[:3], t1.vec[:3] ** (1.0 - t) * t2.vec[:3] ** t, rtol=1e-15)
     assert point[3:].tolist() == [0.0, 0.0, 0.0]
+
+
+def test_rescale_names_its_own_overflow(tmp_path, capsys):
+    arch, theta = chain3((1e308, 1.0, 1.0), (0.0, 0.0, 0.0))
+    save_network(tmp_path / "c.json", arch, theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="^rescaling the parameters overflows float64$"):
+            rescale(arch, theta, {"m1": 4.0})
+        assert main(["rescale", str(tmp_path / "c.json"), "--factor", "m1=4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rescaling the parameters overflows float64\n"
+
+
+def test_upper_bounds_are_finite_or_refused(tmp_path, capsys):
+    # the path norms are about 1e308 and 3e307, so the coarse bound's width
+    # term overflows: against itself it meets a zero distance, against the
+    # other the distance 7e307; the refined bound stays finite
+    arch, a = chain3((1e154, 1e154, 1.0), (0.5, -0.5, 0.0))
+    b = ParamVector(arch, [3e153, 1e154, 1.0, 0.1, -0.9, 0.0])
+    save_network(tmp_path / "a.json", arch, a)
+    save_network(tmp_path / "b.json", arch, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for refined in (False, True):
+            assert path_metric_upper(arch, a, a, refined=refined) == 0.0
+        assert path_metric_upper(arch, a, b, refined=True) == path_metric_oracle(arch, a, b) == 6.999999999999999e307
+        with pytest.raises(NonFiniteValue, match="upper bound on the path metric overflows float64"):
+            path_metric_upper(arch, a, b)
+        # normalized output weights of 1e308 and -1e308 lie 2e308 apart
+        flipped = ParamVector(arch, [1e154, 1e154, -1.0, 0.5, -0.5, 0.0])
+        with pytest.raises(NonFiniteValue, match="upper bound on the path metric overflows float64"):
+            path_metric_upper(arch, a, flipped, refined=True)
+        files = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        assert main(["pathmetric", files[0], files[0], "--upper"]) == 0
+        assert capsys.readouterr().out == "0.0\n"
+        for flags in (["--upper"], []):
+            assert main(["pathmetric", *files, *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: the upper bound on the path metric overflows float64\n"
+
+
+def test_path_norm_exponents_and_accuracy_labels_outside_the_contract_are_refused(diamond):
+    arch, theta = diamond
+    with pytest.raises(PathliftError, match="q must be finite"):
+        path_norm_fast(arch, theta, q=10**400)
+    # an int that a float holds acts as that float: here the weight 3 overflows
+    with pytest.raises(NonFiniteValue, match="q=1000000000000000000000000000000"):
+        path_norm_fast(arch, theta, q=10**30)
+    mlp = mlp_architecture((2, 3, 2))
+    params = random_params(mlp, np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in ([0, 1, 1], [0]):
+            with pytest.raises(DimensionMismatch, match="label"):
+                accuracy(mlp, params, np.zeros((2, 2)), y)
+        with pytest.raises(MissingData, match="at least one input row"):
+            accuracy(mlp, params, np.zeros((0, 2)), [])
+    assert accuracy(mlp, params, np.zeros((2, 2)), [0, 1]) == 0.5
