@@ -86,6 +86,7 @@ from .paths import (
     count_paths,
     enumerate_paths,
     format_path,
+    lifting_length,
     linearized_output,
     max_path_length,
     path_activations,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Tape, gradient, run
+from .engine import Tape, gradient, run, schedule
 from .errors import DimensionMismatch, MissingData, NonFiniteValue, PathliftError
 from .graph import Architecture, ParamVector, _floats, _param_rows
 from .metrics import _sum_pool_sweep, _sum_pool_tape
@@ -34,7 +34,9 @@ def _aggregate(arch: Architecture, vals, aggregate, target):
     (P, d_out, B), item i bit for bit that of its own tape: every sum runs
     along one item's own axes, in the order a single tape sums them.
     """
-    out = vals.take(arch.output_pos, axis=-2)  # [..., d_out, B], contiguous
+    at = schedule(arch).outputs
+    # [..., d_out, B], each item contiguous: a view when the outputs are one run
+    out = vals[..., at, :] if isinstance(at, slice) else vals.take(at, axis=-2)
     lead, nb = out.shape[:-2], out.shape[-1]
 
     def total(a):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArchitectureError, RaggedLayers
-from .graph import Architecture, ParamVector, _count
+from .graph import Architecture, ParamVector, _check_bound, _count
 
 
 def mlp_architecture(widths, hidden: str = "relu") -> Architecture:
@@ -55,6 +55,7 @@ def mlp_params(arch: Architecture, matrices, biases=None) -> ParamVector:
 
 def mlp_matrices(arch: Architecture, theta: ParamVector):
     """Inverse of mlp_params: recover the per-layer weight matrices."""
+    _check_bound(arch, theta)
     widths = _mlp_layers(arch)
     sizes = [a * b for a, b in zip(widths[1:], widths[:-1])]
     blocks = np.split(theta.vec[: arch.n_edges], np.cumsum(sizes)[:-1])
@@ -159,6 +160,7 @@ def same_sign_partner(
 ) -> ParamVector:
     """Coordinatewise positive multiple of theta, optionally zeroing some
     coordinates; the sign condition holds by construction."""
+    _check_bound(None, theta)
     rng = np.random.default_rng(rng)
     v = theta.vec * rng.uniform(low, high, size=len(theta))
     if zero_frac > 0.0:

@@ -40,9 +40,15 @@ unwrapped on the way out.  Every gathered operand is ``np.take`` along
 the neuron axis of the (P, n_neurons + 1, B) table (or along the
 coordinate axis of the padded weight rows), never a fancy index between
 two slices, which would put P innermost in memory and make ``np.matmul``
-leave BLAS and round differently.  So every operand is item-major and
-contiguous, each item's product is the BLAS call of a single pass, and
-every item of a stack is bit for bit its own single pass.  The
+leave BLAS and round differently.  A table of positions that is one
+contiguous run is kept as a slice and read as a view instead: a block's
+rows, its shared source rows, its edge coordinates (the slot weights are
+then ``wpad[:, sl].reshape(P, rows, K)`` and the gradient is written as
+``gpad[:, sl] = ...``), its bias coordinates, and the input and output
+rows.  Every block of an MLP or a conv grid reads its weights so; the
+padded blocks of other DAGs take them by position.  Either way every
+operand is item-major, each item's product is the BLAS call of a single
+pass, and every item of a stack is bit for bit its own single pass.  The
 ParamVector checks belong to the public wrappers (``forward``,
 ``path_activations``, ``grad_scalar``, ...).
 
@@ -77,8 +83,11 @@ def _index(ix: np.ndarray):
 class _Block:
     """The rows ``sel`` of a level, all of one kind, with their slot matrices.
 
-    ``src``/``coord``: (rows, K) antecedent positions and edge coordinates,
-    padded with the zero value row ``n`` and the zero weight ``n_coords``.
+    ``src``: (rows, K) antecedent positions, padded with the zero value row
+    ``n``.  ``coord``: the edge coordinates of those slots, row by row and
+    padded with the zero weight ``n_coords``, as one slice when they are a
+    contiguous run (every block of an MLP or a conv grid), as flat positions
+    otherwise; ``bias`` likewise holds the rows' bias coordinates.
     ``shared``: the one source row every row reads, when there is one.
     ``k``: 0 for affine rows, the pool order otherwise.  ``floor``: what
     the pre-activation is clipped at (0.0 on relu rows, -inf on identity
@@ -104,12 +113,13 @@ class _Block:
         self.k = int(k)
         # int32 halves the schedule's memory; numpy widens it per gather
         self.src = np.full((rows.size, width), n, dtype=np.int32)
-        self.coord = np.full((rows.size, width), nc, dtype=np.int32)
+        slots = np.full((rows.size, width), nc, dtype=np.int32)
         self.src[valid] = arch.src[coord]
-        self.coord[valid] = coord
+        slots[valid] = coord
+        self.coord = _index(slots.reshape(-1))
         self.valid = None if k == 0 or valid.all() else valid[:, :, None]
         # pool rows read the padding weight as their (pinned) bias
-        self.bias = arch.bias_coord[rows] if k == 0 else np.full(rows.size, nc)
+        self.bias = _index(arch.bias_coord[rows] if k == 0 else np.full(rows.size, nc))
         relu = arch.kinds[rows] == RELU
         if k or not relu.any():
             self.floor = None
@@ -145,11 +155,13 @@ class _Block:
 class Schedule:
     """Blocks of every level, in level order (see the module docstring):
     one tuple per entry of ``arch.levels``, so ``len(levels)`` is the
-    longest path of the network."""
+    longest path of the network.  ``inputs``/``outputs``: the input and
+    output neurons' rows, a slice when they are one contiguous run."""
 
-    __slots__ = ("levels", "win_dtype")
+    __slots__ = ("levels", "win_dtype", "inputs", "outputs")
 
     def __init__(self, arch: Architecture):
+        self.inputs, self.outputs = _index(arch.input_pos), _index(arch.output_pos)
         pool = arch.kinds == KPOOL
         pool_fan = np.diff(arch.in_ptr)[pool]
         self.win_dtype = np.min_scalar_type(-pool_fan.max()) if pool_fan.size else None
@@ -175,10 +187,17 @@ def _chunks(rows: int, width: int, batch: int):
 
 
 def _rows(table, ix):
-    """Rows ``ix`` (a slice or positions) of ``table`` (P, rows, B), each
-    item contiguous: a fancy index between two slices would put the
-    leading axis innermost, and ``np.matmul`` would leave BLAS."""
+    """Entries ``ix`` (a slice or positions) along axis 1 of ``table``, the
+    rows of a (P, rows, B) table or the coordinates of the (P, n_coords + 1)
+    padded weights, each item contiguous: a fancy index between two slices
+    would put the leading axis innermost, and ``np.matmul`` would leave BLAS."""
     return table[:, ix] if isinstance(ix, slice) else table.take(ix, axis=1)
+
+
+def _weights(wpad, blk: _Block):
+    """The block's slot weights (P, rows, K) from the padded weights
+    ``wpad``: a view when its coordinates are one contiguous run."""
+    return _rows(wpad, blk.coord).reshape((wpad.shape[0],) + blk.src.shape)
 
 
 def _gathered_product(w, table, idx):
@@ -286,12 +305,13 @@ def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False, *, ta
     tape = _tape(arch, tape, stack.shape[0], x.shape[0])
     vals, wpad = tape.vals, tape.wpad
     win = None if sum_pools else tape.win
+    sched = schedule(arch)
     wpad[:, :-1] = stack
-    vals[:, arch.input_pos, :] = x.T
+    vals[:, sched.inputs, :] = x.T
     vals[:, -1, :] = 0.0
-    for level in schedule(arch).levels:
+    for level in sched.levels:
         for blk in level:
-            w = wpad.take(blk.coord, axis=-1)
+            w = _weights(wpad, blk)
             if blk.shared is not None:
                 pre = w @ _rows(vals, blk.shared)
             elif blk.k and win is not None:
@@ -299,7 +319,7 @@ def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False, *, ta
                 continue
             else:
                 pre = _gathered_product(w, vals, blk.src)
-            pre += wpad.take(blk.bias, axis=-1)[..., None]
+            pre += _rows(wpad, blk.bias)[..., None]
             if blk.floor is not None:
                 np.maximum(pre, blk.floor, out=pre)
             vals[:, blk.at, :] = pre
@@ -326,16 +346,18 @@ def gradient(
     fresh :class:`Tape` when None), the one ``run`` filled or another of
     its shape.
     """
-    levels = schedule(arch).levels
+    sched = schedule(arch)
+    levels = sched.levels
     stack = theta.reshape(-1, arch.n_coords)
     vals = vals.reshape(stack.shape[0], arch.n_neurons + 1, vals.shape[-1])
     win = None if win is None else win.reshape(vals.shape)
-    tape = _tape(arch, tape, vals.shape[0], vals.shape[2])
+    p = vals.shape[0]
+    tape = _tape(arch, tape, p, vals.shape[2])
     wpad, gpad, adj = tape.wpad, tape.gpad, tape.adj
     wpad[:, :-1] = stack
     gpad.fill(0.0)
     adj.fill(0.0)
-    adj[:, arch.output_pos, :] = out_adjoint
+    adj[:, sched.outputs, :] = out_adjoint
     for depth in range(len(levels) - 1, -1, -1):
         # the first level reads only inputs, whose adjoints nothing needs
         inner = depth > 0
@@ -348,11 +370,11 @@ def gradient(
             g = _rows(adj, blk.at)
             gpad[:, blk.bias] = g.sum(axis=-1)
             if blk.shared is not None:
-                gpad[:, blk.coord] = g @ _rows(vals, blk.shared).swapaxes(-1, -2)
+                gpad[:, blk.coord] = (g @ _rows(vals, blk.shared).swapaxes(-1, -2)).reshape(p, -1)
                 if inner:
-                    adj[:, blk.shared, :] += wpad.take(blk.coord, axis=-1).swapaxes(-1, -2) @ g
+                    adj[:, blk.shared, :] += _weights(wpad, blk).swapaxes(-1, -2) @ g
                 continue
-            gpad[:, blk.coord] = _slot_products(vals, blk.src, g)
+            gpad[:, blk.coord] = _slot_products(vals, blk.src, g).reshape(p, -1)
             if inner:
                 adj[:, blk.tsrc] += _gathered_product(wpad.take(blk.tcoord, axis=-1), adj, blk.trow)
     grad = gpad[:, :-1]
@@ -368,7 +390,7 @@ def _pool_backward(blk: _Block, wpad, vals, win, adj, gpad, inner: bool):
         at = blk.rows[c]
         routed = (win.take(at, axis=1)[:, :, None, :] == slots) * adj.take(at, axis=1)[:, :, None, :]
         grad[:, c] = np.einsum("prsb,prsb->prs", vals.take(blk.src[c], axis=1), routed)
-    gpad[:, blk.coord] = grad
+    gpad[:, blk.coord] = grad.reshape(p, -1)
     if not inner:
         return
     # per source, the adjoints of the slots it won, weighted by their edges

@@ -9,8 +9,10 @@ floating point agrees bit for bit), magnitude masks generally do not.
 
 The rescaled copy only influences the pipeline through its mask: after
 pruning, weights are rewound to the dense run's early-epoch snapshot and
-finetuned with the mask frozen, with a shared shuffling stream per
-criterion, so arms with identical masks finish with identical weights.
+finetuned with the mask frozen, with one shuffling stream for every arm,
+so arms with identical masks would finish with identical weights.  Each
+distinct mask therefore trains once (the distinct masks in lockstep, as one
+stack), and the arms that share it share its finetuned weights.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ def sgd_train(
     reports the first arm's divergence, however late).
     """
     lockstep = not isinstance(theta, ParamVector) or not (mask is None or isinstance(mask, Mask))
-    thetas = [theta] if isinstance(theta, ParamVector) else list(theta)
+    thetas = list(theta) if isinstance(theta, (list, tuple)) else [theta]
     masks = [mask] if mask is None or isinstance(mask, Mask) else list(mask)
     if len(thetas) == 1:
         thetas *= len(masks)
@@ -156,8 +158,6 @@ def sgd_train(
     if len(thetas) != len(masks) or not thetas:
         raise DimensionMismatch(f"{len(thetas)} parameter vectors for {len(masks)} masks")
     for t in thetas:
-        if not isinstance(t, ParamVector):
-            raise DimensionMismatch(f"expected ParamVectors, got {type(t).__name__}")
         _check_bound(arch, t)
     batch_size, n = _count(batch_size, "batch_size", PathliftError), x.shape[0]
     vec = np.stack([t.vec for t in thetas])
@@ -297,12 +297,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
             arms.append((crit, rescaled, mask))
     masks = [mask for _, _, mask in arms]
-    finetuned = ()
-    if masks:
-        finetuned, _ = sgd_train(
-            arch, [mask.apply(theta_rw) for mask in masks], xtr, ytr, seeds[cfg.rewind_epoch :],
-            cfg.lr, cfg.batch_size, loss=cfg.loss, mask=masks,
+    # arms with identical masks would train the same run: each distinct mask
+    # trains once, in lockstep with the others, and its arms share the result
+    distinct = {mask.keep.tobytes(): mask for mask in masks}
+    finetuned = {}
+    if distinct:
+        trained, _ = sgd_train(
+            arch, [mask.apply(theta_rw) for mask in distinct.values()], xtr, ytr,
+            seeds[cfg.rewind_epoch :], cfg.lr, cfg.batch_size, loss=cfg.loss, mask=list(distinct.values()),
         )
+        finetuned = dict(zip(distinct, trained))
     hamming = {crit: masks[2 * k].hamming(masks[2 * k + 1]) for k, crit in enumerate(cfg.criteria)}
 
     return ExperimentReport(
@@ -311,11 +315,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             ArmResult(
                 criterion=crit,
                 rescaled=rescaled,
-                test_accuracy=accuracy(arch, theta_ft, xte, yte),
+                test_accuracy=accuracy(arch, finetuned[mask.keep.tobytes()], xte, yte),
                 mask=mask,
                 n_pruned=len(mask.pruned),
             )
-            for (crit, rescaled, mask), theta_ft in zip(arms, finetuned)
+            for crit, rescaled, mask in arms
         ),
         mask_hamming=hamming,
         factors=factors,

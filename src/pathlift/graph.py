@@ -313,8 +313,12 @@ class ParamVector:
         return f"ParamVector({self.arch!r})"
 
 
-def _check_bound(arch: Architecture, theta: ParamVector):
-    if theta.arch is not arch and theta.arch != arch:
+def _check_bound(arch: Architecture | None, theta: ParamVector):
+    """Raises DimensionMismatch unless ``theta`` is a ParamVector bound to
+    ``arch`` (to any architecture when ``arch`` is None)."""
+    if not isinstance(theta, ParamVector):
+        raise DimensionMismatch(f"parameters must be a ParamVector, got {type(theta).__name__}")
+    if arch is not None and theta.arch is not arch and theta.arch != arch:
         raise DimensionMismatch("parameter vector bound to a different architecture")
 
 
@@ -340,9 +344,10 @@ def _param_rows(arch: Architecture, theta) -> np.ndarray:
     if isinstance(theta, ParamVector):
         _check_bound(arch, theta)
         return theta.vec
-    rows = _floats(theta, "parameters must be a ParamVector or a (P, n_coords) stack")
+    want = f"parameters must be a ParamVector or a (P, {arch.n_coords}) stack"
+    rows = _floats(theta, f"{want}, got {type(theta).__name__}")
     if rows.ndim != 2 or rows.shape[1] != arch.n_coords:
-        raise DimensionMismatch(f"parameter stack has shape {rows.shape}, expected (P, {arch.n_coords})")
+        raise DimensionMismatch(f"{want}, got {type(theta).__name__} of shape {rows.shape}")
     if not np.isfinite(rows).all():
         raise NonFiniteValue("parameter stack holds NaN or infinite entries")
     return rows

@@ -37,7 +37,7 @@ from .errors import (
 from .engine import run
 from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _count
 from .metrics import _lifting_pair, path_metric_exact_dominated, path_metric_oracle, path_metric_upper
-from .paths import path_activations, path_lifting
+from .paths import lifting_length, path_activations, path_lifting
 
 HOLDS_RTOL = 1e-9
 HOLDS_ATOL = 1e-12
@@ -55,6 +55,8 @@ _SCALAR_POWERS = np.array([0.5, 2.0, -1.0])
 
 def check_sign_condition(t1: ParamVector, t2: ParamVector) -> None:
     """Raise SignConditionViolated unless theta_i * theta'_i >= 0 everywhere."""
+    _check_bound(None, t1)
+    _check_bound(t1.arch, t2)
     # signs, not the product, which underflows to -0.0 for tiny coordinates
     bad = np.flatnonzero(np.sign(t1.vec) * np.sign(t2.vec) < 0.0)
     if bad.size:
@@ -208,6 +210,7 @@ def trajectory_point(t1: ParamVector, t2: ParamVector, t: float) -> ParamVector:
     geometric interpolant and raises MixedZeroCoordinate.  Coordinates zero
     on both sides stay zero.  Endpoints reproduce theta and theta' exactly.
     """
+    _check_bound(None, t1)
     arch = t1.arch
     _check_trajectory(arch, t1, t2)
     return ParamVector(arch, _trajectory_points(t1, t2, [float(t)])[0])
@@ -274,7 +277,7 @@ def activation_breakpoints(
     if not (isinstance(width, numbers.Real) and width >= 0.0):
         raise PathliftError(f"width must be a number >= 0, got {width!r}")
     _check_trajectory(arch, t1, t2)
-    per_sample = len(path_lifting(arch, t1)) + arch.n_coords + arch.n_neurons
+    per_sample = lifting_length(arch) + arch.n_coords + arch.n_neurons
     if (samples + 1) * per_sample > MAX_SAMPLED_ENTRIES:
         raise PathliftError(
             f"{samples} samples of {per_sample} entries each exceed the "

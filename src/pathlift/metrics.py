@@ -148,6 +148,8 @@ def path_metric_exact_dominated(arch: Architecture, t1: ParamVector, t2: ParamVe
     DominanceUnverified when neither direction can be certified.  No route
     subtracts two path norms.
     """
+    _check_bound(arch, t1)
+    _check_bound(arch, t2)
     pair = _dominating(t1, t2, t1.vec, t2.vec)
     if pair is not None:
         return _dominated_gap(arch, *pair)

@@ -34,7 +34,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ParseError
-from .graph import Architecture, ParamVector
+from .graph import Architecture, ParamVector, _check_bound
 
 _KPOOL = '{{\n    "kpool": {}\n   }}'.format
 
@@ -66,6 +66,7 @@ def _list(keys: tuple, columns: list) -> str:
 
 
 def save_network(fp, arch: Architecture, theta: ParamVector) -> None:
+    _check_bound(arch, theta)
     enc = list(map(_encode, arch.ids))
     acts = [
         _KPOOL(int.__repr__(tag[1])) if isinstance(tag, tuple) else _encode(tag)

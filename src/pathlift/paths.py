@@ -187,6 +187,13 @@ class PathLifting:
         return self.table.start.size
 
 
+def lifting_length(arch: Architecture) -> int:
+    """The number of paths, ``len`` of every :func:`path_lifting` of
+    ``arch``, read off the cached path table: raises PathExplosion over the
+    cap, as the lifting does."""
+    return int(_table(arch).start.size)
+
+
 def path_lifting(arch: Architecture, theta) -> PathLifting:
     """One coordinate per path: product of traversed weights, led by the
     starting neuron's bias when the path starts off the input layer (the

@@ -51,6 +51,7 @@ class Mask:
         return self.keep.astype(np.float64)
 
     def apply(self, theta: ParamVector) -> ParamVector:
+        _check_bound(None, theta)
         return ParamVector(theta.arch, theta.vec * self.s)
 
     def hamming(self, other: "Mask") -> int:
@@ -79,6 +80,7 @@ def path_mag_scores(arch: Architecture, theta: ParamVector, method: str = "autod
 
 
 def magnitude_scores(arch: Architecture, theta: ParamVector) -> ScoreVector:
+    _check_bound(arch, theta)
     return ScoreVector(criterion="magnitude", method="abs", values=np.abs(theta.vec))
 
 
@@ -141,6 +143,7 @@ def obd_hutchinson_scores(
     seed across reparametrizations does NOT make the estimate rescaling
     invariant (the probes do not transform), unlike the exact diagonal.
     """
+    _check_bound(arch, theta)
     probes = _count(probes, "probes", PathliftError)
     x, y = _require_data(data)
     rng = np.random.default_rng(seed)
@@ -229,6 +232,7 @@ def apply_prune(
     (``scores`` is then unused); ``rescore`` defaults to autodiff
     path-magnitude scores.
     """
+    _check_bound(None, theta)
     arch = theta.arch
     ok = _eligible(arch, edges_only)
     n_prune = _resolve_count(int(ok.sum()), fraction, count)

@@ -4,8 +4,8 @@ These are the loops the package ran before the compiled level schedule
 (``pathlift.engine``), the path table (``pathlift.paths``), the array-built
 ``Architecture``, the bulk network-file writer, the vectorized refined
 path-metric bound, the level-wise ``normalize``/``rescale``, the stacked
-activation breakpoints and the stacked second-difference scores replaced
-them.  They are kept here, deliberately plain, as the oracles that the
+activation breakpoints, the stacked second-difference scores and the
+once-per-mask lockstep finetune of ``run_experiment`` replaced them.  They are kept here, deliberately plain, as the oracles that the
 package is compared against, together with the central-difference check
 of ``grad_scalar``.
 """
@@ -35,9 +35,13 @@ from pathlift.graph import (
     ParamVector,
     _normalize_tag,
 )
+from pathlift.builders import mlp_architecture
+from pathlift.experiment import _init_params, _loss_target, accuracy, epoch_seeds, make_dataset, sgd_train
 from pathlift.lipschitz import Breakpoint, TelescopingReport, trajectory_point
 from pathlift.metrics import path_metric_oracle, path_norm_fast
 from pathlift.paths import path_activations, path_lifting
+from pathlift.pruning import apply_prune, baseline_scores, path_mag_scores
+from pathlift.transforms import random_rescaling, rescale
 from pathlift.transforms import normalize
 
 
@@ -545,3 +549,39 @@ def reference_obd_fd_scores(arch, theta, data, loss="squared_error", eps=1e-4):
         h = (up - 2.0 * base + dn) / (eps * eps)
         values[i] = 0.5 * h * vec[i] * vec[i]
     return values
+
+
+def reference_experiment(cfg):
+    """``run_experiment``'s pipeline with every arm finetuned alone, one
+    ``sgd_train`` call per arm: (dense test accuracy, one (criterion,
+    rescaled, mask, test accuracy) per arm in report order, the mask
+    Hamming distance per criterion)."""
+    cfg = cfg.validated()
+    roots = np.random.SeedSequence(cfg.seed).spawn(4)
+    xtr, ytr, xte, yte = make_dataset(cfg, np.random.default_rng(roots[0]))
+    arch = mlp_architecture(cfg.widths)
+    theta0 = _init_params(arch, np.random.default_rng(roots[1]))
+    seeds = epoch_seeds(roots[2], cfg.epochs)
+    rescale_rng = np.random.default_rng(roots[3])
+    factors = random_rescaling(arch, rescale_rng, preset=cfg.rescale_preset)
+    while all(f == 1.0 for f in factors.values()):
+        factors = random_rescaling(arch, rescale_rng, preset=cfg.rescale_preset)
+    trained, rewound = sgd_train(arch, theta0, xtr, ytr, seeds, cfg.lr, cfg.batch_size,
+                                 loss=cfg.loss, snapshot_epoch=cfg.rewind_epoch)
+    obd_batch = (xtr[:256], _loss_target(ytr[:256], cfg.loss, arch.d_out))
+    arms = []
+    for crit in cfg.criteria:
+        for rescaled in (False, True):
+            base = rescale(arch, trained, factors) if rescaled else trained
+            if crit == "pathmag":
+                scores = path_mag_scores(arch, base)
+            elif crit == "magnitude":
+                scores = baseline_scores(arch, base, "magnitude")
+            else:
+                scores = baseline_scores(arch, base, "obd_fd", data=obd_batch, loss=cfg.loss)
+            _, mask = apply_prune(base, scores, fraction=cfg.prune_fraction, edges_only=not cfg.prune_biases)
+            final, _ = sgd_train(arch, mask.apply(rewound), xtr, ytr, seeds[cfg.rewind_epoch :],
+                                 cfg.lr, cfg.batch_size, loss=cfg.loss, mask=mask)
+            arms.append((crit, rescaled, mask, accuracy(arch, final, xte, yte)))
+    hamming = {crit: arms[2 * k][2].hamming(arms[2 * k + 1][2]) for k, crit in enumerate(cfg.criteria)}
+    return accuracy(arch, trained, xte, yte), arms, hamming

@@ -321,3 +321,47 @@ def test_tapes_of_another_shape_and_bad_stacks_are_refused():
         broken[1, 3] = value
         with pytest.raises(NonFiniteValue):
             grad_scalar(arch, broken, x)
+
+
+def _padded_dag():
+    """The first corpus DAG with a block whose coordinates are no
+    contiguous run (a padded block), with its parameters."""
+    for arch, theta, exact, rng in _dag_corpus():
+        blocks = [blk for level in engine.schedule(arch).levels for blk in level]
+        if any(not isinstance(blk.coord, slice) for blk in blocks):
+            return arch, theta, exact, rng
+    raise AssertionError("the corpus must hold a DAG with a padded block")
+
+
+def test_contiguous_tables_are_read_as_slices_and_padded_blocks_by_position():
+    rng = np.random.default_rng(12)
+    mlp = mlp_architecture((2, 16, 16, 2))
+    grid = conv_grid_architecture(side=6, channels=(2, 3), d_out=3)
+    dag, dag_theta, exact, dag_rng = _padded_dag()
+    for arch in (mlp, grid):
+        sched = engine.schedule(arch)
+        assert isinstance(sched.inputs, slice) and isinstance(sched.outputs, slice)
+        tape = engine.Tape(arch, 1, 3)
+        for blk in (blk for level in sched.levels for blk in level):
+            assert isinstance(blk.coord, slice)
+            w = engine._weights(tape.wpad, blk)
+            assert w.shape == (3,) + blk.src.shape and np.shares_memory(w, tape.wpad)
+    padded = [blk for level in engine.schedule(dag).levels for blk in level if not isinstance(blk.coord, slice)]
+    assert all(blk.coord.ndim == 1 and blk.coord.size == blk.src.size for blk in padded)
+    cases = [
+        (mlp, random_params(mlp, rng), rng.normal(size=(7, 2)), rng),
+        (grid, random_params(grid, rng), rng.normal(size=(7, grid.d_in)), rng),
+        (dag, dag_theta, _inputs(dag, exact, dag_rng, 7), dag_rng),
+    ]
+    for arch, theta, x, rng in cases:
+        for sum_pools in (False, True):
+            _compare(arch, theta, x, rng, sum_pools=sum_pools)
+        stack = np.stack([theta.vec, random_params(arch, rng).vec, np.zeros(arch.n_coords)])
+        out_adj = rng.normal(size=(3, arch.d_out, x.shape[0]))
+        for sum_pools in (False, True):
+            vals, win = run(arch, stack, x, sum_pools=sum_pools)
+            grads = gradient(arch, stack, vals, win, out_adj)
+            for i, vec in enumerate(stack):
+                one_vals, one_win = run(arch, vec, x, sum_pools=sum_pools)
+                assert vals[i].tobytes() == one_vals.tobytes()
+                assert grads[i].tobytes() == gradient(arch, vec, one_vals, one_win, out_adj[i]).tobytes()

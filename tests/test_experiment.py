@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pathlift import experiment
 from pathlift.builders import mlp_architecture, mlp_params
 from pathlift.errors import DimensionMismatch, InfeasibleAmount, NonFiniteValue, PathliftError
 from pathlift.experiment import (
@@ -15,6 +16,8 @@ from pathlift.experiment import (
 )
 from pathlift.graph import ParamVector
 from pathlift.pruning import apply_prune, magnitude_scores, path_mag_scores
+
+from reference import reference_experiment
 
 
 def _tiny(seed=3, **over):
@@ -169,6 +172,37 @@ def test_report_renders_rows():
     assert "pathmag" in text
     assert "mask hamming distance, plain vs rescaled [pathmag]:" in text
     assert f"seed {report.config.seed}" in text
+
+
+@pytest.mark.parametrize(
+    "over, distinct",
+    [
+        ({}, 3),  # the plain and rescaled path-magnitude arms share one mask
+        ({"criteria": ("magnitude", "obd"), "prune_biases": True}, 4),  # every mask differs
+    ],
+    ids=["shared", "all-differ"],
+)
+def test_each_distinct_mask_finetunes_once_and_matches_its_arms_trained_alone(monkeypatch, over, distinct):
+    cfg = _tiny(**over)
+    stacks = []
+    train = experiment.sgd_train
+
+    def spy(arch, theta, *args, **kwargs):
+        if kwargs.get("mask") is not None:
+            stacks.append(len(theta))
+        return train(arch, theta, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "sgd_train", spy)
+    report = run_experiment(cfg)
+    dense, arms, hamming = reference_experiment(cfg)
+    assert stacks == [distinct] == [len({arm.mask.keep.tobytes() for arm in report.arms})]
+    assert report.dense_accuracy == dense
+    assert report.mask_hamming == hamming
+    for arm, (crit, rescaled, mask, acc) in zip(report.arms, arms, strict=True):
+        assert (arm.criterion, arm.rescaled) == (crit, rescaled)
+        assert arm.mask.keep.tobytes() == mask.keep.tobytes() and arm.mask.pruned == mask.pruned
+        assert arm.n_pruned == len(mask.pruned)
+        assert arm.test_accuracy == acc
 
 
 def _four_arms(seed=5, n=300):

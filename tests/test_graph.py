@@ -1,5 +1,6 @@
 """Architecture validation and forward evaluation."""
 
+import io
 import re
 
 import numpy as np
@@ -262,3 +263,66 @@ def test_a_network_of_inputs_has_no_levels():
     arch = Architecture([("a", "input"), ("b", "input")], [])
     assert arch.levels == ()
     _assert_levels(arch)
+
+
+def _param_vector_calls():
+    """Every public call that takes a ParamVector, as (name, call of one
+    parameter argument): the other arguments are valid, on a (2, 3, 2) MLP."""
+    import pathlift as pl
+
+    arch = pl.mlp_architecture((2, 3, 2))
+    th = pl.random_params(arch, 0)
+    x, xs, labels = np.ones(2), np.ones((4, 2)), np.zeros(4, dtype=int)
+    data = (xs, np.ones((4, 2)))
+    scores = pl.magnitude_scores(arch, th)
+    mask = pl.apply_prune(th, scores, count=1)[1]
+    return {
+        "forward": lambda t: pl.forward(arch, t, x),
+        "neuron_values": lambda t: pl.neuron_values(arch, t, x),
+        "scalar_value": lambda t: pl.scalar_value(arch, t, xs),
+        "grad_scalar": lambda t: pl.grad_scalar(arch, t, xs),
+        "grad_path_norm": lambda t: pl.grad_path_norm(arch, t),
+        "mlp_matrices": lambda t: pl.mlp_matrices(arch, t),
+        "same_sign_partner": lambda t: pl.same_sign_partner(t, 0),
+        "sgd_train": lambda t: pl.sgd_train(arch, t, xs, labels, pl.epoch_seeds(0, 1), 0.1, 2),
+        "accuracy": lambda t: pl.accuracy(arch, t, xs, labels),
+        "check_sign_condition(t, th)": lambda t: pl.check_sign_condition(t, th),
+        "check_sign_condition(th, t)": lambda t: pl.check_sign_condition(th, t),
+        "bound_rhs": lambda t: pl.bound_rhs(arch, th, t, x),
+        "verify_bound(t, th)": lambda t: pl.verify_bound(arch, t, th, x),
+        "verify_bound(th, t)": lambda t: pl.verify_bound(arch, th, t, x),
+        "trajectory_point(t, th)": lambda t: pl.trajectory_point(t, th, 0.5),
+        "trajectory_point(th, t)": lambda t: pl.trajectory_point(th, t, 0.5),
+        "activation_breakpoints": lambda t: pl.activation_breakpoints(arch, t, th, x),
+        "path_norm_fast": lambda t: pl.path_norm_fast(arch, t),
+        "path_metric_oracle": lambda t: pl.path_metric_oracle(arch, th, t),
+        "path_metric_lower": lambda t: pl.path_metric_lower(arch, t, th),
+        "path_metric_exact_dominated": lambda t: pl.path_metric_exact_dominated(arch, t, th),
+        "path_metric_upper": lambda t: pl.path_metric_upper(arch, th, t, refined=True),
+        "path_metric_report": lambda t: pl.path_metric_report(arch, t, th),
+        "save_network": lambda t: pl.save_network(io.StringIO(), arch, t),
+        "path_lifting": lambda t: pl.path_lifting(arch, t),
+        "path_activations": lambda t: pl.path_activations(arch, t, x),
+        "linearized_output": lambda t: pl.linearized_output(arch, t, x),
+        "path_mag_scores": lambda t: pl.path_mag_scores(arch, t),
+        "path_mag_scores(bruteforce)": lambda t: pl.path_mag_scores(arch, t, method="bruteforce"),
+        "magnitude_scores": lambda t: pl.magnitude_scores(arch, t),
+        "obd_fd_scores": lambda t: pl.obd_fd_scores(arch, t, data),
+        "obd_hutchinson_scores": lambda t: pl.obd_hutchinson_scores(arch, t, data, probes=1),
+        "baseline_scores": lambda t: pl.baseline_scores(arch, t, "magnitude"),
+        "apply_prune": lambda t: pl.apply_prune(t, scores, count=1),
+        "Mask.apply": lambda t: mask.apply(t),
+        "pruning_error_bound": lambda t: pl.pruning_error_bound(arch, t, [0], x),
+        "rescale": lambda t: pl.rescale(arch, t, {}),
+        "normalize": lambda t: pl.normalize(arch, t),
+    }, th
+
+
+@pytest.mark.parametrize("name", sorted(_param_vector_calls()[0]))
+def test_a_theta_that_is_no_param_vector_is_a_dimension_mismatch(name):
+    calls, th = _param_vector_calls()
+    call = calls[name]
+    call(th)  # the call itself is valid
+    for bad in (None, th.vec.tolist(), th.vec.copy()):
+        with pytest.raises(DimensionMismatch):
+            call(bad)

@@ -453,6 +453,21 @@ def test_breakpoints_refuse_over_the_path_cap(monkeypatch):
             breakpoints(arch, t1, t2, x, samples=3)
 
 
+def test_breakpoints_lift_once_and_refuse_over_the_cap_before_the_sample_budget(monkeypatch):
+    from pathlift import lipschitz
+
+    lifted = []
+    lift = lipschitz.path_lifting
+    monkeypatch.setattr(lipschitz, "path_lifting", lambda arch, theta: lifted.append(arch) or lift(arch, theta))
+    arch, t1, t2, x = _breakpoint_corpus()[0]
+    activation_breakpoints(arch, t1, t2, x, samples=32)
+    assert lifted == [arch]  # the boundary liftings; the sample budget lifts nothing
+    # a sample count far past MAX_SAMPLED_ENTRIES still meets the cap first
+    monkeypatch.setenv("PATHLIFT_PATH_CAP", "1")
+    with pytest.raises(PathExplosion):
+        activation_breakpoints(arch, t1, t2, x, samples=10**12)
+
+
 def test_equality_witness_chain():
     w = equality_witness(2, 2.0, 1.0, 1.0)
     assert w.predicted == 3.0

@@ -15,6 +15,7 @@ from pathlift import (
     count_paths,
     enumerate_paths,
     format_path,
+    lifting_length,
     linearized_output,
     max_path_length,
     mlp_architecture,
@@ -55,6 +56,15 @@ def test_single_edge_paths():
 def test_count_matches_enumeration_on_corpus():
     for arch, _, _ in random_cases(30, seed=202):
         assert count_paths(arch) == len(enumerate_paths(arch))
+
+
+def test_lifting_length_is_the_lifting_count_and_refuses_over_the_cap(monkeypatch):
+    for arch, theta, _ in random_cases(30, seed=203):
+        assert lifting_length(arch) == len(path_lifting(arch, theta)) == count_paths(arch)
+    arch = mlp_architecture((3, 4, 4, 2))
+    monkeypatch.setenv("PATHLIFT_PATH_CAP", str(count_paths(arch) - 1))
+    with pytest.raises(PathExplosion):
+        lifting_length(arch)
 
 
 def test_count_matches_reference_loop():
