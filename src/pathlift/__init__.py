@@ -101,7 +101,6 @@ from .pruning import (
     baseline_scores,
     magnitude_scores,
     obd_fd_scores,
-    obd_hutchinson_scores,
     path_mag_scores,
     pruning_error_bound,
 )

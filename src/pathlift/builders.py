@@ -134,20 +134,14 @@ def conv_grid_architecture(
     return Architecture(neurons, edges)
 
 
-def random_params(
-    arch: Architecture,
-    rng,
-    weight_scale: float = 1.0,
-    bias_scale: float = 0.3,
-    zero_frac: float = 0.0,
-    min_mag: float = 0.05,
-) -> ParamVector:
-    """Random parameters with magnitudes bounded away from 0 by min_mag."""
+def random_params(arch: Architecture, rng, zero_frac: float = 0.0) -> ParamVector:
+    """Random parameters of random signs, with weight magnitudes uniform in
+    [0.05, 1) and bias magnitudes uniform in [0.05, 0.3); then, with
+    ``zero_frac``, each coordinate zeroed with that probability."""
     rng = np.random.default_rng(rng)
     n_e = arch.n_edges
-    mags = rng.uniform(min_mag, weight_scale, size=n_e)
-    w = mags * rng.choice([-1.0, 1.0], size=n_e)
-    b = rng.uniform(min_mag, max(bias_scale, min_mag * 2), size=arch.n_coords - n_e)
+    w = rng.uniform(0.05, 1.0, size=n_e) * rng.choice([-1.0, 1.0], size=n_e)
+    b = rng.uniform(0.05, 0.3, size=arch.n_coords - n_e)
     b *= rng.choice([-1.0, 1.0], size=b.size)
     v = np.concatenate([w, b])
     if zero_frac > 0.0:
@@ -155,14 +149,13 @@ def random_params(
     return ParamVector(arch, v)
 
 
-def same_sign_partner(
-    theta: ParamVector, rng, low: float = 0.25, high: float = 1.75, zero_frac: float = 0.0
-) -> ParamVector:
-    """Coordinatewise positive multiple of theta, optionally zeroing some
-    coordinates; the sign condition holds by construction."""
+def same_sign_partner(theta: ParamVector, rng, zero_frac: float = 0.0) -> ParamVector:
+    """theta times a factor drawn uniformly from [0.25, 1.75) per coordinate,
+    then, with ``zero_frac``, each coordinate zeroed with that probability;
+    the sign condition holds by construction."""
     _check_bound(None, theta)
     rng = np.random.default_rng(rng)
-    v = theta.vec * rng.uniform(low, high, size=len(theta))
+    v = theta.vec * rng.uniform(0.25, 1.75, size=len(theta))
     if zero_frac > 0.0:
         v[rng.random(len(theta)) < zero_frac] = 0.0
     return ParamVector(theta.arch, v)

@@ -365,11 +365,15 @@ def _check_input(arch: Architecture, x) -> np.ndarray:
 
 
 def neuron_values(arch: Architecture, theta: ParamVector, x) -> np.ndarray:
-    """Values of every neuron at input x, in topological order."""
+    """Values of every neuron at input x, in topological order; raises
+    NonFiniteValue when the pass overflows float64."""
     from .engine import run  # the engine compiles the architectures defined here
 
     _check_bound(arch, theta)
-    vals, _ = run(arch, theta.vec, _floats(x, "input entries must be numbers").reshape(-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, _ = run(arch, theta.vec, _floats(x, "input entries must be numbers").reshape(-1))
+    if not np.isfinite(vals).all():
+        raise NonFiniteValue("the forward pass overflows float64")
     return vals[:-1, 0]
 
 

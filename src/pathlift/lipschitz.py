@@ -49,8 +49,6 @@ MAX_SAMPLED_ENTRIES = 1 << 27
 # depths 3-6 with samples=32 (where 6 runs as 5), and 147, 140, 141 and
 # 143 ms with samples=100, on a 2-CPU machine
 _BISECT_DEPTH = 5
-# scalar exponents that numpy's power hands to sqrt, square and reciprocal, not pow
-_SCALAR_POWERS = np.array([0.5, 2.0, -1.0])
 
 
 def check_sign_condition(t1: ParamVector, t2: ParamVector) -> None:
@@ -113,6 +111,24 @@ def _rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x: np.ndarray, va
     return rhs, method
 
 
+def _output_gap(arch: Architecture, v1: np.ndarray, v2: np.ndarray, x: np.ndarray) -> float:
+    """l1 gap between the outputs of the parameter vectors v1 and v2 at the
+    checked input x, from one engine pass over their stack (each item bit
+    for bit its own forward pass); raises NonFiniteValue when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, _ = run(arch, np.stack((v1, v2)), x)
+        out = vals[:, arch.output_pos, 0]
+        gap = float(np.abs(out[0] - out[1]).sum())
+    if not np.isfinite(gap):
+        raise NonFiniteValue("the output gap at x overflows float64")
+    return gap
+
+
+def _holds(lhs: float, rhs: float) -> bool:
+    """Whether lhs <= rhs up to the rounding tolerances HOLDS_RTOL/HOLDS_ATOL."""
+    return lhs <= rhs * (1.0 + HOLDS_RTOL) + HOLDS_ATOL
+
+
 def _checked(arch: Architecture, t1: ParamVector, t2: ParamVector, x) -> np.ndarray:
     """x as a checked input, once t1 and t2 are bound to ``arch`` with
     matching signs."""
@@ -146,18 +162,12 @@ def verify_bound(
     """
     x = _checked(arch, t1, t2, x)
     rhs, method = _rhs(arch, t1, t2, x, variant)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals, _ = run(arch, np.stack((t1.vec, t2.vec)), x)
-        out = vals[:, arch.output_pos, 0]
-        lhs = float(np.abs(out[0] - out[1]).sum())
-    if not np.isfinite(lhs):
-        raise NonFiniteValue("the output gap at x overflows float64")
-    holds = lhs <= rhs * (1.0 + HOLDS_RTOL) + HOLDS_ATOL
+    lhs = _output_gap(arch, t1.vec, t2.vec, x)
     return BoundReport(
         variant=variant,
         lhs=lhs,
         rhs=rhs,
-        holds=holds,
+        holds=_holds(lhs, rhs),
         slack=rhs - lhs,
         metric_method=method,
     )
@@ -180,23 +190,17 @@ def _check_trajectory(arch: Architecture, t1: ParamVector, t2: ParamVector) -> N
 
 def _trajectory_points(t1: ParamVector, t2: ParamVector, ts) -> np.ndarray:
     """(len(ts), n_coords) stack of the trajectory points at the float times
-    ``ts``, for a pair that passed :func:`_check_trajectory`, each row bit
-    for bit the point its scalar time gives.  One power broadcast over all
-    times computes every row, except where an exponent is one that numpy's
-    power with a scalar exponent hands to sqrt, square or reciprocal
-    (t or 1 - t in 0.5, 2, -1): those rows keep the scalar expression.
+    ``ts``, for a pair that passed :func:`_check_trajectory`, all computed
+    by one power broadcast over the times; rows at t = 0 and t = 1 are
+    theta and theta' exactly, as pow(a, 1) = a and pow(a, 0) = 1.
     Coordinates zero on both sides (kpool biases among them) take base 1,
     as 0 ** (1 - t) is inf for t > 1, so they stay s = 0 at any t; raises
     NonFiniteValue when a point overflows."""
     s = np.sign(t1.vec)
     a1, a2 = np.where(s == 0.0, 1.0, np.abs([t1.vec, t2.vec]))
     t = np.asarray(ts, dtype=np.float64)[:, None]
-    u = 1.0 - t
     with np.errstate(over="ignore"):
-        stack = s * a1**u * a2**t
-        for i in np.flatnonzero(((t == _SCALAR_POWERS) | (u == _SCALAR_POWERS)).any(axis=1)):
-            ti = float(t[i, 0])
-            stack[i] = s * a1 ** (1.0 - ti) * a2**ti
+        stack = s * a1 ** (1.0 - t) * a2**t
     bad = ~np.isfinite(stack).all(axis=1)
     if bad.any():
         raise NonFiniteValue(f"the trajectory point at t={float(t[np.argmax(bad), 0])!r} overflows float64")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _BLOCK_ELEMS, Tape, gradient, run
+from .engine import Tape, _chunks, gradient, run
 from .errors import DominanceUnverified, NonFiniteValue, PathExplosion, PathliftError, RaggedLayers
 from .graph import Architecture, ParamVector, _check_bound
 from .paths import PathLifting, max_path_length, path_lifting
@@ -78,9 +78,8 @@ def _pathnorm_diffs(arch: Architecture, theta: ParamVector) -> np.ndarray:
     w, base, _ = _sum_pool_tape(arch, theta)
     values = np.zeros(arch.n_coords)
     nonzero = np.flatnonzero(theta.vec)
-    step = max(1, _BLOCK_ELEMS // max(arch.n_coords, 1))
-    for lo in range(0, nonzero.size, step):
-        coords = nonzero[lo : lo + step]
+    for chunk in _chunks(nonzero.size, arch.n_coords, 1):
+        coords = nonzero[chunk]
         stack = np.repeat(w[None, :], coords.size, axis=0)
         stack[np.arange(coords.size), coords] = 0.0
         vals, _ = run(arch, stack, np.ones(arch.d_in), sum_pools=True)

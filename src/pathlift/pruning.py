@@ -3,8 +3,8 @@
 The path-magnitude score of a coordinate is the l1 path norm lost by
 zeroing it: the total absolute lifting weight of every path through the
 coordinate.  Because the path lifting is rescaling-invariant, so are the
-scores, and the masks chosen from them; magnitude pruning and estimated
-second-order criteria do not share that property.
+scores, and the masks chosen from them; magnitude pruning and the
+second-order OBD saliency do not share that property.
 
 Three interchangeable routes compute the scores: the autodiff identity
 theta * grad(l1 path norm), per-coordinate path-norm differences (one
@@ -21,14 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import grad_path_norm, grad_scalar, scalar_value
-from .engine import _BLOCK_ELEMS
+from .autodiff import grad_path_norm, scalar_value
+from .engine import _chunks
 from .errors import DimensionMismatch, InfeasibleAmount, MissingData, NonFiniteValue, PathliftError
-from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _count, _floats
+from .graph import Architecture, ParamVector, _check_bound, _check_input, _floats
+from .lipschitz import _holds, _output_gap
 from .metrics import _pathnorm_diffs
 from .paths import path_lifting
 
-# the finite-difference step of both OBD scorers
+# the finite-difference step of the OBD scorer
 FD_STEP = 1e-4
 
 
@@ -52,6 +53,8 @@ class Mask:
 
     def apply(self, theta: ParamVector) -> ParamVector:
         _check_bound(None, theta)
+        if self.keep.shape != theta.vec.shape:
+            raise DimensionMismatch(f"the mask covers {self.keep.size} coordinates, the parameters {len(theta)}")
         return ParamVector(theta.arch, theta.vec * self.s)
 
     def hamming(self, other: "Mask") -> int:
@@ -116,9 +119,8 @@ def obd_fd_scores(
     batch = 1 if x.ndim == 1 else x.shape[0]
     values = np.zeros(arch.n_coords)
     vec = theta.vec
-    step = max(1, _BLOCK_ELEMS // (2 * (arch.n_neurons + 1) * batch))
-    for lo in range(0, arch.n_coords, step):
-        coords = np.arange(lo, min(lo + step, arch.n_coords))
+    for chunk in _chunks(arch.n_coords, 2 * (arch.n_neurons + 1), batch):
+        coords = np.arange(*chunk.indices(arch.n_coords))
         steps = np.zeros((coords.size, arch.n_coords))
         steps[np.arange(coords.size), coords] = FD_STEP
         both = scalar_value(arch, np.concatenate((vec + steps, vec - steps)), x, aggregate=loss, target=y)
@@ -126,36 +128,6 @@ def obd_fd_scores(
         h = (up - 2.0 * base + dn) / (FD_STEP * FD_STEP)
         values[coords] = 0.5 * h * vec[coords] * vec[coords]
     return ScoreVector(criterion="obd", method="fd", values=values)
-
-
-def obd_hutchinson_scores(
-    arch: Architecture,
-    theta: ParamVector,
-    data,
-    loss: str = "squared_error",
-    probes: int = 32,
-    seed=0,
-) -> ScoreVector:
-    """Same saliency with the Hessian diagonal estimated stochastically.
-
-    Averages (H v) * v over Rademacher probes v, the Hessian-vector product
-    taken by central differencing of the loss gradient.  Sharing the probe
-    seed across reparametrizations does NOT make the estimate rescaling
-    invariant (the probes do not transform), unlike the exact diagonal.
-    """
-    _check_bound(arch, theta)
-    probes = _count(probes, "probes", PathliftError)
-    x, y = _require_data(data)
-    rng = np.random.default_rng(seed)
-    vec = theta.vec
-    est = np.zeros(arch.n_coords)
-    for _ in range(probes):
-        v = rng.integers(0, 2, size=arch.n_coords).astype(np.float64) * 2.0 - 1.0
-        _, gu = grad_scalar(arch, ParamVector(arch, vec + FD_STEP * v), x, aggregate=loss, target=y)
-        _, gd = grad_scalar(arch, ParamVector(arch, vec - FD_STEP * v), x, aggregate=loss, target=y)
-        est += (gu - gd) / (2.0 * FD_STEP) * v
-    est /= probes
-    return ScoreVector(criterion="obd", method="hutchinson", values=0.5 * est * vec * vec)
 
 
 def baseline_scores(
@@ -169,8 +141,6 @@ def baseline_scores(
         return magnitude_scores(arch, theta)
     if criterion == "obd_fd":
         return obd_fd_scores(arch, theta, data, loss=loss)
-    if criterion == "obd_hutchinson":
-        return obd_hutchinson_scores(arch, theta, data, loss=loss)
     raise PathliftError(f"unknown baseline criterion {criterion!r}")
 
 
@@ -271,9 +241,13 @@ def pruning_error_bound(
     coordinate listed twice counts once; entries must be integers).
 
     bound = (sum of the coordinates' path-magnitude scores) * max(1, |x|_inf),
-    compared against the realized l1 output change.  Scores are taken at the
-    unpruned theta; any computation route works, autodiff by default.
+    compared against the realized l1 output change, both outputs from one
+    engine pass over the stack of the two parameter vectors.  Scores are
+    taken at the unpruned theta; any computation route works, autodiff by
+    default.  Raises NonFiniteValue when the bound or the output change
+    overflows float64.
     """
+    _check_bound(arch, theta)
     x = _check_input(arch, x)
     if scores is None:
         scores = path_mag_scores(arch, theta, method="autodiff")
@@ -286,9 +260,11 @@ def pruning_error_bound(
     idx = np.unique(idx.astype(np.int64))
     if idx.size and (idx.min() < 0 or idx.max() >= arch.n_coords):
         raise InfeasibleAmount("pruned coordinate index out of range")
-    bound = float(_score_values(arch, scores)[idx].sum()) * max(1.0, float(np.abs(x).max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float(_score_values(arch, scores)[idx].sum()) * max(1.0, float(np.abs(x).max()))
+    if not np.isfinite(bound):
+        raise NonFiniteValue("the pruning error bound overflows float64")
     keep = np.ones(arch.n_coords, dtype=bool)
     keep[idx] = False
-    pruned_theta = ParamVector(arch, theta.vec * keep)
-    lhs = float(np.abs(forward(arch, theta, x) - forward(arch, pruned_theta, x)).sum())
-    return PruneBoundReport(bound=bound, lhs=lhs, holds=lhs <= bound * (1.0 + 1e-9) + 1e-12)
+    lhs = _output_gap(arch, theta.vec, theta.vec * keep, x)
+    return PruneBoundReport(bound=bound, lhs=lhs, holds=_holds(lhs, bound))

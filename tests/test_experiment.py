@@ -126,6 +126,19 @@ def test_sgd_suffix_replay_is_bit_exact():
     np.testing.assert_array_equal(resumed.vec, full.vec)
 
 
+def test_a_snapshot_at_epoch_0_is_the_masked_start():
+    rng = np.random.default_rng(12)
+    arch = mlp_architecture((2, 4, 2))
+    theta0 = ParamVector(arch, rng.normal(size=arch.n_coords))
+    x = rng.normal(size=(32, 2))
+    y = rng.integers(0, 2, size=32)
+    _, mask = apply_prune(theta0, magnitude_scores(arch, theta0), count=3)
+    final, snap = sgd_train(arch, theta0, x, y, epoch_seeds(4, 2), 0.05, 16, snapshot_epoch=0)
+    assert snap.vec.tobytes() == theta0.vec.tobytes() != final.vec.tobytes()
+    _, snap = sgd_train(arch, theta0, x, y, epoch_seeds(4, 2), 0.05, 16, snapshot_epoch=0, mask=mask)
+    assert snap.vec.tobytes() == mask.apply(theta0).vec.tobytes()
+
+
 def test_accuracy_argmax():
     arch = mlp_architecture((2, 2))
     theta = mlp_params(arch, [np.eye(2)])

@@ -1,5 +1,6 @@
-"""Module layout: one home for the path table and one for the sum-pool pass,
-and no class member that only the tests read.
+"""Module layout: one home for the path table, the sum-pool pass and the
+chunk rule, no class member that only the tests read, and no bench span
+around a name the package no longer has.
 
 Only ``paths`` reads the path table (``_table``, ``_row_products``,
 ``_build_table``); every other module goes through ``path_lifting`` and
@@ -8,11 +9,15 @@ Only ``paths`` reads the path table (``_table``, ``_row_products``,
 per-coordinate norm differences reach it through ``metrics``.  The path
 cap has one setting, ``PATHLIFT_PATH_CAP``, read only by ``paths``, and no
 function takes a ``cap`` or an ``eps``: values no caller varies are
-constants.  Every public method and property of a class is read as an
-attribute in the package or named as one in ``bench/``.
+constants.  Only ``engine`` names ``_BLOCK_ELEMS``; other modules chunk
+their stacks through ``engine._chunks``.  Every public method and property
+of a class is read as an attribute in the package or named as one in
+``bench/``, and every ``(module, "name", ...)`` target that
+``bench/workloads.py`` wraps in a span exists on that pathlift module.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -98,3 +103,30 @@ def test_every_class_member_has_a_reader_outside_the_tests():
         if name not in read and not re.search(rf"\.{name}\b", bench)
     )
     assert unread == []
+
+
+def test_only_engine_names_the_chunk_size():
+    namers = sorted(p.stem for p in SRC.glob("*.py") if "_BLOCK_ELEMS" in set(_names(ast.parse(p.read_text()))))
+    assert namers == ["engine"]
+
+
+def _instrument_targets(tree):
+    """(module, name) of every ``(module, "name", ...)`` tuple in the body of
+    an ``instrument_targets`` method."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "instrument_targets":
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+                    module, name = node.elts[:2]
+                    if isinstance(module, ast.Name) and isinstance(name, ast.Constant):
+                        yield module.id, name.value
+
+
+def test_every_bench_instrument_target_exists():
+    targets = sorted(set(_instrument_targets(ast.parse((BENCH / "workloads.py").read_text()))))
+    assert len(targets) >= 20
+    missing = [
+        f"{module}.{name}" for module, name in targets
+        if not hasattr(importlib.import_module(f"pathlift.{module}"), name)
+    ]
+    assert missing == []

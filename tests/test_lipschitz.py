@@ -21,7 +21,6 @@ from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.lipschitz import (
     _BISECT_DEPTH,
     MAX_SAMPLED_ENTRIES,
-    _trajectory_points,
     activation_breakpoints,
     bound_rhs,
     check_sign_condition,
@@ -151,40 +150,6 @@ def test_trajectory_point_values():
     assert trajectory_point(t1, t2, 0.5).vec[0] == 2.0
     arch, t1, t2 = _single_edge(-4.0, -16.0)
     assert trajectory_point(t1, t2, 0.5).vec[0] == -8.0
-
-
-def _scalar_points(t1, t2, ts):
-    """One point per float time, each from the scalar-exponent expression."""
-    s, a1, a2 = np.sign(t1.vec), np.abs(t1.vec), np.abs(t2.vec)
-    stack = np.stack([s * a1 ** (1.0 - t) * a2**t for t in ts])
-    stack[:, t1.arch._pool_bias] = 0.0
-    return stack
-
-
-def test_trajectory_points_equal_the_scalar_expression_bit_for_bit():
-    """Every row equals the scalar-exponent expression bit for bit (numpy's
-    scalar power computes x ** 0.5, x ** 2 and x ** -1 as sqrt, square and
-    reciprocal).  The reference loop builds its points through the same
-    function, so only this comparison can see a changed bit."""
-    rng = np.random.default_rng(17)
-    cases = []
-    for child in np.random.SeedSequence(17).spawn(60):
-        r = np.random.default_rng(child)
-        arch = random_dag(r, max_layers=5, max_width=6)
-        t1 = random_params(arch, r, zero_frac=0.2)
-        cases.append((arch, t1, same_sign_partner(t1, r)))
-    times = [np.linspace(0.0, 1.0, 33).tolist(), rng.random(40).tolist(), [0.5], [0.5, 0.3, 0.5, 1.0 / 3.0]]
-    for arch, t1, t2 in cases:
-        for ts in times:
-            got = _trajectory_points(t1, t2, ts)
-            np.testing.assert_array_equal(got.view(np.uint64), _scalar_points(t1, t2, ts).view(np.uint64))
-    # off [0, 1], on a net without zero coordinates: 1 - t is 2 or -1 at t = -1 or 2
-    arch = mlp_architecture((3, 5, 5, 2))
-    t1 = random_params(arch, rng)
-    t2 = same_sign_partner(t1, rng)
-    ts = [2.0, -1.0, 1.5, -0.5, 0.5]
-    got = _trajectory_points(t1, t2, ts)
-    np.testing.assert_array_equal(got.view(np.uint64), _scalar_points(t1, t2, ts).view(np.uint64))
 
 
 def test_trajectory_endpoints_exact():

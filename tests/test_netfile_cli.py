@@ -13,6 +13,7 @@ from pathlift.errors import ArchitectureError, DanglingEdge, ParseError
 from pathlift.experiment import ExperimentConfig, run_experiment
 from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.netfile import load_network, save_network
+from pathlift.pruning import obd_fd_scores
 
 from conftest import bias, diamond_arch, diamond_theta, pool_arch, pool_theta
 
@@ -207,6 +208,22 @@ def test_first_bad_entry_is_named(tmp_path):
         load_network(path)
 
 
+def test_a_misspelled_weight_key_or_a_bias_list_is_a_parse_error(tmp_path):
+    doc = {
+        "neurons": [{"id": "a", "activation": "input"}, {"id": "b", "activation": "identity"}],
+        "edges": [{"src": "a", "dst": "b", "weight": 1.0}, {"src": "a", "dst": "b", "wieght": 2.0}],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="malformed edge entry .*wieght"):
+        load_network(path)
+    doc["edges"].pop()
+    doc["biases"] = [0.5]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="'biases' must map neuron ids to numbers"):
+        load_network(path)
+
+
 # ---- command line ----------------------------------------------------------
 
 
@@ -329,6 +346,22 @@ def test_cli_prune_refuses_a_label_that_is_no_class(tmp_path, capsys, label):
     assert captured.err == f"error: {csv}: data row 2: class label {float(label)!r} is not a whole number in the int64 range\n"
 
 
+def test_cli_prune_obd_with_logistic_labels(tmp_path, capsys):
+    arch = mlp_architecture((1, 3, 1))
+    theta = random_params(arch, np.random.default_rng(0))
+    path = tmp_path / "net.json"
+    save_network(path, arch, theta)
+    csv = tmp_path / "batch.csv"
+    csv.write_text("0.5,1\n1.0,0\n-0.25,1\n")
+    assert main(["prune", str(path), "--criterion", "obd", "--count", "2",
+                 "--loss", "logistic", "--data", str(csv)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "pruned 2 coordinate(s)"
+    data = ([[0.5], [1.0], [-0.25]], np.array([1, 0, 1]))
+    expected = obd_fd_scores(arch, theta, data, loss="logistic").values
+    assert [float(line.split("\t")[1]) for line in lines[2:]] == expected.tolist()
+
+
 def test_cli_prune_csv_with_header_is_a_parse_error(tmp_path, capsys):
     path, _, _ = _write_diamond(tmp_path)
     csv = tmp_path / "batch.csv"
@@ -361,6 +394,21 @@ def test_cli_rescale_requires_seed_or_factor(tmp_path, capsys):
     path, _, _ = _write_diamond(tmp_path)
     assert main(["rescale", str(path)]) == 1
     assert "either --seed or --factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--factor", "h1"], "expected NEURON=FACTOR, got 'h1'"),
+        (["--seed", "1", "--preset", "log_uniform:abc"], "bad preset 'log_uniform:abc'"),
+    ],
+)
+def test_cli_rescale_refuses_a_factor_without_a_value_or_a_bad_preset(tmp_path, capsys, args, message):
+    path, _, _ = _write_diamond(tmp_path)
+    assert main(["rescale", str(path), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_normalize(tmp_path, capsys):

@@ -22,7 +22,7 @@ from pathlift.lipschitz import (
 from pathlift.metrics import path_metric_exact_dominated, path_metric_oracle, path_metric_upper, path_norm_fast
 from pathlift.netfile import load_network, save_network
 from pathlift.paths import enumerate_paths, path_activations
-from pathlift.pruning import apply_prune, magnitude_scores, obd_fd_scores
+from pathlift.pruning import apply_prune, magnitude_scores, obd_fd_scores, pruning_error_bound
 from pathlift.transforms import normalize, random_rescaling, rescale
 
 from conftest import chain2_arch, chain3
@@ -255,6 +255,36 @@ def test_trajectory_points_keep_shared_zeros_off_the_unit_interval(t):
         point = trajectory_point(t1, t2, t).vec
     np.testing.assert_allclose(point[:3], t1.vec[:3] ** (1.0 - t) * t2.vec[:3] ** t, rtol=1e-15)
     assert point[3:].tolist() == [0.0, 0.0, 0.0]
+
+
+def test_eval_refuses_an_overflowing_forward_pass(chain2, tmp_path, capsys):
+    # the output at x = 1 is 1e400
+    theta = ParamVector(chain2, [1e200, 1e200, 0.0, 0.0])
+    save_network(tmp_path / "big.json", chain2, theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="^the forward pass overflows float64$"):
+            forward(chain2, theta, [1.0])
+        for extra in ([], ["--trace"]):
+            assert main(["eval", str(tmp_path / "big.json"), "--input", "1", *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: the forward pass overflows float64\n"
+
+
+def test_the_pruning_bound_refuses_an_overflow(chain2):
+    # the path weighs 1e308: its score times |x| = 1e10 overflows, and so
+    # does the output change
+    theta = ParamVector(chain2, [1e154, 1e154, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="^the pruning error bound overflows float64$"):
+            pruning_error_bound(chain2, theta, [0], [1e10])
+        # magnitude scores keep the bound near 1e164
+        with pytest.raises(NonFiniteValue, match="^the output gap at x overflows float64$"):
+            pruning_error_bound(chain2, theta, [0], [1e10], scores=magnitude_scores(chain2, theta))
+        report = pruning_error_bound(chain2, theta, [0], [1e-10])
+    assert report.holds and report.lhs == pytest.approx(1e298)
 
 
 def test_rescale_names_its_own_overflow(tmp_path, capsys):

@@ -19,7 +19,6 @@ from pathlift.pruning import (
     baseline_scores,
     magnitude_scores,
     obd_fd_scores,
-    obd_hutchinson_scores,
     ScoreVector,
     path_mag_scores,
     pruning_error_bound,
@@ -107,21 +106,6 @@ def test_obd_fd_single_weight_analytic():
     assert sv.values[1] == 0.0
 
 
-def test_obd_hutchinson_converges_to_fd():
-    arch = Architecture([("in", "input"), ("out", "identity")], [("in", "out")])
-    theta = ParamVector(arch, [2.0, 0.0])
-    sv = obd_hutchinson_scores(arch, theta, ([[1.0]], [[0.0]]), probes=10_000, seed=3)
-    assert sv.values[0] == pytest.approx(2.0, rel=0.05)
-
-
-def test_obd_hutchinson_needs_a_whole_number_of_probes():
-    arch = Architecture([("in", "input"), ("out", "identity")], [("in", "out")])
-    theta = ParamVector(arch, [2.0, 0.0])
-    for probes in (0, -3, 2.7, "x", None):
-        with pytest.raises(PathliftError, match="probes"):
-            obd_hutchinson_scores(arch, theta, ([[1.0]], [[0.0]]), probes=probes)
-
-
 def test_obd_fd_approximately_rescaling_invariant():
     arch, theta = _chain_net()
     data = ([[1.0], [-0.5], [2.0]], [[0.5], [0.0], [-1.0]])
@@ -133,24 +117,12 @@ def test_obd_fd_approximately_rescaling_invariant():
 
 def test_obd_data_must_be_a_pair_with_finite_targets(diamond):
     arch, theta = diamond
-    for scorer in (obd_fd_scores, obd_hutchinson_scores):
-        for bad in (([[1.0]],), ([[1.0]], [[0.0]], [[2.0]]), 5):
-            with pytest.raises(MissingData):
-                scorer(arch, theta, bad)
-        for y in ([[np.nan]], [[np.inf]], [-np.inf]):
-            with pytest.raises(NonFiniteValue, match="target"):
-                scorer(arch, theta, ([[1.0]], y))
-
-
-def test_obd_hutchinson_not_rescaling_invariant():
-    arch, theta = _chain_net()
-    data = ([[1.0], [-0.5], [2.0]], [[0.5], [0.0], [-1.0]])
-    base = obd_hutchinson_scores(arch, theta, data, probes=64, seed=0).values
-    moved = obd_hutchinson_scores(
-        arch, rescale(arch, theta, {"m": 128.0}), data, probes=64, seed=0
-    ).values
-    # the shared probes do not transform with the parameters
-    assert not np.allclose(moved, base, rtol=1e-3, atol=1e-12)
+    for bad in (([[1.0]],), ([[1.0]], [[0.0]], [[2.0]]), 5):
+        with pytest.raises(MissingData):
+            obd_fd_scores(arch, theta, bad)
+    for y in ([[np.nan]], [[np.inf]], [-np.inf]):
+        with pytest.raises(NonFiniteValue, match="target"):
+            obd_fd_scores(arch, theta, ([[1.0]], y))
 
 
 def test_baseline_scores_dispatch(diamond):
@@ -158,10 +130,16 @@ def test_baseline_scores_dispatch(diamond):
     assert baseline_scores(arch, theta, "magnitude").criterion == "magnitude"
     with pytest.raises(MissingData):
         baseline_scores(arch, theta, "obd_fd")
-    with pytest.raises(MissingData):
-        baseline_scores(arch, theta, "obd_hutchinson")
     with pytest.raises(PathliftError):
         baseline_scores(arch, theta, "coinflip")
+
+
+def test_a_mask_refuses_parameters_of_another_architecture():
+    small, big = mlp_architecture((2, 3, 2)), mlp_architecture((2, 4, 2))
+    theta = random_params(small, 0)
+    _, mask = apply_prune(theta, magnitude_scores(small, theta), count=2)
+    with pytest.raises(DimensionMismatch, match="mask covers 17 coordinates, the parameters 22"):
+        mask.apply(random_params(big, 0))
 
 
 def test_apply_prune_diamond_half_edges(diamond):
