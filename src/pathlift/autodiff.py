@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Tape, gradient, run, schedule
+from .engine import Tape, _finite_run, gradient, run, schedule
 from .errors import DimensionMismatch, MissingData, NonFiniteValue, PathliftError
 from .graph import Architecture, ParamVector, _floats, _param_rows
 from .metrics import _sum_pool_sweep, _sum_pool_tape
@@ -86,10 +86,14 @@ def _aggregate(arch: Architecture, vals, aggregate, target):
 
 def scalar_value(arch: Architecture, theta, x, aggregate="sum_outputs", target=None):
     """The scalar of :func:`grad_scalar` alone: a float, or one per item
-    (P,) of a (P, n_coords) stack, item i bit for bit its own value."""
+    (P,) of a (P, n_coords) stack, item i bit for bit its own value.
+    Raises NonFiniteValue when the pass or the scalar overflows float64."""
     rows = _param_rows(arch, theta)
-    vals, _ = run(arch, rows, x)
-    value, _ = _aggregate(arch, vals, aggregate, target)
+    vals = _finite_run(arch, rows, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, _ = _aggregate(arch, vals, aggregate, target)
+    if not np.isfinite(value).all():
+        raise NonFiniteValue(f"the {aggregate} aggregate overflows float64")
     return value
 
 

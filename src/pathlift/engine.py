@@ -16,9 +16,11 @@ Kernels, all in float64:
 
 * a block whose rows all read the same sources is one matrix product
   (every MLP layer, the dense head of a conv grid);
-* any other block is a batched product over gathered ``(rows, K, B)``
-  blocks of about 1 MB, so memory stays bounded at any batch size; the
-  adjoint is the same product over the transposed matrix;
+* any other affine block has a period G <= rows, row r reading the sources
+  of row r mod G (a conv level: G grid positions, F = rows / G filters):
+  each source row is gathered once, in blocks of about 1 MB so memory
+  stays bounded at any batch size, for one (F, K) by (K, B) product per
+  group; the adjoint is the same product over the transposed matrix;
 * a pool block takes the k-th largest contribution over its gathered block
   and routes to the first slot attaining it: the forward pass, the
   gradient and the path activations share this tie-break;
@@ -80,6 +82,16 @@ def _index(ix: np.ndarray):
     return ix
 
 
+def _period(idx: np.ndarray) -> int:
+    """The smallest G dividing the row count such that row r of ``idx``
+    equals row r mod G: only a row equal to row 0 can end the first period."""
+    rows, width = idx.shape
+    for g in np.flatnonzero(idx[1:, 0] == idx[0, 0]) + 1:
+        if rows % g == 0 and np.array_equal(idx[g], idx[0]) and (idx.reshape(-1, g, width) == idx[:g]).all():
+            return int(g)
+    return rows
+
+
 class _Block:
     """The rows ``sel`` of a level, all of one kind, with their slot matrices.
 
@@ -89,6 +101,8 @@ class _Block:
     contiguous run (every block of an MLP or a conv grid), as flat positions
     otherwise; ``bias`` likewise holds the rows' bias coordinates.
     ``shared``: the one source row every row reads, when there is one.
+    ``groups``/``tgroups``: the first G rows of ``src``/``trow``, G their
+    smallest period (row r repeats row r mod G); all of them on a pool block.
     ``k``: 0 for affine rows, the pool order otherwise.  ``floor``: what
     the pre-activation is clipped at (0.0 on relu rows, -inf on identity
     rows), None when no row is relu.  ``valid``: on a pool block with
@@ -98,8 +112,8 @@ class _Block:
     into the block, padded like ``src``.
     """
 
-    __slots__ = ("rows", "at", "src", "coord", "shared", "k", "floor", "bias",
-                 "valid", "tsrc", "trow", "tcoord", "tslot")
+    __slots__ = ("rows", "at", "src", "groups", "coord", "shared", "k", "floor", "bias",
+                 "valid", "tsrc", "trow", "tgroups", "tcoord", "tslot")
 
     def __init__(self, arch: Architecture, level: tuple, sel: np.ndarray, k: int):
         n, nc = arch.n_neurons, arch.n_coords
@@ -129,7 +143,8 @@ class _Block:
             self.floor = np.where(relu, 0.0, -np.inf)[:, None]
 
         self.shared = self.tslot = None
-        if k == 0 and np.all(self.src == self.src[0]):
+        self.groups = self.src[: _period(self.src)] if k == 0 else self.src
+        if k == 0 and len(self.groups) == 1:
             self.shared = _index(self.src[0].astype(np.int64))
             return
         # the block's slots in source order, each source's in row order
@@ -147,6 +162,7 @@ class _Block:
         self.tcoord = np.full(shape, nc, dtype=np.int32)
         self.trow[m, t] = rows[r]
         self.tcoord[m, t] = e
+        self.tgroups = self.trow[: _period(self.trow)] if k == 0 else self.trow
         if k:
             self.tslot = np.zeros(shape, dtype=np.int32)
             self.tslot[m, t] = slot
@@ -201,21 +217,29 @@ def _weights(wpad, blk: _Block):
 
 
 def _gathered_product(w, table, idx):
-    """out[p, r, :] = sum over slots s of w[p, r, s] * table[p, idx[r, s]]:
-    (P, rows, B)."""
+    """out[p, r, :] = sum over slots s of w[p, r, s] * table[p, idx[r % G, s]]
+    for the G = len(idx) source rows: (P, rows, B), one (F, K) by (K, B)
+    product per group of F = rows / G rows."""
     p, batch = table.shape[0], table.shape[2]
-    out = np.empty((p, idx.shape[0], batch))
-    for c in _chunks(idx.shape[0], p * idx.shape[1], batch):
-        out[:, c] = np.matmul(w[:, c, None, :], table.take(idx[c], axis=1))[:, :, 0, :]
+    groups, width = idx.shape
+    out = np.empty((p, w.shape[1], batch))
+    wg = w.reshape(p, -1, groups, width).swapaxes(1, 2)
+    og = out.reshape(p, -1, groups, batch).swapaxes(1, 2)
+    for c in _chunks(groups, p * width, batch):
+        og[:, c] = np.matmul(wg[:, c], table.take(idx[c], axis=1))
     return out
 
 
 def _slot_products(table, idx, g):
-    """out[p, r, s] = sum over the batch of table[p, idx[r, s]] * g[p, r]:
-    (P, rows, K)."""
-    out = np.empty(g.shape[:2] + idx.shape[1:])
-    for c in _chunks(idx.shape[0], table.shape[0] * idx.shape[1], table.shape[2]):
-        out[:, c] = np.matmul(table.take(idx[c], axis=1), g[:, c, :, None])[..., 0]
+    """out[p, r, s] = sum over the batch of table[p, idx[r % G, s]] * g[p, r]
+    for the G = len(idx) source rows: (P, rows, K), one product per group."""
+    p, batch = g.shape[0], g.shape[2]
+    groups, width = idx.shape
+    out = np.empty(g.shape[:2] + (width,))
+    og = out.reshape(p, -1, groups, width).transpose(0, 2, 3, 1)
+    gg = g.reshape(p, -1, groups, batch).transpose(0, 2, 3, 1)
+    for c in _chunks(groups, p * width, batch):
+        og[:, c] = np.matmul(table.take(idx[c], axis=1), gg[:, c])
     return out
 
 
@@ -318,7 +342,7 @@ def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False, *, ta
                 _pool_forward(blk, w, vals, win)
                 continue
             else:
-                pre = _gathered_product(w, vals, blk.src)
+                pre = _gathered_product(w, vals, blk.groups)
             pre += _rows(wpad, blk.bias)[..., None]
             if blk.floor is not None:
                 np.maximum(pre, blk.floor, out=pre)
@@ -326,6 +350,16 @@ def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False, *, ta
     if theta.ndim == 1:
         return vals[0], None if win is None else win[0]
     return vals, win
+
+
+def _finite_run(arch: Architecture, theta: np.ndarray, x):
+    """The values of :func:`run` on a fresh tape, raising NonFiniteValue,
+    without a numpy warning, when any of them overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, _ = run(arch, theta, x)
+    if not np.isfinite(vals).all():
+        raise NonFiniteValue("the forward pass overflows float64")
+    return vals
 
 
 def gradient(
@@ -374,9 +408,9 @@ def gradient(
                 if inner:
                     adj[:, blk.shared, :] += _weights(wpad, blk).swapaxes(-1, -2) @ g
                 continue
-            gpad[:, blk.coord] = _slot_products(vals, blk.src, g).reshape(p, -1)
+            gpad[:, blk.coord] = _slot_products(vals, blk.groups, g).reshape(p, -1)
             if inner:
-                adj[:, blk.tsrc] += _gathered_product(wpad.take(blk.tcoord, axis=-1), adj, blk.trow)
+                adj[:, blk.tsrc] += _gathered_product(wpad.take(blk.tcoord, axis=-1), adj, blk.tgroups)
     grad = gpad[:, :-1]
     return grad if theta.ndim == 2 else grad[0]
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .autodiff import grad_scalar
 from .builders import mlp_architecture
-from .engine import Tape, run
+from .engine import Tape, _finite_run
 from .errors import DimensionMismatch, InfeasibleAmount, MissingData, NonFiniteValue, PathliftError
 from .graph import Architecture, ParamVector, _check_bound, _count
 from .pruning import Mask, apply_prune, baseline_scores, path_mag_scores
@@ -197,9 +197,9 @@ def sgd_train(
 def accuracy(arch: Architecture, theta: ParamVector, x, y) -> float:
     """Share of the rows of x whose largest output is at their label in y.
     Raises MissingData for no rows, DimensionMismatch unless y holds one
-    label per row."""
+    label per row, NonFiniteValue when the pass overflows float64."""
     _check_bound(arch, theta)
-    vals, _ = run(arch, theta.vec, x)
+    vals = _finite_run(arch, theta.vec, x)
     pred = vals[arch.output_pos].argmax(axis=0)
     labels = np.asarray(y).reshape(-1)
     if not pred.size:

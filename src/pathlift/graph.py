@@ -31,7 +31,7 @@ import heapq
 from collections import Counter
 from contextlib import suppress
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -78,6 +78,11 @@ def _pairs(entries: Iterable, what: str) -> list:
     return items
 
 
+class _EdgeColumns(tuple):
+    """Edges as a network file holds them, the columns (source ids,
+    destination ids): the constructor reads them with no pair per edge."""
+
+
 class Architecture:
     """Validated DAG architecture with a fixed canonical topological order.
 
@@ -100,18 +105,20 @@ class Architecture:
         n = len(names)
         rank = dict(zip(names, range(n)))
 
-        given = _pairs(edges, "edge entry")
-        m = len(given)
+        if isinstance(edges, _EdgeColumns):
+            src_ids, dst_ids = edges
+        else:
+            given = _pairs(edges, "edge entry")
+            src_ids, dst_ids = zip(*given) if given else ((), ())
+        m, cols = len(src_ids), (src_ids, dst_ids)
         try:  # ids as given, sparing a str() per endpoint; as strings otherwise
-            keys = np.fromiter(map(rank.__getitem__, chain.from_iterable(given)), dtype=np.int64, count=2 * m)
+            su, sv = (np.fromiter(map(rank.__getitem__, c), dtype=np.int64, count=m) for c in cols)
         except (KeyError, TypeError):
-            flat = map(str, chain.from_iterable(given))
-            keys = np.fromiter(map(rank.get, flat, repeat(-1)), dtype=np.int64, count=2 * m)
-        su, sv = keys[0::2], keys[1::2]
+            su, sv = (np.fromiter(map(rank.get, map(str, c), repeat(-1)), dtype=np.int64, count=m) for c in cols)
         dangling = np.flatnonzero((su < 0) | (sv < 0))
         if dangling.size:
-            u, v = given[dangling[0]]
-            raise DanglingEdge(f"edge {u}->{v} references an undeclared neuron")
+            i = dangling[0]
+            raise DanglingEdge(f"edge {src_ids[i]}->{dst_ids[i]} references an undeclared neuron")
         key = np.sort(su * n + sv)
         repeated = key[1:][key[1:] == key[:-1]]
         if repeated.size:
@@ -367,13 +374,10 @@ def _check_input(arch: Architecture, x) -> np.ndarray:
 def neuron_values(arch: Architecture, theta: ParamVector, x) -> np.ndarray:
     """Values of every neuron at input x, in topological order; raises
     NonFiniteValue when the pass overflows float64."""
-    from .engine import run  # the engine compiles the architectures defined here
+    from .engine import _finite_run  # the engine compiles the architectures defined here
 
     _check_bound(arch, theta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals, _ = run(arch, theta.vec, _floats(x, "input entries must be numbers").reshape(-1))
-    if not np.isfinite(vals).all():
-        raise NonFiniteValue("the forward pass overflows float64")
+    vals = _finite_run(arch, theta.vec, _floats(x, "input entries must be numbers").reshape(-1))
     return vals[:-1, 0]
 
 

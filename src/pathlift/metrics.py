@@ -259,16 +259,17 @@ class PathMetricReport:
     """Every estimate of the l1 path metric this package can produce."""
 
     lower: float
-    upper_coarse: float
+    upper_coarse: float | None
     upper_refined: float
     exact: float | None
     oracle: float | None
     note: str = ""
 
     def render(self) -> str:
+        coarse = "(overflows float64)" if self.upper_coarse is None else repr(self.upper_coarse)
         lines = [
             f"lower          {self.lower!r}",
-            f"upper (coarse) {self.upper_coarse!r}",
+            f"upper (coarse) {coarse}",
             f"upper (refined) {self.upper_refined!r}",
         ]
         lines.append(f"exact          {self.exact!r}" if self.exact is not None else "exact          (dominance unverified)")
@@ -290,9 +291,13 @@ def path_metric_report(arch: Architecture, t1: ParamVector, t2: ParamVector) -> 
     except PathExplosion as exc:
         oracle = None
         note.append(str(exc))
+    try:
+        coarse = path_metric_upper(arch, t1, t2)
+    except NonFiniteValue:  # the coarse width term can overflow where the refined bound does not
+        coarse = None
     return PathMetricReport(
         lower=path_metric_lower(arch, t1, t2),
-        upper_coarse=path_metric_upper(arch, t1, t2),
+        upper_coarse=coarse,
         upper_refined=path_metric_upper(arch, t1, t2, refined=True),
         exact=exact,
         oracle=oracle,

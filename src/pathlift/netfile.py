@@ -34,7 +34,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ParseError
-from .graph import Architecture, ParamVector, _check_bound
+from .graph import Architecture, ParamVector, _check_bound, _EdgeColumns
 
 _KPOOL = '{{\n    "kpool": {}\n   }}'.format
 
@@ -164,7 +164,7 @@ def load_network(fp):
         for k, v in biases.items():
             if not _is_number(v):
                 raise ParseError(f"bias of {k!r} must be a number")
-    arch = Architecture(zip(ids, acts), zip(src, dst))
+    arch = Architecture(zip(ids, acts), _EdgeColumns((src, dst)))
     floats = {}
     for k, v in biases.items():
         try:

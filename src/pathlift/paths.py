@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import activations
-from .errors import PathExplosion, PathliftError
+from .errors import NonFiniteValue, PathExplosion, PathliftError
 from .graph import Architecture, ParamVector, _check_input, _param_rows
 from .netfile import _opened
 
@@ -235,14 +235,18 @@ def linearized_output(arch: Architecture, theta: ParamVector, x) -> np.ndarray:
     For each output neuron, the sum over paths ending there of
     lifting * activation * (starting input coordinate, or 1 for bias-led
     paths), in canonical path order.  Agrees with the forward pass exactly
-    on every input.
+    on every input; raises NonFiniteValue when a term or a sum overflows.
     """
     x = _check_input(arch, x)
-    acts = path_activations(arch, theta, x)
-    lift = path_lifting(arch, theta)
-    lead = np.append(x, 1.0)[_input_column(arch)[lift.table.start]]
-    out_col = np.searchsorted(arch.output_pos, lift.table.end)
-    return np.bincount(out_col, weights=lift.values * acts * lead, minlength=arch.d_out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        acts = path_activations(arch, theta, x)
+        lift = path_lifting(arch, theta)
+        lead = np.append(x, 1.0)[_input_column(arch)[lift.table.start]]
+        out_col = np.searchsorted(arch.output_pos, lift.table.end)
+        out = np.bincount(out_col, weights=lift.values * acts * lead, minlength=arch.d_out)
+    if not np.isfinite(out).all():
+        raise NonFiniteValue("the linearized output overflows float64")
+    return out
 
 
 def save_path_table(fp, paths, values):

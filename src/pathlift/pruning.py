@@ -113,7 +113,8 @@ def obd_fd_scores(
     The 2 * n_coords perturbed losses run as stacks of parameter rows, each
     stack's tape about one gathered block of the engine (1 MB); every row
     is bit for bit its own pass, so the scores are those of one loss
-    evaluation per perturbed vector."""
+    evaluation per perturbed vector.  Raises NonFiniteValue when a loss or
+    a score overflows float64."""
     x, y = _require_data(data)
     base = scalar_value(arch, theta, x, aggregate=loss, target=y)
     batch = 1 if x.ndim == 1 else x.shape[0]
@@ -125,8 +126,11 @@ def obd_fd_scores(
         steps[np.arange(coords.size), coords] = FD_STEP
         both = scalar_value(arch, np.concatenate((vec + steps, vec - steps)), x, aggregate=loss, target=y)
         up, dn = both[: coords.size], both[coords.size :]
-        h = (up - 2.0 * base + dn) / (FD_STEP * FD_STEP)
-        values[coords] = 0.5 * h * vec[coords] * vec[coords]
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = (up - 2.0 * base + dn) / (FD_STEP * FD_STEP)
+            values[coords] = 0.5 * h * vec[coords] * vec[coords]
+    if not np.isfinite(values).all():
+        raise NonFiniteValue("the OBD scores overflow float64")
     return ScoreVector(criterion="obd", method="fd", values=values)
 
 

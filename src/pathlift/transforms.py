@@ -46,7 +46,11 @@ def rescale(arch: Architecture, theta: ParamVector, factors: Mapping) -> ParamVe
     v = theta.vec.copy()
     m = arch.n_edges
     with np.errstate(over="ignore", invalid="ignore"):  # ParamVector refuses what overflowed
-        v[:m] *= lam[arch.dst] / lam[arch.src]
+        ratio = lam[arch.dst] / lam[arch.src]
+        v[:m] *= ratio
+        # a ratio that overflowed or lost digits to underflow: multiply, then divide
+        e = np.flatnonzero((ratio < np.finfo(np.float64).tiny) | (ratio == np.inf))
+        v[e] = (theta.vec[e] * lam[arch.dst[e]]) / lam[arch.src[e]]
         v[m:] *= lam[arch.non_input_pos]
     try:
         return ParamVector(arch, v)

@@ -378,6 +378,71 @@ class ReferenceArchitecture(Architecture):
         self.non_input_pos = np.flatnonzero(~self.is_input)
 
 
+# ---- a residual conv net: padded, periodic convolution levels ---------------
+
+
+def residual_conv_architecture(side=4, channels=3, blocks=2, d_out=3):
+    """A small residual conv net on a ``side`` x ``side`` grid of inputs: a
+    same-padded 3x3 relu stem convolution to ``channels`` channels, then
+    ``blocks`` residual blocks, a global average pool and a dense head.
+
+    A block is a relu convolution, a frozen batch-norm, an identity
+    convolution, a second frozen batch-norm, and a relu "add" neuron per
+    cell reading that batch-norm and the block's input (the skip).  A
+    convolution reads every channel of the layer below over the 3x3 window
+    clipped at the border, so border rows have fewer antecedents (padded
+    slots).  A frozen batch-norm is one identity neuron per conv output,
+    its edge the scale and its bias the shift.  The pool is one identity
+    neuron per channel reading all its cells (weights 1/side**2 make it an
+    average).  Ids sort by layer, channel, row and column, so every layer
+    is one depth level, channel-major, and each convolution level repeats
+    its source rows with period side**2."""
+    cells = [(r, c) for r in range(side) for c in range(side)]
+
+    def cell(layer, f, r, c):
+        return f"L{layer:02d}f{f:02d}r{r:02d}c{c:02d}"
+
+    neurons = [(cell(0, 0, r, c), "input") for r, c in cells]
+    edges = []
+    layers = [0]
+
+    def add_layer(tag, sources):
+        """A layer of ``channels`` x side x side neurons; ``sources(f, r, c)``
+        gives each one's antecedents."""
+        layer = len(layers)
+        layers.append(layer)
+        for f in range(channels):
+            for r, c in cells:
+                v = cell(layer, f, r, c)
+                neurons.append((v, tag))
+                edges.extend((u, v) for u in sources(f, r, c))
+        return layer
+
+    def conv(below, width, tag):
+        def window(f, r, c):
+            return [cell(below, g, r + dr, c + dc) for g in range(width)
+                    for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+                    if 0 <= r + dr < side and 0 <= c + dc < side]
+        return add_layer(tag, window)
+
+    def batch_norm(below):
+        return add_layer("identity", lambda f, r, c: [cell(below, f, r, c)])
+
+    top = conv(0, 1, "relu")
+    for _ in range(blocks):
+        skip = top
+        norm = batch_norm(conv(batch_norm(conv(skip, channels, "relu")), channels, "identity"))
+        top = add_layer("relu", lambda f, r, c: [cell(norm, f, r, c), cell(skip, f, r, c)])
+    pool = [f"L{len(layers):02d}f{f:02d}" for f in range(channels)]
+    for f, p in enumerate(pool):
+        neurons.append((p, "identity"))
+        edges.extend((cell(top, f, r, c), p) for r, c in cells)
+    for o in range(d_out):
+        neurons.append((f"Z{o:02d}", "identity"))
+        edges.extend((p, f"Z{o:02d}") for p in pool)
+    return Architecture(neurons, edges)
+
+
 # ---- network file: the json module's writer ---------------------------------
 
 

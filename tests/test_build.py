@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from pathlift import Architecture, ArchitectureError, conv_grid_architecture, mlp_architecture, random_dag
+from pathlift.graph import _EdgeColumns
+
 from conftest import edge_ids
 from reference import ReferenceArchitecture, neuron_lists
 
@@ -216,3 +218,30 @@ def test_build_matches_reference_with_ids_against_the_topological_order():
         against += any(u > v for u, v in edges)
         _assert_builds_alike(*_shuffled(Architecture(neurons, edges), rng))
     assert against >= 50
+
+
+def _columns(edges):
+    return _EdgeColumns(([u for u, _ in edges], [v for _, v in edges]))
+
+
+def test_edge_columns_build_what_their_pairs_build():
+    # a network file's src and dst columns reach the constructor as they are
+    cases = [_shuffled(random_dag(seed, p_kpool=0.4, p_skip=0.4), np.random.default_rng(seed)) for seed in range(20)]
+    cases.append((
+        [(2, "input"), (10, "input"), (7, {"kpool": 2}), (1, "relu"), ("z", "identity")],
+        [(2, 7), (10, 7), (2, 1), (7, "z"), (1, "z"), (10, "z")],
+    ))
+    for neurons, edges in cases:
+        _assert_all_alike(Architecture(neurons, _columns(edges)), ReferenceArchitecture(neurons, edges))
+    for case, (neurons, edges) in _MALFORMED.items():
+        with pytest.raises(ArchitectureError) as want:
+            Architecture(neurons, edges)
+        with pytest.raises(ArchitectureError) as got:
+            Architecture(neurons, _columns(edges))
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), case
+
+
+def test_two_edges_given_as_lists_are_two_pairs():
+    neurons = [("a", "input"), ("b", "relu"), ("c", "identity")]
+    for edges in ([["a", "b"], ["b", "c"]], (["a", "b"], ["b", "c"])):
+        assert edge_ids(Architecture(neurons, edges)) == (("a", "b"), ("b", "c"))

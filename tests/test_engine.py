@@ -18,9 +18,13 @@ from pathlift.errors import DimensionMismatch, NonFiniteValue
 from pathlift.graph import IDENTITY, KPOOL, RELU, ParamVector, forward, neuron_values
 from pathlift.metrics import path_norm_fast
 from pathlift.paths import enumerate_paths, max_path_length, path_lifting
+from pathlift.pruning import path_mag_scores
+from pathlift.transforms import random_rescaling, rescale
 
 from conftest import pool_arch, pool_theta
-from reference import neuron_lists, reference_gradient, reference_unit_activations, reference_values
+from reference import (
+    neuron_lists, reference_gradient, reference_unit_activations, reference_values, residual_conv_architecture,
+)
 
 RTOL = 1e-12
 
@@ -365,3 +369,55 @@ def test_contiguous_tables_are_read_as_slices_and_padded_blocks_by_position():
                 one_vals, one_win = run(arch, vec, x, sum_pools=sum_pools)
                 assert vals[i].tobytes() == one_vals.tobytes()
                 assert grads[i].tobytes() == gradient(arch, vec, one_vals, one_win, out_adj[i]).tobytes()
+
+
+def test_a_residual_conv_net_matches_the_reference_and_its_own_single_passes():
+    rng = np.random.default_rng(41)
+    arch = residual_conv_architecture()
+    theta = random_params(arch, rng)
+    x = rng.normal(size=(7, arch.d_in))
+    _compare(arch, theta, x, rng)
+    stack = np.stack([theta.vec, random_params(arch, rng).vec, random_params(arch, rng, zero_frac=0.3).vec])
+    out_adj = rng.normal(size=(3, arch.d_out, 7))
+    vals, win = run(arch, stack, x)
+    grads = gradient(arch, stack, vals, win, out_adj)
+    for i, vec in enumerate(stack):
+        one_vals, one_win = run(arch, vec, x)
+        assert vals[i].tobytes() == one_vals.tobytes()
+        assert grads[i].tobytes() == gradient(arch, vec, one_vals, one_win, out_adj[i]).tobytes()
+    # powers of two move every value of the sum-pool pass exactly
+    for seed in range(3):
+        moved = rescale(arch, theta, random_rescaling(arch, seed))
+        assert not np.array_equal(moved.vec, theta.vec)
+        assert path_mag_scores(arch, moved).values.tobytes() == path_mag_scores(arch, theta).values.tobytes()
+
+
+def _periods(arch):
+    """(rows, G, transposed rows, transposed G) of every block that is not
+    one shared source row; G is the number of distinct source rows."""
+    return [
+        (blk.src.shape[0], len(blk.groups), blk.trow.shape[0], len(blk.tgroups))
+        for level in engine.Schedule(arch).levels for blk in level if blk.shared is None
+    ]
+
+
+def test_blocks_group_the_rows_that_read_the_same_sources():
+    # conv1 and conv2 repeat their sources once per filter; the adjoint
+    # into conv1 reads the same 180 rows from each of its 8 filters; the
+    # pool rows keep one source row each
+    assert _periods(conv_grid_architecture()) == [(800, 100, 144, 144), (1280, 64, 800, 100), (320, 320, 1280, 1280)]
+    # every MLP layer reads one shared row
+    for widths in ((2, 16, 16, 2), (3, 8, 8, 2)):
+        assert _periods(mlp_architecture(widths)) == []
+    # padded border rows repeat too: each convolution has period side**2
+    arch = residual_conv_architecture(side=4, channels=3, blocks=2)
+    blocks = [blk for level in engine.Schedule(arch).levels for blk in level]
+    convs = [blk for blk in blocks if blk.src.shape[0] == 48 and blk.src.shape[1] > 2]
+    assert len(convs) == 5
+    for blk in convs:
+        assert np.array_equal(blk.groups, blk.src[:16]) and np.any(blk.groups == arch.n_neurons)
+        assert np.array_equal(np.tile(blk.groups, (3, 1)), blk.src)
+    # no block of the random DAGs repeats its sources
+    for arch, _, _, _ in _dag_corpus():
+        for rows, g, trows, tg in _periods(arch):
+            assert (g, tg) == (rows, trows)

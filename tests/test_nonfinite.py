@@ -19,9 +19,11 @@ from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.lipschitz import (
     activation_breakpoints, bound_rhs, equality_witness, trajectory_point, verify_bound,
 )
-from pathlift.metrics import path_metric_exact_dominated, path_metric_oracle, path_metric_upper, path_norm_fast
+from pathlift.metrics import (
+    path_metric_exact_dominated, path_metric_oracle, path_metric_report, path_metric_upper, path_norm_fast,
+)
 from pathlift.netfile import load_network, save_network
-from pathlift.paths import enumerate_paths, path_activations
+from pathlift.paths import enumerate_paths, linearized_output, path_activations
 from pathlift.pruning import apply_prune, magnitude_scores, obd_fd_scores, pruning_error_bound
 from pathlift.transforms import normalize, random_rescaling, rescale
 
@@ -322,11 +324,19 @@ def test_upper_bounds_are_finite_or_refused(tmp_path, capsys):
         files = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
         assert main(["pathmetric", files[0], files[0], "--upper"]) == 0
         assert capsys.readouterr().out == "0.0\n"
-        for flags in (["--upper"], []):
-            assert main(["pathmetric", *files, *flags]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == "error: the upper bound on the path metric overflows float64\n"
+        assert main(["pathmetric", *files, "--upper"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the upper bound on the path metric overflows float64\n"
+        # the report shows the coarse row as overflowing and every other row
+        assert main(["pathmetric", *files]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[:3] == [
+            "lower          6.999999999999999e+307",
+            "upper (coarse) (overflows float64)",
+            "upper (refined) 6.999999999999999e+307",
+        ]
+        assert rows[4] == "oracle         6.999999999999999e+307"
 
 
 def test_path_norm_exponents_and_accuracy_labels_outside_the_contract_are_refused(diamond):
@@ -346,3 +356,78 @@ def test_path_norm_exponents_and_accuracy_labels_outside_the_contract_are_refuse
         with pytest.raises(MissingData, match="at least one input row"):
             accuracy(mlp, params, np.zeros((0, 2)), [])
     assert accuracy(mlp, params, np.zeros((2, 2)), [0, 1]) == 0.5
+
+
+def test_rescale_multiplies_first_where_the_factor_ratio_leaves_float64():
+    # m2 / m1 = 1e-400 underflows to 0, and the middle weight is 1e-100
+    arch, theta = chain3((1.0, 1e300, 1.0), (0.0, 0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rescale(arch, theta, {"m1": 1e200, "m2": 1e-200}).vec
+    assert got[[0, 2]].tolist() == [1e200, 1e200]
+    assert got[1] == pytest.approx(1e-100, rel=1e-15)
+    # m2 / m1 = 1e400 overflows, yet every rescaled weight is finite
+    arch, theta = chain3((1.0, 1e-300, 1.0), (0.0, 0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rescale(arch, theta, {"m1": 1e-200, "m2": 1e200}).vec
+    assert got[[0, 2]].tolist() == [1e-200, 1e-200]
+    assert got[1] == pytest.approx(1e100, rel=1e-15)
+    # a subnormal ratio keeps few digits: 3e-300 * 1e-10 loses most of them
+    arch, theta = chain3((1.0, 3.0, 1.0), (0.0, 0.0, 0.0))
+    got = rescale(arch, theta, {"m1": 1e300, "m2": 3e-10}).vec
+    assert got[1] == pytest.approx(3.0 * 3e-10 / 1e300, rel=1e-15)
+
+
+def test_passes_that_overflow_are_refused(chain2, tmp_path, capsys):
+    # the output at x = 1 is 1e400
+    theta = ParamVector(chain2, [1e200, 1e200, 0.0, 0.0])
+    save_network(tmp_path / "big.json", chain2, theta)
+    (tmp_path / "b.csv").write_text("1.0,0.0\n")
+    x = np.ones((1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for aggregate, target in (("sum_outputs", None), ("squared_error", [[0.0]])):
+            with pytest.raises(NonFiniteValue, match="^the forward pass overflows float64$"):
+                scalar_value(chain2, theta, x, aggregate=aggregate, target=target)
+        with pytest.raises(NonFiniteValue, match="^the linearized output overflows float64$"):
+            linearized_output(chain2, theta, [1.0])
+        with pytest.raises(NonFiniteValue, match="^the forward pass overflows float64$"):
+            accuracy(chain2, theta, x, [0])
+        with pytest.raises(NonFiniteValue):
+            obd_fd_scores(chain2, theta, (x, np.zeros((1, 1))))
+        argv = ["prune", str(tmp_path / "big.json"), "--criterion", "obd", "--count", "1",
+                "--data", str(tmp_path / "b.csv")]
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the forward pass overflows float64\n"
+
+
+def test_a_finite_pass_whose_loss_overflows_is_refused(chain2):
+    # the output 1e200 is finite; half its square is not
+    theta = ParamVector(chain2, [1e100, 1e100, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scalar_value(chain2, theta, [[1.0]]) == 1e200
+        with pytest.raises(NonFiniteValue, match="^the squared_error aggregate overflows float64$"):
+            scalar_value(chain2, theta, [[1.0]], aggregate="squared_error", target=[[0.0]])
+        with pytest.raises(NonFiniteValue, match="^the squared_error aggregate overflows float64$"):
+            obd_fd_scores(chain2, theta, (np.ones((1, 1)), np.zeros((1, 1))))
+        # the losses, about 5e299, differ in their last bits: the second
+        # difference reads about 1e292, and times 1e10 ** 2 it overflows
+        theta = ParamVector(chain2, [1e10, 1e140, 0.0, 0.0])
+        with pytest.raises(NonFiniteValue, match="^the OBD scores overflow float64$"):
+            obd_fd_scores(chain2, theta, (np.ones((1, 1)), np.zeros((1, 1))))
+
+
+def test_the_report_shows_an_overflowing_coarse_bound():
+    # the coarse width term overflows; the report keeps every other row
+    arch, a = chain3((1e154, 1e154, 1.0), (0.5, -0.5, 0.0))
+    b = ParamVector(arch, [3e153, 1e154, 1.0, 0.1, -0.9, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = path_metric_report(arch, a, b)
+    assert report.upper_coarse is None
+    assert report.lower == report.upper_refined == report.oracle == 6.999999999999999e307
+    assert report.render().splitlines()[1] == "upper (coarse) (overflows float64)"
