@@ -27,16 +27,19 @@ from .graph import Architecture, ParamVector, _floats, _param_rows
 from .metrics import _sum_pool_sweep, _sum_pool_tape
 
 
-def _aggregate(arch: Architecture, vals, aggregate, target):
+def _aggregate(arch: Architecture, vals, aggregate, target, adj=None):
     """Scalar value and output adjoint (d_out, B) for the chosen aggregate.
 
     The tape of a stack gives one value per item, (P,), and adjoints
     (P, d_out, B), item i bit for bit that of its own tape: every sum runs
-    along one item's own axes, in the order a single tape sums them.
+    along one item's own axes, in the order a single tape sums them.  The
+    adjoint is computed in the output rows of ``adj``, the adjoint table
+    of the tape, when those are one run (a view), in a fresh array otherwise.
     """
     at = schedule(arch).outputs
     # [..., d_out, B], each item contiguous: a view when the outputs are one run
     out = vals[..., at, :] if isinstance(at, slice) else vals.take(at, axis=-2)
+    grad = adj.reshape(vals.shape)[..., at, :] if adj is not None and isinstance(at, slice) else np.empty(out.shape)
     lead, nb = out.shape[:-2], out.shape[-1]
 
     def total(a):
@@ -45,7 +48,8 @@ def _aggregate(arch: Architecture, vals, aggregate, target):
         return s if lead else float(s)
 
     if aggregate == "sum_outputs":
-        return total(out), np.ones_like(out)
+        grad.fill(1.0)
+        return total(out), grad
     if target is None:
         raise MissingData(f"aggregate {aggregate!r} needs a target")
     if aggregate == "squared_error":
@@ -62,25 +66,28 @@ def _aggregate(arch: Architecture, vals, aggregate, target):
             raise DimensionMismatch(
                 f"target shape {y.shape} does not fit batch {nb} x {arch.d_out} outputs"
             )
-        diff = out - y
-        return 0.5 * total(diff * diff), diff
+        np.subtract(out, y, out=grad)
+        return 0.5 * total(grad * grad), grad
     if aggregate == "logistic":
         y = np.asarray(target).reshape(-1)
         if y.shape[0] != nb:
             raise DimensionMismatch(f"need one class label per batch element, got {y.shape}")
         if arch.d_out == 1:
             z = out[..., 0, :]
-            return total(np.logaddexp(0.0, z) - y * z), (1.0 / (1.0 + np.exp(-z)) - y)[..., None, :]
+            np.subtract(1.0 / (1.0 + np.exp(-z)), y, out=grad[..., 0, :])
+            return total(np.logaddexp(0.0, z) - y * z), grad
         yi = y.astype(np.int64)
         if yi.min() < 0 or yi.max() >= arch.d_out:
             raise DimensionMismatch(f"class labels must lie in [0, {arch.d_out})")
-        picked = (..., yi, np.arange(nb))
-        zmax = out.max(axis=-2)[..., None, :]
-        lse = zmax + np.log(np.exp(out - zmax).sum(axis=-2, keepdims=True))
-        value = total(lse[..., 0, :] - out[picked])
-        p = np.exp(out - lse)
-        p[picked] -= 1.0
-        return value, p
+        zmax = out.max(axis=-2, keepdims=True)
+        lse = np.exp(np.subtract(out, zmax, out=grad), out=grad).sum(axis=-2, keepdims=True)
+        np.log(lse, out=lse)
+        lse += zmax
+        value = total(lse[..., 0, :] - out[..., yi, np.arange(nb)])
+        np.exp(np.subtract(out, lse, out=grad), out=grad)
+        # minus 1.0 at each label, minus 0.0 (no change) elsewhere
+        grad -= yi == np.arange(arch.d_out)[:, None]
+        return value, grad
     raise PathliftError(f"unknown aggregate {aggregate!r}")
 
 
@@ -111,14 +118,16 @@ def grad_scalar(arch: Architecture, theta, x, aggregate="sum_outputs", target=No
     item (P,) and gradients (P, n_coords), item i bit for bit the call on
     ``theta[i]`` alone.  ``tape``, an :class:`pathlift.engine.Tape` of the
     pass's shape, holds the pass's arrays instead of one fresh tape for
-    both; the gradient returned then lives in it until its next pass.
+    both.  The gradient returned lives in the tape (a view of its gradient
+    rows, as is the loss adjoint the sweep starts from), so the next pass
+    on the tape overwrites it: copy it to keep it.
     """
     rows = _param_rows(arch, theta)
     if tape is None:
         x = _floats(x, "input entries must be numbers")
         tape = Tape(arch, x.shape[0] if x.ndim == 2 else 1, rows.shape[0] if rows.ndim == 2 else 1)
     vals, win = run(arch, rows, x, tape=tape)
-    value, out_adj = _aggregate(arch, vals, aggregate, target)
+    value, out_adj = _aggregate(arch, vals, aggregate, target, tape.adj)
     return value, gradient(arch, rows, vals, win, out_adj, tape=tape)
 
 

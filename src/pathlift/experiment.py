@@ -169,6 +169,7 @@ def sgd_train(
     if snapshot_epoch == 0:
         snapshot = vec.copy()
     tapes = {}  # one per batch size: the full batches and the last, short one
+    targets = _loss_target(y, loss, arch.d_out)
     for epoch, eseed in enumerate(seeds):
         perm = np.random.default_rng(eseed).permutation(n)
         for lo in range(0, n, batch_size):
@@ -176,9 +177,9 @@ def sgd_train(
             tape = tapes.get(idx.size)
             if tape is None:
                 tape = tapes[idx.size] = Tape(arch, idx.size, len(vec))
-            tgt = _loss_target(y[idx], loss, arch.d_out)
-            _, g = grad_scalar(arch, vec, x[idx], aggregate=loss, target=tgt, tape=tape)
-            vec = vec - (lr / idx.size) * g
+            _, g = grad_scalar(arch, vec, x[idx], aggregate=loss, target=targets[idx], tape=tape)
+            g *= lr / idx.size  # the gradient lives in the tape, rewritten by the next pass
+            vec -= g
             if keep is not None:
                 vec *= keep
             finite = np.isfinite(vec).all(axis=1)

@@ -32,6 +32,7 @@ from collections import Counter
 from contextlib import suppress
 from functools import cached_property
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -109,7 +110,7 @@ class Architecture:
             src_ids, dst_ids = edges
         else:
             given = _pairs(edges, "edge entry")
-            src_ids, dst_ids = zip(*given) if given else ((), ())
+            src_ids, dst_ids = (list(map(itemgetter(k), given)) for k in (0, 1))
         m, cols = len(src_ids), (src_ids, dst_ids)
         try:  # ids as given, sparing a str() per endpoint; as strings otherwise
             su, sv = (np.fromiter(map(rank.__getitem__, c), dtype=np.int64, count=m) for c in cols)

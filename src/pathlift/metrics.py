@@ -33,7 +33,7 @@ from .engine import Tape, _chunks, gradient, run
 from .errors import DominanceUnverified, NonFiniteValue, PathExplosion, PathliftError, RaggedLayers
 from .graph import Architecture, ParamVector, _check_bound
 from .paths import PathLifting, max_path_length, path_lifting
-from .transforms import hidden_positions, normalize
+from .transforms import _normalized, hidden_positions, normalize
 
 
 def _sum_pool_tape(arch: Architecture, theta: ParamVector, q: float = 1.0):
@@ -167,16 +167,27 @@ def _dominated_gap(arch: Architecture, big: ParamVector, small: ParamVector) -> 
     sum_i (|big_i| - |small_i|) * G_i >= 0: G is the gradient of the sum-pool
     pass of |small| on the tape of |big| (the |big| products before i times
     the |small| ones after).  The tape is 0 at a relu neuron only where every
-    |big| product reaching it is, so its masks drop no nonzero term.  Raises
-    NonFiniteValue when a term of the sum overflows, as G_i can though the
-    metric is finite."""
-    w, _, tape = _sum_pool_tape(arch, big)
-    b = np.abs(small.vec)
+    |big| product reaching it is, so its masks drop no nonzero term.  A term
+    can overflow though the metric is finite: only then is the sum taken
+    again on both vectors rescaled by the lambdas that normalize |big|, which
+    keep the dominance and both liftings.  Raises NonFiniteValue when that
+    sum overflows too."""
+    w, b = np.abs(big.vec), np.abs(small.vec)
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = float((w - b) @ _sum_pool_sweep(arch, b, tape))
+        gap = _gap_sum(arch, w, b)
+        if not np.isfinite(gap):
+            gap = _gap_sum(arch, *_normalized(arch, True, w, b))
     if not np.isfinite(gap):
         raise NonFiniteValue("the telescoped path-metric gap overflows float64")
     return gap
+
+
+def _gap_sum(arch: Architecture, w: np.ndarray, b: np.ndarray) -> float:
+    """The telescoped sum of :func:`_dominated_gap` for |big| = w and
+    |small| = b; call under ``np.errstate``."""
+    tape = Tape(arch, 1)
+    run(arch, w, np.ones(arch.d_in), sum_pools=True, tape=tape)
+    return float((w - b) @ _sum_pool_sweep(arch, b, tape))
 
 
 def _coarse_width(arch: Architecture) -> int:

@@ -111,19 +111,26 @@ def normalize(arch: Architecture, theta: ParamVector, include_kpool: bool = Fals
     commutes with positive scaling, so this is equally sound).
     """
     _check_bound(arch, theta)
-    v = theta.vec.copy()
-    src, lam = arch.src, np.ones(arch.n_neurons)
-    visit = np.isin(np.arange(arch.n_neurons), hidden_positions(arch, include_kpool=include_kpool))
-    bias = np.abs(np.r_[v, 0.0][arch.bias_coord])  # inputs read the appended 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # ParamVector refuses what overflowed
-        for r, e, starts in arch.levels:  # unvisited neurons keep lambda 1
-            norm = np.add.reduceat(np.abs(v[e] * lam[src[e]]), starts)
-            norm += bias[r]
-            lam[r] = np.where(visit[r], norm, 1.0)
-        div = np.where(lam > 0.0, lam, np.inf)  # dividing by inf zeroes what is left on a dead neuron
-        v[: arch.n_edges] = v[: arch.n_edges] * lam[src] / div[arch.dst]
-        v[arch.n_edges :] /= div[arch.non_input_pos]
+        v = _normalized(arch, include_kpool, theta.vec)[0]
     try:
         return ParamVector(arch, v)
     except NonFiniteValue:
         raise NonFiniteValue("normalizing the parameters overflows float64") from None
+
+
+def _normalized(arch: Architecture, include_kpool: bool, vec: np.ndarray, *others) -> np.ndarray:
+    """Rows: ``vec`` and each of ``others`` rescaled by the lambdas that
+    normalize ``vec``; call under ``np.errstate``."""
+    src, lam = arch.src, np.ones(arch.n_neurons)
+    visit = np.isin(np.arange(arch.n_neurons), hidden_positions(arch, include_kpool=include_kpool))
+    bias = np.abs(np.r_[vec, 0.0][arch.bias_coord])  # inputs read the appended 0.0
+    for r, e, starts in arch.levels:  # unvisited neurons keep lambda 1
+        norm = np.add.reduceat(np.abs(vec[e] * lam[src[e]]), starts)
+        norm += bias[r]
+        lam[r] = np.where(visit[r], norm, 1.0)
+    div = np.where(lam > 0.0, lam, np.inf)  # dividing by inf zeroes what is left on a dead neuron
+    v = np.stack((vec,) + others)
+    v[:, : arch.n_edges] = v[:, : arch.n_edges] * lam[src] / div[arch.dst]
+    v[:, arch.n_edges :] /= div[arch.non_input_pos]
+    return v

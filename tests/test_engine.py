@@ -308,6 +308,46 @@ def test_a_reused_tape_keeps_nothing_of_its_earlier_passes():
                 assert grad.tobytes() == want_grad.tobytes()
 
 
+def test_bound_tapes_match_fresh_ones_across_alternating_passes():
+    # a tape binds its blocks' views on its first run and its first gradient;
+    # every later pass (other parameters, a forward-only pass between two
+    # run + gradient pairs, the other pool mode, the aggregate's adjoint
+    # written into the tape) must give a fresh tape's bytes
+    nets = [(arch, exact, rng) for arch, _, exact, rng in _dag_corpus()]
+    rng = np.random.default_rng(53)
+    nets.append((mlp_architecture((2, 16, 16, 2)), False, rng))
+    nets.append((conv_grid_architecture(side=6, channels=(2, 3), d_out=3), False, rng))
+    for arch, exact, rng in nets:
+        for p in (1, 3):
+            # a full batch's tape beside the short last batch's
+            tapes = {batch: engine.Tape(arch, batch, p) for batch in (7, 3)}
+            for step in range(3):
+                for batch, tape in tapes.items():
+                    draws = [_integer_params(arch, rng) if exact else random_params(arch, rng, zero_frac=0.3)
+                             for _ in range(2 * p)]
+                    first, second = (np.stack([t.vec for t in draws[i * p : (i + 1) * p]]) for i in (0, 1))
+                    if p == 1:  # a vector's passes
+                        first, second = first[0], second[0]
+                    x = _inputs(arch, exact, rng, batch)
+                    sum_pools = step == 1
+                    vals, win = run(arch, first, x, sum_pools=sum_pools, tape=tape)
+                    want_vals, want_win = run(arch, first, x, sum_pools=sum_pools)
+                    assert vals.tobytes() == want_vals.tobytes()
+                    assert win is None or win.tobytes() == want_win.tobytes()
+                    vals, win = run(arch, second, x, tape=tape)
+                    want_vals, want_win = run(arch, second, x)
+                    out_adj = rng.normal(size=second.shape[:-1] + (arch.d_out, batch))
+                    got = gradient(arch, second, vals, win, out_adj, tape=tape)
+                    assert vals.tobytes() == want_vals.tobytes()
+                    assert got.tobytes() == gradient(arch, second, want_vals, want_win, out_adj).tobytes()
+                    theta = second if p > 1 else ParamVector(arch, second)
+                    labels = rng.integers(0, max(arch.d_out, 2), size=batch)
+                    value, grad = grad_scalar(arch, theta, x, "logistic", labels, tape=tape)
+                    want_value, want_grad = grad_scalar(arch, theta, x, "logistic", labels)
+                    assert np.asarray(value).tobytes() == np.asarray(want_value).tobytes()
+                    assert grad.tobytes() == want_grad.tobytes()
+
+
 def test_tapes_of_another_shape_and_bad_stacks_are_refused():
     arch = mlp_architecture((2, 4, 2))
     stack = random_params(arch, np.random.default_rng(0)).vec[None].repeat(2, axis=0)

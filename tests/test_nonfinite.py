@@ -227,20 +227,27 @@ def test_the_non_finite_parameter_message_prints_plain_floats(chain2, tmp_path, 
     assert capsys.readouterr().err == "error: normalizing the parameters overflows float64\n"
 
 
-def test_the_dominated_gap_refuses_an_overflowing_term(tmp_path, capsys):
+def test_the_dominated_gap_refuses_only_an_overflowing_answer(tmp_path, capsys):
     # the metric is 1e200, but the telescoped term of the first edge is
-    # 1e-200 times the product 1e400 of the edges after it
+    # 1e-200 times the product 1e400 of the edges after it: the gap is
+    # taken again on both vectors rescaled by the larger one's factors
     arch = _relu_chain(3, 1.0)[0]
     big = ParamVector(arch, [1e-200, 1e200, 1e200, 0.0, 0.0, 0.0])
     small = ParamVector(arch, [0.0, 1e200, 1e200, 0.0, 0.0, 0.0])
+    # here the metric itself, 1e600, overflows
+    huge = ParamVector(arch, [1e200, 1e200, 1e200, 0.0, 0.0, 0.0])
     assert path_metric_oracle(arch, big, small) == 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert path_metric_exact_dominated(arch, big, small) == 1e200
+        assert path_metric_exact_dominated(arch, small, big) == 1e200
         with pytest.raises(NonFiniteValue, match="overflows float64"):
-            path_metric_exact_dominated(arch, big, small)
-        save_network(tmp_path / "big.json", arch, big)
-        save_network(tmp_path / "small.json", arch, small)
-        assert main(["pathmetric", str(tmp_path / "big.json"), str(tmp_path / "small.json"), "--exact"]) == 1
+            path_metric_exact_dominated(arch, huge, small)
+        for name, theta in (("big", big), ("small", small), ("huge", huge)):
+            save_network(tmp_path / f"{name}.json", arch, theta)
+        assert main(["pathmetric", str(tmp_path / "big.json"), str(tmp_path / "small.json"), "--exact"]) == 0
+        assert capsys.readouterr().out == "1e+200\n"
+        assert main(["pathmetric", str(tmp_path / "huge.json"), str(tmp_path / "small.json"), "--exact"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "overflows float64" in captured.err
