@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import Tape, _finite_run, gradient, run, schedule
-from .errors import DimensionMismatch, MissingData, NonFiniteValue, PathliftError
+from .errors import DimensionMismatch, MissingData, PathliftError, finite
 from .graph import Architecture, ParamVector, _floats, _param_rows
 from .metrics import _sum_pool_sweep, _sum_pool_tape
 
@@ -97,11 +97,8 @@ def scalar_value(arch: Architecture, theta, x, aggregate="sum_outputs", target=N
     Raises NonFiniteValue when the pass or the scalar overflows float64."""
     rows = _param_rows(arch, theta)
     vals = _finite_run(arch, rows, x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value, _ = _aggregate(arch, vals, aggregate, target)
-    if not np.isfinite(value).all():
-        raise NonFiniteValue(f"the {aggregate} aggregate overflows float64")
-    return value
+    scalar = lambda: _aggregate(arch, vals, aggregate, target)[0]
+    return finite(f"the {aggregate} aggregate overflows float64", scalar)
 
 
 def grad_scalar(arch: Architecture, theta, x, aggregate="sum_outputs", target=None, *, tape=None):
@@ -140,9 +137,6 @@ def grad_path_norm(arch: Architecture, theta: ParamVector) -> np.ndarray:
     NonFiniteValue when the norm or a gradient entry overflows float64.
     """
     w, _, tape = _sum_pool_tape(arch, theta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = np.sign(theta.vec) * _sum_pool_sweep(arch, w, tape)
-    if not np.isfinite(g).all():
-        raise NonFiniteValue("the path norm gradient overflows float64")
-    return g
+    grad = lambda: np.sign(theta.vec) * _sum_pool_sweep(arch, w, tape)
+    return finite("the path norm gradient overflows float64", grad)
 

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue
+from .errors import DimensionMismatch, NonFiniteValue, finite
 from .graph import KPOOL, RELU, Architecture, _floats
 
 # doubles in one gathered block (1 MB)
@@ -408,11 +408,7 @@ def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False, *, ta
 def _finite_run(arch: Architecture, theta: np.ndarray, x):
     """The values of :func:`run` on a fresh tape, raising NonFiniteValue,
     without a numpy warning, when any of them overflows float64."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals, _ = run(arch, theta, x)
-    if not np.isfinite(vals).all():
-        raise NonFiniteValue("the forward pass overflows float64")
-    return vals
+    return finite("the forward pass overflows float64", lambda: run(arch, theta, x)[0])
 
 
 def gradient(

@@ -1,8 +1,12 @@
-"""Exception taxonomy shared by all pathlift modules.
+"""Exception taxonomy shared by all pathlift modules, and the overflow guard.
 
 Every domain failure raises a subclass of :class:`PathliftError` so callers
 (and the CLI, which maps them to exit code 1) can catch one base type.
+Every computation whose result overflows float64 runs through
+:func:`finite`, the one place such a result is refused.
 """
+
+import numpy as np
 
 
 class PathliftError(Exception):
@@ -101,3 +105,18 @@ class InfeasibleAmount(PathliftError):
 
 class ParseError(PathliftError):
     """Malformed network file or data batch."""
+
+
+def finite(what, compute, *args):
+    """``compute(*args)`` run without numpy's overflow and invalid-value
+    warnings, if every number in it (in a PathLifting's ``values``) is
+    finite; else NonFiniteValue(what), or NonFiniteValue(what(value)) for a
+    callable ``what``.  An OverflowError (a float raised to an int) counts."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = compute(*args)
+    except OverflowError:
+        value = np.inf
+    if np.isfinite(getattr(value, "values", value)).all():
+        return value
+    raise NonFiniteValue(what if isinstance(what, str) else what(value))

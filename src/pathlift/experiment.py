@@ -28,7 +28,7 @@ from .autodiff import grad_scalar
 from .builders import mlp_architecture
 from .engine import Tape, _finite_run
 from .errors import DimensionMismatch, InfeasibleAmount, MissingData, NonFiniteValue, PathliftError
-from .graph import Architecture, ParamVector, _check_bound, _count
+from .graph import Architecture, ParamVector, _check_bound, _count, _real
 from .pruning import Mask, apply_prune, baseline_scores, path_mag_scores
 from .transforms import random_rescaling, rescale
 
@@ -64,7 +64,7 @@ class ExperimentConfig:
             raise PathliftError(
                 f"rewind epoch {self.rewind_epoch} must lie in [0, {self.epochs})"
             )
-        if not (isinstance(self.lr, numbers.Real) and math.isfinite(self.lr) and self.lr > 0.0):
+        if not (isinstance(self.lr, numbers.Real) and math.isfinite(_real(self.lr)) and self.lr > 0.0):
             raise PathliftError(f"lr must be a finite number > 0, got {self.lr!r}")
         if not isinstance(self.prune_fraction, numbers.Real) or isinstance(self.prune_fraction, bool):
             raise InfeasibleAmount(f"prune fraction must be a number, got {self.prune_fraction!r}")

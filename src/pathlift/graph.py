@@ -28,6 +28,7 @@ the path-metric bounds read no id view.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 from contextlib import suppress
 from functools import cached_property
@@ -311,7 +312,7 @@ class ParamVector:
         """New vector with coordinates (by flat index) replaced."""
         v = self.vec.copy()
         for i, val in updates.items():
-            v[i] = val
+            v[i] = _floats(val, "parameter vector entries must be numbers")
         return ParamVector(self.arch, v)
 
     def __len__(self):
@@ -331,11 +332,22 @@ def _check_bound(arch: Architecture | None, theta: ParamVector):
 
 
 def _floats(values, message: str) -> np.ndarray:
-    """``values`` as a float64 array; DimensionMismatch(message) if not numbers."""
+    """``values`` as a float64 array; DimensionMismatch(message) if not
+    numbers, NonFiniteValue if an int is too large for a float."""
     try:
         return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError):
         raise DimensionMismatch(message) from None
+    except OverflowError:
+        raise NonFiniteValue("an entry overflows float64") from None
+
+
+def _real(value) -> float:
+    """``float(value)``, an infinity of its sign for an int too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _count(value, what: str, error, low: int = 1) -> int:

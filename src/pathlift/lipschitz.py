@@ -20,7 +20,6 @@ segmentation of [0, 1] telescope exactly.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -29,13 +28,13 @@ import numpy as np
 from .errors import (
     DominanceUnverified,
     MixedZeroCoordinate,
-    NonFiniteValue,
     PathExplosion,
     PathliftError,
     SignConditionViolated,
+    finite,
 )
 from .engine import run
-from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _count
+from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _count, _real
 from .metrics import _lifting_pair, path_metric_exact_dominated, path_metric_oracle, path_metric_upper
 from .paths import lifting_length, path_activations, path_lifting
 
@@ -88,8 +87,8 @@ def _rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x: np.ndarray, va
     Raises NonFiniteValue when the right-hand side overflows.
     """
     xinf = float(np.abs(x).max())
+    what = f"the right-hand side of the {variant} variant overflows float64"
     if variant == "main":
-        scale = max(xinf, 1.0)
         try:
             metric, method = path_metric_oracle(arch, t1, t2), "oracle"
         except PathExplosion:
@@ -97,31 +96,27 @@ def _rhs(arch: Architecture, t1: ParamVector, t2: ParamVector, x: np.ndarray, va
                 metric, method = path_metric_exact_dominated(arch, t1, t2), "dominated"
             except DominanceUnverified:
                 metric, method = path_metric_upper(arch, t1, t2, refined=True), "upper"
-        rhs = scale * metric
-    elif variant == "split":
+        return finite(what, lambda: max(xinf, 1.0) * metric), method
+    if variant == "split":
         lift = _lifting_pair(arch, t1, t2)
-        gap = np.abs(lift.values[0] - lift.values[1])
-        with np.errstate(over="ignore"):
-            rhs = float(xinf * gap[lift.input_start].sum() + gap[~lift.input_start].sum())
-        method = "oracle"
-    else:
-        raise PathliftError(f"unknown variant {variant!r}")
-    if not np.isfinite(rhs):
-        raise NonFiniteValue(f"the right-hand side of the {variant} variant overflows float64")
-    return rhs, method
+
+        def split():
+            gap = np.abs(lift.values[0] - lift.values[1])
+            return float(xinf * gap[lift.input_start].sum() + gap[~lift.input_start].sum())
+
+        return finite(what, split), "oracle"
+    raise PathliftError(f"unknown variant {variant!r}")
 
 
 def _output_gap(arch: Architecture, v1: np.ndarray, v2: np.ndarray, x: np.ndarray) -> float:
     """l1 gap between the outputs of the parameter vectors v1 and v2 at the
     checked input x, from one engine pass over their stack (each item bit
     for bit its own forward pass); raises NonFiniteValue when it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals, _ = run(arch, np.stack((v1, v2)), x)
-        out = vals[:, arch.output_pos, 0]
-        gap = float(np.abs(out[0] - out[1]).sum())
-    if not np.isfinite(gap):
-        raise NonFiniteValue("the output gap at x overflows float64")
-    return gap
+    def gap():
+        out = run(arch, np.stack((v1, v2)), x)[0][:, arch.output_pos, 0]
+        return float(np.abs(out[0] - out[1]).sum())
+
+    return finite("the output gap at x overflows float64", gap)
 
 
 def _holds(lhs: float, rhs: float) -> bool:
@@ -199,12 +194,12 @@ def _trajectory_points(t1: ParamVector, t2: ParamVector, ts) -> np.ndarray:
     s = np.sign(t1.vec)
     a1, a2 = np.where(s == 0.0, 1.0, np.abs([t1.vec, t2.vec]))
     t = np.asarray(ts, dtype=np.float64)[:, None]
-    with np.errstate(over="ignore"):
-        stack = s * a1 ** (1.0 - t) * a2**t
-    bad = ~np.isfinite(stack).all(axis=1)
-    if bad.any():
-        raise NonFiniteValue(f"the trajectory point at t={float(t[np.argmax(bad), 0])!r} overflows float64")
-    return stack
+
+    def what(stack):
+        first = np.argmin(np.isfinite(stack).all(axis=1))
+        return f"the trajectory point at t={float(t[first, 0])!r} overflows float64"
+
+    return finite(what, lambda: s * a1 ** (1.0 - t) * a2**t)
 
 
 def trajectory_point(t1: ParamVector, t2: ParamVector, t: float) -> ParamVector:
@@ -217,7 +212,7 @@ def trajectory_point(t1: ParamVector, t2: ParamVector, t: float) -> ParamVector:
     _check_bound(None, t1)
     arch = t1.arch
     _check_trajectory(arch, t1, t2)
-    return ParamVector(arch, _trajectory_points(t1, t2, [float(t)])[0])
+    return ParamVector(arch, _trajectory_points(t1, t2, [_real(t)])[0])
 
 
 @dataclass(frozen=True)
@@ -280,6 +275,7 @@ def activation_breakpoints(
         raise PathliftError(f"samples must be an integer >= 1, got {samples!r}")
     if not (isinstance(width, numbers.Real) and width >= 0.0):
         raise PathliftError(f"width must be a number >= 0, got {width!r}")
+    width = _real(width)
     _check_trajectory(arch, t1, t2)
     per_sample = lifting_length(arch) + arch.n_coords + arch.n_neurons
     if (samples + 1) * per_sample > MAX_SAMPLED_ENTRIES:
@@ -382,12 +378,8 @@ def equality_witness(d: int, a: float, b: float, x0: float) -> EqualityWitness:
     t2 = _chain_params(arch, float(b))
     x = np.array([float(x0)])
     report = verify_bound(arch, t1, t2, x, variant="split")
-    try:
-        predicted = abs(float(a) ** d - float(b) ** d) * float(x0)
-    except OverflowError:  # a float raised to an int overflows with an exception
-        predicted = math.inf
-    if not math.isfinite(predicted):
-        raise NonFiniteValue("the predicted gap |a**d - b**d| * x0 overflows float64")
+    predicted = finite("the predicted gap |a**d - b**d| * x0 overflows float64",
+                       lambda: abs(float(a) ** d - float(b) ** d) * float(x0))
     return EqualityWitness(arch, t1, t2, x, report, predicted)
 
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Tape, _chunks, gradient, run
-from .errors import DominanceUnverified, NonFiniteValue, PathExplosion, PathliftError, RaggedLayers
-from .graph import Architecture, ParamVector, _check_bound
+from .errors import DominanceUnverified, NonFiniteValue, PathExplosion, PathliftError, RaggedLayers, finite
+from .graph import Architecture, ParamVector, _check_bound, _real
 from .paths import PathLifting, max_path_length, path_lifting
 from .transforms import _normalized, hidden_positions, normalize
 
@@ -41,22 +41,13 @@ def _sum_pool_tape(arch: Architecture, theta: ParamVector, q: float = 1.0):
     of the sum-pool pass of |theta|**q on the all-ones input, whose output
     rows sum to that norm).  Raises :class:`NonFiniteValue` naming ``q``
     when the norm overflows."""
-    try:
-        valid = isinstance(q, numbers.Real) and math.isfinite(q) and q > 0
-    except OverflowError:  # an int too large for a float
-        valid = False
-    if not valid:
+    if not (isinstance(q, numbers.Real) and math.isfinite(_real(q)) and q > 0):
         raise PathliftError(f"q must be finite and > 0, got {q!r}")
     _check_bound(arch, theta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.abs(theta.vec) ** q
-        if np.isfinite(w).all():
-            tape = Tape(arch, 1)
-            vals, _ = run(arch, w, np.ones(arch.d_in), sum_pools=True, tape=tape)
-            norm = float(vals[arch.output_pos].sum())
-            if np.isfinite(norm):
-                return w, norm, tape
-    raise NonFiniteValue(f"the path norm at q={q!r} overflows float64")
+    what, tape = f"the path norm at q={q!r} overflows float64", Tape(arch, 1)
+    w = finite(what, pow, np.abs(theta.vec), q)
+    norm = lambda: float(run(arch, w, np.ones(arch.d_in), sum_pools=True, tape=tape)[0][arch.output_pos].sum())
+    return w, finite(what, norm), tape
 
 
 def _sum_pool_sweep(arch: Architecture, weights: np.ndarray, tape: Tape) -> np.ndarray:
@@ -94,21 +85,14 @@ def _lifting_pair(arch: Architecture, t1: ParamVector, t2: ParamVector) -> PathL
     NonFiniteValue when a lifting coordinate overflows."""
     _check_bound(arch, t1)
     _check_bound(arch, t2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lift = path_lifting(arch, np.stack((t1.vec, t2.vec)))
-    if not np.isfinite(lift.values).all():
-        raise NonFiniteValue("the path lifting overflows float64")
-    return lift
+    return finite("the path lifting overflows float64", path_lifting, arch, np.stack((t1.vec, t2.vec)))
 
 
 def _l1_gap(lift: PathLifting) -> float:
     """l1 distance between the two rows of a stacked pair of liftings;
     raises NonFiniteValue when it overflows."""
-    with np.errstate(over="ignore"):
-        gap = float(np.sum(np.abs(lift.values[0] - lift.values[1])))
-    if not np.isfinite(gap):
-        raise NonFiniteValue("the path metric overflows float64")
-    return gap
+    gap = lambda: float(np.sum(np.abs(lift.values[0] - lift.values[1])))
+    return finite("the path metric overflows float64", gap)
 
 
 def path_metric_oracle(arch: Architecture, t1: ParamVector, t2: ParamVector) -> float:
@@ -173,18 +157,18 @@ def _dominated_gap(arch: Architecture, big: ParamVector, small: ParamVector) -> 
     keep the dominance and both liftings.  Raises NonFiniteValue when that
     sum overflows too."""
     w, b = np.abs(big.vec), np.abs(small.vec)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = _gap_sum(arch, w, b)
-        if not np.isfinite(gap):
-            gap = _gap_sum(arch, *_normalized(arch, True, w, b))
-    if not np.isfinite(gap):
-        raise NonFiniteValue("the telescoped path-metric gap overflows float64")
-    return gap
+
+    def gap():
+        plain = _gap_sum(arch, w, b)
+        return plain if math.isfinite(plain) else _gap_sum(arch, *_normalized(arch, True, w, b))
+
+    return finite("the telescoped path-metric gap overflows float64", gap)
 
 
 def _gap_sum(arch: Architecture, w: np.ndarray, b: np.ndarray) -> float:
     """The telescoped sum of :func:`_dominated_gap` for |big| = w and
-    |small| = b; call under ``np.errstate``."""
+    |small| = b, whose products may overflow: run it through
+    :func:`pathlift.errors.finite`."""
     tape = Tape(arch, 1)
     run(arch, w, np.ones(arch.d_in), sum_pools=True, tape=tape)
     return float((w - b) @ _sum_pool_sweep(arch, b, tape))
@@ -228,22 +212,21 @@ def path_metric_upper(
     n1 = normalize(arch, t1, include_kpool=True)
     n2 = normalize(arch, t2, include_kpool=True)
     min_norm = min(path_norm_fast(arch, t1), path_norm_fast(arch, t2))
-    with np.errstate(over="ignore"):
+
+    def bound():
         d = np.abs(n1.vec - n2.vec)
         if refined:
             out_sum, interior_max = _discrepancy_sums(arch, d)
-            bound = float(out_sum + min_norm * interior_max)
-        else:
-            w = _coarse_width(arch)
-            ell = max(max_path_length(arch) - 1, 0)
-            dsup = float(np.max(d)) if arch.n_coords else 0.0
-            # dsup multiplies in first, so a product overflows only with the
-            # bound (min_norm * ell * w can overflow where the bound does not,
-            # and times dsup = 0 that is nan); at ell = 0 the term is 0
-            bound = w * w * dsup + (min_norm * dsup * ell * w if ell else 0.0)
-    if not math.isfinite(bound):
-        raise NonFiniteValue("the upper bound on the path metric overflows float64")
-    return bound
+            return float(out_sum + min_norm * interior_max)
+        w = _coarse_width(arch)
+        ell = max(max_path_length(arch) - 1, 0)
+        dsup = float(np.max(d)) if arch.n_coords else 0.0
+        # dsup multiplies in first, so a product overflows only with the
+        # bound (min_norm * ell * w can overflow where the bound does not,
+        # and times dsup = 0 that is nan); at ell = 0 the term is 0
+        return w * w * dsup + (min_norm * dsup * ell * w if ell else 0.0)
+
+    return finite("the upper bound on the path metric overflows float64", bound)
 
 
 def _discrepancy_sums(arch: Architecture, d: np.ndarray):

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import activations
-from .errors import NonFiniteValue, PathExplosion, PathliftError
+from .errors import PathExplosion, PathliftError, finite
 from .graph import Architecture, ParamVector, _check_input, _param_rows
 from .netfile import _opened
 
@@ -238,15 +238,15 @@ def linearized_output(arch: Architecture, theta: ParamVector, x) -> np.ndarray:
     on every input; raises NonFiniteValue when a term or a sum overflows.
     """
     x = _check_input(arch, x)
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def out():
         acts = path_activations(arch, theta, x)
         lift = path_lifting(arch, theta)
         lead = np.append(x, 1.0)[_input_column(arch)[lift.table.start]]
         out_col = np.searchsorted(arch.output_pos, lift.table.end)
-        out = np.bincount(out_col, weights=lift.values * acts * lead, minlength=arch.d_out)
-    if not np.isfinite(out).all():
-        raise NonFiniteValue("the linearized output overflows float64")
-    return out
+        return np.bincount(out_col, weights=lift.values * acts * lead, minlength=arch.d_out)
+
+    return finite("the linearized output overflows float64", out)
 
 
 def save_path_table(fp, paths, values):

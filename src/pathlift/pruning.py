@@ -23,8 +23,8 @@ import numpy as np
 
 from .autodiff import grad_path_norm, scalar_value
 from .engine import _chunks
-from .errors import DimensionMismatch, InfeasibleAmount, MissingData, NonFiniteValue, PathliftError
-from .graph import Architecture, ParamVector, _check_bound, _check_input, _floats
+from .errors import DimensionMismatch, InfeasibleAmount, MissingData, NonFiniteValue, PathliftError, finite
+from .graph import Architecture, ParamVector, _check_bound, _check_input, _floats, _real
 from .lipschitz import _holds, _output_gap
 from .metrics import _pathnorm_diffs
 from .paths import path_lifting
@@ -75,8 +75,9 @@ def path_mag_scores(arch: Architecture, theta: ParamVector, method: str = "autod
     elif method == "pathnorm_diff":
         values = _pathnorm_diffs(arch, theta)
     elif method == "bruteforce":
-        lift = path_lifting(arch, theta)
-        values = lift.coordinate_sums(np.abs(lift.values))
+        what = "a path-magnitude score overflows float64"
+        lift = finite(what, path_lifting, arch, theta)
+        values = finite(what, lift.coordinate_sums, np.abs(lift.values))
     else:
         raise PathliftError(f"unknown path-magnitude method {method!r}")
     return ScoreVector(criterion="pathmag", method=method, values=values)
@@ -118,20 +119,21 @@ def obd_fd_scores(
     x, y = _require_data(data)
     base = scalar_value(arch, theta, x, aggregate=loss, target=y)
     batch = 1 if x.ndim == 1 else x.shape[0]
-    values = np.zeros(arch.n_coords)
     vec = theta.vec
-    for chunk in _chunks(arch.n_coords, 2 * (arch.n_neurons + 1), batch):
-        coords = np.arange(*chunk.indices(arch.n_coords))
-        steps = np.zeros((coords.size, arch.n_coords))
-        steps[np.arange(coords.size), coords] = FD_STEP
-        both = scalar_value(arch, np.concatenate((vec + steps, vec - steps)), x, aggregate=loss, target=y)
-        up, dn = both[: coords.size], both[coords.size :]
-        with np.errstate(over="ignore", invalid="ignore"):
+
+    def saliencies():
+        values = np.zeros(arch.n_coords)
+        for chunk in _chunks(arch.n_coords, 2 * (arch.n_neurons + 1), batch):
+            coords = np.arange(*chunk.indices(arch.n_coords))
+            steps = np.zeros((coords.size, arch.n_coords))
+            steps[np.arange(coords.size), coords] = FD_STEP
+            both = scalar_value(arch, np.concatenate((vec + steps, vec - steps)), x, aggregate=loss, target=y)
+            up, dn = both[: coords.size], both[coords.size :]
             h = (up - 2.0 * base + dn) / (FD_STEP * FD_STEP)
             values[coords] = 0.5 * h * vec[coords] * vec[coords]
-    if not np.isfinite(values).all():
-        raise NonFiniteValue("the OBD scores overflow float64")
-    return ScoreVector(criterion="obd", method="fd", values=values)
+        return values
+
+    return ScoreVector(criterion="obd", method="fd", values=finite("the OBD scores overflow float64", saliencies))
 
 
 def baseline_scores(
@@ -176,7 +178,7 @@ def _resolve_count(n_eligible: int, fraction, count) -> int:
     if fraction is not None:
         if not isinstance(fraction, numbers.Real) or isinstance(fraction, bool):
             raise InfeasibleAmount(f"fraction must be a number, got {fraction!r}")
-        f = float(fraction)
+        f = _real(fraction)
         if not 0.0 <= f <= 1.0:
             raise InfeasibleAmount(f"fraction must lie in [0, 1], got {f}")
         return int(np.floor(f * n_eligible))
@@ -264,10 +266,9 @@ def pruning_error_bound(
     idx = np.unique(idx.astype(np.int64))
     if idx.size and (idx.min() < 0 or idx.max() >= arch.n_coords):
         raise InfeasibleAmount("pruned coordinate index out of range")
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = float(_score_values(arch, scores)[idx].sum()) * max(1.0, float(np.abs(x).max()))
-    if not np.isfinite(bound):
-        raise NonFiniteValue("the pruning error bound overflows float64")
+    values = _score_values(arch, scores)
+    bound = finite("the pruning error bound overflows float64",
+                   lambda: float(values[idx].sum()) * max(1.0, float(np.abs(x).max())))
     keep = np.ones(arch.n_coords, dtype=bool)
     keep[idx] = False
     lhs = _output_gap(arch, theta.vec, theta.vec * keep, x)

@@ -15,8 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import IneligibleNeuron, NonFiniteValue, NonPositiveFactor, ParseError
-from .graph import KPOOL, Architecture, ParamVector, _check_bound
+from .errors import IneligibleNeuron, NonPositiveFactor, ParseError, finite
+from .graph import KPOOL, Architecture, ParamVector, _check_bound, _real
 
 
 def hidden_positions(arch: Architecture, include_kpool: bool = True) -> np.ndarray:
@@ -40,22 +40,22 @@ def rescale(arch: Architecture, theta: ParamVector, factors: Mapping) -> ParamVe
         j = arch.position(nid)
         if arch.is_input[j] or j in out:
             raise IneligibleNeuron(f"{nid} is an input or output neuron")
-        if not (isinstance(f, numbers.Real) and f > 0.0 and math.isfinite(f)):
+        if not (isinstance(f, numbers.Real) and f > 0.0 and math.isfinite(_real(f))):
             raise NonPositiveFactor(f"factor for {nid} must be finite and > 0, got {f!r}")
         lam[j] = f
-    v = theta.vec.copy()
-    m = arch.n_edges
-    with np.errstate(over="ignore", invalid="ignore"):  # ParamVector refuses what overflowed
+
+    def rescaled():
+        v = theta.vec.copy()
+        m = arch.n_edges
         ratio = lam[arch.dst] / lam[arch.src]
         v[:m] *= ratio
         # a ratio that overflowed or lost digits to underflow: multiply, then divide
         e = np.flatnonzero((ratio < np.finfo(np.float64).tiny) | (ratio == np.inf))
         v[e] = (theta.vec[e] * lam[arch.dst[e]]) / lam[arch.src[e]]
         v[m:] *= lam[arch.non_input_pos]
-    try:
-        return ParamVector(arch, v)
-    except NonFiniteValue:
-        raise NonFiniteValue("rescaling the parameters overflows float64") from None
+        return v
+
+    return ParamVector(arch, finite("rescaling the parameters overflows float64", rescaled))
 
 
 POW2_FACTORS = (1.0, 128.0, 4096.0)
@@ -111,17 +111,14 @@ def normalize(arch: Architecture, theta: ParamVector, include_kpool: bool = Fals
     commutes with positive scaling, so this is equally sound).
     """
     _check_bound(arch, theta)
-    with np.errstate(over="ignore", invalid="ignore"):  # ParamVector refuses what overflowed
-        v = _normalized(arch, include_kpool, theta.vec)[0]
-    try:
-        return ParamVector(arch, v)
-    except NonFiniteValue:
-        raise NonFiniteValue("normalizing the parameters overflows float64") from None
+    v = finite("normalizing the parameters overflows float64", _normalized, arch, include_kpool, theta.vec)
+    return ParamVector(arch, v[0])
 
 
 def _normalized(arch: Architecture, include_kpool: bool, vec: np.ndarray, *others) -> np.ndarray:
     """Rows: ``vec`` and each of ``others`` rescaled by the lambdas that
-    normalize ``vec``; call under ``np.errstate``."""
+    normalize ``vec``.  Its products may overflow: run it through
+    :func:`pathlift.errors.finite`."""
     src, lam = arch.src, np.ones(arch.n_neurons)
     visit = np.isin(np.arange(arch.n_neurons), hidden_positions(arch, include_kpool=include_kpool))
     bias = np.abs(np.r_[vec, 0.0][arch.bias_coord])  # inputs read the appended 0.0

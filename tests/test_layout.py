@@ -14,6 +14,8 @@ their stacks through ``engine._chunks``.  Every public method and property
 of a class is read as an attribute in the package or named as one in
 ``bench/``, and every ``(module, "name", ...)`` target that
 ``bench/workloads.py`` wraps in a span exists on that pathlift module.
+Only ``errors.finite`` silences numpy's floating-point warnings: every
+overflow is refused there.
 """
 
 import ast
@@ -130,3 +132,16 @@ def test_every_bench_instrument_target_exists():
         if not hasattr(importlib.import_module(f"pathlift.{module}"), name)
     ]
     assert missing == []
+
+
+def test_only_the_overflow_guard_silences_numpy():
+    sites = [
+        f"{p.stem}:{n}" for p in sorted(SRC.glob("*.py"))
+        for n, line in enumerate(p.read_text().splitlines(), 1) if "np.errstate" in line
+    ]
+    assert len(sites) == 1 and sites[0].startswith("errors:")
+    guard = next(
+        node for node in ast.walk(ast.parse((SRC / "errors.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "finite"
+    )
+    assert guard.lineno <= int(sites[0].split(":")[1]) <= guard.end_lineno

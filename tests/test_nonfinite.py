@@ -24,7 +24,7 @@ from pathlift.metrics import (
 )
 from pathlift.netfile import load_network, save_network
 from pathlift.paths import enumerate_paths, linearized_output, path_activations
-from pathlift.pruning import apply_prune, magnitude_scores, obd_fd_scores, pruning_error_bound
+from pathlift.pruning import apply_prune, magnitude_scores, obd_fd_scores, path_mag_scores, pruning_error_bound
 from pathlift.transforms import normalize, random_rescaling, rescale
 
 from conftest import chain2_arch, chain3
@@ -438,3 +438,50 @@ def test_the_report_shows_an_overflowing_coarse_bound():
     assert report.upper_coarse is None
     assert report.lower == report.upper_refined == report.oracle == 6.999999999999999e307
     assert report.render().splitlines()[1] == "upper (coarse) (overflows float64)"
+
+
+def test_ints_too_large_for_a_float_raise_what_infinity_raises(diamond):
+    # 10**400 raises OverflowError on any conversion to float64: as an
+    # array entry it is refused as a non-finite value, and a scalar check
+    # meets it as the infinity it rounds to
+    arch, theta = diamond
+    a = theta.vec.tolist()
+    cases = {
+        "ParamVector": (NonFiniteValue, lambda v: ParamVector(arch, [v] + a[1:])),
+        "replace": (NonFiniteValue, lambda v: theta.replace({0: v})),
+        "forward": (NonFiniteValue, lambda v: forward(arch, theta, [v])),
+        "accuracy": (NonFiniteValue, lambda v: accuracy(arch, theta, [[v]], [0])),
+        "grad_scalar": (NonFiniteValue, lambda v: grad_scalar(arch, theta, [[v]])),
+        "linearized_output": (NonFiniteValue, lambda v: linearized_output(arch, theta, [v])),
+        "bound_rhs": (NonFiniteValue, lambda v: bound_rhs(arch, theta, theta, [v])),
+        "pruning_error_bound": (NonFiniteValue, lambda v: pruning_error_bound(arch, theta, [0], [v])),
+        "obd_fd_scores": (NonFiniteValue, lambda v: obd_fd_scores(arch, theta, ([[1.0]], [[v]]))),
+        "rescale": (NonPositiveFactor, lambda v: rescale(arch, theta, {"h1": v})),
+        "trajectory_point": (NonFiniteValue, lambda v: trajectory_point(theta, theta, v)),
+        "apply_prune": (InfeasibleAmount, lambda v: apply_prune(theta, magnitude_scores(arch, theta), fraction=v)),
+        "lr": (PathliftError, lambda v: ExperimentConfig(seed=0, lr=v).validated()),
+    }
+    partner = theta.replace({0: 2.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, (error, call) in cases.items():
+            for value in (10**400, np.inf):
+                with pytest.raises(error):
+                    call(value)
+        # an infinite width stops every bisection, and so does this one
+        wide = activation_breakpoints(arch, theta, partner, [1.0], width=10**400)
+        assert wide == activation_breakpoints(arch, theta, partner, [1.0], width=np.inf)
+
+
+def test_brute_force_scores_refuse_an_overflowing_lifting(tmp_path, capsys):
+    # the input path weighs 1e400, so every score on it overflows
+    arch, theta = chain3((1e200, 1e200, 1.0), (0.0, 0.0, 0.0))
+    save_network(tmp_path / "c.json", arch, theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="^a path-magnitude score overflows float64$"):
+            path_mag_scores(arch, theta, method="bruteforce")
+        assert main(["prune", str(tmp_path / "c.json"), "--method", "brute", "--count", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a path-magnitude score overflows float64\n"
