@@ -426,9 +426,11 @@ def gradient(
     Relu passes a zero subgradient at exactly 0, a pool neuron routes its
     adjoint to its selected slot only (to every slot on the tape of a
     ``sum_pools`` pass, whose ``win`` is None), and pinned pool biases
-    get 0.  The sweep's adjoint and gradient rows live in ``tape`` (a
-    fresh :class:`Tape` when None), the one ``run`` filled or another of
-    its shape.
+    get 0, which the tape's gradient rows hold from their allocation on (a
+    caller writing into the returned gradient must leave them 0).  The
+    sweep's adjoint and gradient rows live in ``tape`` (a fresh
+    :class:`Tape` when None), the one ``run`` filled or another of its
+    shape.
     """
     sched = schedule(arch)
     stack = theta.reshape(-1, arch.n_coords)
@@ -441,7 +443,9 @@ def gradient(
     wpad, gpad, adj = tape.wpad, tape.gpad, tape.adj
     rest, bound = tape.bwd
     wpad[:, :-1] = stack
-    gpad.fill(0.0)
+    # no gradient row is zeroed: the sweep rewrites every coordinate but the
+    # pinned pool biases, which stay 0 from the allocation (pool blocks send
+    # their bias sums to the padding column)
     for rows in rest:
         rows.fill(0.0)
     adj[:, sched.outputs, :] = out_adjoint

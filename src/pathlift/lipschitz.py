@@ -44,10 +44,19 @@ HOLDS_ATOL = 1e-12
 MAX_SAMPLED_ENTRIES = 1 << 27
 # halving levels per bisection pass, trading the fixed cost of a pass
 # against its 2**depth - 1 points per interval: bisecting 32 random DAGs
-# (up to 5 layers of 6) took a median 144, 141, 136 and 141 ms of CPU at
-# depths 3-6 with samples=32 (where 6 runs as 5), and 147, 140, 141 and
-# 143 ms with samples=100, on a 2-CPU machine
+# (up to 5 layers of 6) took a best 96, 89, 80 and 83 ms of CPU at depths
+# 3-6 with samples=32 (where 6 runs as 5), and 85, 82, 90 and 93 ms with
+# samples=100, in 25 interleaved runs each on a shared 2-CPU machine whose
+# medians (117-153 ms) spread wider than the depths differ
 _BISECT_DEPTH = 5
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float, an int too large for one as the infinity it
+    rounds to; raises PathliftError unless it is a real number (not a bool)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise PathliftError(f"{what} must be a number, got {value!r}")
+    return _real(value)
 
 
 def check_sign_condition(t1: ParamVector, t2: ParamVector) -> None:
@@ -208,11 +217,13 @@ def trajectory_point(t1: ParamVector, t2: ParamVector, t: float) -> ParamVector:
     Requires matching signs; a coordinate zero on exactly one side has no
     geometric interpolant and raises MixedZeroCoordinate.  Coordinates zero
     on both sides stay zero.  Endpoints reproduce theta and theta' exactly.
+    ``t`` must be a real number (not a bool), else PathliftError.
     """
+    t = _number(t, "t")
     _check_bound(None, t1)
     arch = t1.arch
     _check_trajectory(arch, t1, t2)
-    return ParamVector(arch, _trajectory_points(t1, t2, [_real(t)])[0])
+    return ParamVector(arch, _trajectory_points(t1, t2, [t])[0])
 
 
 @dataclass(frozen=True)
@@ -246,8 +257,9 @@ def activation_breakpoints(
     than 1/samples collapse into one located point.  The samples take one
     engine pass over the stack of their trajectory points.  Each round
     then evaluates the next 5 halving levels of every interval still open
-    (the 31 midpoints it may visit) in one pass and replays the halvings
-    from them, so a call costs 1 + ceil(halvings / 5) passes.  A round
+    (the 31 midpoints it may visit) in one pass, then replays the halvings
+    on Python floats, one interval at a time, reading each decision from
+    that pass, so a call costs 1 + ceil(halvings / 5) passes.  A round
     takes fewer levels when 31 points per open interval would pass the
     samples + 1 points of the sampling pass, which no pass exceeds.
     Every interval keeps its own bounds, as if it were bisected alone,
@@ -293,31 +305,40 @@ def activation_breakpoints(
     first = np.flatnonzero(np.any(sampled[:-1] != sampled[1:], axis=1))
     lo, hi = ts[first], ts[first + 1]
     a_lo, a_hi = sampled[first], sampled[first + 1]
-    live = np.flatnonzero(hi - lo > width)
-    while live.size:
+    live = np.flatnonzero(hi - lo > width).tolist()
+    while live:
         # the next `depth` halving levels of every open interval, in order
         # along [lo, hi], each midpoint computed as its one-level halving
         # would; no pass holds more points than the sampling pass
-        depth = min(_BISECT_DEPTH, ((samples + 1) // live.size + 1).bit_length() - 1)
+        depth = min(_BISECT_DEPTH, ((samples + 1) // len(live) + 1).bit_length() - 1)
         n = 1 << depth
-        grid = np.empty((live.size, n + 1))
+        grid = np.empty((len(live), n + 1))
         grid[:, 0], grid[:, -1] = lo[live], hi[live]
         for s in (n >> k for k in range(1, depth + 1)):
             grid[:, s :: 2 * s] = 0.5 * (grid[:, : -s : 2 * s] + grid[:, 2 * s :: 2 * s])
-        evaluated = acts(grid[:, 1:-1].ravel()).reshape(live.size, n - 1, -1)
+        evaluated = acts(grid[:, 1:-1].ravel()).reshape(len(live), n - 1, -1)
         matches = np.all(evaluated == a_lo[live][:, None, :], axis=2)
-        # replay the one-level halvings, each interval from its middle point
-        row, pos, step = np.arange(live.size), np.full(live.size, n // 2), n // 2
-        while step and live.size:
-            mid, same = grid[row, pos], matches[row, pos - 1]
-            split = (mid != lo[live]) & (mid != hi[live])  # else the midpoint rounded onto an end
-            lo[live[same]] = mid[same]
-            hi[live[~same]] = mid[~same]
-            a_hi[live[~same]] = evaluated[row[~same], pos[~same] - 1]
-            step //= 2
-            pos = np.where(same, pos + step, pos - step)
-            keep = split & (hi[live] - lo[live] > width)
-            live, row, pos = live[keep], row[keep], pos[keep]
+        # replay the one-level halvings on Python floats, one interval at a
+        # time from its middle point; a_hi is the last midpoint that differs
+        still = []
+        for i, points, same, rows in zip(live, grid.tolist(), matches.tolist(), evaluated):
+            left, right, last, pos, step = points[0], points[-1], None, n // 2, n // 2
+            while step:
+                mid = points[pos]
+                split = left != mid != right  # else the midpoint rounded onto an end
+                step //= 2
+                if same[pos - 1]:
+                    left, pos = mid, pos + step
+                else:
+                    right, last, pos = mid, pos - 1, pos - step
+                if not (split and right - left > width):
+                    break
+            else:
+                still.append(i)
+            lo[i], hi[i] = left, right
+            if last is not None:
+                a_hi[i] = rows[last]
+        live = still
     found = [
         Breakpoint(t=float(0.5 * (left + right)), changed_paths=tuple(np.flatnonzero(a != b).tolist()))
         for left, right, a, b in zip(lo, hi, a_lo, a_hi)
@@ -368,18 +389,20 @@ def equality_witness(d: int, a: float, b: float, x0: float) -> EqualityWitness:
 
     All weights a on one side, b on the other (both > 0), biases zero, and
     a positive input x0: both sides of the split bound equal
-    |a**d - b**d| * x0.  ``d`` must be a whole number of at least 1.
+    |a**d - b**d| * x0.  ``d`` must be a whole number of at least 1, and
+    a, b and x0 real numbers (not bools), else PathliftError.
     """
     d = _count(d, "chain length d", PathliftError)
+    a, b, x0 = _number(a, "a"), _number(b, "b"), _number(x0, "x0")
     if not (a > 0.0 and b > 0.0 and x0 > 0.0):
         raise PathliftError("equality witness needs a, b, x0 all > 0")
     arch = _chain(d)
-    t1 = _chain_params(arch, float(a))
-    t2 = _chain_params(arch, float(b))
-    x = np.array([float(x0)])
+    t1 = _chain_params(arch, a)
+    t2 = _chain_params(arch, b)
+    x = np.array([x0])
     report = verify_bound(arch, t1, t2, x, variant="split")
     predicted = finite("the predicted gap |a**d - b**d| * x0 overflows float64",
-                       lambda: abs(float(a) ** d - float(b) ** d) * float(x0))
+                       lambda: abs(a**d - b**d) * x0)
     return EqualityWitness(arch, t1, t2, x, report, predicted)
 
 

@@ -308,6 +308,26 @@ def test_a_reused_tape_keeps_nothing_of_its_earlier_passes():
                 assert grad.tobytes() == want_grad.tobytes()
 
 
+def test_a_sweep_rewrites_every_gradient_entry_but_the_pinned_pool_biases():
+    # the gradient rows are not zeroed per sweep: NaN left in them by an
+    # earlier caller must not survive, and the pool biases stay exactly 0
+    pooled = 0
+    for arch, stack, exact, rng in _gradient_corpus():
+        pooled += arch._pool_bias.size > 0
+        tape = engine.Tape(arch, 7, len(stack))
+        for sum_pools in (True, False, True):
+            x = _inputs(arch, exact, rng, 7)
+            out_adj = rng.normal(size=(len(stack), arch.d_out, 7))
+            vals, win = run(arch, stack, x, sum_pools=sum_pools, tape=tape)
+            if tape.gpad is not None:
+                tape.gpad[:, np.setdiff1d(np.arange(arch.n_coords), arch._pool_bias)] = np.nan
+            got = gradient(arch, stack, vals, win, out_adj, tape=tape)
+            assert np.all(got[:, arch._pool_bias] == 0.0)
+            want = gradient(arch, stack, *run(arch, stack, x, sum_pools=sum_pools), out_adj)
+            assert got.tobytes() == want.tobytes()
+    assert pooled
+
+
 def test_bound_tapes_match_fresh_ones_across_alternating_passes():
     # a tape binds its blocks' views on its first run and its first gradient;
     # every later pass (other parameters, a forward-only pass between two

@@ -1,6 +1,7 @@
 """Output-gap bound, proof trajectory, telescoping, and the two witnesses."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -177,6 +178,36 @@ def test_trajectory_sign_violation_raises():
     arch, t1, t2 = _single_edge(1.0, -1.0)
     with pytest.raises(SignConditionViolated):
         trajectory_point(t1, t2, 0.5)
+
+
+def _scalar_calls():
+    """Each scalar argument of the trajectory and the equality witness, as a
+    call of its value alone that returns the point or the witness's report."""
+    arch, t1, t2 = _single_edge(1.0, 4.0)
+    return {
+        "trajectory_point t": lambda v: trajectory_point(t1, t2, v).vec.tolist(),
+        "equality_witness a": lambda v: equality_witness(2, v, 1.0, 1.0).report,
+        "equality_witness b": lambda v: equality_witness(2, 2.0, v, 1.0).report,
+        "equality_witness x0": lambda v: equality_witness(2, 2.0, 1.0, v).report,
+    }
+
+
+@pytest.mark.parametrize("name", list(_scalar_calls()))
+@pytest.mark.parametrize("value", ["a", "x", None, [0.5], [1.0], True], ids=repr)
+def test_scalar_arguments_that_are_not_numbers_raise_pathlift_errors(name, value):
+    with pytest.raises(PathliftError, match=f"{name.split()[1]} must be a number, got "):
+        _scalar_calls()[name](value)
+
+
+@pytest.mark.parametrize("name", list(_scalar_calls()))
+def test_scalar_arguments_read_an_int_beyond_float64_as_infinity(name):
+    call = _scalar_calls()[name]
+    with pytest.raises(PathliftError) as want:
+        call(math.inf)
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        call(10**400)
+    # numpy scalars and ints are numbers
+    assert call(np.float32(1)) == call(1) == call(1.0)
 
 
 def test_lifting_monotone_along_trajectory():

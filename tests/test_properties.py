@@ -132,3 +132,22 @@ def test_breakpoints_equal_the_reference_loop(net, samples, width):
     x = rng.normal(scale=3.0, size=arch.d_in)
     got = activation_breakpoints(arch, theta, partner, x, samples=samples, width=width)
     assert got == reference_activation_breakpoints(arch, theta, partner, x, samples=samples, width=width)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]),
+)
+def test_breakpoints_on_same_sign_partners_equal_the_reference_loop(seed, samples, width):
+    rng = np.random.default_rng(seed)
+    arch = random_dag(rng, max_layers=4, max_width=5)
+    theta = random_params(arch, rng)
+    for _ in range(8):  # about one pair in six has activation changes: look for one
+        partner = same_sign_partner(theta, rng)
+        x = rng.normal(scale=1.5, size=arch.d_in)
+        got = activation_breakpoints(arch, theta, partner, x, samples=samples, width=width)
+        if got[0]:
+            break
+    assert got == reference_activation_breakpoints(arch, theta, partner, x, samples=samples, width=width)
