@@ -176,12 +176,21 @@ class Schedule:
     """Blocks of every level, in level order (see the module docstring):
     one tuple per entry of ``arch.levels``, so ``len(levels)`` is the
     longest path of the network.  ``inputs``/``outputs``: the input and
-    output neurons' rows, a slice when they are one contiguous run."""
+    output neurons' rows, a slice when they are one contiguous run.
+    What :func:`activations` reads besides the tape: ``always_on``, the
+    neurons active as a start at any input (all but relu); ``pool_edges``,
+    the coordinates of the edges into pool neurons, with their
+    destinations' rows ``pool_dst`` and their slots ``pool_slot``."""
 
-    __slots__ = ("levels", "win_dtype", "inputs", "outputs")
+    __slots__ = ("levels", "win_dtype", "inputs", "outputs", "always_on", "pool_edges", "pool_dst",
+                 "pool_slot")
 
     def __init__(self, arch: Architecture):
         self.inputs, self.outputs = _index(arch.input_pos), _index(arch.output_pos)
+        self.always_on = arch.kinds != RELU
+        self.pool_edges = np.flatnonzero(arch.kinds[arch.dst] == KPOOL)
+        self.pool_dst = arch.dst[self.pool_edges]
+        self.pool_slot = self.pool_edges - arch.in_ptr[self.pool_dst]
         pool = arch.kinds == KPOOL
         pool_fan = np.diff(arch.in_ptr)[pool]
         self.win_dtype = np.min_scalar_type(-pool_fan.max()) if pool_fan.size else None
@@ -518,12 +527,14 @@ def activations(arch: Architecture, theta: np.ndarray, x):
     A start is active unless it is a relu neuron whose value is not strictly
     positive.  An edge into a relu or identity neuron takes that neuron's
     start activation (identity neurons are always active); an edge into a
-    pool neuron is active only from the selected slot.
+    pool neuron is active only from the selected slot.  The always-on
+    starts and the pool edges' rows and slots are compiled once per
+    architecture, on its schedule.
     """
     vals, win = run(arch, theta, _floats(x, "input entries must be numbers").reshape(-1))
-    start = (arch.kinds != RELU) | (vals[..., :-1, 0] > 0.0)
-    edge = start[..., arch.dst]
+    sched = schedule(arch)
+    start = sched.always_on | (vals[..., :-1, 0] > 0.0)
+    edge = start.take(arch.dst, axis=-1)
     if win is not None:
-        e = np.flatnonzero(arch.kinds[arch.dst] == KPOOL)
-        edge[..., e] = win[..., arch.dst[e], 0] == e - arch.in_ptr[arch.dst[e]]
+        edge[..., sched.pool_edges] = win[..., 0].take(sched.pool_dst, axis=-1) == sched.pool_slot
     return edge, start

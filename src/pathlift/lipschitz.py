@@ -44,10 +44,11 @@ HOLDS_ATOL = 1e-12
 MAX_SAMPLED_ENTRIES = 1 << 27
 # halving levels per bisection pass, trading the fixed cost of a pass
 # against its 2**depth - 1 points per interval: bisecting 32 random DAGs
-# (up to 5 layers of 6) took a best 96, 89, 80 and 83 ms of CPU at depths
-# 3-6 with samples=32 (where 6 runs as 5), and 85, 82, 90 and 93 ms with
-# samples=100, in 25 interleaved runs each on a shared 2-CPU machine whose
-# medians (117-153 ms) spread wider than the depths differ
+# (up to 5 layers of 6) took a best 63-65, 60-62, 57-59 and 57-58 ms of CPU
+# at depths 3-6 with samples=32 (where 6 runs as 5), and 63, 61-63, 67-69
+# and 69-70 ms with samples=100, in 25 rotating runs each, two sessions on
+# a shared 2-CPU machine whose medians (61-78 ms) spread about as wide as
+# the depths differ
 _BISECT_DEPTH = 5
 
 
@@ -192,23 +193,28 @@ def _check_trajectory(arch: Architecture, t1: ParamVector, t2: ParamVector) -> N
         )
 
 
-def _trajectory_points(t1: ParamVector, t2: ParamVector, ts) -> np.ndarray:
-    """(len(ts), n_coords) stack of the trajectory points at the float times
-    ``ts``, for a pair that passed :func:`_check_trajectory`, all computed
-    by one power broadcast over the times; rows at t = 0 and t = 1 are
-    theta and theta' exactly, as pow(a, 1) = a and pow(a, 0) = 1.
+def _trajectory(t1: ParamVector, t2: ParamVector):
+    """The trajectory of a pair that passed :func:`_check_trajectory`, as a
+    function of float times ``ts`` giving the (len(ts), n_coords) stack of
+    its points, all computed by one power broadcast over the times; rows at
+    t = 0 and t = 1 are theta and theta' exactly, as pow(a, 1) = a and
+    pow(a, 0) = 1.  The signs and bases are set up once per pair.
     Coordinates zero on both sides (kpool biases among them) take base 1,
     as 0 ** (1 - t) is inf for t > 1, so they stay s = 0 at any t; raises
     NonFiniteValue when a point overflows."""
     s = np.sign(t1.vec)
     a1, a2 = np.where(s == 0.0, 1.0, np.abs([t1.vec, t2.vec]))
-    t = np.asarray(ts, dtype=np.float64)[:, None]
 
-    def what(stack):
-        first = np.argmin(np.isfinite(stack).all(axis=1))
-        return f"the trajectory point at t={float(t[first, 0])!r} overflows float64"
+    def points(ts) -> np.ndarray:
+        t = np.asarray(ts, dtype=np.float64)[:, None]
 
-    return finite(what, lambda: s * a1 ** (1.0 - t) * a2**t)
+        def what(stack):
+            first = np.argmin(np.isfinite(stack).all(axis=1))
+            return f"the trajectory point at t={float(t[first, 0])!r} overflows float64"
+
+        return finite(what, lambda: s * a1 ** (1.0 - t) * a2**t)
+
+    return points
 
 
 def trajectory_point(t1: ParamVector, t2: ParamVector, t: float) -> ParamVector:
@@ -223,7 +229,7 @@ def trajectory_point(t1: ParamVector, t2: ParamVector, t: float) -> ParamVector:
     _check_bound(None, t1)
     arch = t1.arch
     _check_trajectory(arch, t1, t2)
-    return ParamVector(arch, _trajectory_points(t1, t2, [t])[0])
+    return ParamVector(arch, _trajectory(t1, t2)([t])[0])
 
 
 @dataclass(frozen=True)
@@ -263,7 +269,10 @@ def activation_breakpoints(
     takes fewer levels when 31 points per open interval would pass the
     samples + 1 points of the sampling pass, which no pass exceeds.
     Every interval keeps its own bounds, as if it were bisected alone,
-    one midpoint at a time.
+    one midpoint at a time.  The trajectory's signs and bases are set up
+    once per call: the sampling pass, every bisection pass and the
+    boundary liftings evaluate their points from them, bit for bit as
+    :func:`trajectory_point` does.
 
     The telescoping report sums the l1 lifting distances over the segments
     cut by the located breakpoints and compares against the endpoint l1
@@ -272,7 +281,8 @@ def activation_breakpoints(
     stacked ``path_lifting``, whose first and last rows (theta, theta') give
     the endpoint.
 
-    ``samples`` must be an integer of at least 1 and ``width`` at least 0.
+    ``samples`` must be an integer of at least 1 and ``width`` a number of
+    at least 0, neither a bool.
     Every sample holds about n_paths + n_coords + n_neurons entries, so
     ``(samples + 1)`` times that may be at most ``MAX_SAMPLED_ENTRIES``
     (2**27, 1 GiB of float64); a larger count raises PathliftError before
@@ -283,11 +293,11 @@ def activation_breakpoints(
     that overflows, including midpoints a round evaluated past where its
     interval stopped.
     """
-    if not (isinstance(samples, numbers.Integral) and samples >= 1):
+    if isinstance(samples, bool) or not (isinstance(samples, numbers.Integral) and samples >= 1):
         raise PathliftError(f"samples must be an integer >= 1, got {samples!r}")
-    if not (isinstance(width, numbers.Real) and width >= 0.0):
+    width = _number(width, "width")
+    if not width >= 0.0:
         raise PathliftError(f"width must be a number >= 0, got {width!r}")
-    width = _real(width)
     _check_trajectory(arch, t1, t2)
     per_sample = lifting_length(arch) + arch.n_coords + arch.n_neurons
     if (samples + 1) * per_sample > MAX_SAMPLED_ENTRIES:
@@ -296,9 +306,10 @@ def activation_breakpoints(
             f"{MAX_SAMPLED_ENTRIES} sampled entries a call may hold"
         )
     ts = np.linspace(0.0, 1.0, samples + 1)
+    along = _trajectory(t1, t2)
 
     def acts(times):
-        return path_activations(arch, _trajectory_points(t1, t2, times), x)
+        return path_activations(arch, along(times), x)
 
     sampled = acts(ts)
     # a_lo stays the sample at lo: lo moves only onto points that match it
@@ -345,7 +356,7 @@ def activation_breakpoints(
     ]
 
     boundaries = (0.0,) + tuple(bp.t for bp in found) + (1.0,)
-    liftings = path_lifting(arch, _trajectory_points(t1, t2, boundaries)).values
+    liftings = path_lifting(arch, along(boundaries)).values
     seg = sum(float(np.abs(b - a).sum()) for a, b in zip(liftings[:-1], liftings[1:]))
     endpoint = float(np.sum(np.abs(liftings[0] - liftings[-1])))
     denom = max(abs(seg), abs(endpoint), 1e-300)

@@ -19,12 +19,14 @@ backwards from its end one edge per step, then all are sorted into the
 canonical order.  Path i has an int32 start position and an int32 row:
 column 0 is the start's bias coordinate (the sentinel ``n_coords`` for an
 input start), the rest are its edge coordinates in forward order, padded
-with the sentinel, which reads an appended 1.0 (on, for activations).  A
-per-path product, the lifting or the 0/1 activations, is reduced column by
-column, one entry per path; a per-coordinate sum is one bincount.  The
-table is cached on the architecture and the cap is checked on every call.
-It holds paths x (longest path + 1) int32 entries: about 36 MB for a
-3,000-edge chain, 1.6 MB for a (4, 20, 20, 20, 2) MLP.
+with the sentinel, which reads an appended 1.0 (on, for activations).  The
+rows are stored column-major, as a C-contiguous (longest path + 1, paths)
+array, so each column is one contiguous run.  A per-path product, the
+lifting or the 0/1 activations, is reduced column by column, one entry per
+path; a per-coordinate sum adds the rows on path by path, in blocks of
+about 1 MB.  The table is cached on the architecture and the cap is
+checked on every call.  It holds paths x (longest path + 1) int32 entries:
+about 36 MB for a 3,000-edge chain, 1.6 MB for a (4, 20, 20, 20, 2) MLP.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import activations
-from .errors import PathExplosion, PathliftError, finite
+from .engine import _chunks, activations
+from .errors import DimensionMismatch, PathExplosion, PathliftError, finite
 from .graph import Architecture, ParamVector, _check_input, _param_rows
 from .netfile import _opened
 
@@ -63,7 +65,8 @@ def max_path_length(arch: Architecture) -> int:
 
 
 class _PathTable(NamedTuple):
-    """Start and end position and row of every path; read-only (cached)."""
+    """Start and end position of every path, and the rows column-major:
+    ``rows[c, i]`` is column c of path i's row; read-only (cached)."""
 
     start: np.ndarray
     end: np.ndarray
@@ -88,19 +91,19 @@ def _build_table(arch: Architecture) -> _PathTable:
         steps.append((parent, slot))
 
     offsets = np.cumsum([0] + [h.size for h in heads])
-    rows = np.full((offsets[-1], len(heads)), sentinel, dtype=np.int32)
+    rows = np.full((len(heads), offsets[-1]), sentinel, dtype=np.int32)
     for s, (parent, edge) in enumerate(steps, start=1):
-        rows[offsets[s] : offsets[s + 1], 1] = edge
-        rows[offsets[s] : offsets[s + 1], 2 : s + 1] = rows[offsets[s - 1] + parent, 1:s]
+        rows[1, offsets[s] : offsets[s + 1]] = edge
+        rows[2 : s + 1, offsets[s] : offsets[s + 1]] = rows[1:s, offsets[s - 1] + parent]
     start = np.concatenate(heads).astype(np.int32)
-    rows[:, 0] = np.where(arch.bias_coord < 0, sentinel, arch.bias_coord)[start]
+    rows[0] = np.where(arch.bias_coord < 0, sentinel, arch.bias_coord)[start]
 
     # lexsort's last key is the primary one: end, start, then the neurons
     # after the start; padding never decides, since no path continues past
     # the neuron it ends at
-    keys = [dst[rows[:, c]] for c in range(rows.shape[1] - 1, 0, -1)] + [start, np.concatenate(tails)]
+    keys = [dst[rows[c]] for c in range(len(rows) - 1, 0, -1)] + [start, np.concatenate(tails)]
     order = np.lexsort(keys)
-    table = _PathTable(start[order], keys[-1][order].astype(np.int32), rows[order])
+    table = _PathTable(start[order], keys[-1][order].astype(np.int32), rows.take(order, axis=1))
     for a in table:
         a.setflags(write=False)
     return table
@@ -124,12 +127,13 @@ def _table(arch: Architecture) -> _PathTable:
 
 
 def _row_products(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Product over each row of the entries it selects from ``vec``, one
-    column at a time (left to right, as ``np.prod``): a per-coordinate vector
+    """Product over each path of the entries it selects from ``vec``, one
+    column of the column-major ``rows`` at a time (left to right along the
+    path, as ``np.prod``), each a contiguous run: a per-coordinate vector
     with the sentinel's 1.0 (or True) appended, or a stack of them."""
-    out = np.take(vec, rows[:, 0], axis=-1)
-    for col in rows.T[1:]:
-        out *= np.take(vec, col, axis=-1)
+    out = vec.take(rows[0], axis=-1)
+    for col in rows[1:]:
+        out *= vec.take(col, axis=-1)
     return out
 
 
@@ -137,8 +141,9 @@ def _id_tuples(arch: Architecture, table: _PathTable) -> list:
     """The table's paths as tuples of neuron ids."""
     ids = np.array(arch.ids + (None,), dtype=object)  # None past the last edge
     dst = np.r_[arch.dst, np.full(arch.n_coords + 1 - arch.n_edges, arch.n_neurons)]
-    nodes = np.concatenate([ids[table.start, None], ids[dst[table.rows[:, 1:]]]], axis=1).tolist()
-    lengths = 1 + (table.rows[:, 1:] != arch.n_coords).sum(axis=1)
+    edges = table.rows[1:].T
+    nodes = np.concatenate([ids[table.start, None], ids[dst[edges]]], axis=1).tolist()
+    lengths = 1 + (edges != arch.n_coords).sum(axis=1)
     return [tuple(r[:k]) for r, k in zip(nodes, lengths.tolist())]
 
 
@@ -178,10 +183,17 @@ class PathLifting:
     def coordinate_sums(self, weights) -> np.ndarray:
         """Per parameter coordinate, the sum of ``weights[i]`` over the paths
         i through it: over its edges, and over its start bias when the path
-        is led by one.  Sums run in canonical path order."""
-        rows = self.table.rows
-        w = np.repeat(np.asarray(weights, dtype=np.float64), rows.shape[1])
-        return np.bincount(rows.ravel(), weights=w, minlength=self.arch.n_coords + 1)[:-1]
+        is led by one.  Each coordinate's terms add one at a time in
+        canonical path order: one coordinate sits in different columns on
+        different paths, so each block of paths (about 1 MB of entries) is
+        read path by path, and ``np.add.at`` adds its entries on in order."""
+        rows, w = self.table.rows, np.asarray(weights, dtype=np.float64)
+        if w.shape != (len(self),):
+            raise DimensionMismatch(f"weights must hold one entry per path ({len(self)}), got shape {w.shape}")
+        out = np.zeros(self.arch.n_coords + 1)
+        for c in _chunks(w.size, len(rows), 1):
+            np.add.at(out, rows[:, c].T.ravel(), np.repeat(w[c], len(rows)))
+        return out[:-1]
 
     def __len__(self):
         return self.table.start.size
@@ -234,8 +246,10 @@ def linearized_output(arch: Architecture, theta: ParamVector, x) -> np.ndarray:
 
     For each output neuron, the sum over paths ending there of
     lifting * activation * (starting input coordinate, or 1 for bias-led
-    paths), in canonical path order.  Agrees with the forward pass exactly
-    on every input; raises NonFiniteValue when a term or a sum overflows.
+    paths), in canonical path order.  Equal to the forward pass up to
+    rounding on every input (the sums run in path order, the forward pass
+    level by level, so the last bits may differ); raises NonFiniteValue
+    when a term or a sum overflows.
     """
     x = _check_input(arch, x)
 

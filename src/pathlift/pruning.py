@@ -109,7 +109,8 @@ def obd_fd_scores(
     loss: str = "squared_error",
 ) -> ScoreVector:
     """Second-order saliency 0.5 * h_ii * theta_i^2 with the loss Hessian
-    diagonal taken by exact per-coordinate central second differences.
+    diagonal taken by per-coordinate central second differences with the
+    absolute step FD_STEP (rounding noise at large weights).
 
     The 2 * n_coords perturbed losses run as stacks of parameter rows, each
     stack's tape about one gathered block of the engine (1 MB); every row

@@ -277,8 +277,10 @@ def test_breakpoints_stop_at_the_float_spacing(monkeypatch, width):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"samples": 0}, {"samples": -1}, {"width": math.nan}, {"width": -1.0}, {"samples": 2.5}, {"samples": "3"}],
-    ids=["samples-0", "samples-negative", "width-nan", "width-negative", "samples-float", "samples-str"],
+    [{"samples": 0}, {"samples": -1}, {"width": math.nan}, {"width": -1.0}, {"samples": 2.5}, {"samples": "3"},
+     {"samples": True}, {"width": True}, {"width": False}],
+    ids=["samples-0", "samples-negative", "width-nan", "width-negative", "samples-float", "samples-str",
+         "samples-bool", "width-true", "width-false"],
 )
 def test_breakpoints_reject_out_of_range_arguments(monkeypatch, kwargs):
     _limit_passes(monkeypatch)
@@ -462,6 +464,21 @@ def test_breakpoints_lift_once_and_refuse_over_the_cap_before_the_sample_budget(
     monkeypatch.setenv("PATHLIFT_PATH_CAP", "1")
     with pytest.raises(PathExplosion):
         activation_breakpoints(arch, t1, t2, x, samples=10**12)
+
+
+def test_breakpoint_boundary_liftings_equal_the_public_trajectory_points(monkeypatch):
+    from pathlift import lipschitz
+
+    stacks = []
+    lift = lipschitz.path_lifting
+    monkeypatch.setattr(lipschitz, "path_lifting", lambda arch, theta: stacks.append(lift(arch, theta)) or stacks[-1])
+    for arch, t1, t2, x in _breakpoint_corpus():
+        stacks.clear()
+        found, report = activation_breakpoints(arch, t1, t2, x, samples=32)
+        (boundary,) = stacks
+        assert len(report.boundaries) == len(found) + 2 == len(boundary.values)
+        for t, row in zip(report.boundaries, boundary.values):
+            assert np.array_equal(row, path_lifting(arch, trajectory_point(t1, t2, t)).values)
 
 
 def test_equality_witness_chain():

@@ -8,6 +8,7 @@ import pytest
 
 from pathlift import (
     Architecture,
+    DimensionMismatch,
     ParamVector,
     PathExplosion,
     enumerate_paths,
@@ -23,10 +24,12 @@ from pathlift.pruning import path_mag_scores
 
 from conftest import oracle_paths, random_cases
 from reference import (
+    _edge,
     reference_activations,
     reference_bruteforce_scores,
     reference_lifting,
     reference_linearized,
+    reference_positions,
 )
 
 
@@ -54,6 +57,34 @@ def test_table_matches_reference_loops():
             assert np.array_equal(linearized_output(arch, theta, x), reference_linearized(arch, theta, x))
         brute = path_mag_scores(arch, theta, method="bruteforce").values
         assert np.array_equal(brute, reference_bruteforce_scores(arch, theta))
+
+
+def test_coordinate_sums_add_in_canonical_path_order():
+    # a path from a hidden neuron reaches an edge after fewer edges than one
+    # from an input, so one edge sits at several positions along its paths;
+    # signed weights of spread magnitudes make any other order change bits
+    spread = 0
+    for arch, theta, rng in random_cases(30, seed=913, p_skip=0.5):
+        lift = path_lifting(arch, theta)
+        w = rng.normal(size=len(lift)) * 10.0 ** rng.integers(-8, 9, size=len(lift))
+        want, steps = np.zeros(arch.n_coords), {}
+        for wi, p in zip(w.tolist(), reference_positions(arch)):
+            if arch.bias_coord[p[0]] >= 0:
+                want[arch.bias_coord[p[0]]] += wi
+            for k, (u, v) in enumerate(zip(p[:-1], p[1:])):
+                e = _edge(arch, u, v)
+                want[e] += wi
+                steps.setdefault(e, set()).add(k)
+        spread += any(len(ks) > 1 for ks in steps.values())
+        assert np.array_equal(lift.coordinate_sums(w), want)
+    assert spread >= 20
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_coordinate_sums_refuse_weights_of_another_length(diamond, n):
+    lift = path_lifting(*diamond)
+    with pytest.raises(DimensionMismatch, match="one entry per path"):
+        lift.coordinate_sums(np.ones(n))
 
 
 def test_table_order_matches_oracle_with_single_ends():
