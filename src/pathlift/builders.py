@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArchitectureError, RaggedLayers
+from .errors import ArchitectureError, PathliftError, RaggedLayers
 from .graph import Architecture, ParamVector, _check_bound, _count
 
 
@@ -176,6 +176,8 @@ def random_dag(
     exactly the intended layers.  Desk scale by default: small enough for
     exhaustive path enumeration.
     """
+    if isinstance(rng, bool):
+        raise PathliftError(f"rng must be a seed or a numpy Generator, got {rng!r}")
     rng = np.random.default_rng(rng)
     n_layers = int(rng.integers(2, max_layers + 1))
     widths = [int(rng.integers(1, max_width + 1)) for _ in range(n_layers)]

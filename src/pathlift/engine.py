@@ -54,17 +54,19 @@ single pass.  The ParamVector checks belong to the public wrappers
 
 Tapes.  Every pass writes its value, winner and adjoint tables and its
 padded weight and gradient rows into a :class:`Tape`, the only place
-pass arrays are allocated.  The first :func:`run` on a tape binds the
-affine blocks' operands that are slices (weights, bias column, shared
-source rows, and for one item the destination rows) as views of the tape,
-the first :func:`gradient` those of the sweep; every pass then reads and
-writes through them (``out=`` products, bias and relu in place).  A
-caller that repeats passes of one shape (a training loop) may own a tape
-and hand it to :func:`run` and :func:`gradient`: a logistic
-``grad_scalar`` step of the (2, 16, 16, 2) MLP at batch 256 then takes
-about 116 us for one vector and 271 us for a stack of three on a 2-CPU
-machine, 0.84x and 0.86x a step that rebuilds its views.  Any other pass
-gets a fresh tape and binds as it goes.
+pass arrays are allocated.  The first :func:`run` on a tape binds each
+block's operands that are slices (weights, bias column, shared source
+rows, and for one item the destination rows) as views of the tape, and
+its chunks (a block that fits in one, as every block of a small net does,
+is gathered and written whole), the first :func:`gradient` the sweep's
+views; every pass then reads and writes through them (``out=`` products,
+bias and relu in place).  A caller that repeats passes of one shape (a
+training loop, the bisection of ``activation_breakpoints``) may own a
+tape and hand it to :func:`run`, :func:`gradient` and :func:`activations`:
+a logistic ``grad_scalar`` step of the (2, 16, 16, 2) MLP at batch 256
+then takes about 116 us for one vector and 271 us for a stack of three on
+a 2-CPU machine, 0.84x and 0.86x a step that rebuilds its views.  Any
+other pass gets a fresh tape and binds as it goes.
 """
 
 from __future__ import annotations
@@ -209,10 +211,10 @@ def schedule(arch: Architecture) -> Schedule:
     return sched
 
 
-def _chunks(rows: int, width: int, batch: int):
+def _chunks(rows: int, width: int, batch: int) -> tuple:
+    """Slices of rows gathering about _BLOCK_ELEMS doubles each; slice(None) when one holds all."""
     step = max(1, _BLOCK_ELEMS // max(width * batch, 1))
-    for lo in range(0, rows, step):
-        yield slice(lo, lo + step)
+    return (slice(None),) if 0 < rows <= step else tuple(slice(lo, lo + step) for lo in range(0, rows, step))
 
 
 def _view(table, ix):
@@ -228,16 +230,16 @@ def _weights(wpad, blk: _Block):
     return w.reshape((wpad.shape[0],) + blk.src.shape)
 
 
-def _gathered_product(w, table, idx, out=None):
+def _gathered_product(w, table, idx, out=None, chunks=None):
     """out[p, r, :] = sum over slots s of w[p, r, s] * table[p, idx[r % G, s]]
-    for the G = len(idx) source rows: (P, rows, B), one (F, K) by (K, B)
-    product per group of F = rows / G rows, into ``out`` when given."""
+    for the G = len(idx) source rows: (P, rows, B), one (F, K) by (K, B) product
+    per group of F = rows / G rows, by ``chunks`` of them (else :func:`_chunks`), into ``out`` when given."""
     p, batch = table.shape[0], table.shape[2]
     groups, width = idx.shape
     out = np.empty((p, w.shape[1], batch)) if out is None else out
     wg = w.reshape(p, -1, groups, width).swapaxes(1, 2)
     og = out.reshape(p, -1, groups, batch).swapaxes(1, 2)
-    for c in _chunks(groups, p * width, batch):
+    for c in chunks or _chunks(groups, p * width, batch):
         og[:, c] = np.matmul(wg[:, c], table.take(idx[c], axis=1))
     return out
 
@@ -255,20 +257,23 @@ def _slot_products(table, idx, g, out=None):
     return out
 
 
-def _pool_forward(blk: _Block, w, vals, win):
+def _pool_forward(blk: _Block, chunks, w, vals, win):
     """The block's pool rows of ``vals`` and their winners in ``win`` from
-    the slot weights ``w`` (P, rows, K)."""
-    width = blk.src.shape[1]
-    for c in _chunks(blk.rows.size, vals.shape[0] * width, vals.shape[2]):
+    the slot weights ``w`` (P, rows, K), by the ``chunks`` a tape bound."""
+    kth_slot = blk.src.shape[1] - blk.k
+    for c in chunks:
         contrib = w[:, c, :, None] * vals.take(blk.src[c], axis=1)
         if blk.valid is not None:
             contrib = np.where(blk.valid[c], contrib, -np.inf)
         if blk.k == 1:
             kth = contrib.max(axis=-2)
         else:
-            kth = np.partition(contrib, width - blk.k, axis=-2)[..., width - blk.k, :]
-        vals[:, blk.rows[c]] = kth
-        win[:, blk.rows[c]] = np.argmax(contrib == kth[..., None, :], axis=-2)
+            kth = contrib.copy()
+            kth.partition(kth_slot, axis=-2)
+            kth = kth[..., kth_slot, :]
+        at = blk.rows[c] if c.stop else blk.at  # the whole block writes through its slice
+        vals[:, at] = kth
+        win[:, at] = (contrib == kth[..., None, :]).argmax(axis=-2)
 
 
 class Tape:
@@ -311,26 +316,24 @@ def _tape(arch: Architecture, tape: Tape | None, stack: int, batch: int) -> Tape
 
 def _bind_run(tape: Tape, sched: Schedule) -> list:
     """Per block, in level order: (block, slot weights, shared source rows,
-    bias column, destination rows), each a view of the tape or None where
-    the pass gathers by position; a pool block binds nothing.  A stack's
-    rows, strided by the other items, take elementwise writes at half speed:
-    its product is computed in a fresh array and copied, not bound."""
+    bias column, destination rows, its groups' chunks), each view of the tape
+    or None where the pass gathers by position.  A stack's rows, strided by
+    the other items, take elementwise writes at half speed: its product is
+    computed in a fresh array and copied, not bound."""
     vals, wpad = tape.vals, tape.wpad
     cols = wpad[..., None]  # bias columns by one basic index
-    one = len(vals) == 1
+    p, batch = vals.shape[0], vals.shape[2]
     bound = []
     for level in sched.levels:
         for blk in level:
-            if blk.k:
-                bound.append((blk, None, None, None, None))
-                continue
             # views built inline: every fresh tape binds, and on small nets each call shows
             coord, shared, bias, at = blk.coord, blk.shared, blk.bias, blk.at
             bound.append((
-                blk, wpad[:, coord].reshape((len(wpad),) + blk.src.shape) if isinstance(coord, slice) else None,
+                blk, wpad[:, coord].reshape((p,) + blk.src.shape) if isinstance(coord, slice) else None,
                 vals[:, shared] if isinstance(shared, slice) else None,
                 cols[:, bias] if isinstance(bias, slice) else None,
-                vals[:, at] if one and isinstance(at, slice) else None,
+                vals[:, at] if p == 1 and isinstance(at, slice) else None,
+                _chunks(len(blk.groups), p * blk.src.shape[1], batch),
             ))
     return bound
 
@@ -394,16 +397,16 @@ def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False, *, ta
     wpad[:, :-1] = stack
     vals[:, sched.inputs, :] = x.T
     vals[:, -1, :] = 0.0
-    for blk, w, src, bias, dst in tape.fwd:
+    for blk, w, src, bias, dst, chunks in tape.fwd:
         if w is None:
             w = _weights(wpad, blk)
         if blk.k and win is not None:
-            _pool_forward(blk, w, vals, win)
+            _pool_forward(blk, chunks, w, vals, win)
             continue
         if blk.shared is not None:
             pre = np.matmul(w, vals.take(blk.shared, axis=1) if src is None else src, out=dst)
         else:
-            pre = _gathered_product(w, vals, blk.groups, dst)
+            pre = _gathered_product(w, vals, blk.groups, dst, chunks)
         pre += wpad.take(blk.bias, axis=1)[..., None] if bias is None else bias
         if blk.floor is not None:
             np.maximum(pre, blk.floor, out=pre)
@@ -519,7 +522,7 @@ def _pool_backward(blk: _Block, wpad, vals, win, adj, gpad, inner: bool):
     adj[:, blk.tsrc] += out
 
 
-def activations(arch: Architecture, theta: np.ndarray, x):
+def activations(arch: Architecture, theta: np.ndarray, x, *, tape: Tape | None = None):
     """Boolean activation per edge coordinate and per neuron as a path start
     at x, for the parameter array ``theta`` (a stack gives both a leading
     axis), read off the forward tape.
@@ -529,9 +532,9 @@ def activations(arch: Architecture, theta: np.ndarray, x):
     start activation (identity neurons are always active); an edge into a
     pool neuron is active only from the selected slot.  The always-on
     starts and the pool edges' rows and slots are compiled once per
-    architecture, on its schedule.
+    architecture, on its schedule.  The pass runs on ``tape`` as :func:`run`'s.
     """
-    vals, win = run(arch, theta, _floats(x, "input entries must be numbers").reshape(-1))
+    vals, win = run(arch, theta, _floats(x, "input entries must be numbers").reshape(-1), tape=tape)
     sched = schedule(arch)
     start = sched.always_on | (vals[..., :-1, 0] > 0.0)
     edge = start.take(arch.dst, axis=-1)

@@ -64,8 +64,9 @@ class ExperimentConfig:
             raise PathliftError(
                 f"rewind epoch {self.rewind_epoch} must lie in [0, {self.epochs})"
             )
-        if not (isinstance(self.lr, numbers.Real) and math.isfinite(_real(self.lr)) and self.lr > 0.0):
-            raise PathliftError(f"lr must be a finite number > 0, got {self.lr!r}")
+        lr = self.lr
+        if isinstance(lr, bool) or not (isinstance(lr, numbers.Real) and math.isfinite(_real(lr)) and lr > 0.0):
+            raise PathliftError(f"lr must be a finite number > 0, got {lr!r}")
         if not isinstance(self.prune_fraction, numbers.Real) or isinstance(self.prune_fraction, bool):
             raise InfeasibleAmount(f"prune fraction must be a number, got {self.prune_fraction!r}")
         if not 0.0 <= self.prune_fraction < 1.0:

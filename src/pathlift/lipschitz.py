@@ -33,10 +33,11 @@ from .errors import (
     SignConditionViolated,
     finite,
 )
-from .engine import run
+from .engine import Tape, run
 from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _count, _real
 from .metrics import _lifting_pair, path_metric_exact_dominated, path_metric_oracle, path_metric_upper
-from .paths import lifting_length, path_activations, path_lifting
+# bench/workloads.py looks path_activations up here; the bisection calls the private path
+from .paths import _path_activations, lifting_length, path_activations, path_lifting  # noqa: F401
 
 HOLDS_RTOL = 1e-9
 HOLDS_ATOL = 1e-12
@@ -44,11 +45,11 @@ HOLDS_ATOL = 1e-12
 MAX_SAMPLED_ENTRIES = 1 << 27
 # halving levels per bisection pass, trading the fixed cost of a pass
 # against its 2**depth - 1 points per interval: bisecting 32 random DAGs
-# (up to 5 layers of 6) took a best 63-65, 60-62, 57-59 and 57-58 ms of CPU
-# at depths 3-6 with samples=32 (where 6 runs as 5), and 63, 61-63, 67-69
-# and 69-70 ms with samples=100, in 25 rotating runs each, two sessions on
-# a shared 2-CPU machine whose medians (61-78 ms) spread about as wide as
-# the depths differ
+# (up to 5 layers of 6) took a best 52-53, 51-52, 48-50 and 49-53 ms of CPU
+# at depths 3-6 with samples=32 (where 6 runs as 5), and 52-55, 50-57, 56-61
+# and 60-68 ms with samples=100, in 25 rotating runs each, two sessions on
+# a shared 2-CPU machine: no depth is fastest at both counts, and every
+# depth locates the same breakpoints
 _BISECT_DEPTH = 5
 
 
@@ -269,10 +270,11 @@ def activation_breakpoints(
     takes fewer levels when 31 points per open interval would pass the
     samples + 1 points of the sampling pass, which no pass exceeds.
     Every interval keeps its own bounds, as if it were bisected alone,
-    one midpoint at a time.  The trajectory's signs and bases are set up
-    once per call: the sampling pass, every bisection pass and the
-    boundary liftings evaluate their points from them, bit for bit as
-    :func:`trajectory_point` does.
+    one midpoint at a time.  Set-up is once per call: ``x`` is checked with
+    the other arguments, and the trajectory's signs and bases give the
+    sampling pass, every bisection pass and the boundary liftings their
+    points, bit for bit as :func:`trajectory_point` does.  The passes share
+    one engine tape, replaced only when the stack size changes.
 
     The telescoping report sums the l1 lifting distances over the segments
     cut by the located breakpoints and compares against the endpoint l1
@@ -299,6 +301,7 @@ def activation_breakpoints(
     if not width >= 0.0:
         raise PathliftError(f"width must be a number >= 0, got {width!r}")
     _check_trajectory(arch, t1, t2)
+    x = _check_input(arch, x)
     per_sample = lifting_length(arch) + arch.n_coords + arch.n_neurons
     if (samples + 1) * per_sample > MAX_SAMPLED_ENTRIES:
         raise PathliftError(
@@ -307,32 +310,38 @@ def activation_breakpoints(
         )
     ts = np.linspace(0.0, 1.0, samples + 1)
     along = _trajectory(t1, t2)
+    tape = None
 
     def acts(times):
-        return path_activations(arch, along(times), x)
+        nonlocal tape
+        if tape is None or len(tape.vals) != len(times):
+            tape = None  # freed before the next: one tape alive at a time
+            tape = Tape(arch, 1, len(times))
+        return _path_activations(arch, along(times), x, tape)
 
     sampled = acts(ts)
     # a_lo stays the sample at lo: lo moves only onto points that match it
     first = np.flatnonzero(np.any(sampled[:-1] != sampled[1:], axis=1))
-    lo, hi = ts[first], ts[first + 1]
+    lo, hi = ts[first].tolist(), ts[first + 1].tolist()
     a_lo, a_hi = sampled[first], sampled[first + 1]
-    live = np.flatnonzero(hi - lo > width).tolist()
+    live = [i for i, (left, right) in enumerate(zip(lo, hi)) if right - left > width]
     while live:
         # the next `depth` halving levels of every open interval, in order
-        # along [lo, hi], each midpoint computed as its one-level halving
-        # would; no pass holds more points than the sampling pass
+        # along [lo, hi], midpoint j from its neighbours s away as its one-level
+        # halving would compute it; no pass holds more than the sampling pass
         depth = min(_BISECT_DEPTH, ((samples + 1) // len(live) + 1).bit_length() - 1)
         n = 1 << depth
-        grid = np.empty((len(live), n + 1))
-        grid[:, 0], grid[:, -1] = lo[live], hi[live]
-        for s in (n >> k for k in range(1, depth + 1)):
-            grid[:, s :: 2 * s] = 0.5 * (grid[:, : -s : 2 * s] + grid[:, 2 * s :: 2 * s])
-        evaluated = acts(grid[:, 1:-1].ravel()).reshape(len(live), n - 1, -1)
+        mids = [(j, s) for s in (n >> k for k in range(1, depth + 1)) for j in range(s, n, 2 * s)]
+        grid = [[lo[i]] + [0.0] * (n - 1) + [hi[i]] for i in live]
+        for points in grid:
+            for j, s in mids:
+                points[j] = 0.5 * (points[j - s] + points[j + s])
+        evaluated = acts([t for points in grid for t in points[1:-1]]).reshape(len(live), n - 1, -1)
         matches = np.all(evaluated == a_lo[live][:, None, :], axis=2)
         # replay the one-level halvings on Python floats, one interval at a
         # time from its middle point; a_hi is the last midpoint that differs
         still = []
-        for i, points, same, rows in zip(live, grid.tolist(), matches.tolist(), evaluated):
+        for i, points, same, rows in zip(live, grid, matches.tolist(), evaluated):
             left, right, last, pos, step = points[0], points[-1], None, n // 2, n // 2
             while step:
                 mid = points[pos]
@@ -351,7 +360,7 @@ def activation_breakpoints(
                 a_hi[i] = rows[last]
         live = still
     found = [
-        Breakpoint(t=float(0.5 * (left + right)), changed_paths=tuple(np.flatnonzero(a != b).tolist()))
+        Breakpoint(t=0.5 * (left + right), changed_paths=tuple(np.flatnonzero(a != b).tolist()))
         for left, right, a, b in zip(lo, hi, a_lo, a_hi)
     ]
 

@@ -41,7 +41,7 @@ def _sum_pool_tape(arch: Architecture, theta: ParamVector, q: float = 1.0):
     of the sum-pool pass of |theta|**q on the all-ones input, whose output
     rows sum to that norm).  Raises :class:`NonFiniteValue` naming ``q``
     when the norm overflows."""
-    if not (isinstance(q, numbers.Real) and math.isfinite(_real(q)) and q > 0):
+    if isinstance(q, bool) or not (isinstance(q, numbers.Real) and math.isfinite(_real(q)) and q > 0):
         raise PathliftError(f"q must be finite and > 0, got {q!r}")
     _check_bound(arch, theta)
     what, tape = f"the path norm at q={q!r} overflows float64", Tape(arch, 1)

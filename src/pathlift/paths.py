@@ -228,7 +228,12 @@ def path_activations(arch: Architecture, theta, x) -> np.ndarray:
     entries are never read); a stack gives (P, n_paths) from one engine
     pass, row i equal to the activations of ``theta[i]``.  A start's
     activation sits in its bias slot, column 0 of every path starting there."""
-    edge_act, start_act = activations(arch, _param_rows(arch, theta), x)
+    return _path_activations(arch, _param_rows(arch, theta), x)
+
+
+def _path_activations(arch: Architecture, rows: np.ndarray, x, tape=None) -> np.ndarray:
+    """:func:`path_activations` of checked parameter rows, by a pass on ``tape`` (fresh when None)."""
+    edge_act, start_act = activations(arch, rows, x, tape=tape)
     table = _table(arch)
     on = np.ones(edge_act.shape[:-1] + (arch.n_coords + 1,), dtype=bool)  # the sentinel is on
     on[..., : arch.n_edges] = edge_act

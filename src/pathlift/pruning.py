@@ -183,7 +183,7 @@ def _resolve_count(n_eligible: int, fraction, count) -> int:
         if not 0.0 <= f <= 1.0:
             raise InfeasibleAmount(f"fraction must lie in [0, 1], got {f}")
         return int(np.floor(f * n_eligible))
-    if not isinstance(count, numbers.Integral):
+    if not isinstance(count, numbers.Integral) or isinstance(count, bool):
         raise InfeasibleAmount(f"count must be an integer, got {count!r}")
     k = int(count)
     if not 0 <= k <= n_eligible:

@@ -40,7 +40,7 @@ def rescale(arch: Architecture, theta: ParamVector, factors: Mapping) -> ParamVe
         j = arch.position(nid)
         if arch.is_input[j] or j in out:
             raise IneligibleNeuron(f"{nid} is an input or output neuron")
-        if not (isinstance(f, numbers.Real) and f > 0.0 and math.isfinite(_real(f))):
+        if isinstance(f, bool) or not (isinstance(f, numbers.Real) and f > 0.0 and math.isfinite(_real(f))):
             raise NonPositiveFactor(f"factor for {nid} must be finite and > 0, got {f!r}")
         lam[j] = f
 

@@ -208,6 +208,40 @@ def test_stacked_items_are_their_single_passes_bit_for_bit(batch):
             assert np.array_equal(edge[i], one_edge) and np.array_equal(start[i], one_start)
 
 
+def test_chunked_blocks_are_the_one_chunk_passes_bit_for_bit(monkeypatch):
+    """With one row (or group) per chunk every block of two or more splits:
+    the forward pass, its winners, the gradient and the activations must
+    not see the chunk boundaries."""
+    nets = [(arch, exact, rng) for arch, _, exact, rng in _dag_corpus()]
+    rng = np.random.default_rng(12)
+    # mostly pools: several pools of one order and unequal fan-in share a level
+    nets += [(random_dag(s, max_layers=4, max_width=6, p_kpool=0.9, p_identity=0.05), s % 2 == 0, rng)
+             for s in range(10)]
+    nets.append((conv_grid_architecture(side=6, channels=(2, 3), d_out=3), False, rng))
+    cases = []
+    for arch, exact, rng in nets:
+        stack = np.stack([(_integer_params if exact else random_params)(arch, rng).vec for _ in range(3)])
+        cases.append((arch, stack, _inputs(arch, exact, rng, 5), rng.normal(size=(3, arch.d_out, 5))))
+    padded_pools = sum(
+        blk.k >= 2 and blk.valid is not None and blk.rows.size >= 2
+        for arch, *_ in cases for level in engine.schedule(arch).levels for blk in level
+    )
+    assert padded_pools >= 5
+
+    def passes():
+        got = []
+        for arch, stack, x, out_adj in cases:
+            for sum_pools in (False, True):
+                vals, win = run(arch, stack, x, sum_pools=sum_pools)
+                got += [vals, win, gradient(arch, stack, vals, win, out_adj)]
+            got += engine.activations(arch, stack, x[0])
+        return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in got]
+
+    whole = passes()
+    monkeypatch.setattr(engine, "_BLOCK_ELEMS", 1)
+    assert passes() == whole
+
+
 def test_activations_match_the_reference_values_and_winners():
     nets = [(arch, exact, rng) for arch, _, exact, rng in _dag_corpus()]
     rng = np.random.default_rng(8)

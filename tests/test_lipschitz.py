@@ -389,6 +389,24 @@ def test_breakpoints_take_one_pass_plus_one_per_round_of_halvings(monkeypatch):
         assert max(passes) <= samples + 1
 
 
+def test_breakpoints_make_a_tape_only_when_the_stack_size_changes(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    tapes = []
+    init = engine.Tape.__init__
+    monkeypatch.setattr(engine.Tape, "__init__", lambda tape, *a, **k: tapes.append(1) or init(tape, *a, **k))
+    arch, t1, t2, x = _breakpoint_corpus()[3]
+    found, _ = activation_breakpoints(arch, t1, t2, x, samples=32, width=1e-10)
+    # two intervals 1/32 wide take 29 halvings, 4 levels (30 points) a round
+    assert len(found) == 2 and passes == [33] + [30] * math.ceil(29 / 4)
+    assert len(tapes) == 2
+    passes.clear()
+    tapes.clear()
+    # at width 0 the intervals close one at a time, each a new stack size
+    activation_breakpoints(arch, t1, t2, x, samples=7, width=0.0)
+    changes = sum(a != b for a, b in zip(passes, passes[1:]))
+    assert len(passes) > 10 and changes == 2 and len(tapes) == 1 + changes
+
+
 # corpus nets with two or three activation changes at samples <= 7
 _CROWDED = (3, 16, 25, 61)
 
