@@ -10,12 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArchitectureError, PathliftError, RaggedLayers
-from .graph import Architecture, ParamVector, _check_bound, _count
+from .graph import Architecture, ParamVector, _check_bound, _rng, _scalar
 
 
 def mlp_architecture(widths, hidden: str = "relu") -> Architecture:
     """Fully-connected layered network; layer 0 is the input layer."""
-    widths = [_count(w, "layer width", RaggedLayers) for w in widths]
+    widths = [_scalar(w, RaggedLayers, "layer width must be an integer >= 1", lambda n: n >= 1, whole=True) for w in widths]
     if len(widths) < 2:
         raise RaggedLayers(f"need at least two layer widths, got {widths}")
     names = [[f"L{l}n{i:03d}" for i in range(w)] for l, w in enumerate(widths)]
@@ -82,10 +82,15 @@ def conv_grid_architecture(
     """Conv-net-shaped DAG: valid convolutions, a max-pool stage, a dense head.
 
     Connectivity only; every edge keeps its own weight.  Defaults give about
-    1e5 edges, the scale-test regime.  Raises ArchitectureError when a
-    kernel or pool window, a convolution stage or the pooled grid would be
-    empty.
+    1e5 edges, the scale-test regime.  Raises ArchitectureError unless every
+    size is an integer, ``d_out`` and the channel counts at least 1, and
+    when a kernel or pool window, a convolution stage or the pooled grid
+    would be empty.
     """
+    side, kernel, pool = (_scalar(v, ArchitectureError, f"{name} must be an integer", whole=True)
+                          for name, v in (("side", side), ("kernel", kernel), ("pool", pool)))
+    d_out, *channels = (_scalar(v, ArchitectureError, f"{name} must be an integer >= 1", lambda n: n >= 1, whole=True)
+                        for name, v in (("d_out", d_out), *(("channel count", c) for c in channels)))
     last = side - len(channels) * (kernel - 1)
     if kernel < 1 or pool < 1 or last < 1 or last // pool < 1:
         raise ArchitectureError(
@@ -134,11 +139,17 @@ def conv_grid_architecture(
     return Architecture(neurons, edges)
 
 
+def _probability(value, what: str) -> float:
+    return _scalar(value, PathliftError, f"{what} must be a number in [0, 1]", lambda p: 0.0 <= p <= 1.0)
+
+
 def random_params(arch: Architecture, rng, zero_frac: float = 0.0) -> ParamVector:
     """Random parameters of random signs, with weight magnitudes uniform in
     [0.05, 1) and bias magnitudes uniform in [0.05, 0.3); then, with
-    ``zero_frac``, each coordinate zeroed with that probability."""
-    rng = np.random.default_rng(rng)
+    ``zero_frac``, each coordinate zeroed with that probability.  ``rng`` is
+    a seed (an integer >= 0 or a SeedSequence) or a Generator and
+    ``zero_frac`` a number in [0, 1], else PathliftError."""
+    rng, zero_frac = _rng(rng), _probability(zero_frac, "zero_frac")
     n_e = arch.n_edges
     w = rng.uniform(0.05, 1.0, size=n_e) * rng.choice([-1.0, 1.0], size=n_e)
     b = rng.uniform(0.05, 0.3, size=arch.n_coords - n_e)
@@ -152,9 +163,10 @@ def random_params(arch: Architecture, rng, zero_frac: float = 0.0) -> ParamVecto
 def same_sign_partner(theta: ParamVector, rng, zero_frac: float = 0.0) -> ParamVector:
     """theta times a factor drawn uniformly from [0.25, 1.75) per coordinate,
     then, with ``zero_frac``, each coordinate zeroed with that probability;
-    the sign condition holds by construction."""
+    the sign condition holds by construction.  ``rng`` and ``zero_frac`` are
+    as in :func:`random_params`."""
     _check_bound(None, theta)
-    rng = np.random.default_rng(rng)
+    rng, zero_frac = _rng(rng), _probability(zero_frac, "zero_frac")
     v = theta.vec * rng.uniform(0.25, 1.75, size=len(theta))
     if zero_frac > 0.0:
         v[rng.random(len(theta)) < zero_frac] = 0.0
@@ -174,11 +186,14 @@ def random_dag(
     Every non-input neuron keeps at least one antecedent and every
     non-output neuron at least one successor, so the input/output roles are
     exactly the intended layers.  Desk scale by default: small enough for
-    exhaustive path enumeration.
+    exhaustive path enumeration.  ``rng`` is as in :func:`random_params`,
+    ``max_layers`` an integer >= 2, ``max_width`` one >= 1 and each ``p_``
+    a number in [0, 1], else PathliftError.
     """
-    if isinstance(rng, bool):
-        raise PathliftError(f"rng must be a seed or a numpy Generator, got {rng!r}")
-    rng = np.random.default_rng(rng)
+    rng = _rng(rng)
+    max_layers = _scalar(max_layers, PathliftError, "max_layers must be an integer >= 2", lambda n: n >= 2, whole=True)
+    max_width = _scalar(max_width, PathliftError, "max_width must be an integer >= 1", lambda n: n >= 1, whole=True)
+    p_skip, p_identity, p_kpool = map(_probability, (p_skip, p_identity, p_kpool), ("p_skip", "p_identity", "p_kpool"))
     n_layers = int(rng.integers(2, max_layers + 1))
     widths = [int(rng.integers(1, max_width + 1)) for _ in range(n_layers)]
     names = [[f"L{l}n{i}" for i in range(w)] for l, w in enumerate(widths)]

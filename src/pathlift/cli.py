@@ -15,9 +15,9 @@ import numpy as np
 
 from . import __version__
 from .builders import random_dag, random_params, same_sign_partner
-from .errors import MissingData, ParseError, PathliftError, RaggedLayers
+from .errors import MissingData, ParseError, PathliftError
 from .experiment import ExperimentConfig, run_experiment
-from .graph import _count, forward
+from .graph import _rng, _scalar, forward
 from .lipschitz import equality_witness, sign_counterexample, verify_bound
 from .metrics import (
     path_metric_exact_dominated,
@@ -31,6 +31,18 @@ from .netfile import load_network, save_network
 from .paths import path_lifting, save_path_table
 from .pruning import apply_prune, baseline_scores, path_mag_scores
 from .transforms import normalize, random_rescaling, rescale
+
+
+def _seed_flag(seed):
+    _scalar(seed, PathliftError, "--seed must be an integer >= 0", lambda n: n >= 0, whole=True)
+
+
+def _int_or_text(text: str):
+    """``text`` as an int, or as it is when it names none (the API refuses it)."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _cmd_eval(args):
@@ -111,20 +123,12 @@ def _cmd_prune(args):
     method = {"autodiff": "autodiff", "diff": "pathnorm_diff", "brute": "bruteforce"}[args.method]
     data = _load_batch(args.data, arch, args.loss) if args.data else None
     if args.criterion == "pathmag":
-        score = lambda th: path_mag_scores(arch, th, method=method)
-    elif args.criterion == "magnitude":
-        score = lambda th: baseline_scores(arch, th, "magnitude")
+        scores = path_mag_scores(arch, theta, method=method)
     else:
-        score = lambda th: baseline_scores(arch, th, "obd_fd", data=data, loss=args.loss)
-    scores = score(theta)
+        criterion = "obd_fd" if args.criterion == "obd" else "magnitude"
+        scores = baseline_scores(arch, theta, criterion, data=data, loss=args.loss)
     pruned, mask = apply_prune(
-        theta,
-        scores,
-        fraction=args.amount,
-        count=args.count,
-        edges_only=not args.include_biases,
-        iterative=args.iterative,
-        rescore=score,
+        theta, scores, fraction=args.amount, count=args.count, edges_only=not args.include_biases
     )
     values = np.asarray(scores.values, dtype=np.float64).tolist()
     flags = ["" if keep else "yes" for keep in mask.keep.tolist()]
@@ -138,7 +142,7 @@ def _cmd_prune(args):
 
 def _cmd_rescale(args):
     if args.seed is not None:
-        _count(args.seed, "--seed", PathliftError, 0)
+        _seed_flag(args.seed)
     arch, theta = load_network(args.network)
     if args.factor:
         factors = {}
@@ -169,13 +173,13 @@ def _cmd_normalize(args):
 
 
 def _cmd_verify_lipschitz(args):
-    _count(args.seed, "--seed", PathliftError, 0)
-    _count(args.cases, "--cases", PathliftError)
+    _seed_flag(args.seed)
+    _scalar(args.cases, PathliftError, "--cases must be an integer >= 1", lambda n: n >= 1, whole=True)
     root = np.random.SeedSequence(args.seed)
     held = 0
     worst = None
     for child in root.spawn(args.cases):
-        rng = np.random.default_rng(child)
+        rng = _rng(child)
         arch = random_dag(rng)
         t1 = random_params(arch, rng, zero_frac=0.05)
         t2 = same_sign_partner(t1, rng, zero_frac=0.05)
@@ -209,7 +213,7 @@ def _cmd_experiment(args):
     if "criteria" in given:
         given["criteria"] = tuple(given["criteria"].split(","))
     if "widths" in given:
-        given["widths"] = tuple(_count(w, "layer width", RaggedLayers) for w in given["widths"].split(","))
+        given["widths"] = tuple(map(_int_or_text, given["widths"].split(",")))
     print(run_experiment(ExperimentConfig(**given)).render())
 
 
@@ -247,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     amount = q.add_mutually_exclusive_group(required=True)
     amount.add_argument("--amount", type=float, help="fraction of eligible coordinates")
     amount.add_argument("--count", type=int, help="number of coordinates")
-    q.add_argument("--iterative", action="store_true", help="re-score after each removal")
     q.add_argument("--include-biases", action="store_true")
     q.add_argument("--data", help="csv batch (inputs then targets) for obd")
     q.add_argument("--loss", choices=["squared_error", "logistic"], default="squared_error")

@@ -18,7 +18,6 @@ stack), and the arms that share it share its finetuned weights.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -28,7 +27,7 @@ from .autodiff import grad_scalar
 from .builders import mlp_architecture
 from .engine import Tape, _finite_run
 from .errors import DimensionMismatch, InfeasibleAmount, MissingData, NonFiniteValue, PathliftError
-from .graph import Architecture, ParamVector, _check_bound, _count, _real
+from .graph import Architecture, ParamVector, _check_bound, _rng, _scalar
 from .pruning import Mask, apply_prune, baseline_scores, path_mag_scores
 from .transforms import random_rescaling, rescale
 
@@ -56,7 +55,8 @@ class ExperimentConfig:
         if self.loss not in ("logistic", "squared_error"):
             raise PathliftError(f"unknown loss {self.loss!r}")
         counts = {
-            name: _count(getattr(self, name), name, PathliftError, low)
+            name: _scalar(getattr(self, name), PathliftError, f"{name} must be an integer >= {low}",
+                          lambda n, low=low: n >= low, whole=True)
             for name, low in (("seed", 0), ("n_train", 1), ("n_test", 1), ("batch_size", 1),
                               ("epochs", 1), ("rewind_epoch", 0))
         }
@@ -64,13 +64,9 @@ class ExperimentConfig:
             raise PathliftError(
                 f"rewind epoch {self.rewind_epoch} must lie in [0, {self.epochs})"
             )
-        lr = self.lr
-        if isinstance(lr, bool) or not (isinstance(lr, numbers.Real) and math.isfinite(_real(lr)) and lr > 0.0):
-            raise PathliftError(f"lr must be a finite number > 0, got {lr!r}")
-        if not isinstance(self.prune_fraction, numbers.Real) or isinstance(self.prune_fraction, bool):
-            raise InfeasibleAmount(f"prune fraction must be a number, got {self.prune_fraction!r}")
-        if not 0.0 <= self.prune_fraction < 1.0:
-            raise InfeasibleAmount(f"prune fraction {self.prune_fraction} outside [0, 1)")
+        _learning_rate(self.lr)
+        _scalar(self.prune_fraction, InfeasibleAmount, "prune fraction must be a number in [0, 1)",
+                lambda f: 0.0 <= f < 1.0)
         bad = [c for i, c in enumerate(self.criteria) if c not in ("pathmag", "magnitude", "obd") or c in self.criteria[:i]]
         if bad:
             raise PathliftError(f"unknown or repeated criteria {bad}")
@@ -78,7 +74,9 @@ class ExperimentConfig:
 
 
 def make_dataset(cfg: ExperimentConfig, rng):
-    """2-d binary classification sets: two Gaussian blobs, or the xor quadrants."""
+    """2-d binary classification sets: two Gaussian blobs, or the xor
+    quadrants, drawn from ``rng`` (a seed or a Generator)."""
+    rng = _rng(rng)
     n = cfg.n_train + cfg.n_test
     if cfg.dataset == "two_gaussians":
         y = rng.integers(0, 2, size=n)
@@ -110,11 +108,15 @@ def _loss_target(y, loss, d_out):
     return np.eye(d_out)[np.asarray(y, dtype=np.int64)]
 
 
+def _learning_rate(lr) -> float:
+    return _scalar(lr, PathliftError, "lr must be a finite number > 0", lambda v: 0.0 < v < math.inf)
+
+
 def epoch_seeds(seed, epochs: int):
-    """One independent child seed per epoch, reproducible from `seed`."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return seed.spawn(epochs)
+    """One independent child seed per epoch, reproducible from `seed` (an
+    integer >= 0, a SeedSequence, which spawns them, or a Generator)."""
+    epochs = _scalar(epochs, PathliftError, "epochs must be an integer >= 0", lambda n: n >= 0, whole=True)
+    return _rng(seed, "seed").bit_generator.seed_seq.spawn(epochs)
 
 
 def sgd_train(
@@ -148,6 +150,10 @@ def sgd_train(
     diverge is named, so when several arms diverge the epoch can be earlier
     than the one a run of the arms one after another would name (that run
     reports the first arm's divergence, however late).
+
+    ``lr`` must be a finite number > 0, ``batch_size`` an integer >= 1,
+    ``snapshot_epoch`` None or an integer >= 0 and each seed an integer
+    >= 0, a SeedSequence or a Generator, else PathliftError.
     """
     lockstep = not isinstance(theta, ParamVector) or not (mask is None or isinstance(mask, Mask))
     thetas = list(theta) if isinstance(theta, (list, tuple)) else [theta]
@@ -160,7 +166,12 @@ def sgd_train(
         raise DimensionMismatch(f"{len(thetas)} parameter vectors for {len(masks)} masks")
     for t in thetas:
         _check_bound(arch, t)
-    batch_size, n = _count(batch_size, "batch_size", PathliftError), x.shape[0]
+    batch_size = _scalar(batch_size, PathliftError, "batch_size must be an integer >= 1", lambda k: k >= 1, whole=True)
+    _learning_rate(lr)
+    if snapshot_epoch is not None:
+        snapshot_epoch = _scalar(snapshot_epoch, PathliftError, "snapshot_epoch must be an integer >= 0",
+                                 lambda k: k >= 0, whole=True)
+    n = x.shape[0]
     vec = np.stack([t.vec for t in thetas])
     keep = None
     if any(m is not None for m in masks):
@@ -172,7 +183,7 @@ def sgd_train(
     tapes = {}  # one per batch size: the full batches and the last, short one
     targets = _loss_target(y, loss, arch.d_out)
     for epoch, eseed in enumerate(seeds):
-        perm = np.random.default_rng(eseed).permutation(n)
+        perm = _rng(eseed, "epoch seed").permutation(n)
         for lo in range(0, n, batch_size):
             idx = perm[lo : lo + batch_size]
             tape = tapes.get(idx.size)
@@ -254,17 +265,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     cfg = config.validated()
     t_start = time.perf_counter()
     roots = np.random.SeedSequence(cfg.seed).spawn(4)
-    data_rng = np.random.default_rng(roots[0])
-    init_rng = np.random.default_rng(roots[1])
+    data_rng, init_rng, rescale_rng = map(_rng, (roots[0], roots[1], roots[3]))
     seeds = epoch_seeds(roots[2], cfg.epochs)
-    rescale_seed = roots[3]
 
     xtr, ytr, xte, yte = make_dataset(cfg, data_rng)
     arch = mlp_architecture(cfg.widths)
     theta0 = _init_params(arch, init_rng)
     # drawn before training, so a bad preset fails at once; redrawn until one factor
     # differs from 1, so the rescaled arm is another parametrization of the same function
-    rescale_rng = np.random.default_rng(rescale_seed)
     while True:
         factors = random_rescaling(arch, rescale_rng, preset=cfg.rescale_preset)
         if any(f != 1.0 for f in factors.values()):

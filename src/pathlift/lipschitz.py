@@ -20,7 +20,6 @@ segmentation of [0, 1] telescope exactly.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ from .errors import (
     finite,
 )
 from .engine import Tape, run
-from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _count, _real
+from .graph import Architecture, ParamVector, forward, _check_bound, _check_input, _scalar
 from .metrics import _lifting_pair, path_metric_exact_dominated, path_metric_oracle, path_metric_upper
 # bench/workloads.py looks path_activations up here; the bisection calls the private path
 from .paths import _path_activations, lifting_length, path_activations, path_lifting  # noqa: F401
@@ -51,14 +50,6 @@ MAX_SAMPLED_ENTRIES = 1 << 27
 # a shared 2-CPU machine: no depth is fastest at both counts, and every
 # depth locates the same breakpoints
 _BISECT_DEPTH = 5
-
-
-def _number(value, what: str) -> float:
-    """``value`` as a float, an int too large for one as the infinity it
-    rounds to; raises PathliftError unless it is a real number (not a bool)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise PathliftError(f"{what} must be a number, got {value!r}")
-    return _real(value)
 
 
 def check_sign_condition(t1: ParamVector, t2: ParamVector) -> None:
@@ -226,7 +217,7 @@ def trajectory_point(t1: ParamVector, t2: ParamVector, t: float) -> ParamVector:
     on both sides stay zero.  Endpoints reproduce theta and theta' exactly.
     ``t`` must be a real number (not a bool), else PathliftError.
     """
-    t = _number(t, "t")
+    t = _scalar(t, PathliftError, "t must be a number")
     _check_bound(None, t1)
     arch = t1.arch
     _check_trajectory(arch, t1, t2)
@@ -295,11 +286,8 @@ def activation_breakpoints(
     that overflows, including midpoints a round evaluated past where its
     interval stopped.
     """
-    if isinstance(samples, bool) or not (isinstance(samples, numbers.Integral) and samples >= 1):
-        raise PathliftError(f"samples must be an integer >= 1, got {samples!r}")
-    width = _number(width, "width")
-    if not width >= 0.0:
-        raise PathliftError(f"width must be a number >= 0, got {width!r}")
+    samples = _scalar(samples, PathliftError, "samples must be an integer >= 1", lambda n: n >= 1, whole=True)
+    width = _scalar(width, PathliftError, "width must be a number >= 0", lambda w: w >= 0.0)
     _check_trajectory(arch, t1, t2)
     x = _check_input(arch, x)
     per_sample = lifting_length(arch) + arch.n_coords + arch.n_neurons
@@ -412,8 +400,8 @@ def equality_witness(d: int, a: float, b: float, x0: float) -> EqualityWitness:
     |a**d - b**d| * x0.  ``d`` must be a whole number of at least 1, and
     a, b and x0 real numbers (not bools), else PathliftError.
     """
-    d = _count(d, "chain length d", PathliftError)
-    a, b, x0 = _number(a, "a"), _number(b, "b"), _number(x0, "x0")
+    d = _scalar(d, PathliftError, "chain length d must be an integer >= 1", lambda n: n >= 1, whole=True)
+    a, b, x0 = (_scalar(v, PathliftError, f"{name} must be a number") for name, v in (("a", a), ("b", b), ("x0", x0)))
     if not (a > 0.0 and b > 0.0 and x0 > 0.0):
         raise PathliftError("equality witness needs a, b, x0 all > 0")
     arch = _chain(d)

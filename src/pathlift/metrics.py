@@ -24,14 +24,13 @@ estimates:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import Tape, _chunks, gradient, run
 from .errors import DominanceUnverified, NonFiniteValue, PathExplosion, PathliftError, RaggedLayers, finite
-from .graph import Architecture, ParamVector, _check_bound, _real
+from .graph import Architecture, ParamVector, _check_bound, _scalar
 from .paths import PathLifting, max_path_length, path_lifting
 from .transforms import _normalized, hidden_positions, normalize
 
@@ -41,8 +40,7 @@ def _sum_pool_tape(arch: Architecture, theta: ParamVector, q: float = 1.0):
     of the sum-pool pass of |theta|**q on the all-ones input, whose output
     rows sum to that norm).  Raises :class:`NonFiniteValue` naming ``q``
     when the norm overflows."""
-    if isinstance(q, bool) or not (isinstance(q, numbers.Real) and math.isfinite(_real(q)) and q > 0):
-        raise PathliftError(f"q must be finite and > 0, got {q!r}")
+    _scalar(q, PathliftError, "q must be finite and > 0", lambda v: 0.0 < v < math.inf)
     _check_bound(arch, theta)
     what, tape = f"the path norm at q={q!r} overflows float64", Tape(arch, 1)
     w = finite(what, pow, np.abs(theta.vec), q)

@@ -16,7 +16,6 @@ scores times max(1, |x|_inf).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .autodiff import grad_path_norm, scalar_value
 from .engine import _chunks
 from .errors import DimensionMismatch, InfeasibleAmount, MissingData, NonFiniteValue, PathliftError, finite
-from .graph import Architecture, ParamVector, _check_bound, _check_input, _floats, _real
+from .graph import Architecture, ParamVector, _check_bound, _check_input, _floats, _scalar
 from .lipschitz import _holds, _output_gap
 from .metrics import _pathnorm_diffs
 from .paths import path_lifting
@@ -177,15 +176,9 @@ def _resolve_count(n_eligible: int, fraction, count) -> int:
     if (fraction is None) == (count is None):
         raise InfeasibleAmount("specify exactly one of fraction or count")
     if fraction is not None:
-        if not isinstance(fraction, numbers.Real) or isinstance(fraction, bool):
-            raise InfeasibleAmount(f"fraction must be a number, got {fraction!r}")
-        f = _real(fraction)
-        if not 0.0 <= f <= 1.0:
-            raise InfeasibleAmount(f"fraction must lie in [0, 1], got {f}")
+        f = _scalar(fraction, InfeasibleAmount, "fraction must be a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
         return int(np.floor(f * n_eligible))
-    if not isinstance(count, numbers.Integral) or isinstance(count, bool):
-        raise InfeasibleAmount(f"count must be an integer, got {count!r}")
-    k = int(count)
+    k = _scalar(count, InfeasibleAmount, "count must be an integer", whole=True)
     if not 0 <= k <= n_eligible:
         raise InfeasibleAmount(f"count must lie in [0, {n_eligible}], got {k}")
     return k
@@ -197,35 +190,22 @@ def apply_prune(
     fraction=None,
     count=None,
     edges_only: bool = False,
-    iterative: bool = False,
-    rescore=None,
 ):
     """Zero the lowest-scoring coordinates; returns (pruned theta, mask).
 
     Reverse hard thresholding: the requested number of eligible coordinates
     with the smallest scores is removed, ties resolved toward the earlier
-    coordinate in canonical order (stable).  With iterative=True the scores
-    are recomputed by ``rescore(theta)`` before every single removal
-    (``scores`` is then unused); ``rescore`` defaults to autodiff
-    path-magnitude scores.
+    coordinate in canonical order (stable).  Give exactly one amount: a
+    ``fraction`` of the eligible coordinates, a number in [0, 1] (rounded
+    down), or a ``count``, an integer from 0 to their number; anything else
+    raises InfeasibleAmount.
     """
     _check_bound(None, theta)
     arch = theta.arch
-    ok = _eligible(arch, edges_only)
-    n_prune = _resolve_count(int(ok.sum()), fraction, count)
+    eligible = np.flatnonzero(_eligible(arch, edges_only))
+    n_prune = _resolve_count(eligible.size, fraction, count)
     keep = np.ones(arch.n_coords, dtype=bool)
-    if iterative:
-        if rescore is None:
-            rescore = lambda th: path_mag_scores(arch, th, method="autodiff")
-        cur = theta
-        for _ in range(n_prune):
-            alive = np.flatnonzero(ok & keep)
-            pick = int(alive[np.argmin(rescore(cur).values[alive])])  # first minimum: earliest
-            keep[pick] = False
-            cur = cur.replace({pick: 0.0})
-    else:
-        eligible = np.flatnonzero(ok)
-        keep[eligible[np.argsort(_score_values(arch, scores)[eligible], kind="stable")[:n_prune]]] = False
+    keep[eligible[np.argsort(_score_values(arch, scores)[eligible], kind="stable")[:n_prune]]] = False
     mask = Mask(keep=keep, pruned=tuple(np.flatnonzero(~keep).tolist()))
     return mask.apply(theta), mask
 

@@ -10,13 +10,12 @@ raw parameter norms.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Mapping
 
 import numpy as np
 
 from .errors import IneligibleNeuron, NonPositiveFactor, ParseError, finite
-from .graph import KPOOL, Architecture, ParamVector, _check_bound, _real
+from .graph import KPOOL, Architecture, ParamVector, _check_bound, _rng, _scalar
 
 
 def hidden_positions(arch: Architecture, include_kpool: bool = True) -> np.ndarray:
@@ -40,9 +39,7 @@ def rescale(arch: Architecture, theta: ParamVector, factors: Mapping) -> ParamVe
         j = arch.position(nid)
         if arch.is_input[j] or j in out:
             raise IneligibleNeuron(f"{nid} is an input or output neuron")
-        if isinstance(f, bool) or not (isinstance(f, numbers.Real) and f > 0.0 and math.isfinite(_real(f))):
-            raise NonPositiveFactor(f"factor for {nid} must be finite and > 0, got {f!r}")
-        lam[j] = f
+        lam[j] = _scalar(f, NonPositiveFactor, f"factor for {nid} must be finite and > 0", lambda v: 0.0 < v < math.inf)
 
     def rescaled():
         v = theta.vec.copy()
@@ -69,10 +66,13 @@ def random_rescaling(arch: Architecture, seed, preset: str = "pow2_factors") -> 
     * ``"pow2_factors"``  -- uniform over {1, 128, 4096}.  All three are
       powers of two, so applying them is exact in binary floating point.
     * ``"log_uniform:L"``  -- log of the factor uniform on [-ln L, ln L].
+
+    ``seed`` is an integer >= 0, a SeedSequence or a Generator, else
+    PathliftError.
     """
     if not isinstance(preset, str):
         raise ParseError(f"rescaling preset must be a string, got {preset!r}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed, "seed")
     pos = hidden_positions(arch, include_kpool=True)
     if preset == "pow2_factors":
         draws = rng.choice(np.asarray(POW2_FACTORS), size=len(pos))

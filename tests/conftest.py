@@ -78,6 +78,13 @@ def random_cases(n: int, seed: int, zero_frac: float = 0.0, **dag_kw):
     return cases
 
 
+def replaced(theta: ParamVector, updates: dict) -> ParamVector:
+    """A copy of theta with the coordinates (by flat index) set to new values."""
+    v = theta.vec.copy()
+    v[list(updates)] = list(updates.values())
+    return ParamVector(theta.arch, v)
+
+
 def edge_ids(arch: Architecture) -> tuple:
     """(source id, destination id) per edge, in canonical order, read from src/dst."""
     return tuple((arch.ids[u], arch.ids[v]) for u, v in zip(arch.src.tolist(), arch.dst.tolist()))

@@ -44,6 +44,8 @@ from pathlift.pruning import apply_prune, baseline_scores, path_mag_scores
 from pathlift.transforms import random_rescaling, rescale
 from pathlift.transforms import normalize
 
+from conftest import replaced
+
 
 def neuron_lists(arch):
     """Per neuron position, sliced from the architecture's CSR layout: the
@@ -594,7 +596,7 @@ def reference_pathnorm_diff_scores(arch, theta):
     values = np.zeros(arch.n_coords)
     for i in range(arch.n_coords):
         if theta.vec[i] != 0.0:
-            values[i] = base - path_norm_fast(arch, theta.replace({i: 0.0}))
+            values[i] = base - path_norm_fast(arch, replaced(theta, {i: 0.0}))
     return values
 
 

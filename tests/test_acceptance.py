@@ -43,7 +43,7 @@ from pathlift.pruning import path_mag_scores, pruning_error_bound
 from pathlift.autodiff import grad_path_norm
 from pathlift.transforms import random_rescaling, rescale
 
-from conftest import diamond_arch, diamond_theta, random_cases
+from conftest import diamond_arch, diamond_theta, random_cases, replaced
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -65,7 +65,7 @@ def _leq(lhs, rhs):
 def _diamond_pair():
     arch = diamond_arch()
     theta = diamond_theta(arch)
-    return arch, theta, theta.replace({2: 0.0})
+    return arch, theta, replaced(theta, {2: 0.0})
 
 
 def test_criterion_01():

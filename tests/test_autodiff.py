@@ -16,7 +16,7 @@ from pathlift.graph import RELU, Architecture, ParamVector, neuron_values
 from pathlift.metrics import path_norm_fast
 from pathlift.transforms import random_rescaling, rescale
 
-from conftest import pool_arch, pool_theta, random_cases
+from conftest import pool_arch, pool_theta, random_cases, replaced
 from reference import grad_check, neuron_lists
 
 
@@ -105,7 +105,7 @@ def test_grad_path_norm_diamond(diamond):
 
 def test_grad_path_norm_zero_coordinate_is_zero(diamond):
     arch, theta = diamond
-    theta = theta.replace({0: 0.0})
+    theta = replaced(theta, {0: 0.0})
     assert grad_path_norm(arch, theta)[0] == 0.0
 
 

@@ -28,7 +28,7 @@ from pathlift import (
 )
 from pathlift.graph import KPOOL
 
-from conftest import bias, diamond_arch, diamond_theta, pool_arch, pool_theta, random_cases, weight
+from conftest import bias, diamond_arch, diamond_theta, pool_arch, pool_theta, random_cases, replaced, weight
 
 
 def test_diamond_topological_order(diamond):
@@ -135,7 +135,7 @@ def test_dimension_mismatch(diamond):
 
 def test_param_replace(diamond):
     arch, theta = diamond
-    theta2 = theta.replace({2: 0.0})
+    theta2 = replaced(theta, {2: 0.0})
     assert weight(theta2, "h1", "out") == 0.0
     assert weight(theta, "h1", "out") == 3.0
 

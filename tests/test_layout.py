@@ -15,7 +15,9 @@ of a class is read as an attribute in the package or named as one in
 ``bench/``, and every ``(module, "name", ...)`` target that
 ``bench/workloads.py`` wraps in a span exists on that pathlift module.
 Only ``errors.finite`` silences numpy's floating-point warnings: every
-overflow is refused there.
+overflow is refused there.  Only ``graph`` decides what a scalar argument
+may be: no other module names ``numbers.Real`` or ``numbers.Integral`` or
+makes a generator with ``np.random.default_rng``.
 """
 
 import ast
@@ -145,3 +147,11 @@ def test_only_the_overflow_guard_silences_numpy():
         if isinstance(node, ast.FunctionDef) and node.name == "finite"
     )
     assert guard.lineno <= int(sites[0].split(":")[1]) <= guard.end_lineno
+
+
+def test_only_graph_decides_what_a_scalar_argument_may_be():
+    deciders = sorted(
+        p.stem for p in SRC.glob("*.py")
+        if {"Real", "Integral", "default_rng"} & set(_names(ast.parse(p.read_text())))
+    )
+    assert deciders == ["graph"]

@@ -34,7 +34,7 @@ from pathlift.metrics import path_metric_oracle, path_metric_upper
 from pathlift.paths import enumerate_paths, path_lifting
 from pathlift.transforms import random_rescaling, rescale
 
-from conftest import random_cases
+from conftest import random_cases, replaced
 from reference import reference_activation_breakpoints
 
 
@@ -45,7 +45,7 @@ def _single_edge(w1, w2):
 
 def test_bound_rhs_diamond_pruned_pair(diamond):
     arch, theta = diamond
-    theta2 = theta.replace({2: 0.0})
+    theta2 = replaced(theta, {2: 0.0})
     assert bound_rhs(arch, theta, theta2, [2.0]) == 6.0
     # below |x|=1 the input factor clamps to 1
     assert bound_rhs(arch, theta, theta2, [0.5]) == 3.0
@@ -61,7 +61,7 @@ def test_bound_rhs_checks_the_input(variant):
     # the entry 50 is not an input of the network, so it must not set |x|_inf
     arch = mlp_architecture((2, 3, 1))
     theta = random_params(arch, np.random.default_rng(0))
-    other = theta.replace({0: 0.0})
+    other = replaced(theta, {0: 0.0})
     for x in ([3.0, 1.0, 50.0], []):
         with pytest.raises(DimensionMismatch):
             bound_rhs(arch, theta, other, x, variant=variant)
@@ -93,7 +93,7 @@ def test_sign_condition_sees_signs_whose_product_underflows(chain2):
 
 def test_verify_bound_tight_case(diamond):
     arch, theta = diamond
-    theta2 = theta.replace({2: 0.0})
+    theta2 = replaced(theta, {2: 0.0})
     report = verify_bound(arch, theta, theta2, [2.0])
     assert report.holds
     assert report.lhs == 6.0
@@ -162,14 +162,14 @@ def test_trajectory_endpoints_exact():
 
 def test_trajectory_mixed_zero_raises(diamond):
     arch, theta = diamond
-    pruned = theta.replace({2: 0.0})
+    pruned = replaced(theta, {2: 0.0})
     with pytest.raises(MixedZeroCoordinate):
         trajectory_point(theta, pruned, 0.5)
 
 
 def test_trajectory_keeps_shared_zeros(diamond):
     arch, theta = diamond
-    point = trajectory_point(theta, theta.replace({0: 2.0}), 0.37)
+    point = trajectory_point(theta, replaced(theta, {0: 2.0}), 0.37)
     # all three biases are zero on both sides
     np.testing.assert_array_equal(point.vec[arch.n_edges :], 0.0)
 
@@ -300,7 +300,7 @@ def test_breakpoints_identical_params(diamond):
 
 def test_telescoping_matches_endpoint_metric_without_breakpoints(diamond):
     arch, theta = diamond
-    other = theta.replace({2: 1.0, 1: -0.5})
+    other = replaced(theta, {2: 1.0, 1: -0.5})
     found, report = activation_breakpoints(arch, theta, other, [1.0], samples=16)
     assert report.endpoint_metric == pytest.approx(3.5, rel=1e-12)
     assert report.rel_err <= 1e-9

@@ -30,13 +30,13 @@ from pathlift import (
     same_sign_partner,
 )
 from pathlift.metrics import _discrepancy_sums
-from conftest import bias, edge_ids, pool_arch, pool_theta, random_cases, weight
+from conftest import bias, edge_ids, pool_arch, pool_theta, random_cases, replaced, weight
 from reference import reference_refined_parts, reference_upper_refined
 
 
 def pruned_pair(diamond):
     arch, theta = diamond
-    return arch, theta, theta.replace({2: 0.0})  # zero h1->out
+    return arch, theta, replaced(theta, {2: 0.0})  # zero h1->out
 
 
 def test_path_norm_diamond(diamond):
@@ -53,7 +53,7 @@ def test_path_norm_pool(pool_net):
 
 def test_path_norm_counts_bias_paths(diamond):
     arch, theta = diamond
-    theta2 = theta.replace({4: 0.5, 6: -1.0})
+    theta2 = replaced(theta, {4: 0.5, 6: -1.0})
     # extra paths: b(h1)*w(h1->out) = 1.5 and b(out) = -1
     assert path_norm_fast(arch, theta2, q=1) == pytest.approx(7.5)
 
@@ -88,7 +88,7 @@ def test_lower_bound_can_be_loose(diamond):
     assert path_metric_lower(arch, theta, neg) == 0.0
     assert path_metric_oracle(arch, theta, neg) == 0.0
     # flipping a single edge moves the lifting without moving its norm
-    flipped = theta.replace({0: -1.0})
+    flipped = replaced(theta, {0: -1.0})
     assert path_metric_lower(arch, theta, flipped) == 0.0
     assert path_metric_oracle(arch, theta, flipped) == 6.0
 
@@ -181,7 +181,7 @@ def test_exact_dominated_counts_paths_through_neurons_pruning_kills():
         [("in", "input"), ("h", "relu"), ("out", "identity")], [("in", "h"), ("h", "out")]
     )
     theta = ParamVector(arch, [1.0, 1.0, 0.0, 0.0])
-    pruned = theta.replace({0: 0.0})
+    pruned = replaced(theta, {0: 0.0})
     assert path_metric_oracle(arch, theta, pruned) == 1.0
     assert path_metric_exact_dominated(arch, theta, pruned) == 1.0
 
@@ -309,8 +309,8 @@ def test_mlp_bounds_ragged_input():
 
 
 def test_mlp_architecture_refuses_widths_that_are_not_whole_numbers():
-    assert mlp_architecture(["2", 3.0, np.int64(2)]) == mlp_architecture((2, 3, 2))
-    for widths in (["2", "x"], [2, 2.5, 2], [2, math.nan], [2, math.inf], [2, None], [2, 0], [2]):
+    assert mlp_architecture([2, 3.0, np.int64(2)]) == mlp_architecture((2, 3, 2))
+    for widths in (["2", 3, 2], ["2", "x"], [2, 2.5, 2], [2, math.nan], [2, math.inf], [2, None], [2, 0], [2]):
         with pytest.raises(RaggedLayers):
             mlp_architecture(widths)
 

@@ -15,7 +15,7 @@ from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.netfile import load_network, save_network
 from pathlift.pruning import obd_fd_scores
 
-from conftest import bias, diamond_arch, diamond_theta, pool_arch, pool_theta
+from conftest import bias, diamond_arch, diamond_theta, pool_arch, pool_theta, replaced
 
 
 def _write_diamond(tmp_path, name="net.json"):
@@ -253,7 +253,7 @@ def test_cli_pathnorm(tmp_path, capsys):
 def test_cli_pathmetric(tmp_path, capsys):
     path, arch, theta = _write_diamond(tmp_path)
     other = tmp_path / "other.json"
-    save_network(other, arch, theta.replace({2: 0.0}))
+    save_network(other, arch, replaced(theta, {2: 0.0}))
     assert main(["pathmetric", str(path), str(other)]) == 0
     report = capsys.readouterr().out
     assert "oracle" in report and "lower" in report
@@ -485,19 +485,6 @@ def test_cli_eval_reads_negative_numbers_in_scientific_notation(tmp_path, capsys
     assert main(["eval", str(path), "--input", "1.0", "-5e-05", "-3", "-.5", "-1E+3"]) == 0
     want = forward(arch, theta, [1.0, -5e-05, -3.0, -0.5, -1e3])
     assert capsys.readouterr().out == " ".join(repr(float(v)) for v in want) + "\n"
-
-
-def test_cli_iterative_magnitude_prune_matches_one_shot(tmp_path, capsys):
-    # zeroing one coordinate never changes another's magnitude, so re-scoring
-    # after each removal must pick the one-shot set
-    arch = mlp_architecture((2, 4, 2))
-    path = tmp_path / "net.json"
-    save_network(path, arch, random_params(arch, np.random.default_rng(0)))
-    base = ["prune", str(path), "--criterion", "magnitude", "--count", "3", "--include-biases"]
-    assert main(base) == 0
-    one_shot = capsys.readouterr().out
-    assert main(base + ["--iterative"]) == 0
-    assert capsys.readouterr().out == one_shot
 
 
 @pytest.mark.parametrize(

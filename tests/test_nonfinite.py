@@ -27,7 +27,7 @@ from pathlift.paths import enumerate_paths, linearized_output, path_activations
 from pathlift.pruning import apply_prune, magnitude_scores, obd_fd_scores, path_mag_scores, pruning_error_bound
 from pathlift.transforms import normalize, random_rescaling, rescale
 
-from conftest import chain2_arch, chain3
+from conftest import chain2_arch, chain3, replaced
 
 
 def test_param_vector_rejects_non_finite(chain2):
@@ -37,7 +37,7 @@ def test_param_vector_rejects_non_finite(chain2):
             ParamVector(chain2, [bad, 1.0, 0.0, 0.0])
     theta = ParamVector(chain2, [1.0, 1.0, 0.0, 0.0])
     with pytest.raises(NonFiniteValue):
-        theta.replace({1: float("inf")})
+        replaced(theta, {1: float("inf")})
 
 
 def test_load_network_and_cli_reject_nan(tmp_path, capsys):
@@ -448,7 +448,6 @@ def test_ints_too_large_for_a_float_raise_what_infinity_raises(diamond):
     a = theta.vec.tolist()
     cases = {
         "ParamVector": (NonFiniteValue, lambda v: ParamVector(arch, [v] + a[1:])),
-        "replace": (NonFiniteValue, lambda v: theta.replace({0: v})),
         "forward": (NonFiniteValue, lambda v: forward(arch, theta, [v])),
         "accuracy": (NonFiniteValue, lambda v: accuracy(arch, theta, [[v]], [0])),
         "grad_scalar": (NonFiniteValue, lambda v: grad_scalar(arch, theta, [[v]])),
@@ -461,7 +460,7 @@ def test_ints_too_large_for_a_float_raise_what_infinity_raises(diamond):
         "apply_prune": (InfeasibleAmount, lambda v: apply_prune(theta, magnitude_scores(arch, theta), fraction=v)),
         "lr": (PathliftError, lambda v: ExperimentConfig(seed=0, lr=v).validated()),
     }
-    partner = theta.replace({0: 2.0})
+    partner = replaced(theta, {0: 2.0})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, (error, call) in cases.items():

@@ -33,6 +33,7 @@ from conftest import (
     pool_arch,
     pool_theta,
     random_cases,
+    replaced,
 )
 from reference import reference_count_paths
 
@@ -138,7 +139,7 @@ def test_diamond_lifting(diamond):
 
 def test_lifting_uses_start_bias(diamond):
     arch, theta = diamond
-    theta2 = theta.replace({4: 0.5, 6: -1.0})  # b(h1), b(out)
+    theta2 = replaced(theta, {4: 0.5, 6: -1.0})  # b(h1), b(out)
     lift = path_lifting(arch, theta2)
     # bias-started paths: h1->out carries b(h1) * w(h1->out), out carries b(out)
     np.testing.assert_array_equal(lift.values, [3.0, -2.0, 1.5, 0.0, -1.0])

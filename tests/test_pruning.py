@@ -194,14 +194,6 @@ def test_apply_prune_refuses_scores_that_do_not_fit(diamond):
             apply_prune(theta, scores, count=2)
 
 
-def test_iterative_prune_matches_one_shot_on_diamond(diamond):
-    arch, theta = diamond
-    scores = path_mag_scores(arch, theta)
-    _, one_shot = apply_prune(theta, scores, count=2, edges_only=True)
-    _, iterative = apply_prune(theta, scores, count=2, edges_only=True, iterative=True)
-    assert iterative.pruned == one_shot.pruned == (1, 3)
-
-
 def test_masks_bit_exact_under_rescaling():
     for arch, theta, rng in random_cases(10, seed=9443):
         scores = path_mag_scores(arch, theta)

@@ -19,7 +19,7 @@ from pathlift import (
     random_rescaling,
     rescale,
 )
-from conftest import bias, pool_arch, pool_theta, random_cases, weight
+from conftest import bias, pool_arch, pool_theta, random_cases, replaced, weight
 from reference import neuron_lists, reference_normalize, reference_rescale
 
 
@@ -32,7 +32,7 @@ def test_rescale_diamond_values(diamond):
 
 def test_rescale_scales_bias(diamond):
     arch, theta = diamond
-    theta2 = theta.replace({4: 0.5})  # b(h1)
+    theta2 = replaced(theta, {4: 0.5})  # b(h1)
     out = rescale(arch, theta2, {"h1": 4.0})
     assert bias(out, "h1") == 2.0
 
@@ -155,7 +155,7 @@ def test_normalize_preserves_lifting_on_corpus():
 
 def test_normalize_dead_neuron_untouched(diamond):
     arch, theta = diamond
-    dead = theta.replace({0: 0.0, 4: 0.0})  # h1 has no incoming mass
+    dead = replaced(theta, {0: 0.0, 4: 0.0})  # h1 has no incoming mass
     out = normalize(arch, dead)
     assert weight(out, "in", "h1") == 0.0
     assert weight(out, "h1", "out") == 0.0  # only paths that lift to 0 ran through it
