@@ -27,7 +27,7 @@ from .autodiff import grad_scalar
 from .builders import mlp_architecture
 from .engine import Tape, _finite_run
 from .errors import DimensionMismatch, InfeasibleAmount, MissingData, NonFiniteValue, PathliftError
-from .graph import Architecture, ParamVector, _check_bound, _rng, _scalar
+from .graph import Architecture, ParamVector, _check_bound, _floats, _rng, _scalar
 from .pruning import Mask, apply_prune, baseline_scores, path_mag_scores
 from .transforms import random_rescaling, rescale
 
@@ -75,8 +75,9 @@ class ExperimentConfig:
 
 def make_dataset(cfg: ExperimentConfig, rng):
     """2-d binary classification sets: two Gaussian blobs, or the xor
-    quadrants, drawn from ``rng`` (a seed or a Generator)."""
-    rng = _rng(rng)
+    quadrants, drawn from ``rng`` (a seed or a Generator).  Raises as
+    ``cfg.validated()`` does on a bad config."""
+    cfg, rng = cfg.validated(), _rng(rng)
     n = cfg.n_train + cfg.n_test
     if cfg.dataset == "two_gaussians":
         y = rng.integers(0, 2, size=n)
@@ -153,7 +154,9 @@ def sgd_train(
 
     ``lr`` must be a finite number > 0, ``batch_size`` an integer >= 1,
     ``snapshot_epoch`` None or an integer >= 0 and each seed an integer
-    >= 0, a SeedSequence or a Generator, else PathliftError.
+    >= 0, a SeedSequence or a Generator, else PathliftError.  ``x`` must
+    hold (rows, d_in) numbers and ``y`` one label per row, an integer in
+    [0, d_out) for the squared error, else DimensionMismatch.
     """
     lockstep = not isinstance(theta, ParamVector) or not (mask is None or isinstance(mask, Mask))
     thetas = list(theta) if isinstance(theta, (list, tuple)) else [theta]
@@ -171,6 +174,11 @@ def sgd_train(
     if snapshot_epoch is not None:
         snapshot_epoch = _scalar(snapshot_epoch, PathliftError, "snapshot_epoch must be an integer >= 0",
                                  lambda k: k >= 0, whole=True)
+    x, y = _floats(x, "training inputs must be numbers"), _floats(y, "labels must be numbers").reshape(-1)
+    if x.ndim != 2 or x.shape[1] != arch.d_in or y.size != x.shape[0]:
+        raise DimensionMismatch(f"need (rows, {arch.d_in}) inputs and one label per row, got {x.shape} and {y.size}")
+    if loss == "squared_error" and not np.all((y % 1 == 0) & (y >= 0) & (y < arch.d_out)):
+        raise DimensionMismatch(f"squared-error labels must be integers in [0, {arch.d_out})")
     n = x.shape[0]
     vec = np.stack([t.vec for t in thetas])
     keep = None

@@ -72,7 +72,8 @@ def _pathnorm_diffs(arch: Architecture, theta: ParamVector) -> np.ndarray:
         stack = np.repeat(w[None, :], coords.size, axis=0)
         stack[np.arange(coords.size), coords] = 0.0
         vals, _ = run(arch, stack, np.ones(arch.d_in), sum_pools=True)
-        values[coords] = base - vals[:, arch.output_pos].sum(axis=(1, 2))
+        # each item's outputs as one contiguous run, summed pairwise as path_norm_fast sums them
+        values[coords] = base - vals.take(arch.output_pos, axis=1).reshape(coords.size, -1).sum(axis=1)
     return values
 
 
@@ -209,7 +210,11 @@ def path_metric_upper(
     """
     n1 = normalize(arch, t1, include_kpool=True)
     n2 = normalize(arch, t2, include_kpool=True)
-    min_norm = min(path_norm_fast(arch, t1), path_norm_fast(arch, t2))
+    return _upper(arch, n1, n2, min(path_norm_fast(arch, t1), path_norm_fast(arch, t2)), refined)
+
+
+def _upper(arch: Architecture, n1: ParamVector, n2: ParamVector, min_norm: float, refined: bool) -> float:
+    """:func:`path_metric_upper` from the normalized pair and the smaller l1 path norm."""
 
     def bound():
         d = np.abs(n1.vec - n2.vec)
@@ -283,14 +288,16 @@ def path_metric_report(arch: Architecture, t1: ParamVector, t2: ParamVector) -> 
     except PathExplosion as exc:
         oracle = None
         note.append(str(exc))
+    norms = path_norm_fast(arch, t1), path_norm_fast(arch, t2)
+    n1, n2 = (normalize(arch, t, include_kpool=True) for t in (t1, t2))
     try:
-        coarse = path_metric_upper(arch, t1, t2)
+        coarse = _upper(arch, n1, n2, min(norms), False)
     except NonFiniteValue:  # the coarse width term can overflow where the refined bound does not
         coarse = None
     return PathMetricReport(
-        lower=path_metric_lower(arch, t1, t2),
+        lower=abs(norms[0] - norms[1]),
         upper_coarse=coarse,
-        upper_refined=path_metric_upper(arch, t1, t2, refined=True),
+        upper_refined=_upper(arch, n1, n2, min(norms), True),
         exact=exact,
         oracle=oracle,
         note="; ".join(note),

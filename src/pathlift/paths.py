@@ -110,17 +110,19 @@ def _build_table(arch: Architecture) -> _PathTable:
 
 
 def _table(arch: Architecture) -> _PathTable:
-    """The path table, built on first use and cached on the architecture;
-    raises PathExplosion over the cap, read on every call."""
+    """The path table, built on first use and cached on the architecture
+    with the path count; raises PathExplosion over the cap, read on every call."""
     value = os.environ.get("PATHLIFT_PATH_CAP", DEFAULT_PATH_CAP)
     try:
         cap = int(value)
     except ValueError:
         raise PathliftError(f"PATHLIFT_PATH_CAP must be an integer, got {value!r}") from None
-    table = getattr(arch, "_path_table", None)
-    total = count_paths(arch) if table is None else table.start.size
+    total = getattr(arch, "_path_count", None)
+    if total is None:
+        total = arch._path_count = count_paths(arch)
     if total > cap:
         raise PathExplosion(total, cap)
+    table = getattr(arch, "_path_table", None)
     if table is None:
         table = arch._path_table = _build_table(arch)
     return table

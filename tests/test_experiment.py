@@ -99,6 +99,46 @@ def test_sgd_train_needs_a_whole_batch_size():
             sgd_train(arch, theta, x, y, epoch_seeds(0, 2), 0.05, batch_size)
 
 
+def _train(x=None, y=None, loss="logistic"):
+    """Final coordinates of two epochs on an 8-row batch of a (2, 3, 2) MLP."""
+    arch = mlp_architecture((2, 3, 2))
+    theta = ParamVector(arch, np.linspace(-1.0, 1.0, arch.n_coords))
+    x = np.random.default_rng(0).normal(size=(8, 2)) if x is None else x
+    y = np.arange(8) % 2 if y is None else y
+    return sgd_train(arch, theta, x, y, epoch_seeds(0, 2), 0.05, 4, loss=loss)[0].vec
+
+
+def test_sgd_train_takes_a_list_of_inputs():
+    x = np.random.default_rng(0).normal(size=(8, 2))
+    assert _train(x=x.tolist()).tobytes() == _train().tobytes()
+    for bad in (x[:, :1], x.ravel(), [["a", "b"]] * 8):
+        with pytest.raises(DimensionMismatch):
+            _train(x=bad)
+
+
+def test_sgd_train_takes_a_list_of_labels():
+    for loss in ("logistic", "squared_error"):
+        assert _train(y=[0, 1] * 4, loss=loss).tobytes() == _train(loss=loss).tobytes()
+
+
+def test_sgd_train_needs_one_label_per_row():
+    for y in (np.zeros(7, dtype=np.int64), np.zeros(9, dtype=np.int64)):
+        with pytest.raises(DimensionMismatch, match="one label per row"):
+            _train(y=y)
+
+
+def test_sgd_train_needs_squared_error_labels_in_range():
+    for label in (2, -1, 0.5):
+        with pytest.raises(DimensionMismatch, match=r"integers in \[0, 2\)"):
+            _train(y=[0] * 7 + [label], loss="squared_error")
+
+
+def test_make_dataset_validates_its_config():
+    for n_train in ("5", -3):
+        with pytest.raises(PathliftError, match="n_train"):
+            make_dataset(ExperimentConfig(seed=0, n_train=n_train), 0)
+
+
 def test_epoch_seeds_prefix_stable():
     a = epoch_seeds(5, 10)
     b = epoch_seeds(5, 3)

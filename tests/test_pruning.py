@@ -79,6 +79,14 @@ def test_pathnorm_diff_is_the_per_coordinate_loop():
         assert np.array_equal(got, reference_pathnorm_diff_scores(arch, theta))
 
 
+def test_pathnorm_diff_is_the_per_coordinate_loop_with_many_outputs():
+    # 8 or more outputs: each item's output sum must add them as path_norm_fast does
+    for arch in (mlp_architecture((3, 6, 8)), conv_grid_architecture(side=6, channels=(2, 3), d_out=10)):
+        theta = random_params(arch, np.random.default_rng(8), zero_frac=0.2)
+        got = path_mag_scores(arch, theta, method="pathnorm_diff").values
+        assert np.array_equal(got, reference_pathnorm_diff_scores(arch, theta))
+
+
 def test_path_mag_bit_exact_under_rescaling():
     for arch, theta, rng in random_cases(10, seed=1212):
         factors = random_rescaling(arch, rng)
