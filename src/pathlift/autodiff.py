@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import Tape, _finite_run, gradient, run, schedule
-from .errors import DimensionMismatch, MissingData, PathliftError, finite
-from .graph import Architecture, ParamVector, _floats, _param_rows
+from .errors import MissingData, PathliftError, finite
+from .graph import Architecture, ParamVector, _check_batch, _check_labels, _check_targets, _param_rows
 from .metrics import _sum_pool_sweep, _sum_pool_tape
 
 
@@ -53,42 +53,24 @@ def _aggregate(arch: Architecture, vals, aggregate, target, adj=None):
     if target is None:
         raise MissingData(f"aggregate {aggregate!r} needs a target")
     if aggregate == "squared_error":
-        y = np.asarray(target, dtype=np.float64)
-        # accepted target shapes: (B, d_out); (B,) when d_out == 1; (d_out,)
-        # as a shared target for the whole batch
-        if y.ndim == 2 and y.shape == (nb, arch.d_out):
-            y = y.T
-        elif y.ndim == 1 and arch.d_out == 1 and y.shape[0] == nb:
-            y = y[None, :]
-        elif y.ndim == 1 and y.shape[0] == arch.d_out:
-            y = np.repeat(y[:, None], nb, axis=1)
-        else:
-            raise DimensionMismatch(
-                f"target shape {y.shape} does not fit batch {nb} x {arch.d_out} outputs"
-            )
-        np.subtract(out, y, out=grad)
+        np.subtract(out, _check_targets(arch, target, nb), out=grad)
         return 0.5 * total(grad * grad), grad
-    if aggregate == "logistic":
-        y = np.asarray(target).reshape(-1)
-        if y.shape[0] != nb:
-            raise DimensionMismatch(f"need one class label per batch element, got {y.shape}")
-        if arch.d_out == 1:
-            z = out[..., 0, :]
-            np.subtract(1.0 / (1.0 + np.exp(-z)), y, out=grad[..., 0, :])
-            return total(np.logaddexp(0.0, z) - y * z), grad
-        yi = y.astype(np.int64)
-        if yi.min() < 0 or yi.max() >= arch.d_out:
-            raise DimensionMismatch(f"class labels must lie in [0, {arch.d_out})")
-        zmax = out.max(axis=-2, keepdims=True)
-        lse = np.exp(np.subtract(out, zmax, out=grad), out=grad).sum(axis=-2, keepdims=True)
-        np.log(lse, out=lse)
-        lse += zmax
-        value = total(lse[..., 0, :] - out[..., yi, np.arange(nb)])
-        np.exp(np.subtract(out, lse, out=grad), out=grad)
-        # minus 1.0 at each label, minus 0.0 (no change) elsewhere
-        grad -= yi == np.arange(arch.d_out)[:, None]
-        return value, grad
-    raise PathliftError(f"unknown aggregate {aggregate!r}")
+    if aggregate != "logistic":
+        raise PathliftError(f"unknown aggregate {aggregate!r}")
+    y = _check_labels(target, nb, max(arch.d_out, 2))
+    if arch.d_out == 1:
+        z = out[..., 0, :]
+        np.subtract(1.0 / (1.0 + np.exp(-z)), y, out=grad[..., 0, :])
+        return total(np.logaddexp(0.0, z) - y * z), grad
+    zmax = out.max(axis=-2, keepdims=True)
+    lse = np.exp(np.subtract(out, zmax, out=grad), out=grad).sum(axis=-2, keepdims=True)
+    np.log(lse, out=lse)
+    lse += zmax
+    value = total(lse[..., 0, :] - out[..., y, np.arange(nb)])
+    np.exp(np.subtract(out, lse, out=grad), out=grad)
+    # minus 1.0 at each label, minus 0.0 (no change) elsewhere
+    grad -= y == np.arange(arch.d_out)[:, None]
+    return value, grad
 
 
 def scalar_value(arch: Architecture, theta, x, aggregate="sum_outputs", target=None):
@@ -96,7 +78,7 @@ def scalar_value(arch: Architecture, theta, x, aggregate="sum_outputs", target=N
     (P,) of a (P, n_coords) stack, item i bit for bit its own value.
     Raises NonFiniteValue when the pass or the scalar overflows float64."""
     rows = _param_rows(arch, theta)
-    vals = _finite_run(arch, rows, x)
+    vals = _finite_run(arch, rows, _check_batch(arch, x))
     scalar = lambda: _aggregate(arch, vals, aggregate, target)[0]
     return finite(f"the {aggregate} aggregate overflows float64", scalar)
 
@@ -109,6 +91,10 @@ def grad_scalar(arch: Architecture, theta, x, aggregate="sum_outputs", target=No
     (softmax cross-entropy against class labels; a sigmoid against 0/1
     labels when there is a single output).
 
+    ``x`` is (d_in,) or (B, d_in); squared-error targets (B, d_out), (B,)
+    for one output, or one (d_out,) row; logistic labels one per input,
+    whole numbers in [0, max(d_out, 2)), so 0 and 1 for one output.
+
     ``theta`` is a ParamVector, or a (P, n_coords) stack of parameter rows
     (a wrong shape raises DimensionMismatch, a NaN or infinite entry
     NonFiniteValue): one engine pass and one adjoint sweep give a value per
@@ -120,9 +106,9 @@ def grad_scalar(arch: Architecture, theta, x, aggregate="sum_outputs", target=No
     on the tape overwrites it: copy it to keep it.
     """
     rows = _param_rows(arch, theta)
+    x = _check_batch(arch, x)
     if tape is None:
-        x = _floats(x, "input entries must be numbers")
-        tape = Tape(arch, x.shape[0] if x.ndim == 2 else 1, rows.shape[0] if rows.ndim == 2 else 1)
+        tape = Tape(arch, x.shape[0], rows.shape[0] if rows.ndim == 2 else 1)
     vals, win = run(arch, rows, x, tape=tape)
     value, out_adj = _aggregate(arch, vals, aggregate, target, tape.adj)
     return value, gradient(arch, rows, vals, win, out_adj, tape=tape)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArchitectureError, PathliftError, RaggedLayers
-from .graph import Architecture, ParamVector, _check_bound, _rng, _scalar
+from .graph import Architecture, ParamVector, _check_bound, _finite, _rng, _scalar
 
 
 def mlp_architecture(widths, hidden: str = "relu") -> Architecture:
@@ -38,7 +38,7 @@ def mlp_params(arch: Architecture, matrices, biases=None) -> ParamVector:
     vector is the matrices raveled row-major, then the bias vectors.
     """
     widths = _mlp_layers(arch)
-    mats = [np.asarray(m, dtype=np.float64) for m in matrices]
+    mats = [_finite(m, f"matrix {l}") for l, m in enumerate(matrices)]
     if len(mats) != len(widths) - 1:
         raise RaggedLayers(f"expected {len(widths) - 1} matrices, got {len(mats)}")
     for l, m in enumerate(mats):
@@ -47,7 +47,7 @@ def mlp_params(arch: Architecture, matrices, biases=None) -> ParamVector:
     if biases is None:
         bs = [np.zeros(w) for w in widths[1:]]
     else:
-        bs = [np.asarray(b, dtype=np.float64) for b in biases]
+        bs = [_finite(b, f"bias vector {l}") for l, b in enumerate(biases)]
         if [b.shape for b in bs] != [(w,) for w in widths[1:]]:
             raise RaggedLayers(f"bias shapes {[b.shape for b in bs]} do not fit layer widths {widths[1:]}")
     return ParamVector(arch, np.concatenate([m.ravel() for m in mats] + bs))

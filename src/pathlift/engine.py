@@ -49,8 +49,8 @@ and the input and output rows.  Every block of an MLP or a conv grid reads
 its weights so; the padded blocks of other DAGs take them by position.
 Either way every operand is item-major, each item's product is the BLAS
 call of a single pass, and every item of a stack is bit for bit its own
-single pass.  The ParamVector checks belong to the public wrappers
-(``forward``, ``path_activations``, ``grad_scalar``, ...).
+single pass.  The engine trusts its callers: the public wrappers
+(``forward``, ``grad_scalar``, ...) check the ParamVector and the input.
 
 Tapes.  Every pass writes its value, winner and adjoint tables and its
 padded weight and gradient rows into a :class:`Tape`, the only place
@@ -73,8 +73,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, finite
-from .graph import KPOOL, RELU, Architecture, _floats
+from .errors import DimensionMismatch, finite
+from .graph import KPOOL, RELU, Architecture
 
 # doubles in one gathered block (1 MB)
 _BLOCK_ELEMS = 1 << 17
@@ -361,8 +361,8 @@ def _bind_gradient(tape: Tape, sched: Schedule) -> tuple:
 
 def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False, *, tape: Tape | None = None):
     """Forward tape of the parameter array ``theta``, one vector (n_coords,)
-    or a stack (P, n_coords), over a batch ``x`` of shape (B, d_in), or one
-    input (d_in,).
+    or a stack (P, n_coords), over a finite float batch ``x`` of shape
+    (B, d_in), or one input (d_in,), which the caller has checked.
 
     Returns ``(vals, win)``: ``vals`` (n_neurons + 1, B) holds every
     neuron's value per batch element, with the zero row last; ``win``
@@ -372,21 +372,13 @@ def run(arch: Architecture, theta: np.ndarray, x, sum_pools: bool = False, *, ta
     the sum of its weighted antecedents.  A stack gives both a leading
     axis P, and item i equals the pass of ``theta[i]`` bit for bit.
     Both live in ``tape`` (a fresh :class:`Tape` when None), which must
-    have the pass's shape.  Rejects non-numeric inputs with
-    :class:`DimensionMismatch` and non-finite ones with :class:`NonFiniteValue`.
+    have the pass's shape.
     """
     if theta.ndim not in (1, 2) or theta.shape[-1] != arch.n_coords:
         raise DimensionMismatch(
             f"parameters must have shape ({arch.n_coords},) or (P, {arch.n_coords}), got {theta.shape}"
         )
-    given = _floats(x, "input entries must be numbers")
-    x = given[None, :] if given.ndim == 1 else given
-    if x.ndim != 2 or x.shape[1] != arch.d_in:
-        raise DimensionMismatch(
-            f"input must have shape ({arch.d_in},) or (B, {arch.d_in}), got {given.shape}"
-        )
-    if not np.isfinite(x).all():
-        raise NonFiniteValue("input holds NaN or infinite entries")
+    x = x[None, :] if x.ndim == 1 else x
     stack = theta.reshape(-1, arch.n_coords)
     tape = _tape(arch, tape, stack.shape[0], x.shape[0])
     vals, wpad = tape.vals, tape.wpad
@@ -524,8 +516,8 @@ def _pool_backward(blk: _Block, wpad, vals, win, adj, gpad, inner: bool):
 
 def activations(arch: Architecture, theta: np.ndarray, x, *, tape: Tape | None = None):
     """Boolean activation per edge coordinate and per neuron as a path start
-    at x, for the parameter array ``theta`` (a stack gives both a leading
-    axis), read off the forward tape.
+    at the checked input x (d_in,), for the parameter array ``theta`` (a
+    stack gives both a leading axis), read off the forward tape.
 
     A start is active unless it is a relu neuron whose value is not strictly
     positive.  An edge into a relu or identity neuron takes that neuron's
@@ -534,7 +526,7 @@ def activations(arch: Architecture, theta: np.ndarray, x, *, tape: Tape | None =
     starts and the pool edges' rows and slots are compiled once per
     architecture, on its schedule.  The pass runs on ``tape`` as :func:`run`'s.
     """
-    vals, win = run(arch, theta, _floats(x, "input entries must be numbers").reshape(-1), tape=tape)
+    vals, win = run(arch, theta, x, tape=tape)
     sched = schedule(arch)
     start = sched.always_on | (vals[..., :-1, 0] > 0.0)
     edge = start.take(arch.dst, axis=-1)

@@ -27,7 +27,7 @@ from .autodiff import grad_scalar
 from .builders import mlp_architecture
 from .engine import Tape, _finite_run
 from .errors import DimensionMismatch, InfeasibleAmount, MissingData, NonFiniteValue, PathliftError
-from .graph import Architecture, ParamVector, _check_bound, _floats, _rng, _scalar
+from .graph import Architecture, ParamVector, _check_batch, _check_bound, _check_labels, _rng, _scalar
 from .pruning import Mask, apply_prune, baseline_scores, path_mag_scores
 from .transforms import random_rescaling, rescale
 
@@ -54,6 +54,8 @@ class ExperimentConfig:
             raise PathliftError(f"unknown dataset {self.dataset!r}")
         if self.loss not in ("logistic", "squared_error"):
             raise PathliftError(f"unknown loss {self.loss!r}")
+        if self.loss == "squared_error" and isinstance(self.widths, (tuple, list)) and list(self.widths[-1:]) == [1]:
+            raise PathliftError(f"squared-error loss needs two or more outputs; widths {tuple(self.widths)} end in 1")
         counts = {
             name: _scalar(getattr(self, name), PathliftError, f"{name} must be an integer >= {low}",
                           lambda n, low=low: n >= low, whole=True)
@@ -106,7 +108,7 @@ def _init_params(arch: Architecture, rng) -> ParamVector:
 def _loss_target(y, loss, d_out):
     if loss == "logistic":
         return y
-    return np.eye(d_out)[np.asarray(y, dtype=np.int64)]
+    return np.eye(d_out)[y]
 
 
 def _learning_rate(lr) -> float:
@@ -154,9 +156,10 @@ def sgd_train(
 
     ``lr`` must be a finite number > 0, ``batch_size`` an integer >= 1,
     ``snapshot_epoch`` None or an integer >= 0 and each seed an integer
-    >= 0, a SeedSequence or a Generator, else PathliftError.  ``x`` must
-    hold (rows, d_in) numbers and ``y`` one label per row, an integer in
-    [0, d_out) for the squared error, else DimensionMismatch.
+    >= 0, a SeedSequence or a Generator, else PathliftError.  ``x`` is a
+    batch (rows, d_in) and ``y`` one label per row, a whole number in
+    [0, max(d_out, 2)) for the logistic loss, [0, d_out) for the squared
+    error (one-hot targets), else DimensionMismatch; checked once, up front.
     """
     lockstep = not isinstance(theta, ParamVector) or not (mask is None or isinstance(mask, Mask))
     thetas = list(theta) if isinstance(theta, (list, tuple)) else [theta]
@@ -174,11 +177,9 @@ def sgd_train(
     if snapshot_epoch is not None:
         snapshot_epoch = _scalar(snapshot_epoch, PathliftError, "snapshot_epoch must be an integer >= 0",
                                  lambda k: k >= 0, whole=True)
-    x, y = _floats(x, "training inputs must be numbers"), _floats(y, "labels must be numbers").reshape(-1)
-    if x.ndim != 2 or x.shape[1] != arch.d_in or y.size != x.shape[0]:
-        raise DimensionMismatch(f"need (rows, {arch.d_in}) inputs and one label per row, got {x.shape} and {y.size}")
-    if loss == "squared_error" and not np.all((y % 1 == 0) & (y >= 0) & (y < arch.d_out)):
-        raise DimensionMismatch(f"squared-error labels must be integers in [0, {arch.d_out})")
+    x = _check_batch(arch, x)
+    # int64 labels: each step's check is then a dtype and a range test
+    y = _check_labels(y, x.shape[0], arch.d_out if loss == "squared_error" else max(arch.d_out, 2))
     n = x.shape[0]
     vec = np.stack([t.vec for t in thetas])
     keep = None
@@ -216,17 +217,17 @@ def sgd_train(
 
 
 def accuracy(arch: Architecture, theta: ParamVector, x, y) -> float:
-    """Share of the rows of x whose largest output is at their label in y.
-    Raises MissingData for no rows, DimensionMismatch unless y holds one
-    label per row, NonFiniteValue when the pass overflows float64."""
+    """Share of the rows of x whose predicted class, the largest output (with
+    one output, 1 where it is > 0: the sigmoid the logistic loss trains), is
+    their label in y, one per row, a whole number in [0, max(d_out, 2)).
+    Raises MissingData for no rows, NonFiniteValue when the pass overflows."""
     _check_bound(arch, theta)
-    vals = _finite_run(arch, theta.vec, x)
-    pred = vals[arch.output_pos].argmax(axis=0)
-    labels = np.asarray(y).reshape(-1)
-    if not pred.size:
+    x = _check_batch(arch, x)
+    if not x.shape[0]:
         raise MissingData("accuracy needs at least one input row")
-    if labels.size != pred.size:
-        raise DimensionMismatch(f"{labels.size} label(s) for {pred.size} input row(s)")
+    labels = _check_labels(y, x.shape[0], max(arch.d_out, 2))
+    out = _finite_run(arch, theta.vec, x)[arch.output_pos]
+    pred = out[0] > 0.0 if arch.d_out == 1 else out.argmax(axis=0)
     return float(np.mean(pred == labels))
 
 

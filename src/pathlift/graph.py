@@ -280,7 +280,7 @@ class ParamVector:
     __slots__ = ("arch", "vec")
 
     def __init__(self, arch: Architecture, vec):
-        v = _floats(vec, "parameter vector entries must be numbers").copy()
+        v = _floats(vec, "parameter vector").copy()
         if v.shape != (arch.n_coords,):
             raise DimensionMismatch(
                 f"parameter vector has shape {v.shape}, expected ({arch.n_coords},)"
@@ -325,15 +325,29 @@ def _check_bound(arch: Architecture | None, theta: ParamVector):
         raise DimensionMismatch("parameter vector bound to a different architecture")
 
 
-def _floats(values, message: str) -> np.ndarray:
-    """``values`` as a float64 array; DimensionMismatch(message) if not
-    numbers, NonFiniteValue if an int is too large for a float."""
+def _floats(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array by the one rule for array arguments:
+    numbers, never bools, strings (digit strings too), None or ragged
+    nesting, else DimensionMismatch; an int past float64 NonFiniteValue."""
     try:
-        return np.asarray(values, dtype=np.float64)
+        a = np.asarray(values)
+        # ints too large for int64 come as objects; no other object is a number
+        if a.dtype.kind in "iuf" or a.dtype.kind == "O" and all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in a.flat):
+            return a.astype(np.float64, copy=False)
     except (TypeError, ValueError):
-        raise DimensionMismatch(message) from None
+        pass
     except OverflowError:
-        raise NonFiniteValue("an entry overflows float64") from None
+        raise NonFiniteValue(f"{what} has an entry too large for a float") from None
+    raise DimensionMismatch(f"{what} must hold real numbers")
+
+
+def _finite(values, what: str) -> np.ndarray:
+    """:func:`_floats` of ``values``; NonFiniteValue naming ``what`` for a NaN or infinite entry."""
+    a = _floats(values, what)
+    if not np.isfinite(a).all():
+        raise NonFiniteValue(f"{what} holds NaN or infinite entries")
+    return a
 
 
 def _scalar(value, error, prefix: str, ok=None, whole: bool = False):
@@ -370,24 +384,45 @@ def _param_rows(arch: Architecture, theta) -> np.ndarray:
     if isinstance(theta, ParamVector):
         _check_bound(arch, theta)
         return theta.vec
-    want = f"parameters must be a ParamVector or a (P, {arch.n_coords}) stack"
-    rows = _floats(theta, f"{want}, got {type(theta).__name__}")
+    rows = _finite(theta, "parameter stack")
     if rows.ndim != 2 or rows.shape[1] != arch.n_coords:
-        raise DimensionMismatch(f"{want}, got {type(theta).__name__} of shape {rows.shape}")
-    if not np.isfinite(rows).all():
-        raise NonFiniteValue("parameter stack holds NaN or infinite entries")
+        raise DimensionMismatch(f"parameters must be a ParamVector or a (P, {arch.n_coords}) stack, "
+                                f"got {type(theta).__name__} of shape {rows.shape}")
     return rows
 
 
-def _check_input(arch: Architecture, x) -> np.ndarray:
-    """One input ``x`` as a flat float vector; raises unless it has one
-    finite entry per input neuron."""
-    x = _floats(x, "input entries must be numbers").reshape(-1)
-    if x.shape[0] != arch.d_in:
-        raise DimensionMismatch(f"input has {x.shape[0]} entries, the network has {arch.d_in} inputs")
-    if not np.isfinite(x).all():
-        raise NonFiniteValue("input holds NaN or infinite entries")
+def _check_batch(arch: Architecture, x) -> np.ndarray:
+    """A batch ``x`` (B, d_in), or one input (d_in,), as a finite (B, d_in) float array."""
+    given = _finite(x, "input")
+    x = given[None, :] if given.ndim == 1 else given
+    if x.ndim != 2 or x.shape[1] != arch.d_in:
+        raise DimensionMismatch(f"input must have shape ({arch.d_in},) or (B, {arch.d_in}), got {given.shape}")
     return x
+
+
+def _check_input(arch: Architecture, x) -> np.ndarray:
+    """One input ``x``, d_in finite entries in any shape, as a flat vector."""
+    return _check_batch(arch, _floats(x, "input").reshape(-1))[0]
+
+
+def _check_labels(y, rows: int, classes: int) -> np.ndarray:
+    """Labels as int64, one per row, whole numbers in [0, classes); an int array is checked by range alone."""
+    if not (isinstance(y, np.ndarray) and y.dtype.kind in "iu"):
+        y = _finite(y, "label vector")
+    y = y.reshape(-1)
+    if y.size != rows:
+        raise DimensionMismatch(f"need one label per row, got {y.size} for {rows} row(s)")
+    if y.size and (y.min() < 0 or y.max() >= classes or y.dtype.kind == "f" and np.any(y != np.trunc(y))):
+        raise DimensionMismatch(f"labels must be integers in [0, {classes})")
+    return y.astype(np.int64, copy=False)
+
+
+def _check_targets(arch: Architecture, target, rows: int) -> np.ndarray:
+    """Squared-error targets (rows, d_out), (rows,) for one output, or one (d_out,) row, as (d_out, rows)."""
+    y, shape = _finite(target, "target"), (rows, arch.d_out)
+    if y.shape not in (shape, shape[1:]) and not (arch.d_out == 1 and y.shape == shape[:1]):
+        raise DimensionMismatch(f"target shape {y.shape} does not fit batch {rows} x {arch.d_out} outputs")
+    return np.broadcast_to(y.reshape(-1, arch.d_out), shape).T
 
 
 def neuron_values(arch: Architecture, theta: ParamVector, x) -> np.ndarray:
@@ -396,7 +431,7 @@ def neuron_values(arch: Architecture, theta: ParamVector, x) -> np.ndarray:
     from .engine import _finite_run  # the engine compiles the architectures defined here
 
     _check_bound(arch, theta)
-    vals = _finite_run(arch, theta.vec, _floats(x, "input entries must be numbers").reshape(-1))
+    vals = _finite_run(arch, theta.vec, _check_input(arch, x))
     return vals[:-1, 0]
 
 

@@ -130,7 +130,6 @@ def _checked(arch: Architecture, t1: ParamVector, t2: ParamVector, x) -> np.ndar
     """x as a checked input, once t1 and t2 are bound to ``arch`` with
     matching signs."""
     _check_bound(arch, t1)
-    _check_bound(arch, t2)
     check_sign_condition(t1, t2)
     return _check_input(arch, x)
 
@@ -176,8 +175,7 @@ def verify_bound(
 def _check_trajectory(arch: Architecture, t1: ParamVector, t2: ParamVector) -> None:
     """The conditions of the trajectory, none of which depends on t."""
     _check_bound(arch, t1)
-    _check_bound(arch, t2)
-    check_sign_condition(t1, t2)
+    check_sign_condition(t1, t2)  # t2 bound to t1's architecture
     mixed = np.flatnonzero((t1.vec == 0.0) != (t2.vec == 0.0))
     if mixed.size:
         raise MixedZeroCoordinate(

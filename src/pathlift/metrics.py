@@ -30,7 +30,7 @@ import numpy as np
 
 from .engine import Tape, _chunks, gradient, run
 from .errors import DominanceUnverified, NonFiniteValue, PathExplosion, PathliftError, RaggedLayers, finite
-from .graph import Architecture, ParamVector, _check_bound, _scalar
+from .graph import Architecture, ParamVector, _check_bound, _finite, _scalar
 from .paths import PathLifting, max_path_length, path_lifting
 from .transforms import _normalized, hidden_positions, normalize
 
@@ -304,21 +304,6 @@ def path_metric_report(arch: Architecture, t1: ParamVector, t2: ParamVector) -> 
     )
 
 
-def _check_mlp_layers(layers_a, layers_b):
-    la = [np.asarray(m, dtype=np.float64) for m in layers_a]
-    lb = [np.asarray(m, dtype=np.float64) for m in layers_b]
-    if not la or len(la) != len(lb):
-        raise RaggedLayers("need the same nonzero number of matrices on both sides")
-    for i, (a, b) in enumerate(zip(la, lb)):
-        if a.ndim != 2 or a.shape != b.shape:
-            raise RaggedLayers(f"layer {i}: shapes {a.shape} vs {b.shape}")
-        if i > 0 and a.shape[1] != la[i - 1].shape[0]:
-            raise RaggedLayers(
-                f"layer {i} expects {a.shape[1]} inputs, previous layer emits {la[i - 1].shape[0]}"
-            )
-    return la, lb
-
-
 def mlp_bounds(layers_a, layers_b, x) -> dict:
     """Closed-form layered-MLP bounds, for comparison with path quantities.
 
@@ -329,8 +314,18 @@ def mlp_bounds(layers_a, layers_b, x) -> dict:
     bound, and the output bounds recovered through the path metric route
     (same-sign case, and the doubled any-sign case).
     """
-    la, lb = _check_mlp_layers(layers_a, layers_b)
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    la = [_finite(m, f"matrix {i} of layers_a") for i, m in enumerate(layers_a)]
+    lb = [_finite(m, f"matrix {i} of layers_b") for i, m in enumerate(layers_b)]
+    if not la or len(la) != len(lb):
+        raise RaggedLayers("need the same nonzero number of matrices on both sides")
+    for i, (a, b) in enumerate(zip(la, lb)):
+        if a.ndim != 2 or a.shape != b.shape:
+            raise RaggedLayers(f"layer {i}: shapes {a.shape} vs {b.shape}")
+        if i > 0 and a.shape[1] != la[i - 1].shape[0]:
+            raise RaggedLayers(
+                f"layer {i} expects {a.shape[1]} inputs, previous layer emits {la[i - 1].shape[0]}"
+            )
+    x = _finite(x, "input").reshape(-1)
     if x.shape[0] != la[0].shape[1]:
         raise RaggedLayers(f"input has {x.shape[0]} entries, first layer expects {la[0].shape[1]}")
     nlayers = len(la)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .engine import _chunks, activations
 from .errors import DimensionMismatch, PathExplosion, PathliftError, finite
-from .graph import Architecture, ParamVector, _check_input, _param_rows
+from .graph import Architecture, ParamVector, _check_input, _finite, _param_rows
 from .netfile import _opened
 
 DEFAULT_PATH_CAP = 10**6
@@ -189,7 +189,7 @@ class PathLifting:
         canonical path order: one coordinate sits in different columns on
         different paths, so each block of paths (about 1 MB of entries) is
         read path by path, and ``np.add.at`` adds its entries on in order."""
-        rows, w = self.table.rows, np.asarray(weights, dtype=np.float64)
+        rows, w = self.table.rows, _finite(weights, "weights")
         if w.shape != (len(self),):
             raise DimensionMismatch(f"weights must hold one entry per path ({len(self)}), got shape {w.shape}")
         out = np.zeros(self.arch.n_coords + 1)
@@ -230,11 +230,11 @@ def path_activations(arch: Architecture, theta, x) -> np.ndarray:
     entries are never read); a stack gives (P, n_paths) from one engine
     pass, row i equal to the activations of ``theta[i]``.  A start's
     activation sits in its bias slot, column 0 of every path starting there."""
-    return _path_activations(arch, _param_rows(arch, theta), x)
+    return _path_activations(arch, _param_rows(arch, theta), _check_input(arch, x))
 
 
 def _path_activations(arch: Architecture, rows: np.ndarray, x, tape=None) -> np.ndarray:
-    """:func:`path_activations` of checked parameter rows, by a pass on ``tape`` (fresh when None)."""
+    """:func:`path_activations` of checked parameter rows and input, by a pass on ``tape`` (fresh when None)."""
     edge_act, start_act = activations(arch, rows, x, tape=tape)
     table = _table(arch)
     on = np.ones(edge_act.shape[:-1] + (arch.n_coords + 1,), dtype=bool)  # the sentinel is on

@@ -22,8 +22,8 @@ import numpy as np
 
 from .autodiff import grad_path_norm, scalar_value
 from .engine import _chunks
-from .errors import DimensionMismatch, InfeasibleAmount, MissingData, NonFiniteValue, PathliftError, finite
-from .graph import Architecture, ParamVector, _check_bound, _check_input, _floats, _scalar
+from .errors import DimensionMismatch, InfeasibleAmount, MissingData, PathliftError, finite
+from .graph import Architecture, ParamVector, _check_batch, _check_bound, _check_input, _finite, _scalar
 from .lipschitz import _holds, _output_gap
 from .metrics import _pathnorm_diffs
 from .paths import path_lifting
@@ -87,20 +87,6 @@ def magnitude_scores(arch: Architecture, theta: ParamVector) -> ScoreVector:
     return ScoreVector(criterion="magnitude", method="abs", values=np.abs(theta.vec))
 
 
-def _require_data(data):
-    """The inputs (as floats) and targets of an (X, y) data batch."""
-    if data is None:
-        raise MissingData("this criterion needs a data batch (X, y)")
-    try:
-        x, y = data
-    except (TypeError, ValueError):
-        raise MissingData("the data batch must be an (X, y) pair") from None
-    x = _floats(x, "input entries must be numbers")
-    if y is not None and not np.isfinite(_floats(y, "target entries must be numbers")).all():
-        raise NonFiniteValue("the data batch has a NaN or infinite target")
-    return x, y
-
-
 def obd_fd_scores(
     arch: Architecture,
     theta: ParamVector,
@@ -116,9 +102,13 @@ def obd_fd_scores(
     is bit for bit its own pass, so the scores are those of one loss
     evaluation per perturbed vector.  Raises NonFiniteValue when a loss or
     a score overflows float64."""
-    x, y = _require_data(data)
+    try:
+        x, y = data
+    except (TypeError, ValueError):
+        raise MissingData("this criterion needs a data batch, an (X, y) pair") from None
+    x = _check_batch(arch, x)
     base = scalar_value(arch, theta, x, aggregate=loss, target=y)
-    batch = 1 if x.ndim == 1 else x.shape[0]
+    batch = x.shape[0]
     vec = theta.vec
 
     def saliencies():
@@ -151,8 +141,8 @@ def baseline_scores(
 
 
 def _score_values(arch: Architecture, scores: ScoreVector) -> np.ndarray:
-    """``scores.values``, one per coordinate of ``arch``, or DimensionMismatch."""
-    values = np.asarray(scores.values)
+    """``scores.values``: one finite number per coordinate of ``arch``."""
+    values = _finite(scores.values, "score vector")
     if values.shape != (arch.n_coords,):
         raise DimensionMismatch(f"scores have shape {values.shape}, not ({arch.n_coords},)")
     return values

@@ -1,11 +1,16 @@
-"""The API contract for scalar arguments, the twin of test_cli_contract.py:
-every public call with a scalar parameter, fed a value outside its type or
-range, returns its documented result or raises a PathliftError subclass.
-It never takes a bool, a string or a list for a number, reads an int too
-large for a float as the infinity it rounds to, and an integer parameter
-takes a whole float as that integer.  ``grad_scalar`` has no scalar
-parameter; its ``inf`` after a numpy warning on an overflowing pass (the
-training step's choice) is the one named exception to the contract."""
+"""The API contract for scalar and array arguments, the twin of
+test_cli_contract.py: every public call with a scalar parameter, fed a
+value outside its type or range, returns its documented result or raises a
+PathliftError subclass.  It never takes a bool, a string or a list for a
+number, reads an int too large for a float as the infinity it rounds to,
+and an integer parameter takes a whole float as that integer.  Every array
+parameter (inputs, batches, labels, targets, scores, weight matrices)
+refuses strings, bools, None, ragged nesting, NaN, infinities, ints too
+large for a float, a wrong width and a 3-D array, and a label vector
+refuses fractional, negative and out-of-range labels.  ``grad_scalar`` has
+no scalar parameter; its ``inf`` after a numpy warning on an overflowing
+pass (the training step's choice) is the one named exception to the
+contract."""
 
 import math
 import warnings
@@ -13,12 +18,17 @@ import warnings
 import numpy as np
 import pytest
 
-from pathlift.builders import conv_grid_architecture, mlp_architecture, random_dag, random_params, same_sign_partner
+from pathlift.autodiff import grad_scalar, scalar_value
+from pathlift.builders import (
+    conv_grid_architecture, mlp_architecture, mlp_matrices, mlp_params, random_dag, random_params, same_sign_partner,
+)
 from pathlift.errors import PathliftError
-from pathlift.experiment import ExperimentConfig, epoch_seeds, make_dataset, sgd_train
-from pathlift.lipschitz import activation_breakpoints, equality_witness, trajectory_point
-from pathlift.metrics import path_norm_fast
-from pathlift.pruning import apply_prune, magnitude_scores
+from pathlift.experiment import ExperimentConfig, accuracy, epoch_seeds, make_dataset, sgd_train
+from pathlift.graph import ParamVector, forward
+from pathlift.lipschitz import activation_breakpoints, equality_witness, trajectory_point, verify_bound
+from pathlift.metrics import mlp_bounds, path_norm_fast
+from pathlift.paths import path_activations, path_lifting
+from pathlift.pruning import ScoreVector, apply_prune, magnitude_scores, obd_fd_scores, pruning_error_bound
 from pathlift.transforms import random_rescaling, rescale
 
 from conftest import diamond_arch, diamond_theta
@@ -132,4 +142,103 @@ def test_every_scalar_argument_keeps_the_contract(name):
                 bad.append((big, "differs from its infinity"))
         if integer and call(float(good)) != want:
             bad.append((float(good), "a whole float differs from its integer"))
+    assert not bad, bad
+
+
+MLP = mlp_architecture((2, 3, 2))
+MLP_THETA = random_params(MLP, 0)
+MATS = mlp_matrices(MLP, MLP_THETA)
+SIGMOID = mlp_architecture((2, 3, 1))
+SIGMOID_THETA = random_params(SIGMOID, 0)
+ONE_HOT = np.eye(2)[Y]
+SCORES = magnitude_scores(MLP, MLP_THETA).values
+LIFT = path_lifting(MLP, MLP_THETA)
+
+
+def _scores(values):
+    return ScoreVector("magnitude", "abs", values)
+
+
+def _fit(x=X, y=Y, loss="logistic"):
+    return sgd_train(MLP, MLP_THETA, x, y, epoch_seeds(0, 1), 0.05, 4, loss=loss)[0].vec.tolist()
+
+
+# name -> (call of one array value, a value it takes, for a label vector the number of classes)
+ARRAYS = {
+    "ParamVector vec": (lambda v: ParamVector(MLP, v).vec.tolist(), MLP_THETA.vec, None),
+    "forward x": (lambda v: forward(MLP, MLP_THETA, v).tolist(), X[0], None),
+    "path_activations x": (lambda v: path_activations(MLP, MLP_THETA, v).tolist(), X[0], None),
+    "verify_bound x": (lambda v: verify_bound(MLP, MLP_THETA, MLP_THETA, v).holds, X[0], None),
+    "pruning_error_bound x": (lambda v: pruning_error_bound(MLP, MLP_THETA, [0], v).bound, X[0], None),
+    "grad_scalar x": (lambda v: grad_scalar(MLP, MLP_THETA, v)[1].tolist(), X, None),
+    "scalar_value x": (lambda v: scalar_value(MLP, MLP_THETA, v), X, None),
+    "accuracy x": (lambda v: accuracy(MLP, MLP_THETA, v, Y), X, None),
+    "sgd_train x": (lambda v: _fit(x=v), X, None),
+    "obd_fd_scores x": (lambda v: obd_fd_scores(MLP, MLP_THETA, (v, ONE_HOT)).values.tolist(), X, None),
+    "grad_scalar labels": (lambda v: grad_scalar(MLP, MLP_THETA, X, "logistic", v)[1].tolist(), Y, 2),
+    "grad_scalar sigmoid labels": (lambda v: grad_scalar(SIGMOID, SIGMOID_THETA, X, "logistic", v)[1].tolist(),
+                                   Y, 2),
+    "scalar_value labels": (lambda v: scalar_value(MLP, MLP_THETA, X, "logistic", v), Y, 2),
+    "sgd_train labels": (lambda v: _fit(y=v), Y, 2),
+    "sgd_train squared-error labels": (lambda v: _fit(y=v, loss="squared_error"), Y, 2),
+    "accuracy labels": (lambda v: accuracy(MLP, MLP_THETA, X, v), Y, 2),
+    "obd_fd_scores labels": (lambda v: obd_fd_scores(MLP, MLP_THETA, (X, v), loss="logistic").values.tolist(), Y, 2),
+    "grad_scalar targets": (lambda v: grad_scalar(MLP, MLP_THETA, X, "squared_error", v)[1].tolist(), ONE_HOT, None),
+    "scalar_value targets": (lambda v: scalar_value(MLP, MLP_THETA, X, "squared_error", v), ONE_HOT, None),
+    "obd_fd_scores targets": (lambda v: obd_fd_scores(MLP, MLP_THETA, (X, v)).values.tolist(), ONE_HOT, None),
+    "apply_prune scores": (lambda v: apply_prune(MLP_THETA, _scores(v), fraction=0.5)[1].pruned, SCORES, None),
+    "pruning_error_bound scores": (lambda v: pruning_error_bound(MLP, MLP_THETA, [0], X[0], _scores(v)).bound,
+                                   SCORES, None),
+    "coordinate_sums weights": (lambda v: LIFT.coordinate_sums(v).tolist(), np.ones(len(LIFT)), None),
+    "mlp_bounds layers_a": (lambda v: mlp_bounds([v, MATS[1]], MATS, X[0]), MATS[0], None),
+    "mlp_bounds layers_b": (lambda v: mlp_bounds(MATS, [MATS[0], v], X[0]), MATS[1], None),
+    "mlp_bounds x": (lambda v: mlp_bounds(MATS, MATS, v), X[0], None),
+    "mlp_params matrices": (lambda v: mlp_params(MLP, [v, MATS[1]]).vec.tolist(), MATS[0], None),
+    "mlp_params biases": (lambda v: mlp_params(MLP, MATS, [v, np.zeros(2)]).vec.tolist(), np.zeros(3), None),
+}
+
+
+def _bad_arrays(good, classes):
+    """What an array argument may be handed by mistake, each refused: name -> value."""
+    g = np.asarray(good, dtype=np.float64)
+
+    def first(value):
+        """``good`` as nested lists, its first entry replaced by ``value``."""
+        a = g.astype(object)
+        a.flat[0] = value
+        return a.tolist()
+
+    bad = {
+        "digit strings": g.astype(str).tolist(),
+        "bools": np.ones(g.shape, dtype=bool).tolist(),
+        "None": None,
+        "ragged": [g.tolist(), g.tolist()[:-1]],
+        "nan": first(math.nan),
+        "inf": first(math.inf),
+        "-inf": first(-math.inf),
+        "10**400": first(10**400),
+        "wrong width": np.concatenate((g, g[..., :1]), axis=-1),
+        "3-D": np.zeros((2, 2, g.shape[-1])),
+    }
+    if classes is not None:
+        bad.update({"label 0.5": first(0.5), "label -1": first(-1), f"label {classes}": first(classes)})
+    return bad
+
+
+@pytest.mark.parametrize("name", list(ARRAYS))
+def test_every_array_argument_keeps_the_contract(name):
+    call, good, classes = ARRAYS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = call(good)
+        assert call(np.asarray(good).tolist()) == want  # a nested list is read as its array
+        bad = []
+        for what, value in _bad_arrays(good, classes).items():
+            try:
+                got = _outcome(call, value)
+            except Exception as exc:
+                bad.append((what, f"raised {exc!r}"))
+                continue
+            if not isinstance(got, PathliftError):
+                bad.append((what, "accepted"))
     assert not bad, bad

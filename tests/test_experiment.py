@@ -76,6 +76,12 @@ def test_config_validation():
     assert _tiny(epochs=12.0, rewind_epoch=2.0).validated() == _tiny(epochs=12, rewind_epoch=2)
 
 
+def test_config_refuses_the_squared_error_on_one_output():
+    with pytest.raises(PathliftError, match=r"widths \(2, 6, 1\) end in 1"):
+        _tiny(widths=(2, 6, 1), loss="squared_error").validated()
+    assert _tiny(widths=(2, 6, 1)).validated().widths == (2, 6, 1)
+
+
 def test_config_rejects_repeated_criteria():
     with pytest.raises(PathliftError, match="repeated"):
         _tiny(criteria=("pathmag", "magnitude", "pathmag")).validated()
@@ -185,6 +191,17 @@ def test_accuracy_argmax():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert accuracy(arch, theta, x, [0, 1]) == 1.0
     assert accuracy(arch, theta, x, [1, 1]) == 0.5
+
+
+def test_accuracy_of_one_output_predicts_class_1_where_it_is_positive():
+    arch = mlp_architecture((1, 1))
+    theta = mlp_params(arch, [[[1.0]]])
+    x = [[-2.0], [-0.5], [0.5], [3.0]]
+    assert accuracy(arch, theta, x, [0, 0, 1, 1]) == 1.0
+    assert accuracy(arch, theta, x, [1, 1, 0, 1]) == 0.25
+    cfg = ExperimentConfig(seed=0, widths=(2, 8, 1), epochs=3, rewind_epoch=1, n_train=200, n_test=100)
+    report = run_experiment(cfg)
+    assert report.dense_accuracy > 0.9  # 0.51 when every row is predicted class 0
 
 
 def test_fraction_zero_reproduces_dense_run():

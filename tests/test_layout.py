@@ -17,7 +17,9 @@ of a class is read as an attribute in the package or named as one in
 Only ``errors.finite`` silences numpy's floating-point warnings: every
 overflow is refused there.  Only ``graph`` decides what a scalar argument
 may be: no other module names ``numbers.Real`` or ``numbers.Integral`` or
-makes a generator with ``np.random.default_rng``.
+makes a generator with ``np.random.default_rng``.  Only ``graph`` decides
+what an array argument may be: no other module names ``_floats``, and the
+engine, which trusts its callers, names neither it nor ``isfinite``.
 """
 
 import ast
@@ -155,3 +157,9 @@ def test_only_graph_decides_what_a_scalar_argument_may_be():
         if {"Real", "Integral", "default_rng"} & set(_names(ast.parse(p.read_text())))
     )
     assert deciders == ["graph"]
+
+
+def test_only_graph_decides_what_an_array_argument_may_be():
+    names = {p.stem: set(_names(ast.parse(p.read_text()))) for p in sorted(SRC.glob("*.py"))}
+    assert sorted(m for m, named in names.items() if "_floats" in named) == ["graph"]
+    assert not {"_floats", "isfinite"} & names["engine"]
