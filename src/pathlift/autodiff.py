@@ -50,13 +50,14 @@ def _aggregate(arch: Architecture, vals, aggregate, target, adj=None):
     if aggregate == "sum_outputs":
         grad.fill(1.0)
         return total(out), grad
+    squared = aggregate == "squared_error"
+    if not squared and aggregate != "logistic":
+        raise PathliftError(f"unknown aggregate {aggregate!r}")
     if target is None:
         raise MissingData(f"aggregate {aggregate!r} needs a target")
-    if aggregate == "squared_error":
+    if squared:
         np.subtract(out, _check_targets(arch, target, nb), out=grad)
         return 0.5 * total(grad * grad), grad
-    if aggregate != "logistic":
-        raise PathliftError(f"unknown aggregate {aggregate!r}")
     y = _check_labels(target, nb, max(arch.d_out, 2))
     if arch.d_out == 1:
         z = out[..., 0, :]

@@ -327,13 +327,15 @@ def _check_bound(arch: Architecture | None, theta: ParamVector):
 
 def _floats(values, what: str) -> np.ndarray:
     """``values`` as a float64 array by the one rule for array arguments:
-    numbers, never bools, strings (digit strings too), None or ragged
-    nesting, else DimensionMismatch; an int past float64 NonFiniteValue."""
+    numbers, never bools (nor among numbers), strings (digit strings too),
+    None or ragged nesting, else DimensionMismatch; an int past float64 NonFiniteValue."""
     try:
         a = np.asarray(values)
-        # ints too large for int64 come as objects; no other object is a number
-        if a.dtype.kind in "iuf" or a.dtype.kind == "O" and all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in a.flat):
+        # an ndarray's dtype tells; numpy reads a bool among numbers as a number and an
+        # int past int64 as an object, so any other argument is checked entry by entry
+        if a.dtype.kind in "iuf" and isinstance(values, np.ndarray) or a.dtype.kind in "iufO" and all(
+                issubclass(k, numbers.Real) and k is not bool
+                for k in set(map(type, np.asarray(values, dtype=object).flat))):
             return a.astype(np.float64, copy=False)
     except (TypeError, ValueError):
         pass

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Tape, _chunks, gradient, run
+from .engine import Tape, gradient, run
 from .errors import DominanceUnverified, NonFiniteValue, PathExplosion, PathliftError, RaggedLayers, finite
 from .graph import Architecture, ParamVector, _check_bound, _finite, _scalar
 from .paths import PathLifting, max_path_length, path_lifting
@@ -44,8 +44,12 @@ def _sum_pool_tape(arch: Architecture, theta: ParamVector, q: float = 1.0):
     _check_bound(arch, theta)
     what, tape = f"the path norm at q={q!r} overflows float64", Tape(arch, 1)
     w = finite(what, pow, np.abs(theta.vec), q)
-    norm = lambda: float(run(arch, w, np.ones(arch.d_in), sum_pools=True, tape=tape)[0][arch.output_pos].sum())
-    return w, finite(what, norm), tape
+    return w, finite(what, _sum_pool_norm, arch, w, tape), tape
+
+
+def _sum_pool_norm(arch: Architecture, w: np.ndarray, tape: Tape) -> float:
+    """The summed outputs of the sum-pool pass of ``w`` on the all-ones input, on ``tape``."""
+    return float(run(arch, w, np.ones(arch.d_in), sum_pools=True, tape=tape)[0][arch.output_pos].sum())
 
 
 def _sum_pool_sweep(arch: Architecture, weights: np.ndarray, tape: Tape) -> np.ndarray:
@@ -61,19 +65,14 @@ def path_norm_fast(arch: Architecture, theta: ParamVector, q: float = 1.0) -> fl
 
 def _pathnorm_diffs(arch: Architecture, theta: ParamVector) -> np.ndarray:
     """Per nonzero coordinate i, the l1 path norm minus the l1 path norm
-    with i zeroed: one stacked sum-pool pass per chunk of coordinates, each
-    row |theta| with one coordinate zeroed (bit for bit its own pass), a
-    chunk holding about as many entries as one gathered block of the engine."""
-    w, base, _ = _sum_pool_tape(arch, theta)
+    with i zeroed: one sum-pool pass per coordinate, on the norm's own
+    weights and tape with i zeroed, so each is bit for bit its own norm."""
+    w, base, tape = _sum_pool_tape(arch, theta)
     values = np.zeros(arch.n_coords)
-    nonzero = np.flatnonzero(theta.vec)
-    for chunk in _chunks(nonzero.size, arch.n_coords, 1):
-        coords = nonzero[chunk]
-        stack = np.repeat(w[None, :], coords.size, axis=0)
-        stack[np.arange(coords.size), coords] = 0.0
-        vals, _ = run(arch, stack, np.ones(arch.d_in), sum_pools=True)
-        # each item's outputs as one contiguous run, summed pairwise as path_norm_fast sums them
-        values[coords] = base - vals.take(arch.output_pos, axis=1).reshape(coords.size, -1).sum(axis=1)
+    for i in np.flatnonzero(theta.vec):
+        kept, w[i] = w[i], 0.0
+        values[i] = base - _sum_pool_norm(arch, w, tape)
+        w[i] = kept
     return values
 
 
@@ -312,15 +311,16 @@ def mlp_bounds(layers_a, layers_b, x) -> dict:
     parameter sets, clamped to at least 1.  Returns the path-metric bound
     L*W^2*R^(L-1)*sup_gap, the older (W*|x|+1)*W*L^2*R^(L-1)*sup_gap output
     bound, and the output bounds recovered through the path metric route
-    (same-sign case, and the doubled any-sign case).
+    (same-sign case, and the doubled any-sign case).  Raises RaggedLayers unless
+    the matrices are nonempty and chain, NonFiniteValue when a bound overflows.
     """
     la = [_finite(m, f"matrix {i} of layers_a") for i, m in enumerate(layers_a)]
     lb = [_finite(m, f"matrix {i} of layers_b") for i, m in enumerate(layers_b)]
     if not la or len(la) != len(lb):
         raise RaggedLayers("need the same nonzero number of matrices on both sides")
     for i, (a, b) in enumerate(zip(la, lb)):
-        if a.ndim != 2 or a.shape != b.shape:
-            raise RaggedLayers(f"layer {i}: shapes {a.shape} vs {b.shape}")
+        if a.ndim != 2 or a.shape != b.shape or not a.size:
+            raise RaggedLayers(f"layer {i}: shapes {a.shape} vs {b.shape}, not one nonempty matrix")
         if i > 0 and a.shape[1] != la[i - 1].shape[0]:
             raise RaggedLayers(
                 f"layer {i} expects {a.shape[1]} inputs, previous layer emits {la[i - 1].shape[0]}"
@@ -330,13 +330,14 @@ def mlp_bounds(layers_a, layers_b, x) -> dict:
         raise RaggedLayers(f"input has {x.shape[0]} entries, first layer expects {la[0].shape[1]}")
     nlayers = len(la)
     width = max([la[0].shape[1]] + [m.shape[0] for m in la])
-    r = max(1.0, max(float(np.abs(m).sum(axis=1).max()) for m in la + lb))
-    gap = max(float(np.abs(a - b).max()) for a, b in zip(la, lb))
-    xinf = float(np.abs(x).max()) if x.size else 0.0
-    core = nlayers * width * width * r ** (nlayers - 1) * gap
-    return {
-        "path_metric_ub": core,
-        "legacy": (width * xinf + 1.0) * width * nlayers * nlayers * r ** (nlayers - 1) * gap,
-        "recovered_same_sign": max(xinf, 1.0) * core,
-        "recovered_any_sign": 2.0 * max(xinf, 1.0) * core,
-    }
+
+    def bounds():
+        r = max(1.0, max(float(np.abs(m).sum(axis=1).max()) for m in la + lb))
+        gap = max(float(np.abs(a - b).max()) for a, b in zip(la, lb))
+        xinf = float(np.abs(x).max())
+        core = nlayers * width * width * r ** (nlayers - 1) * gap
+        legacy = (width * xinf + 1.0) * width * nlayers * nlayers * r ** (nlayers - 1) * gap
+        return core, legacy, max(xinf, 1.0) * core, 2.0 * max(xinf, 1.0) * core
+
+    keys = ("path_metric_ub", "legacy", "recovered_same_sign", "recovered_any_sign")
+    return dict(zip(keys, finite("the MLP bounds overflow float64", bounds)))

@@ -3,15 +3,18 @@
 The path-magnitude score of a coordinate is the l1 path norm lost by
 zeroing it: the total absolute lifting weight of every path through the
 coordinate.  Because the path lifting is rescaling-invariant, so are the
-scores, and the masks chosen from them; magnitude pruning and the
-second-order OBD saliency do not share that property.
+scores, and the masks chosen from them.  Magnitude scores are not, nor
+are the OBD finite differences (an absolute step, three nearly cancelling
+losses), though the exact OBD saliency 0.5 * H_ii * theta_i^2 would be:
+between kinks H_ii is the Gauss-Newton diagonal, and theta_i * df/dtheta_i
+does not move under rescaling.
 
 Three interchangeable routes compute the scores: the autodiff identity
 theta * grad(l1 path norm), per-coordinate path-norm differences (one
-stacked sum-pool pass per chunk of coordinates), and brute-force
-accumulation over enumerated paths.  Zeroing a coordinate set I anywhere
-changes the network output at x by at most the sum of the coordinates'
-scores times max(1, |x|_inf).
+sum-pool pass per coordinate), and brute-force accumulation over
+enumerated paths.  Zeroing a coordinate set I anywhere changes the
+network output at x by at most the sum of the coordinates' scores times
+max(1, |x|_inf).
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import grad_path_norm, scalar_value
-from .engine import _chunks
 from .errors import DimensionMismatch, InfeasibleAmount, MissingData, PathliftError, finite
 from .graph import Architecture, ParamVector, _check_batch, _check_bound, _check_input, _finite, _scalar
 from .lipschitz import _holds, _output_gap
@@ -64,7 +66,7 @@ def path_mag_scores(arch: Architecture, theta: ParamVector, method: str = "autod
     """Per-coordinate l1 path norm drop from zeroing that coordinate.
 
     methods: "autodiff" (one sum-pool forward/backward), "pathnorm_diff"
-    (the norm minus the norm with the coordinate zeroed, stacked passes),
+    (the norm minus the norm with the coordinate zeroed, one pass each),
     "bruteforce" (sum |phi_p| over enumerated paths through the
     coordinate).  All three agree to rounding.
     """
@@ -87,40 +89,30 @@ def magnitude_scores(arch: Architecture, theta: ParamVector) -> ScoreVector:
     return ScoreVector(criterion="magnitude", method="abs", values=np.abs(theta.vec))
 
 
-def obd_fd_scores(
-    arch: Architecture,
-    theta: ParamVector,
-    data,
-    loss: str = "squared_error",
-) -> ScoreVector:
+def obd_fd_scores(arch: Architecture, theta: ParamVector, data, loss: str = "squared_error") -> ScoreVector:
     """Second-order saliency 0.5 * h_ii * theta_i^2 with the loss Hessian
     diagonal taken by per-coordinate central second differences with the
     absolute step FD_STEP (rounding noise at large weights).
 
-    The 2 * n_coords perturbed losses run as stacks of parameter rows, each
-    stack's tape about one gathered block of the engine (1 MB); every row
-    is bit for bit its own pass, so the scores are those of one loss
-    evaluation per perturbed vector.  Raises NonFiniteValue when a loss or
-    a score overflows float64."""
+    Each coordinate takes one loss evaluation of the 2-row stack (theta +
+    step, theta - step); every row is bit for bit its own pass, so the
+    scores are those of one loss evaluation per perturbed vector.  Raises
+    NonFiniteValue when a loss or a score overflows float64."""
     try:
         x, y = data
     except (TypeError, ValueError):
         raise MissingData("this criterion needs a data batch, an (X, y) pair") from None
     x = _check_batch(arch, x)
     base = scalar_value(arch, theta, x, aggregate=loss, target=y)
-    batch = x.shape[0]
     vec = theta.vec
 
     def saliencies():
-        values = np.zeros(arch.n_coords)
-        for chunk in _chunks(arch.n_coords, 2 * (arch.n_neurons + 1), batch):
-            coords = np.arange(*chunk.indices(arch.n_coords))
-            steps = np.zeros((coords.size, arch.n_coords))
-            steps[np.arange(coords.size), coords] = FD_STEP
-            both = scalar_value(arch, np.concatenate((vec + steps, vec - steps)), x, aggregate=loss, target=y)
-            up, dn = both[: coords.size], both[coords.size :]
-            h = (up - 2.0 * base + dn) / (FD_STEP * FD_STEP)
-            values[coords] = 0.5 * h * vec[coords] * vec[coords]
+        values, step = np.zeros(arch.n_coords), np.zeros(arch.n_coords)
+        for i in range(arch.n_coords):
+            step[i] = FD_STEP
+            up, dn = scalar_value(arch, np.stack((vec + step, vec - step)), x, aggregate=loss, target=y)
+            step[i] = 0.0
+            values[i] = 0.5 * ((up - 2.0 * base + dn) / (FD_STEP * FD_STEP)) * vec[i] * vec[i]
         return values
 
     return ScoreVector(criterion="obd", method="fd", values=finite("the OBD scores overflow float64", saliencies))

@@ -7,7 +7,11 @@ and an integer parameter takes a whole float as that integer.  Every array
 parameter (inputs, batches, labels, targets, scores, weight matrices)
 refuses strings, bools, None, ragged nesting, NaN, infinities, ints too
 large for a float, a wrong width and a 3-D array, and a label vector
-refuses fractional, negative and out-of-range labels.  ``grad_scalar`` has
+refuses fractional, negative and out-of-range labels, and a bool among
+numbers too.  Each structural refusal (a parameter vector of another
+architecture, an unknown variant or aggregate, weight matrices that are
+empty, too many or do not chain) raises its own PathliftError subclass,
+with or without the arguments it would need next.  ``grad_scalar`` has
 no scalar parameter; its ``inf`` after a numpy warning on an overflowing
 pass (the training step's choice) is the one named exception to the
 contract."""
@@ -22,7 +26,7 @@ from pathlift.autodiff import grad_scalar, scalar_value
 from pathlift.builders import (
     conv_grid_architecture, mlp_architecture, mlp_matrices, mlp_params, random_dag, random_params, same_sign_partner,
 )
-from pathlift.errors import PathliftError
+from pathlift.errors import DimensionMismatch, PathliftError, RaggedLayers
 from pathlift.experiment import ExperimentConfig, accuracy, epoch_seeds, make_dataset, sgd_train
 from pathlift.graph import ParamVector, forward
 from pathlift.lipschitz import activation_breakpoints, equality_witness, trajectory_point, verify_bound
@@ -211,6 +215,7 @@ def _bad_arrays(good, classes):
     bad = {
         "digit strings": g.astype(str).tolist(),
         "bools": np.ones(g.shape, dtype=bool).tolist(),
+        "a bool among numbers": first(True),
         "None": None,
         "ragged": [g.tolist(), g.tolist()[:-1]],
         "nan": first(math.nan),
@@ -242,3 +247,28 @@ def test_every_array_argument_keeps_the_contract(name):
             if not isinstance(got, PathliftError):
                 bad.append((what, "accepted"))
     assert not bad, bad
+
+
+# name -> (call with one structurally wrong argument, the PathliftError subclass it raises)
+REFUSALS = {
+    "forward theta of another architecture": (lambda: forward(MLP, SIGMOID_THETA, X[0]), DimensionMismatch),
+    "verify_bound variant both": (lambda: verify_bound(MLP, MLP_THETA, MLP_THETA, X[0], variant="both"),
+                                  PathliftError),
+    "mlp_params one matrix too many": (lambda: mlp_params(MLP, MATS + [MATS[1]]), RaggedLayers),
+    "mlp_bounds layers that do not chain": (lambda: mlp_bounds(MATS[:1] * 2, MATS[:1] * 2, X[0]), RaggedLayers),
+    "mlp_bounds a (0, 2) matrix": (lambda: mlp_bounds([np.zeros((0, 2))], [np.zeros((0, 2))], X[0]), RaggedLayers),
+    "mlp_bounds a (2, 0) matrix": (lambda: mlp_bounds([np.zeros((2, 0))], [np.zeros((2, 0))], []), RaggedLayers),
+    "grad_scalar unknown aggregate": (lambda: grad_scalar(MLP, MLP_THETA, X, "hinge", Y), PathliftError),
+    "grad_scalar unknown aggregate without a target": (lambda: grad_scalar(MLP, MLP_THETA, X, "hinge"),
+                                                       PathliftError),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_every_structural_refusal_raises_its_own_error(name):
+    call, error = REFUSALS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PathliftError) as err:
+            call()
+    assert type(err.value) is error

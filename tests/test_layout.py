@@ -9,9 +9,11 @@ Only ``paths`` reads the path table (``_table``, ``_row_products``,
 per-coordinate norm differences reach it through ``metrics``.  The path
 cap has one setting, ``PATHLIFT_PATH_CAP``, read only by ``paths``, and no
 function takes a ``cap`` or an ``eps``: values no caller varies are
-constants.  Only ``engine`` names ``_BLOCK_ELEMS``; other modules chunk
-their stacks through ``engine._chunks``.  Every public method and property
-of a class is read as an attribute in the package or named as one in
+constants.  Only ``engine`` names ``_BLOCK_ELEMS``, and only ``engine``
+and ``paths`` name ``engine._chunks``: ``paths`` bounds the memory of
+``coordinate_sums`` with it, and every per-coordinate score runs one plain
+pass per coordinate, with no chunks of its own.  Every public method and
+property of a class is read as an attribute in the package or named as one in
 ``bench/``, and every ``(module, "name", ...)`` target that
 ``bench/workloads.py`` wraps in a span exists on that pathlift module.
 Only ``errors.finite`` silences numpy's floating-point warnings: every
@@ -112,8 +114,9 @@ def test_every_class_member_has_a_reader_outside_the_tests():
 
 
 def test_only_engine_names_the_chunk_size():
-    namers = sorted(p.stem for p in SRC.glob("*.py") if "_BLOCK_ELEMS" in set(_names(ast.parse(p.read_text()))))
-    assert namers == ["engine"]
+    names = {p.stem: set(_names(ast.parse(p.read_text()))) for p in sorted(SRC.glob("*.py"))}
+    assert sorted(m for m, named in names.items() if "_BLOCK_ELEMS" in named) == ["engine"]
+    assert sorted(m for m, named in names.items() if "_chunks" in named) == ["engine", "paths"]
 
 
 def _instrument_targets(tree):

@@ -362,6 +362,21 @@ def test_cli_prune_obd_with_logistic_labels(tmp_path, capsys):
     assert [float(line.split("\t")[1]) for line in lines[2:]] == expected.tolist()
 
 
+@pytest.mark.parametrize("loss, wanted", [
+    ("squared_error", "1 input columns plus 1 target columns"),
+    ("logistic", "1 input columns plus one label column"),
+])
+def test_cli_prune_obd_refuses_a_batch_with_the_wrong_column_count(tmp_path, capsys, loss, wanted):
+    path, _, _ = _write_diamond(tmp_path)
+    csv = tmp_path / "batch.csv"
+    csv.write_text("0.5,1,0\n1.0,0,1\n")
+    assert main(["prune", str(path), "--criterion", "obd", "--count", "1",
+                 "--loss", loss, "--data", str(csv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: expected {wanted}\n"
+
+
 def test_cli_prune_csv_with_header_is_a_parse_error(tmp_path, capsys):
     path, _, _ = _write_diamond(tmp_path)
     csv = tmp_path / "batch.csv"

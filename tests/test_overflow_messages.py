@@ -15,7 +15,7 @@ from pathlift.autodiff import grad_path_norm
 from pathlift.errors import NonFiniteValue
 from pathlift.graph import Architecture, ParamVector
 from pathlift.lipschitz import equality_witness, trajectory_point
-from pathlift.metrics import path_metric_exact_dominated, path_metric_oracle, path_norm_fast
+from pathlift.metrics import mlp_bounds, path_metric_exact_dominated, path_metric_oracle, path_norm_fast
 
 
 def _relu_chain(depth, weights):
@@ -69,6 +69,11 @@ def _predicted_gap():
     equality_witness(3, 1.449491064788738e100, 1.0, 59029476.57697038)
 
 
+def _mlp_bounds():
+    # R = 1e200 over three layers: R**2 leaves float64
+    mlp_bounds([[[1e200]], [[1e200]], [[1.0]]], [[[1e200]], [[1e200]], [[2.0]]], [1.0])
+
+
 @pytest.mark.parametrize("reach, message", [
     (_path_norm, "the path norm at q=1.0 overflows float64"),
     (_path_norm_gradient, "the path norm gradient overflows float64"),
@@ -77,6 +82,7 @@ def _predicted_gap():
     (_telescoped_gap, "the telescoped path-metric gap overflows float64"),
     (_trajectory_point, "the trajectory point at t=2.0 overflows float64"),
     (_predicted_gap, "the predicted gap |a**d - b**d| * x0 overflows float64"),
+    (_mlp_bounds, "the MLP bounds overflow float64"),
 ], ids=lambda v: getattr(v, "__name__", "")[1:] or None)
 def test_each_overflow_names_what_overflowed(reach, message):
     with warnings.catch_warnings():
