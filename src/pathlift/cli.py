@@ -107,15 +107,10 @@ def _load_batch(path, arch, loss):
     return data[:, : arch.d_in], data[:, arch.d_in :]
 
 
-def _rows(first, *rest) -> str:
-    """Tab-separated lines, one per entry of the equal-length columns: the
-    cells and separators interleaved in one list, then one join."""
-    step = 2 * (1 + len(rest))
-    cells = ["\t"] * (step * len(first))
-    for i, column in enumerate((first, *rest)):
-        cells[2 * i :: step] = column
-    cells[step - 1 :: step] = ["\n"] * len(first)
-    return "".join(cells)
+def _rows(*columns) -> str:
+    """Tab-separated lines, each ended by a newline, one per entry of the
+    equal-length columns."""
+    return "\n".join([*map("\t".join, zip(*columns)), ""])
 
 
 def _cmd_prune(args):

@@ -1,26 +1,38 @@
 """Network files: JSON documents holding one architecture plus parameters.
 
-Schema::
+Schema (the columnar layout :func:`save_network` writes)::
 
-    {"neurons": [{"id": "h1", "activation": "relu"},
-                 {"id": "p",  "activation": {"kpool": 2}}, ...],
-     "edges":   [{"src": "in", "dst": "h1", "weight": 1.0}, ...],
+    {"neurons": {"id":         ["in", "h1", "p", ...],
+                 "activation": ["input", "relu", {"kpool": 2}, ...]},
+     "edges":   {"src":    ["in", ...],
+                 "dst":    ["h1", ...],
+                 "weight": [1.0, ...]},
      "biases":  {"h1": 0.0, ...}}
 
 Activations are "input" | "identity" | "relu" | {"kpool": k}.  Omitted
 biases default to 0; biases of kpool neurons are pinned to 0 regardless of
-what the file says.  Entries carry exactly the keys shown above; unknown
-keys are rejected so a misplaced parameter cannot be dropped silently.
-Floats are written with Python's shortest round-trip representation (up to
-17 significant digits), so save -> load reproduces every parameter bit for
-bit.
+what the file says.  Tables carry exactly the columns shown above, of equal
+length; unknown columns and repeated keys anywhere in the document are
+rejected, so a misplaced parameter cannot be dropped silently.  Floats are
+written with Python's shortest round-trip representation (up to 17
+significant digits), so save -> load reproduces every parameter bit for bit.
 
-The layout is the one ``json.dump(doc, fh, indent=1)`` writes, followed by
-a newline; :func:`save_network` assembles those bytes as one string, each
-neuron id JSON-encoded once.  :func:`load_network` parses the document with
-one ``json.load`` and validates it in bulk (entry types, key sets, number
-types over whole lists); only when a bulk check fails does it walk the
-entries one by one, to name the first bad one.
+:func:`load_network` also reads the row layout, where ``"neurons"`` and
+``"edges"`` are lists of entries with those keys::
+
+    {"neurons": [{"id": "h1", "activation": "relu"}, ...],
+     "edges":   [{"src": "in", "dst": "h1", "weight": 1.0}, ...],
+     "biases":  {"h1": 0.0, ...}}
+
+A list is read as rows and an object as columns; after that, both layouts
+take one path.
+
+The file is exactly what ``json.dump(doc, fh, indent=1)`` writes, followed
+by a newline; :func:`save_network` assembles those bytes as one string,
+each neuron id JSON-encoded once.  :func:`load_network` parses the document
+with one ``json.load`` and validates it in bulk (key sets, column lengths,
+number types over whole lists); only when a bulk check fails does it walk
+the table's entries one by one, to name the first bad one.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from collections import Counter
 from json.encoder import encode_basestring_ascii as _encode
 from operator import itemgetter
 
@@ -37,6 +50,8 @@ from .errors import ParseError
 from .graph import Architecture, ParamVector, _check_bound, _EdgeColumns
 
 _KPOOL = '{{\n    "kpool": {}\n   }}'.format
+_NEURON_KEYS = ("id", "activation")
+_EDGE_KEYS = ("src", "dst", "weight")
 
 
 def _opened(fp, mode: str):
@@ -47,22 +62,16 @@ def _opened(fp, mode: str):
     return contextlib.nullcontext(fp)
 
 
-def _list(keys: tuple, columns: list) -> str:
-    """A list of objects with these keys, one per row of ``columns``, nested
-    one level deep, as ``json.dump(indent=1)`` lays it out: the fixed pieces
-    and the encoded values interleaved, then one join."""
-    if not columns[0]:
-        return "[]"
-    row = []
-    for key in keys:
-        row += [",\n   " + _encode(key) + ": ", None]
-    row[0] = "  {\n   " + _encode(keys[0]) + ": "
-    row.append("\n  },\n")
-    parts = row * len(columns[0])
-    for i, col in enumerate(columns):
-        parts[2 * i + 1 :: len(row)] = col
-    parts[-1] = "\n  }\n ]"
-    return "[\n" + "".join(parts)
+def _column(values: list) -> str:
+    """A list of encoded values nested two levels deep, as
+    ``json.dump(indent=1)`` lays it out: one join."""
+    return "[\n   " + ",\n   ".join(values) + "\n  ]" if values else "[]"
+
+
+def _object(columns: dict) -> str:
+    """An object of columns nested one level deep, as ``json.dump(indent=1)``
+    lays it out."""
+    return "{\n  " + ",\n  ".join(_encode(k) + ": " + _column(v) for k, v in columns.items()) + "\n }"
 
 
 def save_network(fp, arch: Architecture, theta: ParamVector) -> None:
@@ -73,15 +82,15 @@ def save_network(fp, arch: Architecture, theta: ParamVector) -> None:
         for tag in arch.tags
     ]
     vec = theta.vec.tolist()
-    edges = [
-        list(map(enc.__getitem__, arch.src.tolist())),
-        list(map(enc.__getitem__, arch.dst.tolist())),
-        list(map(float.__repr__, vec[: arch.n_edges])),
-    ]
+    edges = {
+        "src": list(map(enc.__getitem__, arch.src.tolist())),
+        "dst": list(map(enc.__getitem__, arch.dst.tolist())),
+        "weight": list(map(float.__repr__, vec[: arch.n_edges])),
+    }
     biases = [f"{enc[j]}: {float.__repr__(vec[arch.bias_coord[j]])}" for j in arch.non_input_pos]
     text = "".join((
-        '{\n "neurons": ', _list(("id", "activation"), [enc, acts]),
-        ',\n "edges": ', _list(("src", "dst", "weight"), edges),
+        '{\n "neurons": ', _object({"id": enc, "activation": acts}),
+        ',\n "edges": ', _object(edges),
         ',\n "biases": ', "{\n  " + ",\n  ".join(biases) + "\n }" if biases else "{}",
         "\n}\n",
     ))
@@ -118,44 +127,67 @@ def _walk_edges(entries) -> None:
             raise ParseError(f"edge weight too large for a float: {item!r}") from None
 
 
-def _columns(entries: list, keys: tuple, walk) -> list:
-    """One list per key of the entries' values.  When an entry is not a
-    dict with exactly these keys, ``walk`` raises naming the first bad one."""
+def _unique(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key it repeats: a dict would keep
+    only its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(map(itemgetter(0), pairs)).items() if n > 1)
+        raise ParseError(f"repeated key {key!r} in one JSON object")
+    return obj
+
+
+def _columns(name: str, table, keys: tuple, walk) -> list:
+    """One list per key: a columnar table's columns, or the values of a row
+    table's entries.  When an entry is not a dict with exactly these keys,
+    ``walk`` raises naming the first bad one."""
+    if isinstance(table, dict):
+        if set(table) != set(keys):
+            raise ParseError(f"{name!r} columns must be exactly {list(keys)}, got {list(table)}")
+        columns = [table[k] for k in keys]
+        if not all(isinstance(c, list) for c in columns) or len(set(map(len, columns))) > 1:
+            shapes = {k: len(c) if isinstance(c, list) else type(c).__name__ for k, c in zip(keys, columns)}
+            raise ParseError(f"{name!r} columns must be lists of one length, got {shapes}")
+        return columns
     try:
-        if set(map(type, entries)) <= {dict} and set(map(len, entries)) <= {len(keys)}:
-            return [list(map(itemgetter(k), entries)) for k in keys]
+        if set(map(type, table)) <= {dict} and set(map(len, table)) <= {len(keys)}:
+            return [list(map(itemgetter(k), table)) for k in keys]
     except KeyError:
         pass
-    walk(entries)
-    return [list(map(itemgetter(k), entries)) for k in keys]
+    walk(table)
+    return [list(map(itemgetter(k), table)) for k in keys]
 
 
-def _weights(values: list, entries: list) -> np.ndarray:
+def _weights(values: list, table) -> np.ndarray:
     """The edge weights as float64.  On a non-number or an integer too large
-    for a float, the walk over the edge entries names the first bad one."""
+    for a float, the walk over the edge entries names the first bad one; a
+    columnar table's entries are built for that walk alone."""
     if set(map(type, values)) <= {int, float}:
         try:
             return np.fromiter(map(float, values), dtype=np.float64, count=len(values))
         except OverflowError:
             pass
-    _walk_edges(entries)
+    if isinstance(table, dict):
+        table = [dict(zip(_EDGE_KEYS, row)) for row in zip(*map(table.get, _EDGE_KEYS))]
+    _walk_edges(table)
     return np.fromiter(map(float, values), dtype=np.float64, count=len(values))
 
 
 def load_network(fp):
-    """Read a network file; returns (architecture, parameters)."""
+    """Read a network file in either layout; returns (architecture,
+    parameters)."""
     with _opened(fp, "r") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique)
         except json.JSONDecodeError as exc:
             raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     for key in ("neurons", "edges"):
-        if key not in doc or not isinstance(doc[key], list):
-            raise ParseError(f"missing or malformed {key!r} list")
-    ids, acts = _columns(doc["neurons"], ("id", "activation"), _walk_neurons)
-    src, dst, ws = _columns(doc["edges"], ("src", "dst", "weight"), _walk_edges)
+        if not isinstance(doc.get(key), (list, dict)):
+            raise ParseError(f"missing or malformed {key!r} table")
+    ids, acts = _columns("neurons", doc["neurons"], _NEURON_KEYS, _walk_neurons)
+    src, dst, ws = _columns("edges", doc["edges"], _EDGE_KEYS, _walk_edges)
     weights = _weights(ws, doc["edges"])
     biases = doc.get("biases", {})
     if not isinstance(biases, dict):

@@ -448,24 +448,42 @@ def residual_conv_architecture(side=4, channels=3, blocks=2, d_out=3):
 # ---- network file: the json module's writer ---------------------------------
 
 
+def _tables(arch, theta):
+    """(neuron entries, edge entries, biases) of a network document."""
+    neurons = [
+        {"id": nid, "activation": {"kpool": tag[1]} if isinstance(tag, tuple) else tag}
+        for nid, tag in zip(arch.ids, arch.tags)
+    ]
+    edges = [
+        {"src": arch.ids[u], "dst": arch.ids[v], "weight": float(theta.vec[i])}
+        for i, (u, v) in enumerate(zip(arch.src.tolist(), arch.dst.tolist()))
+    ]
+    biases = {
+        arch.ids[j]: float(theta.vec[arch.bias_coord[j]])
+        for j in range(arch.n_neurons)
+        if arch.bias_coord[j] >= 0
+    }
+    return neurons, edges, biases
+
+
 def reference_save(fh, arch, theta):
-    """The network file as ``json.dump`` writes it, plus a final newline."""
+    """The columnar network file as ``json.dump`` writes it, plus a final
+    newline."""
+    neurons, edges, biases = _tables(arch, theta)
     doc = {
-        "neurons": [
-            {"id": nid, "activation": {"kpool": tag[1]} if isinstance(tag, tuple) else tag}
-            for nid, tag in zip(arch.ids, arch.tags)
-        ],
-        "edges": [
-            {"src": arch.ids[u], "dst": arch.ids[v], "weight": float(theta.vec[i])}
-            for i, (u, v) in enumerate(zip(arch.src.tolist(), arch.dst.tolist()))
-        ],
-        "biases": {
-            arch.ids[j]: float(theta.vec[arch.bias_coord[j]])
-            for j in range(arch.n_neurons)
-            if arch.bias_coord[j] >= 0
-        },
+        "neurons": {k: [n[k] for n in neurons] for k in ("id", "activation")},
+        "edges": {k: [e[k] for e in edges] for k in ("src", "dst", "weight")},
+        "biases": biases,
     }
     json.dump(doc, fh, indent=1)
+    fh.write("\n")
+
+
+def reference_row_save(fh, arch, theta):
+    """The row-layout network file, one object per neuron and per edge, as
+    ``json.dump`` writes it, plus a final newline."""
+    neurons, edges, biases = _tables(arch, theta)
+    json.dump({"neurons": neurons, "edges": edges, "biases": biases}, fh, indent=1)
     fh.write("\n")
 
 

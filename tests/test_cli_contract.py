@@ -23,36 +23,56 @@ def _pick(rng, items):
     return items[int(rng.integers(len(items)))]
 
 
-def _mutate(doc: dict, rng) -> None:
-    """One damage to a network document: a field's value replaced, a kpool
-    arity of 0, 1.5 or 99, a neuron or edge entry duplicated or deleted, a
-    bias deleted, or a bias added for an input or an unknown id."""
+def _mutate(rows: dict, columns: dict, rng, side) -> None:
+    """One damage, drawn from ``rng``, to both forms of a network document.
+    In the row form: a field's value replaced, a kpool arity of 0, 1.5 or
+    99, a neuron or edge entry duplicated or deleted, a bias deleted, or a
+    bias added for an input or an unknown id.  The columnar form takes the
+    same damage in the same cell, row or bias; a deleted row is cut from
+    every column, or, as ``side`` draws, from one column alone."""
     kind = int(rng.integers(5))
     if kind == 0:
-        table = doc[_pick(rng, ("neurons", "edges", "biases"))]
+        name = _pick(rng, ("neurons", "edges", "biases"))
+        table = rows[name]
         if isinstance(table, dict):
             if table:
-                table[_pick(rng, list(table))] = _pick(rng, VALUES)
+                value = _pick(rng, VALUES)
+                key = _pick(rng, list(table))
+                table[key] = columns[name][key] = value
         elif table:
-            entry = _pick(rng, table)
-            entry[_pick(rng, list(entry))] = _pick(rng, VALUES)
+            i = int(rng.integers(len(table)))
+            value = _pick(rng, VALUES)
+            key = _pick(rng, list(table[i]))
+            table[i][key] = columns[name][key][i] = value
     elif kind == 1:
-        if doc["neurons"]:
-            _pick(rng, doc["neurons"])["activation"] = {"kpool": _pick(rng, (0, 1.5, 99))}
+        if rows["neurons"]:
+            pool = {"kpool": _pick(rng, (0, 1.5, 99))}
+            i = int(rng.integers(len(rows["neurons"])))
+            rows["neurons"][i]["activation"] = columns["neurons"]["activation"][i] = pool
     elif kind == 2:
-        table = doc[_pick(rng, ("neurons", "edges"))]
+        name = _pick(rng, ("neurons", "edges"))
+        table = rows[name]
         if table:
             i = int(rng.integers(len(table)))
+            cut = list(columns[name].values())
             if rng.random() < 0.5:
                 table.append(dict(table[i]))
+                for column in cut:
+                    column.append(column[i])
             else:
                 del table[i]
+                if side.random() < 0.5:
+                    cut = [_pick(side, cut)]
+                for column in cut:
+                    del column[i]
     elif kind == 3:
-        if doc["biases"]:
-            del doc["biases"][_pick(rng, list(doc["biases"]))]
+        if rows["biases"]:
+            key = _pick(rng, list(rows["biases"]))
+            del rows["biases"][key], columns["biases"][key]
     else:
-        inputs = [n["id"] for n in doc["neurons"] if n["activation"] == "input"]
-        doc["biases"][_pick(rng, inputs + ["no-such-neuron"])] = 0.5
+        inputs = [n["id"] for n in rows["neurons"] if n["activation"] == "input"]
+        key = _pick(rng, inputs + ["no-such-neuron"])
+        rows["biases"][key] = columns["biases"][key] = 0.5
 
 
 def _chain_files(tmp_path):
@@ -72,20 +92,27 @@ def _chain_files(tmp_path):
 
 def _damaged_files(tmp_path, n: int, seed: int):
     """(damaged file, undamaged same-sign partner file, input count) for n
-    random DAGs, each file damaged once or twice."""
+    random DAGs, each damaged once or twice, in the row layout and in the
+    columnar one."""
     files = []
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
         rng = np.random.default_rng(child)
+        side = np.random.default_rng(child.spawn(1)[0])
         arch = random_dag(rng)
         theta = random_params(arch, rng)
         path, partner = tmp_path / f"net{k}.json", tmp_path / f"partner{k}.json"
+        columnar = tmp_path / f"columnar{k}.json"
         save_network(partner, arch, same_sign_partner(theta, rng))
         save_network(path, arch, theta)
-        doc = json.loads(path.read_text())
+        text = path.read_text()
+        rows, columns = json.loads(text), json.loads(text)
+        for name in ("neurons", "edges"):
+            rows[name] = [dict(zip(rows[name], row)) for row in zip(*rows[name].values())]
         for _ in range(1 + int(rng.integers(2))):
-            _mutate(doc, rng)
-        path.write_text(json.dumps(doc))
-        files.append((str(path), str(partner), arch.d_in))
+            _mutate(rows, columns, rng, side)
+        path.write_text(json.dumps(rows))
+        columnar.write_text(json.dumps(columns))
+        files += [(str(damaged), str(partner), arch.d_in) for damaged in (path, columnar)]
     return files
 
 
