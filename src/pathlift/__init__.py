@@ -100,7 +100,7 @@ from .pruning import (
     apply_prune,
     baseline_scores,
     magnitude_scores,
-    obd_fd_scores,
+    obd_scores,
     path_mag_scores,
     pruning_error_bound,
 )

@@ -120,8 +120,7 @@ def _cmd_prune(args):
     if args.criterion == "pathmag":
         scores = path_mag_scores(arch, theta, method=method)
     else:
-        criterion = "obd_fd" if args.criterion == "obd" else "magnitude"
-        scores = baseline_scores(arch, theta, criterion, data=data, loss=args.loss)
+        scores = baseline_scores(arch, theta, args.criterion, data=data, loss=args.loss)
     pruned, mask = apply_prune(
         theta, scores, fraction=args.amount, count=args.count, edges_only=not args.include_biases
     )

@@ -3,9 +3,9 @@
 The point of the pipeline is to compare pruning criteria across the
 rescaling orbit of one trained network.  Each criterion runs twice, once on
 the trained weights and once on a randomly rescaled copy; the chosen masks
-are compared bit by bit.  Path-magnitude masks coincide exactly (the scores
-are rescaling invariant, and the preset factors are powers of two, so even
-floating point agrees bit for bit), magnitude masks generally do not.
+are compared bit by bit.  Path-magnitude and OBD masks coincide exactly (the
+scores are rescaling invariant and the preset factors powers of two, so
+floating point agrees bit for bit); magnitude masks generally do not.
 
 The rescaled copy only influences the pipeline through its mask: after
 pruning, weights are rewound to the dense run's early-epoch snapshot and
@@ -298,11 +298,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     def score(theta_base, crit):
         if crit == "pathmag":
             return path_mag_scores(arch, theta_base, method="autodiff")
-        if crit == "magnitude":
-            return baseline_scores(arch, theta_base, "magnitude")
-        return baseline_scores(
-            arch, theta_base, "obd_fd", data=obd_batch, loss=cfg.loss
-        )
+        return baseline_scores(arch, theta_base, crit, data=obd_batch, loss=cfg.loss)
 
     arms = []  # (criterion, rescaled, mask) in report order
     for crit in cfg.criteria:

@@ -334,6 +334,8 @@ def mlp_bounds(layers_a, layers_b, x) -> dict:
     def bounds():
         r = max(1.0, max(float(np.abs(m).sum(axis=1).max()) for m in la + lb))
         gap = max(float(np.abs(a - b).max()) for a, b in zip(la, lb))
+        if gap == 0.0:  # equal sides: every bound is 0, however far R ** (L - 1) overflows
+            return 0.0, 0.0, 0.0, 0.0
         xinf = float(np.abs(x).max())
         core = nlayers * width * width * r ** (nlayers - 1) * gap
         legacy = (width * xinf + 1.0) * width * nlayers * nlayers * r ** (nlayers - 1) * gap

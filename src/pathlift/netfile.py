@@ -103,6 +103,7 @@ def _is_number(value) -> bool:
 
 
 def _walk_neurons(entries) -> None:
+    """Raise ParseError on the first bad neuron entry; runs only when a bulk check found one."""
     for item in entries:
         if not isinstance(item, dict) or "id" not in item or "activation" not in item:
             raise ParseError(f"malformed neuron entry {item!r}")
@@ -113,6 +114,7 @@ def _walk_neurons(entries) -> None:
 
 
 def _walk_edges(entries) -> None:
+    """Raise ParseError on the first bad edge entry; runs only when a bulk check found one."""
     for item in entries:
         if not isinstance(item, dict) or not {"src", "dst", "weight"} <= set(item):
             raise ParseError(f"malformed edge entry {item!r}")
@@ -155,7 +157,6 @@ def _columns(name: str, table, keys: tuple, walk) -> list:
     except KeyError:
         pass
     walk(table)
-    return [list(map(itemgetter(k), table)) for k in keys]
 
 
 def _weights(values: list, table) -> np.ndarray:
@@ -170,7 +171,6 @@ def _weights(values: list, table) -> np.ndarray:
     if isinstance(table, dict):
         table = [dict(zip(_EDGE_KEYS, row)) for row in zip(*map(table.get, _EDGE_KEYS))]
     _walk_edges(table)
-    return np.fromiter(map(float, values), dtype=np.float64, count=len(values))
 
 
 def load_network(fp):

@@ -3,11 +3,11 @@
 The path-magnitude score of a coordinate is the l1 path norm lost by
 zeroing it: the total absolute lifting weight of every path through the
 coordinate.  Because the path lifting is rescaling-invariant, so are the
-scores, and the masks chosen from them.  Magnitude scores are not, nor
-are the OBD finite differences (an absolute step, three nearly cancelling
-losses), though the exact OBD saliency 0.5 * H_ii * theta_i^2 would be:
-between kinks H_ii is the Gauss-Newton diagonal, and theta_i * df/dtheta_i
-does not move under rescaling.
+scores, and the masks chosen from them.  So is the exact OBD saliency
+0.5 * H_ii * theta_i^2: between kinks H_ii is the Gauss-Newton diagonal,
+and theta_i * df/dtheta_i does not move under rescaling, so under
+power-of-two factors OBD masks coincide bit for bit too.  Magnitude
+scores are not invariant.
 
 Three interchangeable routes compute the scores: the autodiff identity
 theta * grad(l1 path norm), per-coordinate path-norm differences (one
@@ -24,14 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import grad_path_norm, scalar_value
+from .engine import Tape, gradient, run
 from .errors import DimensionMismatch, InfeasibleAmount, MissingData, PathliftError, finite
 from .graph import Architecture, ParamVector, _check_batch, _check_bound, _check_input, _finite, _scalar
 from .lipschitz import _holds, _output_gap
 from .metrics import _pathnorm_diffs
 from .paths import path_lifting
-
-# the finite-difference step of the OBD scorer
-FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -89,33 +87,46 @@ def magnitude_scores(arch: Architecture, theta: ParamVector) -> ScoreVector:
     return ScoreVector(criterion="magnitude", method="abs", values=np.abs(theta.vec))
 
 
-def obd_fd_scores(arch: Architecture, theta: ParamVector, data, loss: str = "squared_error") -> ScoreVector:
-    """Second-order saliency 0.5 * h_ii * theta_i^2 with the loss Hessian
-    diagonal taken by per-coordinate central second differences with the
-    absolute step FD_STEP (rounding noise at large weights).
+def _curvature_root(loss: str, z: np.ndarray) -> np.ndarray:
+    """R with R^T R the loss's Hessian in one row's outputs z: I for squared
+    error (0 for their plain sum); for the logistic loss diag(sqrt(p)) (I -
+    1 p^T), p the softmax, or on one output sqrt(sigmoid(z) sigmoid(-z))."""
+    if loss != "logistic":
+        return np.eye(z.size) if loss == "squared_error" else np.zeros((z.size, z.size))
+    if z.size == 1:
+        return np.sqrt(1.0 / (1.0 + np.exp(-z)) / (1.0 + np.exp(z)))[:, None]
+    p = np.exp(z - z.max())
+    p /= p.sum()
+    return np.sqrt(p)[:, None] * (np.eye(z.size) - p)
 
-    Each coordinate takes one loss evaluation of the 2-row stack (theta +
-    step, theta - step); every row is bit for bit its own pass, so the
-    scores are those of one loss evaluation per perturbed vector.  Raises
-    NonFiniteValue when a loss or a score overflows float64."""
+
+def obd_scores(arch: Architecture, theta: ParamVector, data, loss: str = "squared_error") -> ScoreVector:
+    """Optimal Brain Damage saliency 0.5 * h_ii * theta_i^2, h_ii the exact
+    loss Hessian diagonal: between kinks each output is linear in any one
+    coordinate, so h_ii = sum_b |R_b J_b[:, i]|^2, J_b the output Jacobian of
+    row b and R_b a root of the loss's Hessian in its outputs (targets do not
+    enter).  Per row, one pass of d_out copies of theta and one sweep with the
+    rows of R_b as output adjoints give R_b J_b; at a kink the engine's
+    subgradients decide.  One loss evaluation first checks the data.  Raises
+    NonFiniteValue when the pass, the loss or a score overflows float64."""
     try:
         x, y = data
     except (TypeError, ValueError):
         raise MissingData("this criterion needs a data batch, an (X, y) pair") from None
     x = _check_batch(arch, x)
-    base = scalar_value(arch, theta, x, aggregate=loss, target=y)
-    vec = theta.vec
+    scalar_value(arch, theta, x, aggregate=loss, target=y)
+    stack, tape = np.broadcast_to(theta.vec, (arch.d_out, arch.n_coords)), Tape(arch, 1, arch.d_out)
 
     def saliencies():
-        values, step = np.zeros(arch.n_coords), np.zeros(arch.n_coords)
-        for i in range(arch.n_coords):
-            step[i] = FD_STEP
-            up, dn = scalar_value(arch, np.stack((vec + step, vec - step)), x, aggregate=loss, target=y)
-            step[i] = 0.0
-            values[i] = 0.5 * ((up - 2.0 * base + dn) / (FD_STEP * FD_STEP)) * vec[i] * vec[i]
-        return values
+        h = np.zeros(arch.n_coords)
+        for row in x:
+            vals, win = run(arch, stack, row, tape=tape)
+            root = _curvature_root(loss, vals[0, arch.output_pos, 0])
+            rj = gradient(arch, stack, vals, win, root[:, :, None], tape=tape)
+            h += np.einsum("kn,kn->n", rj, rj)
+        return 0.5 * h * theta.vec * theta.vec
 
-    return ScoreVector(criterion="obd", method="fd", values=finite("the OBD scores overflow float64", saliencies))
+    return ScoreVector(criterion="obd", method="exact", values=finite("the OBD scores overflow float64", saliencies))
 
 
 def baseline_scores(
@@ -127,8 +138,8 @@ def baseline_scores(
 ) -> ScoreVector:
     if criterion == "magnitude":
         return magnitude_scores(arch, theta)
-    if criterion == "obd_fd":
-        return obd_fd_scores(arch, theta, data, loss=loss)
+    if criterion == "obd":
+        return obd_scores(arch, theta, data, loss=loss)
     raise PathliftError(f"unknown baseline criterion {criterion!r}")
 
 

@@ -36,6 +36,7 @@ from pathlift.graph import (
     _normalize_tag,
 )
 from pathlift.builders import mlp_architecture
+from pathlift.engine import gradient, run
 from pathlift.experiment import _init_params, _loss_target, accuracy, epoch_seeds, make_dataset, sgd_train
 from pathlift.lipschitz import Breakpoint, TelescopingReport, trajectory_point
 from pathlift.metrics import path_metric_oracle, path_norm_fast
@@ -636,6 +637,36 @@ def reference_obd_fd_scores(arch, theta, data, loss="squared_error", eps=1e-4):
     return values
 
 
+def reference_obd_scores(arch, theta, data, loss="squared_error"):
+    """Exact second-order saliency 0.5 * h_ii * theta_i^2: per row and per
+    output o, one single-vector pass and sweep with the output adjoint e_o
+    give row o of the output Jacobian J, and h_ii adds J[o, i] * C[o, q] *
+    J[q, i] term by term, C the loss's Hessian in the row's outputs."""
+    d = arch.d_out
+    h = np.zeros(arch.n_coords)
+    for row in np.asarray(data[0], dtype=np.float64).reshape(-1, arch.d_in):
+        jac = []
+        for o in range(d):
+            vals, win = run(arch, theta.vec, row)
+            adjoint = np.zeros((d, 1))
+            adjoint[o, 0] = 1.0
+            jac.append(gradient(arch, theta.vec, vals, win, adjoint).copy())
+        z = vals[arch.output_pos, 0]
+        if loss == "squared_error":
+            c = np.eye(d)
+        elif d == 1:
+            s = 1.0 / (1.0 + np.exp(-z[0]))
+            c = [[s * (1.0 - s)]]
+        else:
+            e = np.exp(z - z.max())
+            p = e / e.sum()
+            c = [[p[o] * (o == q) - p[o] * p[q] for q in range(d)] for o in range(d)]
+        for o in range(d):
+            for q in range(d):
+                h += jac[o] * c[o][q] * jac[q]
+    return 0.5 * h * theta.vec * theta.vec
+
+
 def reference_experiment(cfg):
     """``run_experiment``'s pipeline with every arm finetuned alone, one
     ``sgd_train`` call per arm: (dense test accuracy, one (criterion,
@@ -663,7 +694,7 @@ def reference_experiment(cfg):
             elif crit == "magnitude":
                 scores = baseline_scores(arch, base, "magnitude")
             else:
-                scores = baseline_scores(arch, base, "obd_fd", data=obd_batch, loss=cfg.loss)
+                scores = baseline_scores(arch, base, "obd", data=obd_batch, loss=cfg.loss)
             _, mask = apply_prune(base, scores, fraction=cfg.prune_fraction, edges_only=not cfg.prune_biases)
             final, _ = sgd_train(arch, mask.apply(rewound), xtr, ytr, seeds[cfg.rewind_epoch :],
                                  cfg.lr, cfg.batch_size, loss=cfg.loss, mask=mask)

@@ -32,7 +32,7 @@ from pathlift.graph import ParamVector, forward
 from pathlift.lipschitz import activation_breakpoints, equality_witness, trajectory_point, verify_bound
 from pathlift.metrics import mlp_bounds, path_norm_fast
 from pathlift.paths import path_activations, path_lifting
-from pathlift.pruning import ScoreVector, apply_prune, magnitude_scores, obd_fd_scores, pruning_error_bound
+from pathlift.pruning import ScoreVector, apply_prune, magnitude_scores, obd_scores, pruning_error_bound
 from pathlift.transforms import random_rescaling, rescale
 
 from conftest import diamond_arch, diamond_theta
@@ -178,7 +178,7 @@ ARRAYS = {
     "scalar_value x": (lambda v: scalar_value(MLP, MLP_THETA, v), X, None),
     "accuracy x": (lambda v: accuracy(MLP, MLP_THETA, v, Y), X, None),
     "sgd_train x": (lambda v: _fit(x=v), X, None),
-    "obd_fd_scores x": (lambda v: obd_fd_scores(MLP, MLP_THETA, (v, ONE_HOT)).values.tolist(), X, None),
+    "obd_scores x": (lambda v: obd_scores(MLP, MLP_THETA, (v, ONE_HOT)).values.tolist(), X, None),
     "grad_scalar labels": (lambda v: grad_scalar(MLP, MLP_THETA, X, "logistic", v)[1].tolist(), Y, 2),
     "grad_scalar sigmoid labels": (lambda v: grad_scalar(SIGMOID, SIGMOID_THETA, X, "logistic", v)[1].tolist(),
                                    Y, 2),
@@ -186,10 +186,10 @@ ARRAYS = {
     "sgd_train labels": (lambda v: _fit(y=v), Y, 2),
     "sgd_train squared-error labels": (lambda v: _fit(y=v, loss="squared_error"), Y, 2),
     "accuracy labels": (lambda v: accuracy(MLP, MLP_THETA, X, v), Y, 2),
-    "obd_fd_scores labels": (lambda v: obd_fd_scores(MLP, MLP_THETA, (X, v), loss="logistic").values.tolist(), Y, 2),
+    "obd_scores labels": (lambda v: obd_scores(MLP, MLP_THETA, (X, v), loss="logistic").values.tolist(), Y, 2),
     "grad_scalar targets": (lambda v: grad_scalar(MLP, MLP_THETA, X, "squared_error", v)[1].tolist(), ONE_HOT, None),
     "scalar_value targets": (lambda v: scalar_value(MLP, MLP_THETA, X, "squared_error", v), ONE_HOT, None),
-    "obd_fd_scores targets": (lambda v: obd_fd_scores(MLP, MLP_THETA, (X, v)).values.tolist(), ONE_HOT, None),
+    "obd_scores targets": (lambda v: obd_scores(MLP, MLP_THETA, (X, v)).values.tolist(), ONE_HOT, None),
     "apply_prune scores": (lambda v: apply_prune(MLP_THETA, _scores(v), fraction=0.5)[1].pruned, SCORES, None),
     "pruning_error_bound scores": (lambda v: pruning_error_bound(MLP, MLP_THETA, [0], X[0], _scores(v)).bound,
                                    SCORES, None),

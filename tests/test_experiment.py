@@ -248,7 +248,8 @@ def test_report_renders_rows():
     "over, distinct",
     [
         ({}, 3),  # the plain and rescaled path-magnitude arms share one mask
-        ({"criteria": ("magnitude", "obd"), "prune_biases": True}, 4),  # every mask differs
+        # the two magnitude masks differ; the path-magnitude arms share one, the OBD arms another
+        ({"criteria": ("pathmag", "magnitude", "obd"), "prune_biases": True}, 4),
     ],
     ids=["shared", "all-differ"],
 )

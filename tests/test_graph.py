@@ -307,7 +307,7 @@ def _param_vector_calls():
         "path_mag_scores": lambda t: pl.path_mag_scores(arch, t),
         "path_mag_scores(bruteforce)": lambda t: pl.path_mag_scores(arch, t, method="bruteforce"),
         "magnitude_scores": lambda t: pl.magnitude_scores(arch, t),
-        "obd_fd_scores": lambda t: pl.obd_fd_scores(arch, t, data),
+        "obd_scores": lambda t: pl.obd_scores(arch, t, data),
         "baseline_scores": lambda t: pl.baseline_scores(arch, t, "magnitude"),
         "apply_prune": lambda t: pl.apply_prune(t, scores, count=1),
         "Mask.apply": lambda t: mask.apply(t),

@@ -13,7 +13,7 @@ from pathlift.errors import ArchitectureError, DanglingEdge, ParseError
 from pathlift.experiment import ExperimentConfig, run_experiment
 from pathlift.graph import Architecture, ParamVector, forward
 from pathlift.netfile import load_network, save_network
-from pathlift.pruning import obd_fd_scores
+from pathlift.pruning import obd_scores
 
 from conftest import bias, diamond_arch, diamond_theta, pool_arch, pool_theta, replaced
 
@@ -358,7 +358,7 @@ def test_cli_prune_obd_with_logistic_labels(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "pruned 2 coordinate(s)"
     data = ([[0.5], [1.0], [-0.25]], np.array([1, 0, 1]))
-    expected = obd_fd_scores(arch, theta, data, loss="logistic").values
+    expected = obd_scores(arch, theta, data, loss="logistic").values
     assert [float(line.split("\t")[1]) for line in lines[2:]] == expected.tolist()
 
 

@@ -24,7 +24,7 @@ from pathlift.metrics import (
 )
 from pathlift.netfile import load_network, save_network
 from pathlift.paths import enumerate_paths, linearized_output, path_activations
-from pathlift.pruning import apply_prune, magnitude_scores, obd_fd_scores, path_mag_scores, pruning_error_bound
+from pathlift.pruning import apply_prune, magnitude_scores, obd_scores, path_mag_scores, pruning_error_bound
 from pathlift.transforms import normalize, random_rescaling, rescale
 
 from conftest import chain2_arch, chain3, replaced
@@ -157,7 +157,7 @@ def test_parameters_and_inputs_that_are_not_numbers_raise_dimension_mismatch(dia
         lambda: scalar_value(mlp, params, bad),
         lambda: path_activations(mlp, params, bad),
         lambda: accuracy(mlp, params, bad, [0]),
-        lambda: obd_fd_scores(mlp, params, (bad, [[0.0, 1.0]])),
+        lambda: obd_scores(mlp, params, (bad, [[0.0, 1.0]])),
     ):
         with pytest.raises(DimensionMismatch):
             call()
@@ -402,7 +402,7 @@ def test_passes_that_overflow_are_refused(chain2, tmp_path, capsys):
         with pytest.raises(NonFiniteValue, match="^the forward pass overflows float64$"):
             accuracy(chain2, theta, x, [0])
         with pytest.raises(NonFiniteValue):
-            obd_fd_scores(chain2, theta, (x, np.zeros((1, 1))))
+            obd_scores(chain2, theta, (x, np.zeros((1, 1))))
         argv = ["prune", str(tmp_path / "big.json"), "--criterion", "obd", "--count", "1",
                 "--data", str(tmp_path / "b.csv")]
         assert main(argv) == 1
@@ -420,12 +420,12 @@ def test_a_finite_pass_whose_loss_overflows_is_refused(chain2):
         with pytest.raises(NonFiniteValue, match="^the squared_error aggregate overflows float64$"):
             scalar_value(chain2, theta, [[1.0]], aggregate="squared_error", target=[[0.0]])
         with pytest.raises(NonFiniteValue, match="^the squared_error aggregate overflows float64$"):
-            obd_fd_scores(chain2, theta, (np.ones((1, 1)), np.zeros((1, 1))))
-        # the losses, about 5e299, differ in their last bits: the second
-        # difference reads about 1e292, and times 1e10 ** 2 it overflows
-        theta = ParamVector(chain2, [1e10, 1e140, 0.0, 0.0])
-        with pytest.raises(NonFiniteValue, match="^the OBD scores overflow float64$"):
-            obd_fd_scores(chain2, theta, (np.ones((1, 1)), np.zeros((1, 1))))
+            obd_scores(chain2, theta, (np.ones((1, 1)), np.zeros((1, 1))))
+        # the loss is about 5e299, and so is each edge's exact saliency
+        for weights in ((1e10, 1e140), (1e20, 1e130)):
+            theta = ParamVector(chain2, [*weights, 0.0, 0.0])
+            scores = obd_scores(chain2, theta, (np.ones((1, 1)), np.zeros((1, 1))))
+            assert scores.values.tolist() == [5e299, 5e299, 0.0, 0.0]
 
 
 def test_the_report_shows_an_overflowing_coarse_bound():
@@ -454,7 +454,7 @@ def test_ints_too_large_for_a_float_raise_what_infinity_raises(diamond):
         "linearized_output": (NonFiniteValue, lambda v: linearized_output(arch, theta, [v])),
         "bound_rhs": (NonFiniteValue, lambda v: bound_rhs(arch, theta, theta, [v])),
         "pruning_error_bound": (NonFiniteValue, lambda v: pruning_error_bound(arch, theta, [0], [v])),
-        "obd_fd_scores": (NonFiniteValue, lambda v: obd_fd_scores(arch, theta, ([[1.0]], [[v]]))),
+        "obd_scores": (NonFiniteValue, lambda v: obd_scores(arch, theta, ([[1.0]], [[v]]))),
         "rescale": (NonPositiveFactor, lambda v: rescale(arch, theta, {"h1": v})),
         "trajectory_point": (NonFiniteValue, lambda v: trajectory_point(theta, theta, v)),
         "apply_prune": (InfeasibleAmount, lambda v: apply_prune(theta, magnitude_scores(arch, theta), fraction=v)),

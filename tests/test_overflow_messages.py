@@ -74,6 +74,14 @@ def _mlp_bounds():
     mlp_bounds([[[1e200]], [[1e200]], [[1.0]]], [[[1e200]], [[1e200]], [[2.0]]], [1.0])
 
 
+def test_equal_mlp_sides_give_zero_bounds_where_r_overflows():
+    # the gap is 0, so every bound is 0 although R ** 2 = 1e400 leaves float64
+    m = [[[1e200]], [[1e200]], [[1.0]]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(mlp_bounds(m, m, [1.0]).values()) == [0.0] * 4
+
+
 @pytest.mark.parametrize("reach, message", [
     (_path_norm, "the path norm at q=1.0 overflows float64"),
     (_path_norm_gradient, "the path norm gradient overflows float64"),

@@ -4,7 +4,9 @@ the output-change guarantee."""
 import numpy as np
 import pytest
 
+from pathlift import pruning
 from pathlift.builders import conv_grid_architecture, mlp_architecture, random_dag, random_params
+from pathlift.engine import activations
 from pathlift.errors import (
     DimensionMismatch,
     InfeasibleAmount,
@@ -18,7 +20,7 @@ from pathlift.pruning import (
     apply_prune,
     baseline_scores,
     magnitude_scores,
-    obd_fd_scores,
+    obd_scores,
     ScoreVector,
     path_mag_scores,
     pruning_error_bound,
@@ -26,7 +28,7 @@ from pathlift.pruning import (
 from pathlift.transforms import random_rescaling, rescale
 
 from conftest import random_cases
-from reference import reference_obd_fd_scores, reference_pathnorm_diff_scores
+from reference import reference_obd_fd_scores, reference_obd_scores, reference_pathnorm_diff_scores
 
 METHODS = ("autodiff", "pathnorm_diff", "bruteforce")
 
@@ -104,40 +106,42 @@ def test_magnitude_scores(diamond):
     np.testing.assert_array_equal(sv.values, [1.0, 2.0, 3.0, 1.0, 0.0, 0.0, 0.0])
 
 
-def test_obd_fd_single_weight_analytic():
+def test_obd_single_weight_analytic():
     arch = Architecture([("in", "input"), ("out", "identity")], [("in", "out")])
     theta = ParamVector(arch, [2.0, 0.0])
-    sv = obd_fd_scores(arch, theta, ([[1.0]], [[0.0]]))
+    sv = obd_scores(arch, theta, ([[1.0]], [[0.0]]))
     # loss 0.5*(w*x + b)^2 has unit Hessian diagonal here, so the edge
     # saliency is 0.5 * 1 * 2^2
-    assert sv.values[0] == pytest.approx(2.0, rel=1e-6)
-    assert sv.values[1] == 0.0
+    assert sv.values.tolist() == [2.0, 0.0]
+    assert (sv.criterion, sv.method) == ("obd", "exact")
+    # the plain sum of the outputs has no curvature
+    assert obd_scores(arch, theta, ([[1.0]], None), loss="sum_outputs").values.tolist() == [0.0, 0.0]
 
 
-def test_obd_fd_approximately_rescaling_invariant():
+def test_obd_rescaling_invariant():
     arch, theta = _chain_net()
     data = ([[1.0], [-0.5], [2.0]], [[0.5], [0.0], [-1.0]])
-    base = obd_fd_scores(arch, theta, data).values
+    base = obd_scores(arch, theta, data).values
     for lam in (2.0, 8.0):
-        scores = obd_fd_scores(arch, rescale(arch, theta, {"m": lam}), data).values
-        np.testing.assert_allclose(scores, base, rtol=1e-3, atol=1e-12)
+        scores = obd_scores(arch, rescale(arch, theta, {"m": lam}), data).values
+        assert scores.tobytes() == base.tobytes()
 
 
 def test_obd_data_must_be_a_pair_with_finite_targets(diamond):
     arch, theta = diamond
     for bad in (([[1.0]],), ([[1.0]], [[0.0]], [[2.0]]), 5):
         with pytest.raises(MissingData):
-            obd_fd_scores(arch, theta, bad)
+            obd_scores(arch, theta, bad)
     for y in ([[np.nan]], [[np.inf]], [-np.inf]):
         with pytest.raises(NonFiniteValue, match="target"):
-            obd_fd_scores(arch, theta, ([[1.0]], y))
+            obd_scores(arch, theta, ([[1.0]], y))
 
 
 def test_baseline_scores_dispatch(diamond):
     arch, theta = diamond
     assert baseline_scores(arch, theta, "magnitude").criterion == "magnitude"
     with pytest.raises(MissingData):
-        baseline_scores(arch, theta, "obd_fd")
+        baseline_scores(arch, theta, "obd")
     with pytest.raises(PathliftError):
         baseline_scores(arch, theta, "coinflip")
 
@@ -289,20 +293,101 @@ def test_kpool_pinned_bias_never_eligible(pool_net):
         apply_prune(theta, scores, count=5)
 
 
-def test_obd_fd_is_the_per_coordinate_loop():
+def _obd_batch(arch, rng, rows, loss):
+    x = rng.normal(size=(rows, arch.d_in))
+    if loss == "squared_error":
+        return x, rng.normal(size=(rows, arch.d_out))
+    return x, rng.integers(0, max(arch.d_out, 2), size=rows)
+
+
+def test_obd_scores_match_the_per_row_jacobian_reference():
     rng = np.random.default_rng(12)
     cases = [(arch, theta) for arch, theta, _ in random_cases(8, 41, zero_frac=0.2, p_kpool=0.4)]
-    mlp = mlp_architecture((2, 16, 16, 2))
-    cases.append((mlp, random_params(mlp, rng)))
+    # softmax over two outputs, and a sigmoid on one
+    for widths in ((2, 16, 16, 2), (3, 5, 1)):
+        cases.append((mlp_architecture(widths), random_params(mlp_architecture(widths), rng)))
     for arch, theta in cases:
-        x = rng.normal(size=(256, arch.d_in))
-        for loss, y in (("squared_error", rng.normal(size=(256, arch.d_out))),
-                        ("logistic", rng.integers(0, 2, size=256))):
-            got = obd_fd_scores(arch, theta, (x, y), loss=loss).values
-            assert got.tobytes() == reference_obd_fd_scores(arch, theta, (x, y), loss=loss).tobytes()
+        for loss in ("squared_error", "logistic"):
+            data = _obd_batch(arch, rng, 64, loss)
+            got = obd_scores(arch, theta, data, loss=loss).values
+            np.testing.assert_allclose(got, reference_obd_scores(arch, theta, data, loss=loss), rtol=1e-12, atol=0.0)
     arch, theta = _chain_net()
     single = ([1.0], [0.5])  # one input, not a batch
-    assert obd_fd_scores(arch, theta, single).values.tobytes() == reference_obd_fd_scores(arch, theta, single).tobytes()
+    np.testing.assert_allclose(obd_scores(arch, theta, single).values, reference_obd_scores(arch, theta, single),
+                               rtol=1e-12, atol=0.0)
+
+
+def _far_from_kinks(arch, theta, x, step):
+    """No relu or pool decision at any row of x moves when one coordinate
+    moves by +-step, so a central difference of that step sees no kink."""
+    n = arch.n_coords
+    shifted = np.concatenate((theta.vec + step * np.eye(n), theta.vec - step * np.eye(n), theta.vec[None]))
+    for row in x:
+        edge, start = activations(arch, shifted, row)
+        if not ((edge == edge[-1]).all() and (start == start[-1]).all()):
+            return False
+    return True
+
+
+def test_obd_scores_match_finite_differences_away_from_kinks():
+    compared = 0
+    for i in range(30):
+        arch = random_dag(i, max_layers=4, max_width=5, p_kpool=0.3)
+        theta, rng = random_params(arch, i), np.random.default_rng(i)
+        for loss in ("squared_error", "logistic"):
+            data = _obd_batch(arch, rng, 8, loss)
+            if not _far_from_kinks(arch, theta, data[0], 1e-4):
+                continue
+            exact = obd_scores(arch, theta, data, loss=loss).values
+            fd = reference_obd_fd_scores(arch, theta, data, loss=loss, eps=1e-4)
+            assert np.abs(fd - exact).max() <= 1e-5 * np.abs(exact).max()
+            compared += 1
+    assert compared >= 40
+
+
+def test_obd_scores_and_masks_are_bit_identical_under_power_of_two_rescalings():
+    rng = np.random.default_rng(5)
+    mlp, grid = mlp_architecture((2, 16, 16, 2)), conv_grid_architecture(side=6)
+    cases = [(arch, theta) for arch, theta, _ in random_cases(10, 77, p_kpool=0.4)]
+    cases += [(mlp, random_params(mlp, rng)), (grid, random_params(grid, rng))]
+    for arch, theta in cases:
+        other = rescale(arch, theta, random_rescaling(arch, rng))
+        for loss in ("squared_error", "logistic"):
+            data = _obd_batch(arch, rng, 16, loss)
+            scores, scores_r = (obd_scores(arch, t, data, loss=loss) for t in (theta, other))
+            assert scores_r.values.tobytes() == scores.values.tobytes()
+            _, mask = apply_prune(theta, scores, fraction=0.4)
+            _, mask_r = apply_prune(other, scores_r, fraction=0.4)
+            assert mask_r.pruned == mask.pruned
+
+
+def test_obd_makes_one_pass_and_one_sweep_per_row_whatever_the_coordinate_count(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(pruning, name)
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in ("run", "gradient"):
+        monkeypatch.setattr(pruning, name, spy(name))
+    rng = np.random.default_rng(3)
+    for widths in ((2, 3, 2), (2, 16, 16, 2)):
+        arch = mlp_architecture(widths)
+        for loss in ("squared_error", "logistic"):
+            calls.clear()
+            obd_scores(arch, random_params(arch, rng), _obd_batch(arch, rng, 5, loss), loss=loss)
+            assert calls == ["run", "gradient"] * 5
+
+
+def test_a_row_at_a_relu_kink_adds_nothing_to_the_neurons_in_edges():
+    # at x = 1 the pre-activation of m is 1 * 1 - 1 = 0 exactly, where relu
+    # passes the zero subgradient; at x = 2 it is 1
+    arch, _ = _chain_net()
+    theta = ParamVector(arch, [1.0, 2.0, -1.0, 0.5])
+    both = obd_scores(arch, theta, ([[1.0], [2.0]], [[0.0], [0.0]])).values
+    alone = obd_scores(arch, theta, ([[2.0]], [[0.0]])).values
+    m_in = [0, int(arch.bias_coord[arch.position("m")])]
+    assert both[m_in].tolist() == alone[m_in].tolist() == [8.0, 2.0]
 
 
 def test_pruning_amounts_of_the_wrong_type_raise_typed_errors(diamond):
