@@ -27,7 +27,7 @@ from .metrics import (
     path_metric_upper,
     path_norm_fast,
 )
-from .netfile import load_network, save_network
+from .netfile import _reprs, _write_rows, load_network, save_network
 from .paths import path_lifting, save_path_table
 from .pruning import apply_prune, baseline_scores, path_mag_scores
 from .transforms import normalize, random_rescaling, rescale
@@ -107,10 +107,10 @@ def _load_batch(path, arch, loss):
     return data[:, : arch.d_in], data[:, arch.d_in :]
 
 
-def _rows(*columns) -> str:
-    """Tab-separated lines, each ended by a newline, one per entry of the
-    equal-length columns."""
-    return "\n".join([*map("\t".join, zip(*columns)), ""])
+def _coord_rows(arch, *columns) -> None:
+    """Write to stdout one tab-separated line per coordinate, its label
+    then its fields in ``columns``, a chunk of lines per write."""
+    _write_rows(sys.stdout, arch.n_coords, lambda a, b: arch._labels(np.arange(a, b)), *columns)
 
 
 def _cmd_prune(args):
@@ -124,12 +124,9 @@ def _cmd_prune(args):
     pruned, mask = apply_prune(
         theta, scores, fraction=args.amount, count=args.count, edges_only=not args.include_biases
     )
-    values = np.asarray(scores.values, dtype=np.float64).tolist()
-    flags = ["" if keep else "yes" for keep in mask.keep.tolist()]
-    sys.stdout.write(
-        f"pruned {len(mask.pruned)} coordinate(s)\ncoordinate\tscore\tpruned\n"
-        + _rows(arch.coord_labels, map(float.__repr__, values), flags)
-    )
+    sys.stdout.write(f"pruned {len(mask.pruned)} coordinate(s)\ncoordinate\tscore\tpruned\n")
+    _coord_rows(arch, _reprs(np.asarray(scores.values, dtype=np.float64)),
+                lambda a, b: ["" if keep else "yes" for keep in mask.keep[a:b].tolist()])
     if args.out:
         save_network(args.out, arch, pruned)
 
@@ -163,7 +160,7 @@ def _cmd_normalize(args):
     if args.out:
         save_network(args.out, arch, out)
     else:
-        sys.stdout.write(_rows(arch.coord_labels, map(float.__repr__, out.vec.tolist())))
+        _coord_rows(arch, _reprs(out.vec))
 
 
 def _cmd_verify_lipschitz(args):

@@ -22,7 +22,8 @@ are kept as one CSR layout: ``src``/``dst`` (each canonical edge's end
 positions) and ``in_ptr`` (neuron j's incoming edges are the coordinates
 ``in_ptr[j]:in_ptr[j + 1]``).  ``depth``, ``levels`` and the id view
 ``coord_labels`` are built on first access; the passes, the path norm and
-the path-metric bounds read no id view.
+the path-metric bounds read no id view, and the writers and the error
+messages label only the coordinates they print.
 """
 
 from __future__ import annotations
@@ -200,9 +201,15 @@ class Architecture:
 
     @cached_property
     def coord_labels(self) -> tuple:
-        edges = zip(*(map(self.ids.__getitem__, a.tolist()) for a in (self.src, self.dst)))
-        biases = (f"bias({self.ids[j]})" for j in self.non_input_pos.tolist())
-        return (*map("->".join, edges), *biases)
+        return tuple(self._labels(np.arange(self.n_coords)))
+
+    def _labels(self, coords: np.ndarray) -> list:
+        """The labels of ``coords``, ascending coordinates: "u->v" for an
+        edge, "bias(v)" for a bias."""
+        ids, k = self.ids.__getitem__, np.searchsorted(coords, self.n_edges)
+        edges = zip(*(map(ids, a[coords[:k]].tolist()) for a in (self.src, self.dst)))
+        biases = map(ids, self.non_input_pos[coords[k:] - self.n_edges].tolist())
+        return [*map("->".join, edges), *map("bias({})".format, biases)]
 
     @cached_property
     def depth(self) -> np.ndarray:
@@ -287,7 +294,7 @@ class ParamVector:
             )
         if not np.isfinite(v).all():
             bad = np.flatnonzero(~np.isfinite(v))
-            shown = ", ".join(f"{arch.coord_labels[i]}={float(v[i])!r}" for i in bad[:5])
+            shown = ", ".join(f"{s}={x!r}" for s, x in zip(arch._labels(bad[:5]), v[bad[:5]].tolist()))
             more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
             raise NonFiniteValue(f"non-finite parameter(s): {shown}{more}")
         if arch._pool_bias.size:

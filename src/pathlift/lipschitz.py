@@ -59,7 +59,7 @@ def check_sign_condition(t1: ParamVector, t2: ParamVector) -> None:
     # signs, not the product, which underflows to -0.0 for tiny coordinates
     bad = np.flatnonzero(np.sign(t1.vec) * np.sign(t2.vec) < 0.0)
     if bad.size:
-        raise SignConditionViolated([t1.arch.coord_labels[i] for i in bad])
+        raise SignConditionViolated(t1.arch._labels(bad))
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def _check_trajectory(arch: Architecture, t1: ParamVector, t2: ParamVector) -> N
     mixed = np.flatnonzero((t1.vec == 0.0) != (t2.vec == 0.0))
     if mixed.size:
         raise MixedZeroCoordinate(
-            f"zero on one side only at: {[arch.coord_labels[i] for i in mixed[:5]]}"
+            f"zero on one side only at: {arch._labels(mixed[:5])}"
         )
 
 

@@ -312,7 +312,8 @@ def mlp_bounds(layers_a, layers_b, x) -> dict:
     L*W^2*R^(L-1)*sup_gap, the older (W*|x|+1)*W*L^2*R^(L-1)*sup_gap output
     bound, and the output bounds recovered through the path metric route
     (same-sign case, and the doubled any-sign case).  Raises RaggedLayers unless
-    the matrices are nonempty and chain, NonFiniteValue when a bound overflows.
+    the matrices are nonempty and chain, NonFiniteValue when a bound itself
+    exceeds float64 (not when only a factor such as R^(L-1) does).
     """
     la = [_finite(m, f"matrix {i} of layers_a") for i, m in enumerate(layers_a)]
     lb = [_finite(m, f"matrix {i} of layers_b") for i, m in enumerate(layers_b)]
@@ -337,9 +338,24 @@ def mlp_bounds(layers_a, layers_b, x) -> dict:
         if gap == 0.0:  # equal sides: every bound is 0, however far R ** (L - 1) overflows
             return 0.0, 0.0, 0.0, 0.0
         xinf = float(np.abs(x).max())
-        core = nlayers * width * width * r ** (nlayers - 1) * gap
-        legacy = (width * xinf + 1.0) * width * nlayers * nlayers * r ** (nlayers - 1) * gap
-        return core, legacy, max(xinf, 1.0) * core, 2.0 * max(xinf, 1.0) * core
+
+        def products(num):  # the bounds in floats, or in exact rationals
+            power, xr = num(r) ** (nlayers - 1), num(xinf)
+            core = nlayers * width * width * power * num(gap)
+            legacy = (width * xr + 1) * width * nlayers * nlayers * power * num(gap)
+            return core, legacy, max(xr, 1) * core, 2 * max(xr, 1) * core
+
+        try:
+            out = products(float)
+        except OverflowError:  # R ** (L - 1) left float64
+            out = (math.inf,)
+        if all(map(math.isfinite, out)):
+            return out
+        # a factor left float64 on the way: each bound rounded once from its
+        # exact value, an OverflowError only when it exceeds float64
+        from fractions import Fraction  # imported here: it loads decimal, for this case alone
+
+        return tuple(map(float, products(Fraction)))
 
     keys = ("path_metric_ub", "legacy", "recovered_same_sign", "recovered_any_sign")
     return dict(zip(keys, finite("the MLP bounds overflow float64", bounds)))

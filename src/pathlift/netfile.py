@@ -28,11 +28,16 @@ A list is read as rows and an object as columns; after that, both layouts
 take one path.
 
 The file is exactly what ``json.dump(doc, fh, indent=1)`` writes, followed
-by a newline; :func:`save_network` assembles those bytes as one string,
-each neuron id JSON-encoded once.  :func:`load_network` parses the document
-with one ``json.load`` and validates it in bulk (key sets, column lengths,
-number types over whole lists); only when a bulk check fails does it walk
-the table's entries one by one, to name the first bad one.
+by a newline; :func:`save_network` writes those bytes a chunk at a time,
+formatting ``_CHUNK`` entries of a column per write, each neuron id
+JSON-encoded once, so a save holds no string as long as a column.  The
+target is opened as it is given, so an interrupted save leaves a partial
+file, as ``json.dump`` would.  The CLI's coordinate tables and the path
+table go through the same chunked row writer.  :func:`load_network`
+parses the document with one ``json.load`` and validates it in bulk (key
+sets, column lengths, number types over whole lists); only when a bulk
+check fails does it walk the table's entries one by one, to name the first
+bad one.
 """
 
 from __future__ import annotations
@@ -62,16 +67,40 @@ def _opened(fp, mode: str):
     return contextlib.nullcontext(fp)
 
 
-def _column(values: list) -> str:
-    """A list of encoded values nested two levels deep, as
-    ``json.dump(indent=1)`` lays it out: one join."""
-    return "[\n   " + ",\n   ".join(values) + "\n  ]" if values else "[]"
+# entries per write: the writers format a column or a table this many
+# entries at a time (8,192 floats make a write of about 200 KB)
+_CHUNK = 8192
 
 
-def _object(columns: dict) -> str:
-    """An object of columns nested one level deep, as ``json.dump(indent=1)``
-    lays it out."""
-    return "{\n  " + ",\n  ".join(_encode(k) + ": " + _column(v) for k, v in columns.items()) + "\n }"
+def _spans(n: int):
+    """(a, b) for each run of at most _CHUNK entries of range(n), in order."""
+    return ((a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK))
+
+
+def _write_object(fh, n: int, columns: dict) -> None:
+    """Write an object of columns of ``n`` encoded entries nested one level
+    deep, as ``json.dump(indent=1)`` lays it out; ``column(a, b)`` gives a
+    column's entries a:b."""
+    lead = "{\n  "
+    for key, column in columns.items():
+        fh.write(lead + _encode(key) + (": [\n   " if n else ": []"))
+        for a, b in _spans(n):
+            fh.write((",\n   " if a else "") + ",\n   ".join(column(a, b)))
+        fh.write("\n  ]" if n else "")
+        lead = ",\n  "
+    fh.write("\n }")
+
+
+def _write_rows(fh, n: int, *columns) -> None:
+    """Write ``n`` tab-separated lines, each ended by a newline, _CHUNK
+    lines per write; ``column(a, b)`` gives the fields of rows a:b."""
+    for a, b in _spans(n):
+        fh.write("\n".join(map("\t".join, zip(*(column(a, b) for column in columns)))) + "\n")
+
+
+def _reprs(vec: np.ndarray):
+    """The column of float64 ``vec``'s shortest round-trip reprs."""
+    return lambda a, b: map(float.__repr__, vec[a:b].tolist())
 
 
 def save_network(fp, arch: Architecture, theta: ParamVector) -> None:
@@ -81,21 +110,19 @@ def save_network(fp, arch: Architecture, theta: ParamVector) -> None:
         _KPOOL(int.__repr__(tag[1])) if isinstance(tag, tuple) else _encode(tag)
         for tag in arch.tags
     ]
-    vec = theta.vec.tolist()
+    vec, m = theta.vec, arch.n_edges
     edges = {
-        "src": list(map(enc.__getitem__, arch.src.tolist())),
-        "dst": list(map(enc.__getitem__, arch.dst.tolist())),
-        "weight": list(map(float.__repr__, vec[: arch.n_edges])),
+        "src": lambda a, b: map(enc.__getitem__, arch.src[a:b].tolist()),
+        "dst": lambda a, b: map(enc.__getitem__, arch.dst[a:b].tolist()),
+        "weight": _reprs(vec),
     }
-    biases = [f"{enc[j]}: {float.__repr__(vec[arch.bias_coord[j]])}" for j in arch.non_input_pos]
-    text = "".join((
-        '{\n "neurons": ', _object({"id": enc, "activation": acts}),
-        ',\n "edges": ', _object(edges),
-        ',\n "biases": ', "{\n  " + ",\n  ".join(biases) + "\n }" if biases else "{}",
-        "\n}\n",
-    ))
+    biases = [f"{enc[j]}: {float.__repr__(v)}" for j, v in zip(arch.non_input_pos.tolist(), vec[m:].tolist())]
     with _opened(fp, "w") as fh:
-        fh.write(text)
+        fh.write('{\n "neurons": ')
+        _write_object(fh, arch.n_neurons, {"id": lambda a, b: enc[a:b], "activation": lambda a, b: acts[a:b]})
+        fh.write(',\n "edges": ')
+        _write_object(fh, m, edges)
+        fh.write(',\n "biases": ' + ("{\n  " + ",\n  ".join(biases) + "\n }" if biases else "{}") + "\n}\n")
 
 
 def _is_number(value) -> bool:

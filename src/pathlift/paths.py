@@ -41,7 +41,7 @@ import numpy as np
 from .engine import _chunks, activations
 from .errors import DimensionMismatch, PathExplosion, PathliftError, finite
 from .graph import Architecture, ParamVector, _check_input, _finite, _param_rows
-from .netfile import _opened
+from .netfile import _opened, _reprs, _write_rows
 
 DEFAULT_PATH_CAP = 10**6
 
@@ -271,8 +271,10 @@ def linearized_output(arch: Architecture, theta: ParamVector, x) -> np.ndarray:
 
 
 def save_path_table(fp, paths, values):
-    """Write one ``path<TAB>value`` row per path to a text file or handle."""
+    """Write a ``path<TAB>value`` header, then one such row per path of the
+    sequences ``paths`` and ``values``, to a text file or handle, a chunk
+    of rows per write."""
+    values = np.asarray(values, dtype=np.float64)
     with _opened(fp, "w") as fh:
         fh.write("path\tvalue\n")
-        for p, v in zip(paths, values):
-            fh.write(f"{format_path(p)}\t{float(v)!r}\n")
+        _write_rows(fh, min(len(paths), len(values)), lambda a, b: map(format_path, paths[a:b]), _reprs(values))

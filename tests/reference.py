@@ -2,7 +2,7 @@
 
 These are the loops the package ran before the compiled level schedule
 (``pathlift.engine``), the path table (``pathlift.paths``), the array-built
-``Architecture``, the bulk network-file writer, the vectorized refined
+``Architecture``, the bulk network-file writer, the chunked table writers, the vectorized refined
 path-metric bound, the level-wise ``normalize``/``rescale``, the stacked
 activation breakpoints, the stacked second-difference scores and the
 once-per-mask lockstep finetune of ``run_experiment`` replaced them.  They are kept here, deliberately plain, as the oracles that the
@@ -486,6 +486,19 @@ def reference_row_save(fh, arch, theta):
     neurons, edges, biases = _tables(arch, theta)
     json.dump({"neurons": neurons, "edges": edges, "biases": biases}, fh, indent=1)
     fh.write("\n")
+
+
+def reference_rows(*columns) -> str:
+    """The CLI's coordinate tables as one string: tab-separated lines, each
+    ended by a newline, one per entry of the equal-length columns."""
+    return "\n".join([*map("\t".join, zip(*columns)), ""])
+
+
+def reference_path_table(fh, paths, values):
+    """The path table, one write per ``path<TAB>value`` row."""
+    fh.write("path\tvalue\n")
+    for p, v in zip(paths, values):
+        fh.write(f"{'->'.join(str(n) for n in p)}\t{float(v)!r}\n")
 
 
 # ---- refined path-metric bound: one Python step per neuron -------------------

@@ -14,7 +14,7 @@ and ``paths`` name ``engine._chunks``: ``paths`` bounds the memory of
 ``coordinate_sums`` with it, and every per-coordinate score runs one plain
 pass per coordinate, with no chunks of its own.  Every public method and
 property of a class is read as an attribute in the package or named as one in
-``bench/``, and every ``(module, "name", ...)`` target that
+``bench/`` or in the README's quick start (which ``test_readme`` runs), and every ``(module, "name", ...)`` target that
 ``bench/workloads.py`` wraps in a span exists on that pathlift module.
 Only ``errors.finite`` silences numpy's floating-point warnings: every
 overflow is refused there.  Only ``graph`` decides what a scalar argument
@@ -30,6 +30,7 @@ import re
 from pathlib import Path
 
 import pathlift
+from test_readme import _quick_start
 
 SRC = Path(pathlift.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -105,7 +106,7 @@ def _members(tree):
 def test_every_class_member_has_a_reader_outside_the_tests():
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     read = set().union(*map(_attributes, trees.values()))
-    bench = "\n".join(p.read_text() for p in sorted(BENCH.glob("*.py")))
+    bench = "\n".join([*(p.read_text() for p in sorted(BENCH.glob("*.py"))), _quick_start()])
     unread = sorted(
         f"{m}.{cls}.{name}" for m, tree in trees.items() for cls, name in _members(tree)
         if name not in read and not re.search(rf"\.{name}\b", bench)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pathlift import Architecture, ParamVector, conv_grid_architecture, random_dag, random_params
 from pathlift.errors import ArchitectureError, ParseError
+from pathlift import netfile
 from pathlift.netfile import load_network, save_network
 from conftest import edge_ids
 from reference import reference_row_save, reference_save
@@ -41,9 +42,8 @@ def _assert_round_trip(arch, theta):
     assert theta2.vec.tobytes() == theta.vec.tobytes()  # bit for bit, signed zeros included
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_save_is_json_dump_and_load_is_bit_exact(seed, data):
+def _drawn(seed, data):
+    """A random DAG renamed with drawn awkward ids, and drawn awkward parameters."""
     shape = random_dag(np.random.default_rng(seed), p_kpool=0.4)
     names = data.draw(st.lists(_ids, min_size=shape.n_neurons, max_size=shape.n_neurons, unique=True))
     name = dict(zip(shape.ids, names))
@@ -52,7 +52,24 @@ def test_save_is_json_dump_and_load_is_bit_exact(seed, data):
         [(name[u], name[v]) for u, v in edge_ids(shape)],
     )
     values = data.draw(st.lists(_floats, min_size=arch.n_coords, max_size=arch.n_coords))
-    theta = ParamVector(arch, values)
+    return arch, ParamVector(arch, values)
+
+
+def _assert_saved_at_every_chunk_size(arch, theta):
+    """save_network writes reference_save's bytes with a chunk of 1, 2, 3
+    and 7 entries per write."""
+    want = io.StringIO()
+    reference_save(want, arch, theta)
+    for chunk in (1, 2, 3, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netfile, "_CHUNK", chunk)
+            assert _saved(arch, theta) == want.getvalue(), chunk
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_save_is_json_dump_and_load_is_bit_exact(seed, data):
+    arch, theta = _drawn(seed, data)
     _assert_round_trip(arch, theta)
     rows = io.StringIO()  # the row layout still loads bit for bit
     reference_row_save(rows, arch, theta)
@@ -66,6 +83,20 @@ def test_save_is_json_dump_on_conv_grid():
     rng = np.random.default_rng(3)
     theta = random_params(arch, rng, zero_frac=0.1)
     _assert_round_trip(arch, ParamVector(arch, theta.vec * rng.uniform(1e-7, 1e7, size=arch.n_coords)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_save_is_json_dump_at_every_chunk_size(seed, data):
+    _assert_saved_at_every_chunk_size(*_drawn(seed, data))
+
+
+def test_save_is_json_dump_at_every_chunk_size_on_conv_grid_and_empty_columns():
+    arch = conv_grid_architecture(side=6, channels=(2, 3), d_out=3)
+    _assert_saved_at_every_chunk_size(arch, random_params(arch, np.random.default_rng(4), zero_frac=0.1))
+    lone = Architecture([("in", "input")], [])  # every column but the ids is empty
+    _assert_saved_at_every_chunk_size(lone, ParamVector(lone, []))
+    _assert_round_trip(lone, ParamVector(lone, []))
 
 
 def _entries(columns: dict) -> list:

@@ -82,6 +82,17 @@ def test_equal_mlp_sides_give_zero_bounds_where_r_overflows():
         assert list(mlp_bounds(m, m, [1.0]).values()) == [0.0] * 4
 
 
+def test_mlp_bounds_stay_finite_where_only_r_to_the_l_minus_1_overflows():
+    # R ** 2 = 1e400 leaves float64, but the gap 1e-100 brings every bound back
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mlp_bounds([[[1e200]], [[1e200]], [[1e-100]]], [[[1e200]], [[1e200]], [[0.0]]], [1.0])
+    assert got == pytest.approx(
+        {"path_metric_ub": 3e300, "legacy": 1.8e301, "recovered_same_sign": 3e300, "recovered_any_sign": 6e300},
+        rel=1e-15,
+    )
+
+
 @pytest.mark.parametrize("reach, message", [
     (_path_norm, "the path norm at q=1.0 overflows float64"),
     (_path_norm_gradient, "the path norm gradient overflows float64"),
